@@ -52,9 +52,11 @@
 // --mitigate attaches the SLO sentinel (orch::SloSentinel): stragglers and
 // degradations are detected online and mitigated under POLICY (none |
 // replace | add-ps | ssp | replan | auto; default auto — see
-// docs/FAULTS.md). Requires --iterations; --minutes/--loss set the Tg /
-// loss goals the verdict is judged against, and a missed verdict makes the
-// process exit 3 (scriptable SLO checks).
+// docs/FAULTS.md). The replan and auto policies re-plan through Algorithm 1
+// over the provisionable catalog, profiled on m4.xlarge. Requires
+// --iterations; --minutes/--loss set the Tg / loss goals the verdict is
+// judged against, and a missed verdict makes the process exit 3
+// (scriptable SLO checks).
 //
 // The global --check flag turns on the runtime invariant checker
 // (util/check.hpp) for the whole invocation: fluid-solver conservation
@@ -181,6 +183,18 @@ const cloud::InstanceType& resolve_type(const std::string& name) {
                                 "' (run 'cynthiactl catalog' for the list)");
   }
   return catalog.at(name);
+}
+
+/// Algorithm 1 over the provisionable catalog, for the sentinel's re-plan
+/// step. Only the replan and auto policies re-plan; the others get none.
+std::optional<core::Provisioner> sentinel_planner(const ddnn::WorkloadSpec& w,
+                                                  orch::MitigationPolicy policy) {
+  if (policy != orch::MitigationPolicy::kReplan && policy != orch::MitigationPolicy::kAuto) {
+    return std::nullopt;
+  }
+  const auto& catalog = cloud::Catalog::aws();
+  const core::Predictor predictor = core::Predictor::build(w, catalog.at("m4.xlarge"));
+  return core::Provisioner(predictor.model(), predictor.loss(), catalog.provisionable());
 }
 
 int cmd_catalog() {
@@ -456,8 +470,9 @@ int cmd_simulate(const Args& args) {
     goal.time_goal = time_goal_given ? util::minutes(*args.number("minutes"))
                                      : util::Seconds{1e12};
     goal.target_loss = loss_goal_given ? *args.number("loss") : 0.0;
+    const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
     const orch::SloSentinel sentinel(so);
-    const auto report = sentinel.run(w, plan, schedule, goal);
+    const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
     const auto& r = report.training;
 
     util::Table t("Sentinel: " + w.name + " on " + std::to_string(n) + "x " + type.name +
@@ -626,8 +641,9 @@ int cmd_report(const Args& args) {
       time_goal_given ? util::minutes(*args.number("minutes")) : util::Seconds{1e12};
   goal.target_loss = loss_goal_given ? *args.number("loss") : 0.0;
 
+  const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
   const orch::SloSentinel sentinel(so);
-  const auto report = sentinel.run(w, plan, schedule, goal);
+  const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
 
   const double bound = args.number("bound").value_or(0.10);
   const std::string title = w.name + " on " + std::to_string(n) + "x " + type.name + " + " +

@@ -17,6 +17,7 @@ CarriedSchedule carry_schedule(const faults::FaultSchedule& schedule,
     const FaultEventOutcome* outcome = i < outcomes.size() ? &outcomes[i] : nullptr;
     if (outcome != nullptr && outcome->fired) {
       if (outcome->recovered_at >= 0.0) continue;  // healed before the cut
+      if (!carry_active) continue;  // the continuation runs on fresh hardware
       // Active at the cut: remaining recovery on the continuation clock.
       double remaining = -1.0;
       if (spec.recovery_seconds >= 0.0) {
@@ -26,29 +27,12 @@ CarriedSchedule carry_schedule(const faults::FaultSchedule& schedule,
       faults::FaultSpec carried = spec;
       carried.time_seconds = 0.0;
       carried.recovery_seconds = remaining;
+      out.schedule.add(carried);
       switch (spec.kind) {
-        case faults::FaultKind::kCrash:
-          out.schedule.add(carried);
-          ++out.continued_crashes;
-          break;
-        case faults::FaultKind::kSlowdown:
-          if (carry_active) {
-            out.schedule.add(carried);
-            ++out.continued_slowdowns;
-          }
-          break;
-        case faults::FaultKind::kNicDegradation:
-          if (carry_active) {
-            out.schedule.add(carried);
-            ++out.continued_nic;
-          }
-          break;
-        case faults::FaultKind::kTransientBlip:
-          if (carry_active) {
-            out.schedule.add(carried);
-            ++out.continued_blips;
-          }
-          break;
+        case faults::FaultKind::kCrash: ++out.continued_crashes; break;
+        case faults::FaultKind::kSlowdown: ++out.continued_slowdowns; break;
+        case faults::FaultKind::kNicDegradation: ++out.continued_nic; break;
+        case faults::FaultKind::kTransientBlip: ++out.continued_blips; break;
       }
       continue;
     }

@@ -102,10 +102,10 @@ struct CarriedSchedule {
 /// segment's per-event record (same order as the schedule):
 ///   * events that fired and fully recovered before the cut are dropped;
 ///   * active degradations are re-injected at t=0 with their remaining
-///     recovery (minus the pause; healed-during-pause events are dropped) —
-///     only when `carry_active` is set, i.e. the continuation runs on the
-///     same physical nodes;
-///   * still-dead nodes are re-killed at t=0 with the remaining recovery;
+///     recovery (minus the pause; healed-during-pause events are dropped),
+///     and still-dead nodes are re-killed at t=0 the same way — only when
+///     `carry_active` is set, i.e. the continuation runs on the same
+///     physical nodes (a re-planned cluster is fresh hardware);
 ///   * unfired events shift left by cut+gap; events that would land inside
 ///     the pause hit a cluster that is not training and are dropped;
 ///   * targets outside the (possibly reshaped) n_workers x n_ps are dropped.

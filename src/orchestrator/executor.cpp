@@ -1,0 +1,439 @@
+#include "orchestrator/executor.hpp"
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "cloud/pricing.hpp"
+#include "ddnn/loss.hpp"
+#include "orchestrator/cluster_manager.hpp"
+#include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
+
+namespace cynthia::orch {
+
+namespace metric = telemetry::metric;
+
+namespace {
+
+/// Deterministic seed of replacement deploy `index`: crashes use their
+/// schedule index, sentinel actions disjoint offsets (97, 200+, 300+, 400+).
+std::uint64_t replacement_seed(std::uint64_t seed, std::size_t index) {
+  return seed * 1000003ull + 7919ull * (index + 1);
+}
+
+/// Measures how long one replacement node of the plan's type takes to walk
+/// the launch -> boot -> install -> kubeadm-join lifecycle to Ready, on a
+/// dedicated control-plane clock (join failures are repaired by deploy()'s
+/// replacement loop, exactly as at initial provisioning time).
+double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed) {
+  sim::Simulator sim;
+  cloud::BillingMeter billing;
+  ClusterManager manager(sim, billing, seed);
+  core::ProvisionPlan one = plan;
+  one.n_workers = 1;
+  one.n_ps = 0;
+  Deployment replacement = manager.deploy(one);
+  const double seconds = replacement.provisioning_seconds();
+  manager.teardown(replacement);
+  return seconds;
+}
+
+}  // namespace
+
+JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan& plan,
+                   const faults::FaultSchedule& schedule, const core::ProvisionGoal& goal,
+                   const SentinelOptions& options, const core::Provisioner* provisioner,
+                   bool cut_at_first_crash) {
+  if (!plan.feasible) throw std::invalid_argument("execute_job: infeasible plan");
+  schedule.validate(plan.n_workers, plan.n_ps);
+
+  JobRun run;
+  SentinelReport& report = run.report;
+  report.plan = plan;
+  // Checkpoint restore: the parameter payload read back from durable storage.
+  const double restore_seconds =
+      workload.gparam.value() / std::max(1.0, options.checkpoint_bandwidth_mbps);
+  run.restore = util::Seconds{restore_seconds};
+
+  // Each crash is repaired in place unless a re-plan answers it: its
+  // recovery is heartbeat detection + a measured replacement node +
+  // checkpoint restore, and the trainer rides through the outage.
+  faults::FaultSchedule enriched;
+  double first_crash_at = -1.0;
+  for (const faults::FaultSpec& spec : schedule.events()) {
+    faults::FaultSpec event = spec;
+    if (event.kind == faults::FaultKind::kCrash) {
+      if (first_crash_at < 0.0) first_crash_at = event.time_seconds;
+      const double provision = measure_replacement(
+          plan, replacement_seed(options.seed, run.replacement_provisioning.size()));
+      run.replacement_provisioning.push_back(provision);
+      event.recovery_seconds = options.detection_seconds + provision + restore_seconds;
+    }
+    enriched.add(event);
+  }
+
+  sim::Simulator control_plane;
+  cloud::BillingMeter billing;
+  ClusterManager manager(control_plane, billing, options.seed);
+  telemetry::Telemetry* tel = options.training.telemetry;
+  if (tel != nullptr) manager.set_telemetry(tel);
+  Deployment deployment = manager.deploy(plan);
+  report.provisioning_seconds = deployment.provisioning_seconds();
+
+  // Blacklist-to-replacement-join delay for the replace mitigation, measured
+  // once up front on a dedicated clock (a straggler replacement walks the
+  // same kubeadm-join lifecycle as a crash replacement).
+  const double replace_delay =
+      options.enabled
+          ? options.detection_seconds +
+                measure_replacement(plan, replacement_seed(options.seed, 97)) + restore_seconds
+          : -1.0;
+
+  const long total_iterations = plan.total_iterations;
+
+  // The SSP downgrade is only on the table when the loss goal survives the
+  // staleness penalty: the loss model scales the whole curve by
+  // sqrt(1 + bound), so the projected SSP loss at the full budget must
+  // still clear l_g (with the verdict's 5% tolerance).
+  bool ssp_downgrade_allowed = workload.sync == ddnn::SyncMode::BSP;
+  if (ssp_downgrade_allowed && goal.target_loss > 0.0) {
+    const double ssp_final = ddnn::loss_model(
+        workload.loss_for(ddnn::SyncMode::SSP), ddnn::SyncMode::SSP,
+        static_cast<double>(total_iterations), plan.n_workers,
+        std::max(1, options.ssp_staleness_bound));
+    ssp_downgrade_allowed = ssp_final <= goal.target_loss * 1.05;
+  }
+
+  // ---- segment loop ----
+  ddnn::ClusterSpec cluster = deployment.spec;
+  ddnn::WorkloadSpec current_workload = workload;
+  core::ProvisionPlan current_plan = plan;
+  std::vector<int> excluded;
+  double elapsed = 0.0;  ///< job clock at the current segment's start
+  double gap = 0.0;      ///< reconfiguration pause before the current segment
+  long done = 0;
+  int actions_remaining = options.max_actions;
+  bool forecast_enabled = true;
+  bool crash_replanned = false;  ///< a re-plan answered the first crash
+  ddnn::TrainResult merged;
+  ddnn::CarriedSchedule carried;
+  carried.schedule = enriched;
+  const ddnn::CarriedSchedule* carried_ptr = nullptr;  ///< dedup for the merge
+  const ddnn::TrainResult no_history;
+
+  /// Nodes leased on top of the original deployment, from `from_seconds`
+  /// (job clock, includes their provisioning lead) to the end of the job.
+  struct Lease {
+    cloud::InstanceType type;
+    int n_workers = 0;
+    int n_ps = 0;
+    double from_seconds = 0.0;
+    bool for_crash = false;  ///< bought by crash recovery, not by the sentinel
+  };
+  std::vector<Lease> leases;
+  double original_held_until = -1.0;  ///< < 0: until the job ends
+
+  const int max_segments = options.max_actions + 2;
+  for (int seg_i = 0; seg_i < max_segments; ++seg_i) {
+    StragglerDetector::Config dcfg;
+    dcfg.thresholds = options.thresholds;
+    dcfg.policy = options.policy;
+    dcfg.time_goal_seconds = forecast_enabled ? goal.time_goal.value() : 0.0;
+    dcfg.elapsed_offset_seconds = elapsed;
+    dcfg.iteration_offset = done;
+    dcfg.total_iterations = total_iterations;
+    dcfg.replacement_after_seconds = replace_delay;
+    dcfg.ssp_staleness_bound = options.ssp_staleness_bound;
+    dcfg.allow_ssp_downgrade = ssp_downgrade_allowed;
+    dcfg.actions_remaining = actions_remaining;
+    dcfg.allow_stop = seg_i + 1 < max_segments;
+    StragglerDetector detector(dcfg, &report.detections, &report.mitigations);
+
+    ddnn::TrainOptions o = options.training;
+    o.iterations = total_iterations - done;
+    o.seed = seg_i == 0 ? options.seed : replacement_seed(options.seed, 400 + seg_i);
+    o.faults = carried.schedule.empty() ? nullptr : &carried.schedule;
+    o.loss_iteration_offset = done;
+    o.monitor = options.enabled ? &detector : nullptr;
+    o.excluded_workers = excluded;
+    // Elastic recovery cuts the first segment when the first crash lands
+    // (same-time events run in schedule order, so the crash fires first).
+    const bool crash_cut = seg_i == 0 && cut_at_first_crash && first_crash_at >= 0.0;
+    o.stop_after_seconds = crash_cut ? std::max(first_crash_at, 1e-9) : 0.0;
+
+    double saved_offset = 0.0;
+    const bool shift = tel != nullptr && elapsed > 0.0;
+    if (shift) {
+      saved_offset = tel->tracer.time_offset();
+      tel->set_time_offset(saved_offset + elapsed);
+    }
+    ddnn::TrainResult seg;
+    try {
+      seg = ddnn::run_training(cluster, current_workload, o);
+    } catch (...) {
+      if (shift) tel->set_time_offset(saved_offset);
+      throw;
+    }
+    if (shift) tel->set_time_offset(saved_offset);
+    actions_remaining = detector.actions_remaining();
+
+    // run_training services the BSP -> SSP downgrade internally; later
+    // segments must continue under the downgraded discipline.
+    if (seg.monitor.downgraded && current_workload.sync == ddnn::SyncMode::BSP) {
+      current_workload.sync = ddnn::SyncMode::SSP;
+      current_workload.ssp_staleness_bound = std::max(1, seg.monitor.staleness_bound);
+    }
+
+    const double cut = seg.total_time;  // segment clock
+    merged = seg_i == 0 ? seg : ddnn::merge_train_segments(merged, seg, elapsed, gap, carried_ptr);
+    report.segments = seg_i + 1;
+    done = merged.iterations;
+
+    std::string reason = merged.monitor.stopped ? merged.monitor.stop_reason : "";
+    if (crash_cut && seg.stopped_early) reason = "crash";
+    if (tel != nullptr) {
+      const double actual_t_iter = cut / static_cast<double>(std::max<long>(1, seg.iterations));
+      tel->journal.segment(elapsed, "segment-" + std::to_string(seg_i),
+                           reason.empty() ? "completed" : reason, seg.iterations,
+                           current_plan.t_iter, actual_t_iter, cut);
+    }
+    if (reason.empty()) break;  // the budget completed
+
+    // ---- service the cut ----
+    double next_gap = 0.0;
+    bool carry_active = true;
+
+    if (reason == "ps-bottleneck") {
+      // Add one PS shard of the same type; resharding re-reads the
+      // parameter payload onto the new shard before training resumes.
+      const double provision = measure_replacement(
+          current_plan, replacement_seed(options.seed, 200 + seg_i));
+      next_gap = options.detection_seconds + provision + restore_seconds;
+      current_plan.n_ps += 1;
+      cluster = ddnn::ClusterSpec::homogeneous(current_plan.type, current_plan.n_workers,
+                                               current_plan.n_ps);
+      leases.push_back({current_plan.type, 0, 1, elapsed + cut + options.detection_seconds});
+      report.added_ps += 1;
+      if (!report.mitigations.empty() && report.mitigations.back().action == "add-ps") {
+        report.mitigations.back().detail +=
+            "; now " + std::to_string(current_plan.n_ps) + " PS shards";
+      }
+    } else if (reason == "replan" || reason == "crash") {
+      // The one re-plan step: Algorithm 1 over the remaining iterations and
+      // time budget, derated by how much slower the cluster trained than
+      // the model predicted, holding the forecast margin as slack.
+      const bool for_crash = reason == "crash";
+      core::ProvisionPlan next;
+      next.feasible = false;
+      if (provisioner != nullptr) {
+        const double measured_t_iter = cut / static_cast<double>(std::max<long>(1, seg.iterations));
+        double derate = 1.0;
+        if (current_plan.t_iter > 0.0 && measured_t_iter > current_plan.t_iter) {
+          derate = current_plan.t_iter / measured_t_iter;
+        }
+        derate = std::clamp(derate, 0.05, 1.0);
+        const double budget = goal.time_goal.value() - (elapsed + cut) -
+                              options.detection_seconds - restore_seconds;
+        core::Provisioner::ReplanDegradation degradation;
+        degradation.capability_derate = derate;
+        degradation.slack_margin = options.thresholds.forecast_margin;
+        next = provisioner->replan(current_workload.sync, total_iterations - done,
+                                   util::Seconds{budget}, {}, degradation);
+      }
+      if (next.feasible) {
+        report.replanned = true;
+        report.replacement_plan = next;
+        sim::Simulator control_plane2;
+        cloud::BillingMeter billing2;
+        ClusterManager manager2(control_plane2, billing2,
+                                replacement_seed(options.seed, 300 + seg_i));
+        Deployment deployment2 = manager2.deploy(next);
+        const double provision2 = deployment2.provisioning_seconds();
+        cluster = deployment2.spec;
+        manager2.teardown(deployment2);
+        next_gap = options.detection_seconds + provision2 + restore_seconds;
+        // Billing switches clusters: the original is released once the
+        // master commits to the replan; the new one runs to the end.
+        if (original_held_until < 0.0) {
+          original_held_until = elapsed + cut + options.detection_seconds;
+        }
+        leases.push_back({next.type, next.n_workers, next.n_ps,
+                          elapsed + cut + options.detection_seconds, for_crash});
+        current_plan = next;
+        excluded.clear();      // the new cluster has no blacklist history
+        carry_active = false;  // ... and fresh, undegraded hardware
+        if (for_crash) {
+          crash_replanned = true;
+          run.replacement_provisioning.front() = provision2;
+          run.resume_at = elapsed + cut + next_gap;
+        } else if (!report.mitigations.empty() && report.mitigations.back().action == "replan") {
+          report.mitigations.back().detail += "; -> " + next.type.name + " x" +
+                                              std::to_string(next.n_workers) + "wk/" +
+                                              std::to_string(next.n_ps) + "ps";
+        }
+      } else if (!for_crash) {
+        // No feasible reshape: fall back to the SSP downgrade if still BSP
+        // and the loss goal tolerates it, and stop forecasting either way
+        // (nothing left to escalate to).
+        forecast_enabled = false;
+        if (ssp_downgrade_allowed && current_workload.sync == ddnn::SyncMode::BSP) {
+          current_workload.sync = ddnn::SyncMode::SSP;
+          current_workload.ssp_staleness_bound = std::max(1, options.ssp_staleness_bound);
+          merged.monitor.downgraded = true;
+          merged.monitor.downgraded_at = elapsed + cut;
+          merged.monitor.downgraded_at_iteration = done;
+          merged.monitor.staleness_bound = current_workload.ssp_staleness_bound;
+          if (!report.mitigations.empty() && report.mitigations.back().action == "replan") {
+            report.mitigations.back().action = "ssp-downgrade";
+            report.mitigations.back().detail += "; replan infeasible";
+          }
+        }
+      }
+      // A crash no re-plan answers resumes on the same nodes: the dead node
+      // carries over and is repaired in place.
+    }
+    // Unknown reasons resume on the same cluster with no pause.
+
+    // A sentinel cut after the first segment carries neither that segment's
+    // fired faults nor its blacklist: the continuation starts on healed
+    // nodes. Later cuts, and crash cuts, carry both. The pinned sentinel
+    // digests hold this asymmetry.
+    const ddnn::TrainResult& history = seg_i == 0 && !crash_cut ? no_history : seg;
+    // Blacklisted workers whose replacement had not joined by the cut stay
+    // out on a same-node continuation (the pending join died with the cut).
+    if (carry_active) {
+      for (const ddnn::MonitorExclusion& e : history.monitor.exclusions) {
+        if (e.replaced_at >= 0.0 && e.replaced_at <= cut) continue;
+        excluded.push_back(e.worker);
+      }
+      std::sort(excluded.begin(), excluded.end());
+      excluded.erase(std::unique(excluded.begin(), excluded.end()), excluded.end());
+    }
+
+    carried = ddnn::carry_schedule(carried.schedule, history.faults.events, cut, next_gap,
+                                   cluster.n_workers(), cluster.n_ps(), carry_active);
+    carried_ptr = &carried;
+    elapsed += cut + next_gap;
+    gap = next_gap;
+  }
+
+  report.training = std::move(merged);
+  report.achieved_loss = report.training.final_loss;
+  const double job_end = report.training.total_time;
+
+  // ---- billing ----
+  // Original deployment: actual meter from launch until release (job end,
+  // or the replan handoff).
+  const double held = original_held_until >= 0.0 ? original_held_until : job_end;
+  control_plane.run_until(deployment.ready_at + held);
+  manager.teardown(deployment);
+  report.actual_cost = billing.total(util::Seconds{control_plane.now()});
+  // Each `+=` below is mirrored as one journal billing settlement, so the
+  // cost ledger's grouped fold reproduces this chain bit-for-bit.
+  if (tel != nullptr) {
+    cloud::journal_meter_settlement(tel->journal, billing, util::Seconds{control_plane.now()},
+                                    telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan,
+                                    util::Seconds{deployment.ready_at}, "original");
+  }
+  auto journal_cost = [&](telemetry::CostPhase phase, telemetry::CostCause cause,
+                          const std::string& node, double dollars, const std::string& what) {
+    if (tel == nullptr) return;
+    tel->journal.billing_delta(job_end, tel->journal.next_settlement(), phase, cause, node,
+                               dollars, what);
+  };
+  // Added shards / re-planned clusters: Eq. 8 over their lease windows.
+  int lease_index = 0;
+  for (const Lease& lease : leases) {
+    const double window = std::max(0.0, job_end - lease.from_seconds);
+    const util::Dollars dollars =
+        core::plan_cost(lease.type, lease.n_workers, lease.n_ps, util::Seconds{window});
+    report.actual_cost += dollars;
+    journal_cost(lease.for_crash ? telemetry::CostPhase::kRecover
+                                 : telemetry::CostPhase::kMitigate,
+                 lease.for_crash ? telemetry::CostCause::kFault
+                                 : telemetry::CostCause::kSentinelAction,
+                 "extra-" + std::to_string(lease_index++), dollars.value(),
+                 lease.type.name + " +" + std::to_string(lease.n_workers) + "wk/" +
+                     std::to_string(lease.n_ps) + "ps");
+  }
+  // Straggler replacements: one node each from blacklist+detection to end.
+  for (const ddnn::MonitorExclusion& e : report.training.monitor.exclusions) {
+    if (e.replaced_at < 0.0) continue;  // permanent blacklist, no new node
+    const double window = std::max(0.0, job_end - (e.at + options.detection_seconds));
+    const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
+    report.actual_cost += dollars;
+    journal_cost(telemetry::CostPhase::kMitigate, telemetry::CostCause::kSentinelAction,
+                 "replace-wk" + std::to_string(e.worker), dollars.value(), plan.type.name);
+  }
+  // Crash replacements: one node each, metered from the moment the master
+  // reacts until the end of training. The crash a re-plan answered is paid
+  // for by the new cluster's lease.
+  std::size_t k = 0;
+  for (const ddnn::FaultEventOutcome& outcome : report.training.faults.events) {
+    if (outcome.spec.kind != faults::FaultKind::kCrash) continue;
+    if (k >= run.replacement_provisioning.size()) break;
+    const double provision = run.replacement_provisioning[k++];
+    if (!outcome.fired || (k == 1 && crash_replanned)) continue;
+    const double tail = job_end - (outcome.injected_at + options.detection_seconds + provision);
+    const double window = provision + std::max(0.0, tail);
+    const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
+    report.actual_cost += dollars;
+    journal_cost(telemetry::CostPhase::kRecover, telemetry::CostCause::kFault,
+                 "crash-replacement-" + std::to_string(k - 1), dollars.value(), plan.type.name);
+  }
+
+  report.time_goal_met = job_end <= goal.time_goal.value();
+  report.loss_goal_met = report.achieved_loss <= goal.target_loss * 1.05;
+
+  if (tel != nullptr) {
+    auto& mtr = tel->metrics;
+    if (!report.detections.empty()) {
+      mtr.counter(metric::kSentinelDetections)
+          .inc(static_cast<double>(report.detections.size()));
+    }
+    if (!report.mitigations.empty()) {
+      mtr.counter(metric::kSentinelMitigations)
+          .inc(static_cast<double>(report.mitigations.size()));
+    }
+    if (report.training.monitor.downgraded) mtr.counter(metric::kSentinelSspDowngrades).inc();
+    if (report.added_ps > 0) {
+      mtr.counter(metric::kSentinelAddedPs).inc(static_cast<double>(report.added_ps));
+    }
+    if (report.replanned && !crash_replanned) mtr.counter(metric::kSentinelReplans).inc();
+    // The gauge holds the fully-attributed job cost; the journal's cost
+    // ledger sums to exactly this value.
+    mtr.gauge(metric::kBillingDollars).set(report.actual_cost.value());
+
+    for (const DetectionEvent& d : report.detections) {
+      tel->journal.event(
+          d.at_seconds, telemetry::JournalKind::kDetection,
+          d.worker >= 0 ? d.kind + ":wk" + std::to_string(d.worker) : d.kind,
+          "severity " + std::to_string(d.severity), d.severity);
+    }
+    for (const MitigationRecord& m : report.mitigations) {
+      tel->journal.event(m.at_seconds, telemetry::JournalKind::kMitigation, m.action, m.detail);
+    }
+    if (report.replanned) {
+      tel->journal.event(job_end, telemetry::JournalKind::kReplan,
+                         crash_replanned ? "recovery" : "sentinel",
+                         "replan -> " + report.replacement_plan.describe());
+    }
+    tel->journal.verdict(job_end, "time-goal", report.time_goal_met, goal.time_goal.value(),
+                         job_end);
+    if (goal.target_loss > 0.0) {
+      tel->journal.verdict(job_end, "loss-goal", report.loss_goal_met, goal.target_loss,
+                           report.achieved_loss);
+    }
+    if (plan.predicted_cost.value() > 0.0) {
+      tel->journal.verdict(job_end, "cost",
+                           report.actual_cost.value() <= plan.predicted_cost.value() * 1.1,
+                           plan.predicted_cost.value(), report.actual_cost.value());
+    }
+  }
+  return run;
+}
+
+}  // namespace cynthia::orch

@@ -4,16 +4,18 @@
 // Kubernetes: when a node dies mid-training, the master detects the missed
 // heartbeats, provisions a replacement through the same kubeadm-join
 // lifecycle used at deploy time, restores the parameters from the last
-// checkpoint, and resumes. Two policies:
+// checkpoint, and resumes. It runs the job through the orchestrator's one
+// executor (orchestrator/executor.hpp) under one of two policies:
 //   * repair-in-place (default): every crash is healed by one replacement
 //     node; the fault's effective recovery time becomes
 //     detection + replacement provisioning + checkpoint restore, and the
 //     training run rides through it.
-//   * elastic (RecoveryOptions::elastic): after the first crash the
-//     controller re-runs Algorithm 1 over the *remaining* iteration and
-//     time budget (Provisioner::replan) and finishes the job on the new —
-//     possibly differently sized — cluster, resuming the loss curve from
-//     the checkpoint.
+//   * elastic (RecoveryOptions::elastic): the run is cut at the first crash
+//     and takes the executor's re-plan step, Algorithm 1 over the *remaining*
+//     iteration and time budget (Provisioner::replan); the job finishes on
+//     the new — possibly differently sized — cluster, resuming the loss
+//     curve from the checkpoint. When no re-plan is feasible the crash is
+//     repaired in place.
 // The report records whether the time/loss goals survived the faults and
 // the extra dollars the recovery cost (against an optional fault-free
 // baseline run).
@@ -29,20 +31,6 @@
 #include "faults/fault_spec.hpp"
 
 namespace cynthia::orch {
-
-namespace detail {
-/// Checkpoint restore: the replacement node reads the full parameter
-/// payload back from durable storage before training can resume.
-double restore_read_seconds(const ddnn::WorkloadSpec& workload, double bandwidth_mbps);
-/// Deterministic per-replacement seed derivation shared by the recovery
-/// controller and the SLO sentinel.
-std::uint64_t replacement_seed(std::uint64_t seed, std::size_t crash_index);
-/// Measures how long one replacement node of the plan's type takes to walk
-/// the launch -> boot -> install -> kubeadm-join lifecycle to Ready, on a
-/// dedicated control-plane clock (join failures are repaired by deploy()'s
-/// replacement loop, exactly as at initial provisioning time).
-double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed);
-}  // namespace detail
 
 struct RecoveryOptions {
   /// Master-side failure detection latency (missed-heartbeat window).
@@ -105,18 +93,6 @@ class RecoveryController {
 
  private:
   RecoveryOptions options_;
-
-  [[nodiscard]] FaultRunReport repair_in_place(const ddnn::WorkloadSpec& workload,
-                                               const core::ProvisionPlan& plan,
-                                               const faults::FaultSchedule& schedule,
-                                               const core::ProvisionGoal& goal) const;
-  [[nodiscard]] FaultRunReport elastic_replan(const ddnn::WorkloadSpec& workload,
-                                              const core::ProvisionPlan& plan,
-                                              const faults::FaultSchedule& schedule,
-                                              const core::ProvisionGoal& goal,
-                                              const core::Provisioner& provisioner) const;
-  void measure_baseline(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan& plan,
-                        FaultRunReport& report) const;
 };
 
 }  // namespace cynthia::orch

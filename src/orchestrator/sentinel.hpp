@@ -187,9 +187,10 @@ class StragglerDetector : public ddnn::TrainingMonitor {
   ddnn::MonitorAction act(const DetectionEvent& event, const ddnn::HealthProbe& probe);
 };
 
-/// Runs one training job under the sentinel: deploys `plan`, trains with
-/// the StragglerDetector attached, and services kStop cuts (add-ps /
-/// replan) by reconfiguring and resuming until the budget completes.
+/// Runs one training job under the sentinel on the orchestrator's job
+/// executor (executor.hpp): deploys `plan`, trains with the
+/// StragglerDetector attached, and services kStop cuts (add-ps / replan) by
+/// reconfiguring and resuming until the budget completes.
 class SloSentinel {
  public:
   explicit SloSentinel(SentinelOptions options = {});

@@ -1,14 +1,30 @@
 #include "orchestrator/service.hpp"
 
 #include <chrono>
+#include <utility>
 
-#include "cloud/pricing.hpp"
-#include "ddnn/loss.hpp"
-#include "orchestrator/cluster_manager.hpp"
-#include "sim/simulator.hpp"
+#include "orchestrator/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cynthia::orch {
+
+namespace {
+
+/// Algorithm 1 over the allowed types (the catalog default when none are
+/// given), reporting to the telemetry bundle when one is attached.
+core::Provisioner make_provisioner(const core::Predictor& predictor,
+                                   const cloud::Catalog& catalog, const ServiceOptions& options) {
+  auto types = options.instance_types;
+  if (types.empty()) types = catalog.provisionable();
+  core::Provisioner provisioner(predictor.model(), predictor.loss(), types);
+  if (telemetry::Telemetry* tel = options.training.telemetry; tel != nullptr) {
+    provisioner.set_metrics(&tel->metrics);
+    provisioner.set_journal(&tel->journal);
+  }
+  return provisioner;
+}
+
+}  // namespace
 
 TrainingService::TrainingService(const cloud::Catalog& catalog, ServiceOptions options)
     : catalog_(&catalog), options_(std::move(options)) {}
@@ -24,14 +40,7 @@ std::optional<JobReport> TrainingService::submit(const ddnn::WorkloadSpec& workl
 
   // 3: Algorithm 1 (timed with the host clock — the paper's Sec. 5.3
   // overhead metric).
-  auto types = options_.instance_types;
-  if (types.empty()) types = catalog_->provisionable();
-  core::Provisioner provisioner(predictor.model(), predictor.loss(), types);
-  telemetry::Telemetry* tel = options_.training.telemetry;
-  if (tel != nullptr) {
-    provisioner.set_metrics(&tel->metrics);
-    provisioner.set_journal(&tel->journal);
-  }
+  const core::Provisioner provisioner = make_provisioner(predictor, *catalog_, options_);
   // Wall-clock here times the planner itself (an overhead metric reported to
   // the operator); it never feeds back into simulated time, so determinism of
   // the simulation is unaffected.
@@ -41,47 +50,21 @@ std::optional<JobReport> TrainingService::submit(const ddnn::WorkloadSpec& workl
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!report.plan.feasible) return std::nullopt;
 
-  // 4: provision through the control plane.
-  sim::Simulator control_plane;
-  cloud::BillingMeter billing;
-  ClusterManager manager(control_plane, billing, options_.seed);
-  if (tel != nullptr) manager.set_telemetry(tel);
-  Deployment deployment = manager.deploy(report.plan);
-  report.provisioning_seconds = deployment.provisioning_seconds();
-
-  // 5: train for the planned iteration budget.
-  ddnn::TrainOptions train = options_.training;
-  train.iterations = report.plan.total_iterations;
-  train.seed = options_.seed;
-  report.training = ddnn::run_training(deployment.spec, workload, train);
-  report.achieved_loss = report.training.final_loss;
-
-  // 6: teardown at provisioning time + training wall time and settle the
-  // bill (the cluster exists for provisioning + training).
-  control_plane.run_until(deployment.ready_at + report.training.total_time);
-  manager.teardown(deployment);
-  report.actual_cost = billing.total(util::Seconds{control_plane.now()});
-
-  report.time_goal_met = report.training.total_time <= goal.time_goal.value();
-  report.loss_goal_met = report.achieved_loss <= goal.target_loss * 1.05;  // noise tolerance
-  if (tel != nullptr) {
-    cloud::journal_meter_settlement(tel->journal, billing, util::Seconds{control_plane.now()},
-                                    telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan,
-                                    util::Seconds{deployment.ready_at});
-    tel->metrics.gauge(telemetry::metric::kBillingDollars).set(report.actual_cost.value());
-    tel->journal.verdict(report.training.total_time, "time-goal", report.time_goal_met,
-                         goal.time_goal.value(), report.training.total_time);
-    if (goal.target_loss > 0.0) {
-      tel->journal.verdict(report.training.total_time, "loss-goal", report.loss_goal_met,
-                           goal.target_loss, report.achieved_loss);
-    }
-    if (report.plan.predicted_cost.value() > 0.0) {
-      tel->journal.verdict(
-          report.training.total_time, "cost",
-          report.actual_cost.value() <= report.plan.predicted_cost.value() * 1.1,
-          report.plan.predicted_cost.value(), report.actual_cost.value());
-    }
-  }
+  // 4-6: provision through the control plane, train for the planned
+  // iteration budget, tear down and settle the bill (the cluster exists for
+  // provisioning + training).
+  SentinelOptions job_options;
+  job_options.enabled = false;
+  job_options.seed = options_.seed;
+  job_options.training = options_.training;
+  JobRun run = execute_job(workload, report.plan, {}, goal, job_options, nullptr,
+                           /*cut_at_first_crash=*/false);
+  report.provisioning_seconds = run.report.provisioning_seconds;
+  report.training = std::move(run.report.training);
+  report.achieved_loss = run.report.achieved_loss;
+  report.actual_cost = run.report.actual_cost;
+  report.time_goal_met = run.report.time_goal_met;
+  report.loss_goal_met = run.report.loss_goal_met;
   return report;
 }
 
@@ -90,14 +73,9 @@ std::optional<FaultRunReport> TrainingService::submit_with_faults(
     const faults::FaultSchedule& schedule, RecoveryOptions recovery) {
   // Steps 1-3 of submit(): predictor, then Algorithm 1.
   const auto& baseline = catalog_->at(options_.baseline_type);
-  core::Predictor predictor = core::Predictor::build(workload, baseline, options_.predictor);
-  auto types = options_.instance_types;
-  if (types.empty()) types = catalog_->provisionable();
-  core::Provisioner provisioner(predictor.model(), predictor.loss(), types);
-  if (telemetry::Telemetry* tel = options_.training.telemetry; tel != nullptr) {
-    provisioner.set_metrics(&tel->metrics);
-    provisioner.set_journal(&tel->journal);
-  }
+  const core::Predictor predictor =
+      core::Predictor::build(workload, baseline, options_.predictor);
+  const core::Provisioner provisioner = make_provisioner(predictor, *catalog_, options_);
   const core::ProvisionPlan plan = provisioner.plan(workload.sync, goal);
   if (!plan.feasible) return std::nullopt;
 

@@ -9,6 +9,7 @@
 //   4. provision the instances through the Kubernetes-like control plane,
 //   5. train to the planned iteration budget on the simulated cluster,
 //   6. tear down and settle billing.
+// Steps 4-6 run on the orchestrator's job executor (executor.hpp).
 // The report records predicted vs. achieved time/loss/cost and whether the
 // goal was met.
 #pragma once

@@ -3,6 +3,8 @@
 // accuracy against the simulated testbed.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cloud/instance.hpp"
 #include "core/perf_model.hpp"
 #include "core/predictor.hpp"
@@ -135,6 +137,14 @@ struct AccuracyCase {
   long iterations;
   double tolerance;  // relative
 };
+
+// gtest names each instance after its printed parameter. Without a printer
+// it dumps the struct's raw bytes (a pointer and padding), which differ
+// from one test discovery to the next.
+void PrintTo(const AccuracyCase& tc, std::ostream* os) {
+  *os << tc.workload << " n=" << tc.n_workers << " ps=" << tc.n_ps << " hetero=" << tc.hetero
+      << " iterations=" << tc.iterations << " tol=" << tc.tolerance;
+}
 
 class PredictionAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
 

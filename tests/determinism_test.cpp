@@ -6,17 +6,26 @@
 // grow the lazily-extended price traces in different orders.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "cloud/instance.hpp"
 #include "cloud/spot.hpp"
+#include "core/provisioner.hpp"
 #include "ddnn/cluster.hpp"
 #include "ddnn/monitor.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
+#include "orchestrator/recovery.hpp"
+#include "orchestrator/sentinel.hpp"
+#include "orchestrator/service.hpp"
 #include "orchestrator/spot_runner.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace cc = cynthia::cloud;
 namespace cd = cynthia::ddnn;
@@ -165,4 +174,195 @@ TEST(Determinism, NeverActingMonitorIsBitIdenticalUnderFaults) {
   EXPECT_EQ(without.faults.nic_degradations, with.faults.nic_degradations);
   EXPECT_EQ(without.faults.degraded_node_seconds, with.faults.degraded_node_seconds);
   EXPECT_GT(monitor.probes, 0);
+}
+
+// ------------------------------------------------------ pinned job digests
+//
+// The tests above compare two runs of the same build. These pin the job
+// paths' outputs to constants, so a refactor that changes every run the same
+// way still fails: TrainingService::submit, RecoveryController::run
+// (repair-in-place, with the fault-free baseline) and SloSentinel::run
+// (without a provisioner, journal digest included).
+
+namespace {
+
+namespace core = cynthia::core;
+namespace cf = cynthia::faults;
+namespace ct = cynthia::telemetry;
+namespace cu = cynthia::util;
+
+/// FNV-1a over the bit patterns of every field a job report carries.
+class Fold {
+ public:
+  Fold& add(double x) { return mix(std::bit_cast<std::uint64_t>(x)); }
+  Fold& add(long x) { return mix(static_cast<std::uint64_t>(x)); }
+  Fold& add(int x) { return mix(static_cast<std::uint64_t>(static_cast<long>(x))); }
+  Fold& add(bool x) { return mix(x ? 1u : 0u); }
+  Fold& add(std::uint64_t x) { return mix(x); }
+  Fold& add(const std::string& s) {
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+    return mix(s.size());
+  }
+  Fold& add(const std::vector<double>& v) {
+    for (const double x : v) add(x);
+    return mix(v.size());
+  }
+  Fold& add(const cd::TrainResult& r) {
+    add(r.iterations).add(r.total_time).add(r.computation_time).add(r.communication_time);
+    add(r.avg_iteration_time).add(r.worker_cpu_util).add(r.ps_cpu_util);
+    add(r.avg_worker_cpu_util).add(r.avg_fast_worker_cpu_util).add(r.avg_ps_cpu_util);
+    add(r.ps_ingress_avg_mbps).add(r.ps_ingress_peak_mbps).add(r.final_loss);
+    for (const cd::LossSample& s : r.loss_curve) add(s.iteration).add(s.loss);
+    add(r.stopped_early);
+    const cd::FaultSummary& f = r.faults;
+    add(f.injected).add(f.crashes).add(f.slowdowns).add(f.nic_degradations).add(f.blips);
+    add(f.lost_iterations).add(f.outage_seconds).add(f.degraded_node_seconds);
+    for (const cd::FaultEventOutcome& e : f.events) {
+      add(static_cast<int>(e.spec.kind)).add(e.spec.on_ps).add(e.spec.target);
+      add(e.spec.time_seconds).add(e.spec.recovery_seconds);
+      add(e.fired).add(e.injected_at).add(e.recovered_at).add(e.lost_iterations);
+    }
+    const cd::MonitorOutcome& m = r.monitor;
+    for (const cd::MonitorExclusion& e : m.exclusions) add(e.worker).add(e.at).add(e.replaced_at);
+    add(m.stopped).add(m.stop_reason).add(m.downgraded).add(m.downgraded_at);
+    return add(m.downgraded_at_iteration).add(m.staleness_bound);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  Fold& mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+core::ProvisionPlan pinned_plan(int n_workers, int n_ps, long iterations) {
+  core::ProvisionPlan plan;
+  plan.feasible = true;
+  plan.type = m4();
+  plan.n_workers = n_workers;
+  plan.n_ps = n_ps;
+  plan.iterations = iterations;
+  plan.total_iterations = iterations;
+  return plan;
+}
+
+/// One fault run: a hand-built plan, a schedule mixing every fault kind on
+/// workers and PS nodes, and a goal (Tg, l_g).
+struct FaultCase {
+  const char* workload;
+  int n_workers;
+  int n_ps;
+  long iterations;
+  const char* schedule;
+  double tg_seconds;
+  double target_loss;
+};
+
+const FaultCase kFaultCases[] = {
+    {"mnist", 4, 1, 300, "crash:ps0@3;slow:wk0@1x2+4", 3600.0, 1.0},
+    {"mnist", 4, 1, 300, "crash:wk1@1.5+2;slow:wk0@0.5x3;nic:wk2@2=40;crash:ps0@3+1.5", 12.0,
+     1.0},
+    {"resnet32", 4, 1, 150, "crash:wk1@30;blip:wk2@10x100+5", 7200.0, 20.0},
+    {"cifar10", 4, 1, 200, "slow:wk1@100x4+100000;blip:wk3@50x100+10;nic:ps0@60*0.25+300",
+     600.0, 1e9},
+    {"cifar10", 4, 2, 300, "crash:ps1@80;nic:wk0@40=80+120;slow:ps0@30x2+60;crash:wk2@200",
+     900.0, 1e9},
+    {"resnet32", 8, 1, 300, "blip:ps0@20x50+5;crash:wk3@10;crash:wk5@40+20;nic:ps0@30=200",
+     1800.0, 20.0},
+};
+
+std::uint64_t repair_digest(const FaultCase& c) {
+  const auto& w = cd::workload_by_name(c.workload);
+  orch::RecoveryOptions options;
+  options.seed = 7;
+  options.measure_baseline = true;
+  const auto r = orch::RecoveryController(options).run(
+      w, pinned_plan(c.n_workers, c.n_ps, c.iterations), cf::FaultSchedule::parse(c.schedule),
+      {cu::Seconds{c.tg_seconds}, c.target_loss});
+  Fold f;
+  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.provisioning_seconds);
+  f.add(r.restore_seconds).add(r.replacement_provisioning).add(r.resume_at);
+  f.add(r.actual_cost.value()).add(r.time_goal_met).add(r.loss_goal_met);
+  f.add(r.baseline_seconds).add(r.baseline_cost.value()).add(r.extra_seconds);
+  return f.add(r.extra_cost.value()).value();
+}
+
+std::uint64_t sentinel_digest(const FaultCase& c) {
+  const auto& w = cd::workload_by_name(c.workload);
+  ct::Telemetry tel;
+  orch::SentinelOptions options;
+  options.seed = 7;
+  options.training.telemetry = &tel;
+  const auto r = orch::SloSentinel(options).run(
+      w, pinned_plan(c.n_workers, c.n_ps, c.iterations), cf::FaultSchedule::parse(c.schedule),
+      {cu::Seconds{c.tg_seconds}, c.target_loss});
+  Fold f;
+  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.added_ps).add(r.segments);
+  f.add(r.provisioning_seconds).add(r.actual_cost.value()).add(r.time_goal_met);
+  f.add(r.loss_goal_met);
+  for (const orch::DetectionEvent& d : r.detections) {
+    f.add(d.at_seconds).add(d.kind).add(d.worker).add(d.severity);
+  }
+  for (const orch::MitigationRecord& m : r.mitigations) {
+    f.add(m.at_seconds).add(m.action).add(m.detail);
+  }
+  return f.add(tel.journal.digest()).value();
+}
+
+}  // namespace
+
+TEST(Determinism, PinnedSubmitDigests) {
+  struct Case {
+    const char* workload;
+    double tg_minutes;
+    double target_loss;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"mnist", 30.0, 0.9, 0x10c89bb737979ea2ull},
+      {"resnet32", 60.0, 20.0, 0xee7d354ab6d52462ull},
+      {"cifar10", 120.0, 0.8, 0x6450dbd5a3b0df31ull},
+      {"vgg19", 60.0, 0.8, 0x46219d6838e59981ull},
+  };
+  orch::TrainingService service;
+  for (const Case& c : cases) {
+    const auto r = service.submit(cd::workload_by_name(c.workload),
+                                  {cu::minutes(c.tg_minutes), c.target_loss});
+    ASSERT_TRUE(r.has_value()) << c.workload;
+    Fold f;
+    f.add(r->plan.n_workers).add(r->plan.n_ps).add(r->plan.type.name);
+    f.add(r->plan.total_iterations).add(r->provisioning_seconds).add(r->training);
+    f.add(r->achieved_loss).add(r->actual_cost.value()).add(r->time_goal_met);
+    f.add(r->loss_goal_met);
+    EXPECT_EQ(hex(f.value()), hex(c.digest)) << c.workload;
+  }
+}
+
+TEST(Determinism, PinnedRepairInPlaceDigests) {
+  const std::uint64_t expected[] = {0x54c23db5ecdba62bull, 0x59ee2c3a0ec4fb0bull,
+                                    0xa658f2f7b8bbed1dull, 0xed86a2350c08d13dull,
+                                    0x2e30401d8ce181a2ull, 0x09fbdf7f3d640320ull};
+  for (std::size_t i = 0; i < std::size(kFaultCases); ++i) {
+    EXPECT_EQ(hex(repair_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
+  }
+}
+
+TEST(Determinism, PinnedSentinelDigests) {
+  const std::uint64_t expected[] = {0x909f0e8edb1d6673ull, 0xa2e21fff06a2d7f3ull,
+                                    0x6018827d1c9eec2bull, 0xe0f4913b9f1791e2ull,
+                                    0xe2793b3c3dd171f6ull, 0xa8c7703042e4ce09ull};
+  for (std::size_t i = 0; i < std::size(kFaultCases); ++i) {
+    EXPECT_EQ(hex(sentinel_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
+  }
 }

@@ -329,6 +329,34 @@ TEST(RecoveryController, ElasticReplansAfterPsCrash) {
   EXPECT_TRUE(report.time_goal_met);
 }
 
+TEST(RecoveryController, ElasticFallsBackToRepairInPlaceWhenNoReplanFits) {
+  ScopedInvariants guard;
+  // An 8 s Tg leaves no budget after the PS crash at t=3 and the 5 s
+  // detection: no re-plan is feasible, so the crashed PS is repaired in
+  // place and the job finishes on its original cluster.
+  const auto& w = cd::workload_by_name("mnist");
+  const auto predictor = core::Predictor::build(w, m4());
+  const core::Provisioner provisioner(predictor.model(), predictor.loss(),
+                                      cc::Catalog::aws().provisionable());
+  const auto plan = manual_plan(4, 1, 300);
+  ct::Telemetry tel;
+  orch::RecoveryOptions options;
+  options.elastic = true;
+  options.training.telemetry = &tel;
+  const core::ProvisionGoal goal{cynthia::util::Seconds{8.0}, 1.0};
+  const auto report = orch::RecoveryController(options).run(
+      w, plan, cf::FaultSchedule::parse("crash:ps0@3"), goal, &provisioner);
+  EXPECT_FALSE(report.replanned);
+  EXPECT_EQ(report.training.iterations, 300);
+  EXPECT_EQ(report.training.faults.crashes, 1);
+  ASSERT_FALSE(report.training.faults.events.empty());
+  EXPECT_GE(report.training.faults.events[0].recovered_at, 0.0)
+      << "the replacement PS must bring the crashed shard back";
+  const auto ledger = ct::CostLedger::from(tel.journal);
+  EXPECT_EQ(ledger.total().value(), report.actual_cost.value());
+  EXPECT_GT(ledger.phase_dollars(ct::CostPhase::kRecover), 0.0);
+}
+
 TEST(RecoveryController, ElasticWithoutProvisionerThrows) {
   const auto& w = cd::workload_by_name("mnist");
   const auto plan = manual_plan(4, 1, 100);

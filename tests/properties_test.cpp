@@ -36,7 +36,10 @@ const cynthia::profiler::ProfileResult& profile_of(const std::string& name) {
 
 // ------------------------------------------- trainer conservation laws
 
-using GridPoint = std::tuple<const char*, int, int>;  // workload, workers, ps
+// workload, workers, ps. The workload is a std::string rather than a
+// const char*: gtest prints a pointer tuple element with its address, which
+// would make the instance names differ from one test discovery to the next.
+using GridPoint = std::tuple<std::string, int, int>;
 
 class TrainerConservation : public ::testing::TestWithParam<GridPoint> {};
 

@@ -333,7 +333,8 @@ TEST(Service, PriorityQueueOrderOnContendedRegion) {
   // Capacity for exactly one mnist job at a time. Job 9 takes the region at
   // t=0; jobs 0 (batch), 1 (production), 2 (standard) all arrive at t=1 and
   // queue. Admission order must be production, standard, batch regardless
-  // of arrival-event order.
+  // of arrival-event order, and each queued job takes the region exactly
+  // when the job ahead of it releases it.
   const int slots = mnist_m4_footprint();
   cs::ProvisioningService svc(cr::Region({{"m4.xlarge", slots}}));
   std::vector<cs::JobRequest> requests;
@@ -350,6 +351,9 @@ TEST(Service, PriorityQueueOrderOnContendedRegion) {
   EXPECT_GT(by_id.at(1)->queue_wait.value(), 0.0);
   EXPECT_LT(by_id.at(1)->admitted_at.value(), by_id.at(2)->admitted_at.value());
   EXPECT_LT(by_id.at(2)->admitted_at.value(), by_id.at(0)->admitted_at.value());
+  EXPECT_EQ(by_id.at(1)->admitted_at.value(), by_id.at(9)->completed_at.value());
+  EXPECT_EQ(by_id.at(2)->admitted_at.value(), by_id.at(1)->completed_at.value());
+  EXPECT_EQ(by_id.at(0)->admitted_at.value(), by_id.at(2)->completed_at.value());
   EXPECT_GT(result.stats.utilization, 0.0);
 }
 

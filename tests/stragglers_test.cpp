@@ -330,3 +330,44 @@ TEST_F(StragglersTest, JournalLedgerSumsToSentinelCostExactly) {
   EXPECT_EQ(report.training.final_loss, plain.training.final_loss);
   EXPECT_EQ(report.actual_cost.value(), plain.actual_cost.value());
 }
+
+TEST_F(StragglersTest, ForecastMissReplansThroughTheProvisioner) {
+  // With a Provisioner attached, a Tg-forecast miss takes the executor's
+  // re-plan step: the job moves to a larger cluster, finishes its budget
+  // there, and the new cluster is billed as a sentinel action.
+  const auto& w = cd::workload_by_name("resnet32");  // ASP: no SSP detour
+  const auto predictor = core::Predictor::build(w, m4());
+  const core::Provisioner provisioner(predictor.model(), predictor.loss(),
+                                      cc::Catalog::aws().provisionable());
+  const auto plan = manual_plan(2, 1, 300);
+  const core::ProvisionGoal goal{cu::minutes(20.0), 0.0};
+
+  cynthia::telemetry::Telemetry tel;
+  orch::SentinelOptions options;
+  options.policy = orch::MitigationPolicy::kReplan;
+  options.training.telemetry = &tel;
+  const auto report =
+      orch::SloSentinel(options).run(w, plan, cf::FaultSchedule{}, goal, &provisioner);
+
+  ASSERT_TRUE(report.replanned);
+  EXPECT_GT(report.replacement_plan.n_workers, plan.n_workers);
+  EXPECT_EQ(report.training.iterations, 300);
+  EXPECT_TRUE(report.time_goal_met) << report.training.total_time;
+  long prev = -1;
+  for (const auto& sample : report.training.loss_curve) {
+    EXPECT_GT(sample.iteration, prev);
+    prev = sample.iteration;
+  }
+
+  const auto ledger = cynthia::telemetry::CostLedger::from(tel.journal);
+  EXPECT_EQ(ledger.total().value(), report.actual_cost.value());
+  bool leased = false;
+  for (const auto& entry : ledger.entries()) {
+    if (entry.node.rfind("extra-", 0) != 0) continue;
+    leased = true;
+    EXPECT_EQ(entry.phase, cynthia::telemetry::CostPhase::kMitigate);
+    EXPECT_EQ(entry.cause, cynthia::telemetry::CostCause::kSentinelAction);
+    EXPECT_GT(entry.dollars, 0.0);
+  }
+  EXPECT_TRUE(leased) << "the re-planned cluster must be billed";
+}
