@@ -1,5 +1,5 @@
 // Planner-latency microbench: Algorithm 1 (plan) and elastic replan wall
-// clock, optimized hot path (memoized + bound-pruned + parallel) vs. the
+// clock, optimized hot path (memoized + bound-pruned) vs. the
 // unoptimized exhaustive reference, across the paper workloads and all
 // three sync mechanisms. Emits BENCH_planner.json (schema: docs/PERF.md).
 //
@@ -70,14 +70,13 @@ int main() {
     cases.push_back({"vgg19", mode, sync_name(mode), {util::minutes(240), 0.8}});
   }
 
-  // Pre-PR reference: no cache, no pruning, serial — and for plan() the
-  // exhaustive grid (the ablation path the optimized bounded search is
-  // proven bit-identical to).
-  core::ProvisionOptions optimized;  // defaults: cache + prune + parallel
+  // Reference: no cache, no pruning — and for plan() the exhaustive grid
+  // (the ablation path the optimized bounded search is proven bit-identical
+  // to).
+  core::ProvisionOptions optimized;  // defaults: cache + prune
   core::ProvisionOptions reference;
   reference.use_cache = false;
   reference.prune = false;
-  reference.parallel_eval = false;
   core::ProvisionOptions reference_exhaustive = reference;
   reference_exhaustive.exhaustive = true;
   core::ProvisionOptions optimized_exhaustive = optimized;
@@ -93,8 +92,8 @@ int main() {
 
   for (const Case& c : cases) {
     const core::Provisioner prov = make_provisioner(c.workload, c.mode);
-    // Warm the thread pool and the prediction cache the way a long-lived
-    // service would be warm (the cold first call is reported separately).
+    // Warm the prediction cache the way a long-lived service would be warm
+    // (the cold first call is reported separately).
     bench::perf::Samples first_call;
     first_call.add(bench::perf::time_call([&] { (void)prov.plan(c.mode, c.goal, optimized); }));
     for (int i = 0; i < kOptimizedReps; ++i) {

@@ -1,47 +1,11 @@
 #include "core/prediction_cache.hpp"
 
-#include <cstring>
-
 namespace cynthia::core {
-
-namespace {
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a_double(std::uint64_t h, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return fnv1a_bytes(h, &bits, sizeof(bits));
-}
-
-}  // namespace
-
-std::uint64_t profile_digest(const profiler::ProfileResult& profile, double supply_headroom) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis
-  h = fnv1a_bytes(h, profile.workload.data(), profile.workload.size());
-  h = fnv1a_bytes(h, profile.baseline_type.data(), profile.baseline_type.size());
-  h = fnv1a_double(h, profile.cbase.value());
-  h = fnv1a_double(h, profile.tbase_iter.value());
-  h = fnv1a_double(h, profile.witer.value());
-  h = fnv1a_double(h, profile.gparam.value());
-  h = fnv1a_double(h, profile.cprof.value());
-  h = fnv1a_double(h, profile.bprof.value());
-  h = fnv1a_double(h, supply_headroom);
-  return h;
-}
 
 PredictionCache::PredictionCache(PredictionCache&& other) noexcept {
   for (std::size_t i = 0; i < kShards; ++i) {
     shards_[i].map = std::move(other.shards_[i].map);
   }
-  dense_digest_ = other.dense_digest_;
   dense_types_ = other.dense_types_;
   dense_n_ = other.dense_n_;
   dense_ps_ = other.dense_ps_;
@@ -51,9 +15,8 @@ PredictionCache::PredictionCache(PredictionCache&& other) noexcept {
   misses_.store(other.misses_.load(std::memory_order_relaxed), std::memory_order_relaxed);
 }
 
-void PredictionCache::enable_dense(std::uint64_t digest, std::uint32_t max_type,
-                                   std::uint32_t max_n, std::uint32_t max_ps) {
-  dense_digest_ = digest;
+void PredictionCache::enable_dense(std::uint32_t max_type, std::uint32_t max_n,
+                                   std::uint32_t max_ps) {
   dense_types_ = max_type;
   dense_n_ = max_n;
   dense_ps_ = max_ps;
@@ -61,7 +24,7 @@ void PredictionCache::enable_dense(std::uint64_t digest, std::uint32_t max_type,
   dense_ = std::make_unique<DenseSlot[]>(slots);
 }
 
-std::optional<IterationPrediction> PredictionCache::find(const Key& key) const {
+std::optional<IterationPrediction> PredictionCache::find(Key key) const {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mutex);
   auto it = s.map.find(key);
@@ -73,7 +36,7 @@ std::optional<IterationPrediction> PredictionCache::find(const Key& key) const {
   return it->second;
 }
 
-void PredictionCache::insert(const Key& key, const IterationPrediction& prediction) {
+void PredictionCache::insert(Key key, const IterationPrediction& prediction) {
   Shard& s = shard_for(key);
   std::lock_guard lock(s.mutex);
   s.map.insert_or_assign(key, prediction);

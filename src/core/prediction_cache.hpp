@@ -2,15 +2,14 @@
 //
 // Algorithm 1, Provisioner::replan, and the SLO sentinel's online
 // re-planning all evaluate CynthiaModel::predict_iteration over homogeneous
-// (instance type, n_workers, n_ps) candidates. The prediction is a pure
-// function of the workload profile, the supply headroom, and the candidate
-// shape, so one thread-safe cache can serve every caller: a key is the
-// 64-bit digest of (profile, headroom) plus the packed candidate shape, and
-// a hit skips both the ClusterSpec materialization (O(n_workers) vector
-// builds) and the model arithmetic. Entries are immutable once inserted —
-// racing computations of the same key produce bit-identical values, so
-// last-writer-wins insertion is benign and results never depend on thread
-// interleaving.
+// (instance type, n_workers, n_ps) candidates. Each Provisioner owns one
+// cache for its fixed model, so a key is the packed candidate shape alone,
+// and a hit skips both the ClusterSpec materialization (O(n_workers) vector
+// builds) and the model arithmetic. The cache is thread-safe because
+// concurrent callers may share one Provisioner. Entries are immutable once
+// inserted — racing computations of the same key produce bit-identical
+// values, so last-writer-wins insertion is benign and results never depend
+// on thread interleaving.
 #pragma once
 
 #include <atomic>
@@ -21,27 +20,18 @@
 #include <unordered_map>
 
 #include "core/perf_model.hpp"
-#include "profiler/profiler.hpp"
 
 namespace cynthia::core {
 
-/// FNV-1a digest of the numbers that determine a prediction: every profile
-/// field the model reads plus the supply headroom. Two models with the same
-/// digest produce bit-identical predictions for the same candidate shape.
-std::uint64_t profile_digest(const profiler::ProfileResult& profile, double supply_headroom);
-
 class PredictionCache {
  public:
-  struct Key {
-    std::uint64_t digest = 0;  ///< profile_digest() of the owning model
-    std::uint64_t shape = 0;   ///< pack() of (type index, n_wk, n_ps, mode)
-    bool operator==(const Key&) const = default;
-  };
+  /// pack() of (type index, n_wk, n_ps, mode).
+  using Key = std::uint64_t;
 
-  /// Packs a candidate shape; `type_index` is the caller's stable index into
-  /// its instance-type list (the digest pins the model, the index the type).
-  static constexpr std::uint64_t pack(std::uint32_t type_index, std::uint32_t n_workers,
-                                      std::uint32_t n_ps, std::uint32_t mode) {
+  /// Packs a candidate shape; `type_index` is the owner's stable index into
+  /// its instance-type list.
+  static constexpr Key pack(std::uint32_t type_index, std::uint32_t n_workers, std::uint32_t n_ps,
+                            std::uint32_t mode) {
     return (static_cast<std::uint64_t>(type_index) << 40) |
            (static_cast<std::uint64_t>(n_workers & 0xFFFFF) << 20) |
            (static_cast<std::uint64_t>(n_ps & 0x3FFFF) << 2) |
@@ -58,23 +48,20 @@ class PredictionCache {
   PredictionCache(const PredictionCache&) = delete;
   PredictionCache& operator=(const PredictionCache&) = delete;
 
-  /// Arms the dense direct-mapped fast path for one digest: keys with this
-  /// digest and shape within (max_type, max_n, max_ps, 3 modes) hit a flat
-  /// slot array (~2 ns) instead of the sharded map (~25 ns — which still
-  /// serves everything else). A Provisioner's digest is fixed at
-  /// construction, so it arms the table for its own profile; replan's
+  /// Arms the dense direct-mapped fast path: shapes within (max_type,
+  /// max_n, max_ps, 3 modes) hit a flat slot array (~2 ns) instead of the
+  /// sharded map (~25 ns — which still serves everything else). replan's
   /// 768-point grid scan is lookup-bound and lives or dies on this.
-  void enable_dense(std::uint64_t digest, std::uint32_t max_type, std::uint32_t max_n,
-                    std::uint32_t max_ps);
+  void enable_dense(std::uint32_t max_type, std::uint32_t max_n, std::uint32_t max_ps);
 
-  [[nodiscard]] std::optional<IterationPrediction> find(const Key& key) const;
-  void insert(const Key& key, const IterationPrediction& prediction);
+  [[nodiscard]] std::optional<IterationPrediction> find(Key key) const;
+  void insert(Key key, const IterationPrediction& prediction);
 
   /// Returns the cached prediction or computes, inserts, and returns it.
   template <class Fn>
-  IterationPrediction get_or_compute(const Key& key, Fn&& compute) {
-    if (dense_ && key.digest == dense_digest_) {
-      const std::size_t idx = dense_index(key.shape);
+  IterationPrediction get_or_compute(Key key, Fn&& compute) {
+    if (dense_) {
+      const std::size_t idx = dense_index(key);
       if (idx != kNoSlot) {
         DenseSlot& slot = dense_[idx];
         if (slot.state.load(std::memory_order_acquire) == kReady) {
@@ -113,9 +100,9 @@ class PredictionCache {
 
  private:
   struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // splitmix64-style finalizer over the xor of the two words.
-      std::uint64_t x = k.digest ^ (k.shape * 0x9E3779B97F4A7C15ULL);
+    std::size_t operator()(Key k) const {
+      // splitmix64-style finalizer, so shard choice spreads over every field.
+      std::uint64_t x = k * 0x9E3779B97F4A7C15ULL;
       x ^= x >> 30;
       x *= 0xBF58476D1CE4E5B9ULL;
       x ^= x >> 27;
@@ -133,7 +120,7 @@ class PredictionCache {
     std::unordered_map<Key, IterationPrediction, KeyHash> map;
   };
 
-  [[nodiscard]] Shard& shard_for(const Key& key) const {
+  [[nodiscard]] Shard& shard_for(Key key) const {
     return shards_[KeyHash{}(key) % kShards];
   }
 
@@ -148,7 +135,7 @@ class PredictionCache {
 
   /// Flat index for an in-range packed shape, kNoSlot otherwise (falls back
   /// to the sharded map). Field layout mirrors pack().
-  [[nodiscard]] std::size_t dense_index(std::uint64_t shape) const {
+  [[nodiscard]] std::size_t dense_index(Key shape) const {
     const auto type = static_cast<std::uint32_t>(shape >> 40);
     const auto n = static_cast<std::uint32_t>((shape >> 20) & 0xFFFFF);
     const auto ps = static_cast<std::uint32_t>((shape >> 2) & 0x3FFFF);
@@ -159,7 +146,6 @@ class PredictionCache {
   }
 
   mutable Shard shards_[kShards];
-  std::uint64_t dense_digest_ = 0;
   std::uint32_t dense_types_ = 0;
   std::uint32_t dense_n_ = 0;
   std::uint32_t dense_ps_ = 0;

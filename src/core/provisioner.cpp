@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -11,20 +10,10 @@
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cynthia::core {
 
 namespace {
-
-/// Shared pool for independent candidate evaluations. One per process: the
-/// planner is called from many contexts (service front-end, sentinel,
-/// benches) and per-call pool construction would dwarf a sub-millisecond
-/// search. Tasks are pure (no simulator state), so sharing is safe.
-util::ThreadPool& planner_pool() {
-  static util::ThreadPool pool;
-  return pool;
-}
 
 /// Self-timing scope for the operator-facing planner-latency metric. Like
 /// orchestrator/service.cpp, this wall-clock read never feeds simulated
@@ -126,8 +115,9 @@ std::string ProvisionPlan::describe() const {
 }
 
 /// Per-instance-type search result: the type's local best candidate plus
-/// the trace and counters its scan produced. Reduced in catalog order so
-/// the merged outcome is bit-identical to one serial scan.
+/// the trace and counters its scan produced. Pruning compares against this
+/// local best, never the running best across types, so each type's scan
+/// (and the PlannerStats counts) is independent of the others.
 struct Provisioner::TypeSearch {
   bool has_best = false;
   CandidateEvaluation best;
@@ -141,18 +131,27 @@ Provisioner::Provisioner(CynthiaModel model, LossModel loss,
                          std::vector<cloud::InstanceType> types)
     : model_(std::move(model)), loss_(std::move(loss)), types_(std::move(types)) {
   if (types_.empty()) throw std::invalid_argument("Provisioner: empty instance type list");
-  digest_ = profile_digest(model_.profile(), model_.supply_headroom());
-  // Dense fast path for this profile's own candidate grid. Bounds cover the
-  // default quotas (max_workers_quota 64, n_ps + max_extra_ps well under 8);
-  // larger shapes silently use the sharded map instead.
-  cache_.enable_dense(digest_, static_cast<std::uint32_t>(types_.size()), 128, 8);
+  // A zero rate divides by zero in the Theorem 4.1 bounds, and a zero price
+  // makes any shape free; reject both instead of planning on them.
+  for (const cloud::InstanceType& t : types_) {
+    for (const double v : {t.compute_gflops().value(), t.core_gflops.value(), t.nic_mbps.value(),
+                           t.price.value()}) {
+      if (!(std::isfinite(v) && v > 0.0)) {
+        throw std::invalid_argument("Provisioner: instance type '" + t.name +
+                                    "' needs finite positive GFLOPS, bandwidth and price");
+      }
+    }
+  }
+  // Dense fast path for the candidate grid. Bounds cover the default quotas
+  // (max_workers_quota 64, n_ps + kMaxExtraPs well under 8); larger shapes
+  // silently use the sharded map instead.
+  cache_.enable_dense(static_cast<std::uint32_t>(types_.size()), 128, 8);
 }
 
 Provisioner::Provisioner(Provisioner&& other) noexcept
     : model_(std::move(other.model_)),
       loss_(std::move(other.loss_)),
       types_(std::move(other.types_)),
-      digest_(other.digest_),
       cache_(std::move(other.cache_)),
       considered_(std::move(other.considered_)),
       plans_(other.plans_.load(std::memory_order_relaxed)),
@@ -167,11 +166,9 @@ IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
   if (!use_cache) {
     return model_.predict_iteration(ddnn::ClusterSpec::homogeneous(type, n_wk, n_ps), mode);
   }
-  const PredictionCache::Key key{
-      digest_, PredictionCache::pack(static_cast<std::uint32_t>(type_index),
-                                     static_cast<std::uint32_t>(n_wk),
-                                     static_cast<std::uint32_t>(n_ps),
-                                     static_cast<std::uint32_t>(mode))};
+  const PredictionCache::Key key = PredictionCache::pack(
+      static_cast<std::uint32_t>(type_index), static_cast<std::uint32_t>(n_wk),
+      static_cast<std::uint32_t>(n_ps), static_cast<std::uint32_t>(mode));
   return cache_.get_or_compute(key, [&] {
     return model_.predict_iteration(ddnn::ClusterSpec::homogeneous(type, n_wk, n_ps), mode);
   });
@@ -198,63 +195,37 @@ std::optional<CandidateEvaluation> Provisioner::evaluate(const cloud::InstanceTy
 }
 
 template <class SearchFn>
-std::vector<Provisioner::TypeSearch> Provisioner::run_type_searches(
-    SearchFn&& search, std::size_t estimated_candidates, const ProvisionOptions& options) const {
-  std::vector<TypeSearch> results(types_.size());
-  const auto threshold =
-      static_cast<std::size_t>(std::max(1, options.parallel_min_candidates));
-  const bool parallel =
-      options.parallel_eval && types_.size() > 1 && estimated_candidates >= threshold;
-  if (parallel) {
-    auto& pool = planner_pool();
-    std::vector<std::future<TypeSearch>> futures;
-    futures.reserve(types_.size());
-    for (std::size_t i = 0; i < types_.size(); ++i) {
-      futures.push_back(pool.submit([&search, i] { return search(i); }));
-    }
-    // Drain every task before rethrowing: the search closures reference this
-    // call's stack, so unwinding while siblings still run would dangle.
-    // Rethrowing the lowest-index failure matches the serial scan, which
-    // throws at the first offending type.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < types_.size(); ++i) {
-      try {
-        results[i] = futures[i].get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    for (std::size_t i = 0; i < types_.size(); ++i) results[i] = search(i);
-  }
-  return results;
-}
-
-void Provisioner::publish_trace_and_stats(std::vector<TypeSearch>& results,
-                                          const ProvisionOptions& options) const {
+ProvisionPlan Provisioner::search_catalog(SearchFn&& search_type) const {
+  ProvisionPlan best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::vector<CandidateEvaluation> trace;
   std::uint64_t evaluated = 0, pruned = 0;
-  std::size_t trace_size = 0;
-  for (const TypeSearch& r : results) {
+  for (std::size_t ti = 0; ti < types_.size(); ++ti) {
+    TypeSearch r = search_type(ti);
     evaluated += r.evaluated;
     pruned += r.pruned;
-    trace_size += r.trace.size();
+    trace.insert(trace.end(), std::make_move_iterator(r.trace.begin()),
+                 std::make_move_iterator(r.trace.end()));
+    if (!r.has_best || r.best.cost >= best_cost) continue;
+    best_cost = r.best.cost;
+    best.feasible = true;
+    best.type = types_[ti];
+    best.n_workers = r.best.n_workers;
+    best.n_ps = r.best.n_ps;
+    best.iterations = r.best.iterations;
+    best.t_iter = r.best.t_iter;
+    best.predicted_time = util::Seconds{r.best.total_time};
+    best.predicted_cost = util::Dollars{r.best.cost};
+    best.diagnostics = r.best.prediction;
+    best.bounds = r.bounds;
   }
+
   plans_.fetch_add(1, std::memory_order_relaxed);
   evaluated_.fetch_add(evaluated, std::memory_order_relaxed);
   pruned_.fetch_add(pruned, std::memory_order_relaxed);
-
-  // Deterministic emission order: catalog order, then each type's own scan
-  // order — identical whether the searches ran serially or in parallel.
   std::lock_guard lock(considered_mutex_);
-  considered_.clear();
-  if (options.keep_trace) {
-    considered_.reserve(trace_size);
-    for (TypeSearch& r : results) {
-      considered_.insert(considered_.end(), std::make_move_iterator(r.trace.begin()),
-                         std::make_move_iterator(r.trace.end()));
-    }
-  }
+  considered_ = std::move(trace);  // empty unless keep_trace
+  return best;
 }
 
 void Provisioner::record_latency(util::Seconds planner_seconds) const {
@@ -336,9 +307,9 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     };
 
     if (options.exhaustive) {
-      for (int n_ps = 1; n_ps <= options.exhaustive_max_ps; ++n_ps) {
+      for (int n_ps = 1; n_ps <= kExhaustiveMaxPs; ++n_ps) {
         const RowBounds row(model_, type, n_ps);
-        for (int n = 1; n <= options.exhaustive_max_workers; ++n) {
+        for (int n = 1; n <= kExhaustiveMaxWorkers; ++n) {
           if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
           if (options.prune) {
             const long iters = loss_.iterations_for(goal.target_loss, n);
@@ -347,12 +318,12 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
               // BSP iteration budgets are n-independent, so both bounds
               // grow monotonically in n: break the row, not just skip.
               if (row.t_comm(mode, n) * di > goal.time_goal.value()) {
-                out.pruned += static_cast<std::uint64_t>(options.exhaustive_max_workers - n + 1);
+                out.pruned += static_cast<std::uint64_t>(kExhaustiveMaxWorkers - n + 1);
                 break;
               }
               if (out.has_best &&
                   cost_lb(type, n, n_ps, row.t_comm(mode, n) * di) >= out.best.cost) {
-                out.pruned += static_cast<std::uint64_t>(options.exhaustive_max_workers - n + 1);
+                out.pruned += static_cast<std::uint64_t>(kExhaustiveMaxWorkers - n + 1);
                 break;
               }
             }
@@ -375,7 +346,7 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     out.bounds = bounds;
     // Minimum PS count first (Theorem 4.1); escalate only if nothing in the
     // interval meets the goal.
-    for (int extra = 0; extra <= options.max_extra_ps; ++extra) {
+    for (int extra = 0; extra <= kMaxExtraPs; ++extra) {
       const int n_ps = bounds.n_ps + extra;
       const int upper =
           std::min(options.max_workers_quota,
@@ -417,37 +388,13 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     return out;
   };
 
-  const std::size_t estimated =
-      options.exhaustive
-          ? types_.size() * static_cast<std::size_t>(options.exhaustive_max_ps) *
-                static_cast<std::size_t>(options.exhaustive_max_workers)
-          : types_.size() * static_cast<std::size_t>(options.max_extra_ps + 1) * 16;
-  std::vector<TypeSearch> results = run_type_searches(search_type, estimated, options);
-
-  ProvisionPlan best;
-  best.feasible = false;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t ti = 0; ti < results.size(); ++ti) {
-    const TypeSearch& r = results[ti];
-    if (!r.has_best || r.best.cost >= best_cost) continue;
-    best_cost = r.best.cost;
-    best.feasible = true;
-    best.type = types_[ti];
-    best.n_workers = r.best.n_workers;
-    best.n_ps = r.best.n_ps;
-    best.iterations = r.best.iterations;
+  ProvisionPlan best = search_catalog(search_type);
+  if (best.feasible) {
     // ASP/SSP iteration budgets are per worker (Eq. 20 semantics).
     best.total_iterations = mode == ddnn::SyncMode::BSP
-                                ? r.best.iterations
-                                : r.best.iterations * static_cast<long>(r.best.n_workers);
-    best.t_iter = r.best.t_iter;
-    best.predicted_time = util::Seconds{r.best.total_time};
-    best.predicted_cost = util::Dollars{r.best.cost};
-    best.diagnostics = r.best.prediction;
-    best.bounds = r.bounds;
+                                ? best.iterations
+                                : best.iterations * static_cast<long>(best.n_workers);
   }
-
-  publish_trace_and_stats(results, options);
   record_latency(util::Seconds{timer.seconds()});
   record_journal(best, "plan");
   return best;
@@ -480,15 +427,14 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
   }
   const PlannerTimer timer(metrics_ != nullptr);
 
-  const int max_workers = std::min(options.max_workers_quota, options.exhaustive_max_workers);
-  const int max_ps = std::max(1, options.exhaustive_max_ps);
+  const int max_workers = std::min(options.max_workers_quota, kExhaustiveMaxWorkers);
   const double budget = remaining_time.value();
   const double derate = degradation.capability_derate;
 
   auto search_type = [&](std::size_t ti) -> TypeSearch {
     const cloud::InstanceType& type = types_[ti];
     TypeSearch out;
-    for (int n_ps = 1; n_ps <= max_ps; ++n_ps) {
+    for (int n_ps = 1; n_ps <= kExhaustiveMaxPs; ++n_ps) {
       const RowBounds row(model_, type, n_ps);
       for (int n = 1; n <= max_workers; ++n) {
         // Footprint grows with n: the whole remaining row is over the cap.
@@ -563,30 +509,8 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
     return out;
   };
 
-  const std::size_t estimated = types_.size() * static_cast<std::size_t>(max_ps) *
-                                static_cast<std::size_t>(std::max(1, max_workers));
-  std::vector<TypeSearch> results = run_type_searches(search_type, estimated, options);
-
-  ProvisionPlan best;
-  best.feasible = false;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t ti = 0; ti < results.size(); ++ti) {
-    const TypeSearch& r = results[ti];
-    if (!r.has_best || r.best.cost >= best_cost) continue;
-    best_cost = r.best.cost;
-    best.feasible = true;
-    best.type = types_[ti];
-    best.n_workers = r.best.n_workers;
-    best.n_ps = r.best.n_ps;
-    best.iterations = r.best.iterations;
-    best.total_iterations = remaining_iterations;
-    best.t_iter = r.best.t_iter;
-    best.predicted_time = util::Seconds{r.best.total_time};
-    best.predicted_cost = util::Dollars{r.best.cost};
-    best.diagnostics = r.best.prediction;
-  }
-
-  publish_trace_and_stats(results, options);
+  ProvisionPlan best = search_catalog(search_type);
+  if (best.feasible) best.total_iterations = remaining_iterations;
   record_latency(util::Seconds{timer.seconds()});
   record_journal(best, "replan");
   return best;

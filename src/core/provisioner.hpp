@@ -6,13 +6,12 @@
 // Constraints 9-11).
 //
 // The search hot path is engineered for sub-millisecond planning (the SLO
-// sentinel and the multi-tenant service call it thousands of times):
-// perf-model evaluations are memoized in a thread-safe PredictionCache,
-// independent per-type searches fan out across a shared util::ThreadPool
-// with a deterministic reduction (the chosen plan is bit-identical to the
-// serial scan), and provably non-winning grid points are pruned with
-// Theorem 4.1 bound structure plus cost-monotonicity lower bounds (see
-// docs/PERF.md for the safety argument).
+// sentinel and the multi-tenant service call it thousands of times): each
+// call is one serial scan over the catalog, perf-model evaluations are
+// memoized in the provisioner's own thread-safe PredictionCache, and
+// provably non-winning grid points are pruned with Theorem 4.1 bound
+// structure plus cost-monotonicity lower bounds (see docs/PERF.md for the
+// safety argument).
 #pragma once
 
 #include <atomic>
@@ -77,6 +76,18 @@ struct ProvisionPlan {
   [[nodiscard]] std::string describe() const;
 };
 
+/// When no worker count inside the minimum-PS interval meets the goal,
+/// Algorithm 1 escalates n_ps by up to this many extra PS nodes (re-deriving
+/// the Eq. 19/23 upper bound each time). This is how the paper's prototype
+/// arrives at 2-PS plans for tight goals (Figs. 12-13).
+inline constexpr int kMaxExtraPs = 3;
+
+/// The grid n in [1, kExhaustiveMaxWorkers] x n_ps in [1, kExhaustiveMaxPs]
+/// that the exhaustive ablation scans and replan() searches (the latter also
+/// capped by the worker quota).
+inline constexpr int kExhaustiveMaxWorkers = 32;
+inline constexpr int kExhaustiveMaxPs = 4;
+
 struct ProvisionOptions {
   /// Algorithm 1's pseudocode semantics (line 11): stop at the first
   /// feasible worker count per (type, n_ps). The smallest feasible cluster
@@ -85,18 +96,10 @@ struct ProvisionOptions {
   /// bench/ablation_bounds compares the two.
   bool first_feasible_only = true;
 
-  /// When no worker count inside the minimum-PS interval meets the goal,
-  /// escalate n_ps by up to this many extra PS nodes (re-deriving the
-  /// Eq. 19/23 upper bound each time). This is how the paper's prototype
-  /// arrives at 2-PS plans for tight goals (Figs. 12-13).
-  int max_extra_ps = 3;
-
-  /// Ablation: ignore Theorem 4.1 and scan n in [1, exhaustive_max_workers]
-  /// x n_ps in [1, exhaustive_max_ps]. Used to validate that the bounds
-  /// never exclude the optimum.
+  /// Ablation: ignore Theorem 4.1 and scan the kExhaustiveMaxWorkers x
+  /// kExhaustiveMaxPs grid. Used to validate that the bounds never exclude
+  /// the optimum.
   bool exhaustive = false;
-  int exhaustive_max_workers = 32;
-  int exhaustive_max_ps = 4;
 
   /// Record every candidate into `considered` (costs memory on sweeps).
   /// With `prune` enabled, provably skipped grid points are absent from the
@@ -123,17 +126,6 @@ struct ProvisionOptions {
   /// structure + cost monotonicity; docs/PERF.md gives the argument). The
   /// chosen plan is bit-identical with pruning on or off.
   bool prune = true;
-
-  /// Fan independent per-type searches out across the shared planner
-  /// thread pool when the estimated candidate count reaches
-  /// `parallel_min_candidates`. Reduction order is deterministic (catalog
-  /// order, then scan order), so the result is bit-identical to serial.
-  /// The threshold is set where the pool's ~10 us dispatch overhead breaks
-  /// even: warm-cache candidates cost ~15 ns each, so the default-quota
-  /// grids (~768 points) run serial and only large cold exhaustive sweeps
-  /// fan out. Lower it to force the parallel path (stress tests do).
-  bool parallel_eval = true;
-  int parallel_min_candidates = 4096;
 };
 
 /// Durability of a candidate fleet in the revocation-aware search.
@@ -256,9 +248,9 @@ class Provisioner {
                                      const ReplanDegradation& degradation = {}) const;
 
   /// Candidates examined by the last call when keep_trace was set, in
-  /// deterministic emission order (catalog order, then scan order) even
-  /// when candidate evaluation ran in parallel. Mutation is serialized
-  /// internally; read it after the planning call returns.
+  /// catalog order, then scan order. Each call publishes its whole trace
+  /// under a lock, so concurrent callers never interleave entries; read it
+  /// after the planning call returns.
   [[nodiscard]] const std::vector<CandidateEvaluation>& considered() const {
     return considered_;
   }
@@ -293,7 +285,6 @@ class Provisioner {
   CynthiaModel model_;
   LossModel loss_;
   std::vector<cloud::InstanceType> types_;
-  std::uint64_t digest_ = 0;  ///< profile_digest(model_.profile(), headroom)
   mutable PredictionCache cache_;
   mutable std::mutex considered_mutex_;  ///< guards considered_ across calls
   mutable std::vector<CandidateEvaluation> considered_;
@@ -315,15 +306,12 @@ class Provisioner {
                                                             const ProvisionGoal& goal,
                                                             bool use_cache) const;
 
-  /// Runs one search task per instance type — serial or across the shared
-  /// planner pool — and stores traces/stats; reduction happens in catalog
-  /// order either way.
+  /// Runs `search_type` for each instance type in catalog order, publishes
+  /// the trace and counters, and returns the cheapest local best (strict
+  /// `<`, so the earliest type wins ties). The caller fills in
+  /// total_iterations.
   template <class SearchFn>
-  std::vector<TypeSearch> run_type_searches(SearchFn&& search, std::size_t estimated_candidates,
-                                            const ProvisionOptions& options) const;
-
-  void publish_trace_and_stats(std::vector<TypeSearch>& results,
-                               const ProvisionOptions& options) const;
+  ProvisionPlan search_catalog(SearchFn&& search_type) const;
   void record_latency(util::Seconds planner_seconds) const;
   void record_journal(const ProvisionPlan& plan, const char* call) const;
 };

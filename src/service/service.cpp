@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "cloud/spot.hpp"
@@ -696,27 +697,6 @@ ProvisioningService::WorkloadPlanners* ProvisioningService::planners_for(
   const auto [inserted, ok] = planners_.emplace(workload, std::move(planners));
   CYNTHIA_CHECK(ok, "duplicate planner insertion for ", workload);
   return &inserted->second;
-}
-
-std::optional<orch::JobReport> ProvisioningService::submit(const ddnn::WorkloadSpec& workload,
-                                                           const core::ProvisionGoal& goal) {
-  orch::ServiceOptions delegate;
-  delegate.baseline_type = options_.baseline_type;
-  delegate.predictor = options_.predictor;
-  delegate.training = options_.training;
-  delegate.seed = options_.seed;
-  if (!region_.is_unbounded()) {
-    // Finite region: admission-check the plan before any capacity is spent.
-    WorkloadPlanners* planners = planners_for(workload.name);
-    if (planners == nullptr) return std::nullopt;
-    const core::ProvisionPlan plan = planners->all->plan(workload.sync, goal);
-    if (!plan.feasible || !region_.fits(plan.type.name, plan.n_workers + plan.n_ps)) {
-      return std::nullopt;
-    }
-    delegate.instance_types = stocked_types_;
-  }
-  orch::TrainingService training_service(*catalog_, delegate);
-  return training_service.submit(workload, goal);
 }
 
 FleetResult ProvisioningService::run(const std::vector<JobRequest>& requests,

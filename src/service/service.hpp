@@ -31,15 +31,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cloud/instance.hpp"
 #include "core/predictor.hpp"
 #include "core/provisioner.hpp"
-#include "ddnn/trainer.hpp"
-#include "orchestrator/service.hpp"
+#include "ddnn/workload.hpp"
 #include "region/region.hpp"
 #include "service/job.hpp"
 #include "util/units.hpp"
@@ -51,11 +49,9 @@ struct Telemetry;
 namespace cynthia::service {
 
 struct ServeOptions {
-  /// Forwarded to the delegated orch::TrainingService for the single-job
-  /// path, and to Predictor::build for the fleet planners.
+  /// Forwarded to Predictor::build for the fleet planners.
   std::string baseline_type = "m4.xlarge";
   core::PredictorOptions predictor;
-  ddnn::TrainOptions training;
   std::uint64_t seed = 2024;
 
   /// Relative stddev of actual vs predicted run time (bounded normal,
@@ -133,13 +129,6 @@ class ProvisioningService {
                                const cloud::Catalog& catalog = cloud::Catalog::aws(),
                                ServeOptions options = {});
 
-  /// Single-job path. On an unbounded region this delegates straight to
-  /// orch::TrainingService::submit with the same options — bit-identical to
-  /// the pre-fleet behaviour. On a finite region the job's plan is checked
-  /// against current availability first; nullopt when it does not fit.
-  std::optional<orch::JobReport> submit(const ddnn::WorkloadSpec& workload,
-                                        const core::ProvisionGoal& goal);
-
   /// Fleet path: runs the whole request stream through one event-driven
   /// simulation to drain. Requests may arrive in any order (they are
   /// scheduled by their arrival stamps) but ids must be unique. `telemetry`
@@ -154,10 +143,10 @@ class ProvisioningService {
  private:
   friend struct FleetEngine;
 
-  /// Per-workload planning state, cached across submits and runs: one
-  /// Predictor build, one all-types Provisioner for the cost-optimal plan,
-  /// and one single-type Provisioner per stocked type for capacity-capped
-  /// admission planning (each keeps its own warm PredictionCache).
+  /// Per-workload planning state, cached across runs: one Predictor build,
+  /// one all-types Provisioner for the cost-optimal plan, and one
+  /// single-type Provisioner per stocked type for capacity-capped admission
+  /// planning (each keeps its own warm PredictionCache).
   struct WorkloadPlanners {
     ddnn::WorkloadSpec spec;
     std::unique_ptr<core::Provisioner> all;

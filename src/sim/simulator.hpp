@@ -1,8 +1,7 @@
 // Discrete-event simulation clock.
 //
-// Single-threaded by design: one Simulator per experiment run; parallelism
-// across runs comes from util::ThreadPool in benches (each thread owns an
-// independent Simulator), so no locking is needed here.
+// Single-threaded by design: one Simulator per experiment run, owned by one
+// thread, so no locking is needed here.
 #pragma once
 
 #include <functional>

@@ -1,9 +1,9 @@
 // Process-light metrics registry: counters, gauges, log-scale histograms.
 //
 // One MetricsRegistry per experiment run, mirroring the one-Simulator-per-run
-// design — but registries are also safe to share across threads: benches fan
-// independent runs out over util::ThreadPool and may aggregate into one
-// registry. Instrument sites are wait-free (relaxed atomics); only metric
+// design — but registries are also safe to share across threads: a
+// Provisioner shared by concurrent callers records into the registry it was
+// given. Instrument sites are wait-free (relaxed atomics); only metric
 // *creation* (the name lookup) takes a mutex, and the returned references
 // stay valid for the registry's lifetime, so hot paths hoist the lookup.
 // Cross-metric reads taken during concurrent writes are each individually

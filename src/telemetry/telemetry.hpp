@@ -5,8 +5,8 @@
 // single pointer test and the run behaves byte-identically to an
 // uninstrumented build. One Telemetry per run, like one Simulator per run;
 // the metrics side is nevertheless thread-safe (wait-free instrument
-// sites) so benches may aggregate across ThreadPool workers. The tracer
-// remains single-threaded — keep one Tracer per run.
+// sites) so concurrent callers may share one registry. The tracer remains
+// single-threaded — keep one Tracer per run.
 //
 // Layer conventions (what the instrumented code records):
 //   * ddnn::trainer — spans "compute"/"barrier"/"wait" on track "wk<j>.cpu",

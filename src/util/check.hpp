@@ -40,7 +40,8 @@ class CheckFailure : public std::logic_error {
 };
 
 /// Whether CYNTHIA_CHECK conditions are evaluated. Relaxed atomic: the flag
-/// is set once at startup (env/CLI) before simulations fan out to threads.
+/// is set once at startup (env/CLI), before any caller shares work across
+/// threads.
 bool invariants_enabled();
 void set_invariants_enabled(bool enabled);
 

@@ -1,8 +1,10 @@
 // Tests for Algorithm 1: goal-driven, cost-minimizing provisioning.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cloud/instance.hpp"
 #include "core/provisioner.hpp"
@@ -173,6 +175,19 @@ TEST(Provisioner, InvalidArgumentsThrow) {
   EXPECT_THROW(
       co::Provisioner(prov.model(), loss, std::vector<cc::InstanceType>{}),
       std::invalid_argument);
+  // One degenerate copy of m4.xlarge per rate or price field, listed after a
+  // sane type: a $0 type would win every plan, a zero rate divides by zero.
+  std::vector<cc::InstanceType> bad(4, cc::Catalog::aws().at("m4.xlarge"));
+  bad[0].core_gflops = cu::GFlopsRate{0.0};
+  bad[1].accel_gflops = cu::GFlopsRate{std::numeric_limits<double>::infinity()};  // compute_gflops
+  bad[2].nic_mbps = cu::MBps{std::numeric_limits<double>::quiet_NaN()};
+  bad[3].price = cu::DollarsPerHour{0.0};
+  for (const cc::InstanceType& type : bad) {
+    EXPECT_THROW(co::Provisioner(prov.model(), loss,
+                                 std::vector<cc::InstanceType>{cc::Catalog::aws().at("r3.xlarge"),
+                                                               type}),
+                 std::invalid_argument);
+  }
 }
 
 // The end-to-end guarantee: a plan executed on the simulated testbed meets

@@ -1,5 +1,5 @@
 // Bit-identical equivalence of the optimized planner hot path (memoized +
-// bound-pruned + parallel) against the unoptimized reference scan, across
+// bound-pruned) against the unoptimized reference scan, across
 // the workload x instance x sync-mode matrix. The optimizations are only
 // admissible because they provably never change the chosen plan
 // (docs/PERF.md gives the pruning-safety argument); these tests pin that
@@ -7,11 +7,16 @@
 // no tolerances — so a single ULP of drift in any optimized path fails.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "cloud/instance.hpp"
+#include "cloud/spot.hpp"
 #include "core/loss_model.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/workload.hpp"
@@ -57,24 +62,34 @@ std::vector<Case> paper_cases() {
   return cases;
 }
 
-// The pre-PR behavior: every candidate evaluated through the model, serially.
+// The reference path: every candidate evaluated through the model.
 co::ProvisionOptions reference_options() {
   co::ProvisionOptions o;
   o.use_cache = false;
   o.prune = false;
-  o.parallel_eval = false;
   return o;
 }
 
-// Default hot path (cache + prune; serial below the dispatch threshold).
+// Default hot path (cache + prune).
 co::ProvisionOptions optimized_options() { return {}; }
 
-// Forces the thread-pool path regardless of grid size, so the deterministic
-// reduction is exercised even for small searches.
-co::ProvisionOptions parallel_options() {
-  co::ProvisionOptions o;
-  o.parallel_min_candidates = 1;
-  return o;
+/// The replan inputs every replan test sweeps: remaining iterations x
+/// capability derate x slack margin, against a 45-minute budget.
+struct ReplanInput {
+  long remaining;
+  co::ReplanDegradation degradation;
+};
+
+const cu::Seconds kReplanBudget = cu::minutes(45);
+
+std::vector<ReplanInput> degradation_matrix() {
+  std::vector<ReplanInput> inputs;
+  for (long remaining : {500L, 2000L}) {
+    for (double derate : {1.0, 0.9, 0.8}) {
+      for (double slack : {0.0, 0.1}) inputs.push_back({remaining, {derate, slack}});
+    }
+  }
+  return inputs;
 }
 
 void expect_same_prediction(const co::IterationPrediction& a, const co::IterationPrediction& b) {
@@ -117,11 +132,9 @@ TEST(PlannerEquiv, BoundedPlanBitIdenticalAcrossMatrix) {
     const auto prov = make_provisioner(c.workload, c.mode);
     const auto reference = prov.plan(c.mode, c.goal, reference_options());
     const auto optimized = prov.plan(c.mode, c.goal, optimized_options());
-    const auto parallel = prov.plan(c.mode, c.goal, parallel_options());
     // Second optimized call answers fully from the warm cache.
     const auto warm = prov.plan(c.mode, c.goal, optimized_options());
     expect_same_plan(reference, optimized);
-    expect_same_plan(reference, parallel);
     expect_same_plan(reference, warm);
   }
 }
@@ -132,37 +145,26 @@ TEST(PlannerEquiv, ExhaustivePlanBitIdenticalAcrossMatrix) {
     const auto prov = make_provisioner(c.workload, c.mode);
     auto reference = reference_options();
     auto optimized = optimized_options();
-    auto parallel = parallel_options();
-    reference.exhaustive = optimized.exhaustive = parallel.exhaustive = true;
+    reference.exhaustive = optimized.exhaustive = true;
     expect_same_plan(prov.plan(c.mode, c.goal, reference),
                      prov.plan(c.mode, c.goal, optimized));
-    expect_same_plan(prov.plan(c.mode, c.goal, reference),
-                     prov.plan(c.mode, c.goal, parallel));
   }
 }
 
 TEST(PlannerEquiv, ReplanBitIdenticalUnderDegradationMatrix) {
-  const cu::Seconds budget = cu::minutes(45);
   for (const char* workload : {"mnist", "cifar10", "vgg19"}) {
     for (cd::SyncMode mode : {cd::SyncMode::BSP, cd::SyncMode::ASP, cd::SyncMode::SSP}) {
       const auto prov = make_provisioner(workload, mode);
-      for (long remaining : {500L, 2000L}) {
-        for (double derate : {1.0, 0.9, 0.8}) {
-          for (double slack : {0.0, 0.1}) {
-            SCOPED_TRACE(std::string(workload) + " mode " + std::to_string(int(mode)) +
-                         " rem " + std::to_string(remaining) + " derate " +
-                         std::to_string(derate) + " slack " + std::to_string(slack));
-            const co::ReplanDegradation deg{derate, slack};
-            const auto reference =
-                prov.replan(mode, remaining, budget, reference_options(), deg);
-            const auto optimized =
-                prov.replan(mode, remaining, budget, optimized_options(), deg);
-            const auto parallel =
-                prov.replan(mode, remaining, budget, parallel_options(), deg);
-            expect_same_plan(reference, optimized);
-            expect_same_plan(reference, parallel);
-          }
-        }
+      for (const ReplanInput& in : degradation_matrix()) {
+        SCOPED_TRACE(std::string(workload) + " mode " + std::to_string(int(mode)) + " rem " +
+                     std::to_string(in.remaining) + " derate " +
+                     std::to_string(in.degradation.capability_derate) + " slack " +
+                     std::to_string(in.degradation.slack_margin));
+        const auto reference =
+            prov.replan(mode, in.remaining, kReplanBudget, reference_options(), in.degradation);
+        const auto optimized =
+            prov.replan(mode, in.remaining, kReplanBudget, optimized_options(), in.degradation);
+        expect_same_plan(reference, optimized);
       }
     }
   }
@@ -173,37 +175,37 @@ TEST(PlannerEquiv, InfeasibleGoalAgreesAcrossPaths) {
   const co::ProvisionGoal goal{cu::Seconds{30.0}, 0.8};  // nothing trains VGG in 30 s
   EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, reference_options()).feasible);
   EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, optimized_options()).feasible);
-  EXPECT_FALSE(prov.plan(cd::SyncMode::BSP, goal, parallel_options()).feasible);
 }
 
-TEST(PlannerEquiv, TraceDeterministicUnderParallelEvaluation) {
+TEST(PlannerEquiv, TraceBitIdenticalWithAndWithoutCache) {
   const auto prov = make_provisioner("cifar10", cd::SyncMode::BSP);
   const co::ProvisionGoal goal{cu::minutes(90), 0.8};
-  // Pruning off so the trace covers the full grid; parallel vs serial must
-  // emit the identical candidate sequence (catalog order, then scan order).
-  auto serial = reference_options();
-  serial.keep_trace = true;
-  auto parallel = parallel_options();
-  parallel.keep_trace = true;
-  parallel.prune = false;
+  // Pruning off so the trace covers the full grid; cold and warm cached
+  // scans must emit the uncached candidate sequence (catalog order, then
+  // scan order) with the same bits.
+  auto uncached = reference_options();
+  uncached.keep_trace = true;
+  auto cached = uncached;
+  cached.use_cache = true;
 
-  (void)prov.plan(cd::SyncMode::BSP, goal, serial);
-  const std::vector<co::CandidateEvaluation> serial_trace = prov.considered();
-  ASSERT_FALSE(serial_trace.empty());
+  (void)prov.plan(cd::SyncMode::BSP, goal, uncached);
+  const std::vector<co::CandidateEvaluation> uncached_trace = prov.considered();
+  ASSERT_FALSE(uncached_trace.empty());
 
   for (int run = 0; run < 3; ++run) {
-    (void)prov.plan(cd::SyncMode::BSP, goal, parallel);
+    (void)prov.plan(cd::SyncMode::BSP, goal, cached);
     const auto& trace = prov.considered();
-    ASSERT_EQ(trace.size(), serial_trace.size()) << "run " << run;
+    ASSERT_EQ(trace.size(), uncached_trace.size()) << "run " << run;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      EXPECT_EQ(trace[i].type, serial_trace[i].type) << "entry " << i;
-      EXPECT_EQ(trace[i].n_workers, serial_trace[i].n_workers) << "entry " << i;
-      EXPECT_EQ(trace[i].n_ps, serial_trace[i].n_ps) << "entry " << i;
-      EXPECT_EQ(trace[i].iterations, serial_trace[i].iterations) << "entry " << i;
-      EXPECT_EQ(trace[i].t_iter, serial_trace[i].t_iter) << "entry " << i;
-      EXPECT_EQ(trace[i].total_time, serial_trace[i].total_time) << "entry " << i;
-      EXPECT_EQ(trace[i].cost, serial_trace[i].cost) << "entry " << i;
-      EXPECT_EQ(trace[i].feasible, serial_trace[i].feasible) << "entry " << i;
+      EXPECT_EQ(trace[i].type, uncached_trace[i].type) << "entry " << i;
+      EXPECT_EQ(trace[i].n_workers, uncached_trace[i].n_workers) << "entry " << i;
+      EXPECT_EQ(trace[i].n_ps, uncached_trace[i].n_ps) << "entry " << i;
+      EXPECT_EQ(trace[i].iterations, uncached_trace[i].iterations) << "entry " << i;
+      EXPECT_EQ(trace[i].t_iter, uncached_trace[i].t_iter) << "entry " << i;
+      EXPECT_EQ(trace[i].total_time, uncached_trace[i].total_time) << "entry " << i;
+      EXPECT_EQ(trace[i].cost, uncached_trace[i].cost) << "entry " << i;
+      EXPECT_EQ(trace[i].feasible, uncached_trace[i].feasible) << "entry " << i;
+      expect_same_prediction(trace[i].prediction, uncached_trace[i].prediction);
     }
   }
 }
@@ -219,4 +221,125 @@ TEST(PlannerEquiv, CacheServesRepeatCallsWithoutRecomputing) {
   EXPECT_EQ(warm.cache_misses, cold.cache_misses) << "warm call must not recompute";
   EXPECT_GT(warm.cache_hits, cold.cache_hits);
   EXPECT_EQ(warm.plans, cold.plans + 1);
+}
+
+// ----------------------------------------------------- pinned plan digests
+//
+// The tests above compare two paths of the same build, so a change that moves
+// both the same way (a wrong search constant, say) passes them. These pin the
+// default hot path's answers, its PlannerStats counts and plan_spot's sweep
+// trace to constants.
+
+namespace {
+
+/// FNV-1a over the bit patterns of every field folded in.
+class PlanFold {
+ public:
+  PlanFold& add(double x) { return mix(std::bit_cast<std::uint64_t>(x)); }
+  PlanFold& add(long x) { return mix(static_cast<std::uint64_t>(x)); }
+  PlanFold& add(int x) { return mix(static_cast<std::uint64_t>(static_cast<long>(x))); }
+  PlanFold& add(bool x) { return mix(x ? 1u : 0u); }
+  PlanFold& add(std::uint64_t x) { return mix(x); }
+  PlanFold& add(const std::string& s) {
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+    return mix(s.size());
+  }
+  PlanFold& add(const co::ProvisionPlan& p) {
+    add(p.feasible).add(p.type.name).add(p.n_workers).add(p.n_ps);
+    add(p.iterations).add(p.total_iterations).add(p.t_iter);
+    return add(p.predicted_time.value()).add(p.predicted_cost.value());
+  }
+  PlanFold& add(const co::CandidateEvaluation& c) {
+    add(c.type).add(c.n_workers).add(c.n_ps).add(c.iterations).add(c.t_iter);
+    return add(c.total_time).add(c.cost).add(c.feasible);
+  }
+  PlanFold& add(const co::PlannerStats& s) {
+    return add(s.candidates_evaluated).add(s.candidates_pruned);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  PlanFold& mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Each digest comes from a fresh provisioner, so the stats cover that path only.
+std::uint64_t bounded_digest(const Case& c) {
+  const auto prov = make_provisioner(c.workload, c.mode);
+  PlanFold f;
+  f.add(prov.plan(c.mode, c.goal));
+  return f.add(prov.stats()).value();
+}
+
+std::uint64_t exhaustive_digest(const Case& c) {
+  const auto prov = make_provisioner(c.workload, c.mode);
+  co::ProvisionOptions options;
+  options.exhaustive = true;
+  PlanFold f;
+  f.add(prov.plan(c.mode, c.goal, options));
+  return f.add(prov.stats()).value();
+}
+
+std::uint64_t replan_digest(const Case& c) {
+  const auto prov = make_provisioner(c.workload, c.mode);
+  PlanFold f;
+  for (const ReplanInput& in : degradation_matrix()) {
+    f.add(prov.replan(c.mode, in.remaining, kReplanBudget, {}, in.degradation));
+  }
+  return f.add(prov.stats()).value();
+}
+
+std::uint64_t spot_digest(const Case& c, const cc::SpotMarket& market) {
+  const auto prov = make_provisioner(c.workload, c.mode);
+  const co::SpotProvisionPlan sp = prov.plan_spot(c.mode, c.goal, market);
+  PlanFold f;
+  f.add(sp.feasible).add(static_cast<int>(sp.durability)).add(sp.plan).add(sp.durable);
+  f.add(sp.expected_time.value()).add(sp.expected_cost.value());
+  f.add(sp.checkpoint_interval.value());
+  for (const co::CandidateEvaluation& e : prov.considered()) f.add(e);  // the sweep's trace
+  return f.add(prov.stats()).value();
+}
+
+struct PinnedDigests {
+  std::uint64_t bounded, exhaustive, replan, spot;
+};
+
+}  // namespace
+
+TEST(PlannerEquiv, PinnedPlanDigests) {
+  // One row per paper_cases() entry, in order.
+  const PinnedDigests expected[] = {
+      {0xe4829b1045d7e5baull, 0xf4610581a8c01c8cull, 0x7fd2c4e14dc9f79aull, 0x106f36c00d2966eeull},
+      {0x7ec9d0a7c1dc37fdull, 0xc0a335e9a2215744ull, 0xaf05945c1dc387deull, 0x05a050ca4cd85bceull},
+      {0xbcf15efb4a833ec8ull, 0x886c3fc8b0dd983aull, 0x1cbad4a39422d30dull, 0x5055121188f090b3ull},
+      {0x76f607d3913dcf95ull, 0x66e43bd25e958491ull, 0xf9e4ec8d9c117967ull, 0x522330b90da784faull},
+      {0x2d640a1f32d306bfull, 0x2c8a7d45fd5025aaull, 0x833438433485431eull, 0xe9e01901eecc0e16ull},
+      {0x3837ffc540fb9faaull, 0x465f93d988bc2baeull, 0xaf10c2d14db50ea8ull, 0x0014c1c14130d0dcull},
+      {0x9f5c273f4c578bdaull, 0xad83bb53941817deull, 0xf9e4ec8d9c117967ull, 0x01617a1894f5e424ull},
+      {0x6327dd0f4282acc3ull, 0xb30db7f43200e254ull, 0x833438433485431eull, 0x3862cffb3336f936ull},
+      {0xa8d7e1e1538042e0ull, 0x1efde66df29d8237ull, 0xaf10c2d14db50ea8ull, 0x48b9b1ee76100ae8ull},
+  };
+  const std::vector<Case> cases = paper_cases();
+  ASSERT_EQ(cases.size(), std::size(expected));
+  const cc::SpotMarket market(cc::Catalog::aws(), 42);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(std::string(c.workload) + " mode " + std::to_string(int(c.mode)));
+    EXPECT_EQ(hex(bounded_digest(c)), hex(expected[i].bounded)) << "bounded plan";
+    EXPECT_EQ(hex(exhaustive_digest(c)), hex(expected[i].exhaustive)) << "exhaustive plan";
+    EXPECT_EQ(hex(replan_digest(c)), hex(expected[i].replan)) << "replan";
+    EXPECT_EQ(hex(spot_digest(c, market)), hex(expected[i].spot)) << "plan_spot";
+  }
 }

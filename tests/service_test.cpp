@@ -1,7 +1,6 @@
 // Multi-tenant provisioning service suite: region capacity accounting,
 // synthetic traffic determinism, admission/queueing policy, and the fleet
-// determinism contracts (run-twice digest equality; single-job path on an
-// unbounded region bit-identical to orch::TrainingService::submit).
+// determinism contract (run-twice digest equality).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "cloud/instance.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/workload.hpp"
-#include "orchestrator/service.hpp"
 #include "profiler/profiler.hpp"
 #include "region/region.hpp"
 #include "service/job.hpp"
@@ -414,39 +412,6 @@ TEST(Service, RejectsJobsThatCanNeverFitTheRegion) {
   const auto result = svc.run({mnist_request(0, cs::Priority::kStandard, 0.0)});
   EXPECT_EQ(result.outcomes[0].state, cs::JobState::kRejected);
   EXPECT_NE(result.outcomes[0].reason.find("exceeds region capacity"), std::string::npos);
-}
-
-TEST(Service, SingleJobPathBitIdenticalToTrainingService) {
-  // On an unbounded region, submit() must reproduce the pre-fleet
-  // orch::TrainingService::submit bit-for-bit (planning_seconds excepted:
-  // it is host wall-clock, not simulated time).
-  cs::ProvisioningService svc(cr::Region::unbounded());
-  const auto& workload = cd::workload_by_name("mnist");
-  const auto fleet_report = svc.submit(workload, kMnistGoal);
-  cynthia::orch::TrainingService baseline;
-  const auto direct_report = baseline.submit(workload, kMnistGoal);
-  ASSERT_TRUE(fleet_report.has_value());
-  ASSERT_TRUE(direct_report.has_value());
-
-  EXPECT_EQ(fleet_report->plan.type.name, direct_report->plan.type.name);
-  EXPECT_EQ(fleet_report->plan.n_workers, direct_report->plan.n_workers);
-  EXPECT_EQ(fleet_report->plan.n_ps, direct_report->plan.n_ps);
-  EXPECT_EQ(fleet_report->plan.total_iterations, direct_report->plan.total_iterations);
-  EXPECT_EQ(fleet_report->plan.predicted_time.value(), direct_report->plan.predicted_time.value());
-  EXPECT_EQ(fleet_report->plan.predicted_cost.value(), direct_report->plan.predicted_cost.value());
-  EXPECT_EQ(fleet_report->profiling_seconds, direct_report->profiling_seconds);
-  EXPECT_EQ(fleet_report->provisioning_seconds, direct_report->provisioning_seconds);
-  EXPECT_EQ(fleet_report->training.iterations, direct_report->training.iterations);
-  EXPECT_EQ(fleet_report->training.total_time, direct_report->training.total_time);
-  EXPECT_EQ(fleet_report->achieved_loss, direct_report->achieved_loss);
-  EXPECT_EQ(fleet_report->actual_cost.value(), direct_report->actual_cost.value());
-  EXPECT_EQ(fleet_report->time_goal_met, direct_report->time_goal_met);
-  EXPECT_EQ(fleet_report->loss_goal_met, direct_report->loss_goal_met);
-}
-
-TEST(Service, SingleJobSubmitChecksFiniteCapacity) {
-  cs::ProvisioningService svc(cr::Region({{"m4.xlarge", 1}}));
-  EXPECT_FALSE(svc.submit(cd::workload_by_name("mnist"), kMnistGoal).has_value());
 }
 
 TEST(Service, RunTwiceDigestIdenticalOn1kJobTrace) {

@@ -1,16 +1,15 @@
-// Contention stress tests for the components that are allowed to touch
-// threads: util::ThreadPool, the telemetry metrics registry, and the
-// provisioner hot path (shared PredictionCache + parallel candidate
-// evaluation). Built and run under ThreadSanitizer in CI (see
-// .github/workflows/ci.yml); under a plain build they still verify that
-// concurrent updates sum correctly and plans stay deterministic.
+// Contention stress tests for the components that may be shared across
+// threads: the telemetry metrics registry and one Provisioner called from
+// many threads (its PredictionCache, counters and trace publication).
+// Built and run under ThreadSanitizer in CI (see .github/workflows/ci.yml);
+// under a plain build they still verify that concurrent updates sum
+// correctly and plans stay deterministic.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <numeric>
 #include <string>
@@ -23,7 +22,6 @@
 #include "ddnn/workload.hpp"
 #include "profiler/profiler.hpp"
 #include "telemetry/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ct = cynthia::telemetry;
@@ -45,43 +43,6 @@ void hammer(const std::function<void(int)>& fn) {
   for (auto& t : threads) t.join();
 }
 }  // namespace
-
-// -------------------------------------------------------------- thread pool
-
-TEST(TsanStress, ThreadPoolSubmitFromManyThreads) {
-  cu::ThreadPool pool(4);
-  std::atomic<std::int64_t> total{0};
-  std::vector<std::future<void>> futures(static_cast<std::size_t>(kThreads) * 64);
-  std::atomic<std::size_t> slot{0};
-  hammer([&](int) {
-    for (int j = 0; j < 64; ++j) {
-      futures[slot.fetch_add(1)] =
-          pool.submit([&total] { total.fetch_add(1, std::memory_order_relaxed); });
-    }
-  });
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(total.load(), kThreads * 64);
-}
-
-TEST(TsanStress, ParallelForCoversEveryIndexExactlyOnce) {
-  cu::ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(TsanStress, ParallelForPropagatesExceptions) {
-  cu::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(256,
-                        [](std::size_t i) {
-                          if (i == 128) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-}
 
 // ------------------------------------------------------------------ metrics
 
@@ -157,11 +118,10 @@ co::Provisioner stress_provisioner() {
 TEST(TsanStress, ConcurrentPlansOnSharedProvisionerAreDeterministic) {
   const auto prov = stress_provisioner();
   const co::ProvisionGoal goal{cu::minutes(90), 0.8};
-  // Parallel candidate evaluation forced on, so the pool-backed search, the
-  // shared PredictionCache (dense slots + shards), and the stats counters
-  // all see contention from plan() and replan() callers simultaneously.
+  // The shared PredictionCache (dense slots + shards), the stats counters
+  // and the trace publication all see contention from plan() and replan()
+  // callers simultaneously.
   co::ProvisionOptions options;
-  options.parallel_min_candidates = 1;
   options.keep_trace = true;
 
   const auto reference = prov.plan(cd::SyncMode::BSP, goal, options);
@@ -204,8 +164,7 @@ TEST(TsanStress, ConcurrentPlansOnSharedProvisionerAreDeterministic) {
 TEST(TsanStress, CacheClearBetweenContendedPhasesKeepsPlansIdentical) {
   const auto prov = stress_provisioner();
   const co::ProvisionGoal goal{cu::minutes(90), 0.8};
-  co::ProvisionOptions options;
-  options.parallel_min_candidates = 1;
+  const co::ProvisionOptions options;
   const auto reference = prov.plan(cd::SyncMode::BSP, goal, options);
   ASSERT_TRUE(reference.feasible);
   // clear_cache() requires quiescence (prediction_cache.hpp), so clears run

@@ -1,8 +1,7 @@
 // Unit tests for the util library: units, rng, stats, least squares,
-// table/CSV formatting, rate traces, thread pool.
+// table/CSV formatting, rate traces.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -15,7 +14,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/time_series.hpp"
 #include "util/units.hpp"
 
@@ -406,38 +404,6 @@ TEST(RateTrace, VolumeConservedAcrossBucketBoundaries) {
   for (const auto& b : t.buckets()) bucket_volume += b.value * b.width;
   EXPECT_NEAR(bucket_volume, expected, 1e-6);
   EXPECT_NEAR(t.total_volume(), expected, 1e-6);
-}
-
-// ----------------------------------------------------------- thread pool
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  cu::ThreadPool pool(4);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  cu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  cu::ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  cu::ThreadPool pool(8);
-  std::atomic<long> total{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 500; ++i) {
-    futs.push_back(pool.submit([&total, i] { total.fetch_add(i); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(total.load(), 500L * 499 / 2);
 }
 
 // ---------------------------------------------------------------- log
