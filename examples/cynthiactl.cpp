@@ -81,6 +81,7 @@
 //
 // Workloads: mnist | cifar10 | resnet32 | vgg19, or any zoo model name
 // (resnet50, alexnet, lstm) which is derived via workload_from_network.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -247,13 +248,14 @@ int cmd_profile(const Args& args) {
 /// a multiple of the long-run mean spot price; anything below the mean
 /// discount floor (mean spot / on-demand) would sit under the market
 /// forever, so reject it with a hint instead of spinning a doomed search.
+/// A non-finite bid (nan, inf) is rejected too: NaN passes no comparison.
 double validated_bid_multiplier(const Args& args, const cloud::SpotMarket& market) {
   const double bid = args.number("bid").value_or(1.6);
   const double floor = market.options().mean_discount;
-  if (bid <= 0.0 || bid < floor) {
+  if (!std::isfinite(bid) || bid <= 0.0 || bid < floor) {
     char hint[160];
     std::snprintf(hint, sizeof hint,
-                  "bad --bid %g: bid is a multiple of the mean spot price and must be "
+                  "bad --bid %g: bid is a finite multiple of the mean spot price and must be "
                   ">= the mean spot discount %.2f (try --bid 1.6)",
                   bid, floor);
     throw std::invalid_argument(hint);

@@ -33,11 +33,16 @@ LossModel LossModel::fit(ddnn::SyncMode mode, std::span<const TaggedLossSample> 
   return LossModel(mode, beta[0], beta[1]);
 }
 
-LossModel LossModel::fit_run(ddnn::SyncMode mode, const ddnn::TrainResult& run, int n_workers) {
+LossModel LossModel::fit_curve(ddnn::SyncMode mode, std::span<const ddnn::LossSample> curve,
+                               int n_workers) {
   std::vector<TaggedLossSample> samples;
-  samples.reserve(run.loss_curve.size());
-  for (const auto& p : run.loss_curve) samples.push_back({p.iteration, n_workers, p.loss});
+  samples.reserve(curve.size());
+  for (const auto& p : curve) samples.push_back({p.iteration, n_workers, p.loss});
   return fit(mode, samples);
+}
+
+LossModel LossModel::fit_run(ddnn::SyncMode mode, const ddnn::TrainResult& run, int n_workers) {
+  return fit_curve(mode, run.loss_curve, n_workers);
 }
 
 double LossModel::loss_at(double steps, int n_workers) const {

@@ -33,7 +33,9 @@ class LossModel {
   /// Requires >= 2 samples at distinct regressor values.
   static LossModel fit(ddnn::SyncMode mode, std::span<const TaggedLossSample> samples);
 
-  /// Convenience: tag a single run's loss curve with its worker count.
+  /// Convenience: tag one run's loss curve with its worker count.
+  static LossModel fit_curve(ddnn::SyncMode mode, std::span<const ddnn::LossSample> curve,
+                             int n_workers);
   static LossModel fit_run(ddnn::SyncMode mode, const ddnn::TrainResult& run, int n_workers);
 
   [[nodiscard]] double beta0() const { return beta0_; }

@@ -1,6 +1,6 @@
 #include "core/predictor.hpp"
 
-#include "ddnn/trainer.hpp"
+#include "ddnn/loss.hpp"
 
 namespace cynthia::core {
 
@@ -11,14 +11,13 @@ Predictor Predictor::build(const ddnn::WorkloadSpec& workload, const cloud::Inst
                            const PredictorOptions& options) {
   profiler::ProfileResult profile = profiler::profile_workload(workload, baseline, options.profile);
 
-  // Fit the loss curve from a (simulated) prior execution of the job.
-  ddnn::TrainOptions prior;
-  prior.iterations = options.loss_history_iterations;
-  prior.seed = options.loss_history_seed;
-  const auto cluster =
-      ddnn::ClusterSpec::homogeneous(baseline, options.loss_history_workers, /*n_ps=*/1);
-  const ddnn::TrainResult run = ddnn::run_training(cluster, workload, prior);
-  LossModel loss = LossModel::fit_run(workload.sync, run, options.loss_history_workers);
+  // Fit the loss curve of a prior execution of the job. Only that run's loss
+  // curve is read, and it depends on neither the cluster's timing nor its
+  // instance type, so it is sampled from the loss process directly.
+  const std::vector<ddnn::LossSample> history =
+      ddnn::sample_loss_curve(workload, options.loss_history_workers, options.loss_history_seed,
+                              options.loss_history_iterations);
+  LossModel loss = LossModel::fit_curve(workload.sync, history, options.loss_history_workers);
 
   return Predictor(std::move(profile), std::move(loss));
 }

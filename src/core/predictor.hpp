@@ -1,9 +1,9 @@
 // Cynthia's "performance predictor" facade (Sec. 5, prototype description).
 //
 // Bundles the three artifacts a submitted job needs — the one-shot baseline
-// profile, the fitted loss curve from a prior execution, and the analytical
-// performance model — behind one constructor, mirroring the module that
-// lives on the paper's Kubernetes master node.
+// profile, the loss curve fitted on a prior execution's loss history, and
+// the analytical performance model — behind one constructor, mirroring the
+// module that lives on the paper's Kubernetes master node.
 #pragma once
 
 #include <cstdint>
@@ -19,17 +19,20 @@ namespace cynthia::core {
 struct PredictorOptions {
   profiler::ProfileOptions profile;  ///< 30-iteration baseline profiling
   /// Cluster size of the "previous execution" whose loss curve we fit
-  /// (the paper assumes recurring jobs; any prior run works).
+  /// (the paper assumes recurring jobs; any prior run works). Its curve is
+  /// sampled from the loss process (ddnn::sample_loss_curve), not simulated:
+  /// it equals the simulated run's curve bit for bit.
   int loss_history_workers = 4;
+  /// Run seed of that prior execution.
   std::uint64_t loss_history_seed = 11;
-  /// Iterations of that prior run; 0 = the workload's Table 1 default.
+  /// Iterations of that prior execution; 0 = the workload's Table 1 default.
   long loss_history_iterations = 0;
 };
 
 class Predictor {
  public:
-  /// Profiles `workload` on `baseline` and fits the loss model from a
-  /// simulated prior execution.
+  /// Profiles `workload` on `baseline` and fits the loss model on the
+  /// sampled loss history of a prior execution.
   static Predictor build(const ddnn::WorkloadSpec& workload, const cloud::InstanceType& baseline,
                          const PredictorOptions& options = {});
 

@@ -285,8 +285,11 @@ PlannerStats Provisioner::stats() const {
 
 ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                 const ProvisionOptions& options) const {
-  if (goal.time_goal.value() <= 0.0) {
-    throw std::invalid_argument("Provisioner: time goal must be > 0");
+  if (!std::isfinite(goal.time_goal.value()) || goal.time_goal.value() <= 0.0) {
+    throw std::invalid_argument("Provisioner: time goal must be finite and > 0");
+  }
+  if (!std::isfinite(goal.target_loss)) {
+    throw std::invalid_argument("Provisioner: target loss must be finite");
   }
   const PlannerTimer timer(metrics_ != nullptr);
 
@@ -406,6 +409,10 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
                                   const ReplanDegradation& degradation) const {
   if (remaining_iterations <= 0) {
     throw std::invalid_argument("Provisioner::replan: nothing left to train");
+  }
+  if (!std::isfinite(remaining_time.value()) || !std::isfinite(degradation.capability_derate) ||
+      !std::isfinite(degradation.slack_margin)) {
+    throw std::invalid_argument("Provisioner::replan: non-finite budget or degradation");
   }
   if (degradation.capability_derate <= 0.0 || degradation.capability_derate > 1.0 ||
       degradation.slack_margin < 0.0 || degradation.slack_margin >= 1.0) {
@@ -547,8 +554,8 @@ std::string SpotProvisionPlan::describe() const {
 SpotProvisionPlan Provisioner::plan_spot(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                          const cloud::SpotMarket& market,
                                          const SpotPlanOptions& options) const {
-  if (options.bid_multiplier <= 0.0) {
-    throw std::invalid_argument("plan_spot: bid multiplier must be positive");
+  if (!std::isfinite(options.bid_multiplier) || options.bid_multiplier <= 0.0) {
+    throw std::invalid_argument("plan_spot: bid multiplier must be finite and positive");
   }
   SpotProvisionPlan out;
   out.durable = plan(mode, goal, options.search);

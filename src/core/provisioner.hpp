@@ -214,7 +214,10 @@ class Provisioner {
   Provisioner(const Provisioner&) = delete;
   Provisioner& operator=(const Provisioner&) = delete;
 
-  /// Runs Algorithm 1. `mode` is the workload's sync mechanism.
+  /// Runs Algorithm 1. `mode` is the workload's sync mechanism. Throws
+  /// std::invalid_argument for a non-finite goal or Tg <= 0 (as replan does
+  /// for a non-finite budget or degradation, and plan_spot for a non-finite
+  /// bid multiplier).
   [[nodiscard]] ProvisionPlan plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                    const ProvisionOptions& options = {}) const;
 

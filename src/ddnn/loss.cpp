@@ -1,5 +1,6 @@
 #include "ddnn/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -40,6 +41,31 @@ double LossProcess::observe(long iteration) {
   // monotone enough for a plain least-squares fit, as in the paper.
   const double factor = rng_.bounded_normal(1.0, noise_rel_, 3.0 * noise_rel_);
   return base * factor;
+}
+
+std::uint64_t loss_seed(std::uint64_t run_seed) { return run_seed ^ 0xA5A55A5A12345678ULL; }
+
+LossSampling::LossSampling(long total_iterations, long stride, long offset)
+    : total_(total_iterations),
+      stride_(stride > 0 ? stride : std::max<long>(1, total_iterations / 200)),
+      offset_(offset) {}
+
+std::vector<LossSample> sample_loss_curve(const WorkloadSpec& workload, int n_workers,
+                                          std::uint64_t seed, long iterations, long stride,
+                                          long offset) {
+  if (n_workers <= 0) throw std::invalid_argument("sample_loss_curve: need at least one worker");
+  if (iterations < 0) throw std::invalid_argument("sample_loss_curve: negative iterations");
+  const LossSampling rule(iterations > 0 ? iterations : workload.default_iterations, stride,
+                          offset);
+  if (rule.total() <= 0) throw std::invalid_argument("sample_loss_curve: no iterations");
+  LossProcess process(workload, n_workers, loss_seed(seed));
+  std::vector<LossSample> curve;
+  for (long done = 0; done < rule.total();) {
+    done = rule.next_after(done);
+    const long global = rule.global(done);
+    curve.push_back({global, process.observe(global)});
+  }
+  return curve;
 }
 
 }  // namespace cynthia::ddnn

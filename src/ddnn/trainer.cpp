@@ -32,7 +32,7 @@ class Session {
         opts_(options),
         fluid_(sim_),
         rng_(options.seed),
-        loss_(workload, cluster.n_workers(), options.seed ^ 0xA5A55A5A12345678ULL),
+        loss_(workload, cluster.n_workers(), loss_seed(options.seed)),
         tel_(options.telemetry) {
     fluid_.set_incremental(options.fluid_incremental);
   }
@@ -51,6 +51,7 @@ class Session {
   LossProcess loss_;
 
   long total_iterations_ = 0;
+  LossSampling loss_sampling_;  ///< fixed once per run, in run()
 
   // Per-docker resources.
   std::vector<sim::ResourceId> worker_cpu_, worker_eg_, worker_in_;
@@ -314,17 +315,13 @@ void Session::issue_push(int w, int k, int block, int epoch,
 }
 
 void Session::sample_loss(long completed_updates) {
-  if (completed_updates <= 0) return;
-  long stride = opts_.loss_sample_stride;
-  if (stride <= 0) stride = std::max<long>(1, total_iterations_ / 200);
-  if (completed_updates % stride == 0 || completed_updates == total_iterations_) {
-    const long global = opts_.loss_iteration_offset + completed_updates;
-    // After a PS-crash rollback, redone iterations would re-sample points the
-    // curve already holds; keep it monotone instead. Fault-free runs sample
-    // strictly increasing iterations, so this guard never fires there.
-    if (!result_.loss_curve.empty() && result_.loss_curve.back().iteration >= global) return;
-    result_.loss_curve.push_back({global, loss_.observe(global)});
-  }
+  if (!loss_sampling_.samples(completed_updates)) return;
+  const long global = loss_sampling_.global(completed_updates);
+  // After a PS-crash rollback, redone iterations would re-sample points the
+  // curve already holds; keep it monotone instead. Fault-free runs sample
+  // strictly increasing iterations, so this guard never fires there.
+  if (!result_.loss_curve.empty() && result_.loss_curve.back().iteration >= global) return;
+  result_.loss_curve.push_back({global, loss_.observe(global)});
 }
 
 void Session::finalize(double end_time) {
@@ -341,7 +338,7 @@ void Session::finalize(double end_time) {
     result_.faults.degraded_node_seconds += std::max(0.0, until - outcome.injected_at);
   }
   result_.avg_iteration_time = end_time / std::max<long>(1, closed_updates_);
-  result_.final_loss = loss_.observe(opts_.loss_iteration_offset + closed_updates_);
+  result_.final_loss = loss_.observe(loss_sampling_.global(closed_updates_));
 
   fluid_.settle_now();
   const int n = cluster_.n_workers();
@@ -711,6 +708,8 @@ TrainResult Session::run() {
   if (opts_.iterations < 0) throw std::invalid_argument("run_training: negative iterations");
   total_iterations_ = opts_.iterations > 0 ? opts_.iterations : workload_.default_iterations;
   if (total_iterations_ <= 0) throw std::invalid_argument("run_training: no iterations");
+  loss_sampling_ = LossSampling(total_iterations_, opts_.loss_sample_stride,
+                                opts_.loss_iteration_offset);
   if (cluster_.n_workers() <= 0 || cluster_.n_ps() <= 0) {
     throw std::invalid_argument("run_training: cluster needs workers and PS nodes");
   }

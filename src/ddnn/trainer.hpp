@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "ddnn/cluster.hpp"
+#include "ddnn/loss.hpp"
 #include "ddnn/monitor.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
@@ -102,11 +103,6 @@ struct TrainOptions {
   /// Workers blacklisted before the run starts (dead from t=0, not counted
   /// as crashes). Used to resume a segment after a mid-run exclusion.
   std::vector<int> excluded_workers;
-};
-
-struct LossSample {
-  long iteration = 0;
-  double loss = 0.0;
 };
 
 /// What actually happened to one scheduled fault during the run.

@@ -3,12 +3,15 @@
 // accuracy against the simulated testbed.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <ostream>
 
 #include "cloud/instance.hpp"
 #include "core/perf_model.hpp"
 #include "core/predictor.hpp"
 #include "ddnn/trainer.hpp"
+#include "models/zoo.hpp"
 #include "profiler/profiler.hpp"
 #include "util/stats.hpp"
 
@@ -210,4 +213,51 @@ TEST(Predictor, FacadeBuildsAndPredicts) {
   // Default iterations path.
   const auto t_default = pred.predict_time(cd::ClusterSpec::homogeneous(m4(), 4, 1), w);
   EXPECT_GT(t_default.value(), t.value());
+}
+
+TEST(Predictor, PinnedLossFits) {
+  // Predictor::build's fitted (beta0, beta1) at default options, pinned bit
+  // for bit. The pins equal the fit over a simulated prior execution (a
+  // run_training of the workload's 1000-10000 default iterations), which the
+  // sampled loss history must reproduce exactly. The two doubles are
+  // compared, not the LossModel object, whose padding bytes are unspecified.
+  struct Pin {
+    const char* workload;
+    std::uint64_t beta0;
+    std::uint64_t beta1;
+  };
+  const Pin pins[] = {
+      {"mnist", 0x406f112f46e961e7ULL, 0x3fa9cbbe70c764ceULL},
+      {"cifar10", 0x40a36ac4c0cdd8e9ULL, 0x3fd0479d14d44985ULL},
+      {"resnet32", 0x408bf5ee2e06aafaULL, 0x3fd0b86136b7aea8ULL},
+      {"vgg19", 0x406a18bde5a617b4ULL, 0x3fbba8956f13981aULL},
+      {"resnet50", 0x40974cf305ede5afULL, 0x3fd50bc35f9b0ab2ULL},
+  };
+  for (const Pin& pin : pins) {
+    const std::string name = pin.workload;
+    const cd::WorkloadSpec w = name == "resnet50"
+                                   ? cd::workload_from_network(cynthia::models::build_resnet50())
+                                   : cd::workload_by_name(name);
+    const auto pred = co::Predictor::build(w, m4());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.loss().beta0()), pin.beta0) << name;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pred.loss().beta1()), pin.beta1) << name;
+  }
+}
+
+TEST(Predictor, BadLossHistoryThrows) {
+  const auto& w = cd::workload_by_name("mnist");
+  co::PredictorOptions opts;
+  opts.loss_history_workers = 0;
+  EXPECT_THROW(co::Predictor::build(w, m4(), opts), std::invalid_argument);
+  opts.loss_history_workers = -2;
+  EXPECT_THROW(co::Predictor::build(w, m4(), opts), std::invalid_argument);
+  opts = {};
+  opts.loss_history_iterations = -1;
+  EXPECT_THROW(co::Predictor::build(w, m4(), opts), std::invalid_argument);
+  // One sample cannot fit two coefficients.
+  opts.loss_history_iterations = 1;
+  EXPECT_THROW(co::Predictor::build(w, m4(), opts), std::invalid_argument);
+  cd::WorkloadSpec no_default = w;
+  no_default.default_iterations = 0;
+  EXPECT_THROW(co::Predictor::build(no_default, m4()), std::invalid_argument);
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cloud/instance.hpp"
+#include "cloud/spot.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/trainer.hpp"
 #include "profiler/profiler.hpp"
@@ -170,6 +171,28 @@ TEST(Provisioner, PrefersCheaperTypeWhenBothFeasible) {
 TEST(Provisioner, InvalidArgumentsThrow) {
   auto prov = make_provisioner("cifar10");
   EXPECT_THROW(prov.plan(cd::SyncMode::BSP, {cu::Seconds{0.0}, 0.8}), std::invalid_argument);
+  // Non-finite goals, budgets and bids fail closed: an infinite l_g used to
+  // plan 0 iterations for $0, and NaN slipped past every range check.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const cc::SpotMarket market(cc::Catalog::aws(), 1);
+  for (double bad : {inf, -inf, nan}) {
+    EXPECT_THROW(prov.plan(cd::SyncMode::BSP, {cu::Seconds{bad}, 0.8}), std::invalid_argument);
+    EXPECT_THROW(prov.plan(cd::SyncMode::BSP, {cu::minutes(90), bad}), std::invalid_argument);
+    EXPECT_THROW(prov.replan(cd::SyncMode::BSP, 1000, cu::Seconds{bad}), std::invalid_argument);
+    co::ReplanDegradation derate;
+    derate.capability_derate = bad;
+    EXPECT_THROW(prov.replan(cd::SyncMode::BSP, 1000, cu::minutes(90), {}, derate),
+                 std::invalid_argument);
+    co::ReplanDegradation slack;
+    slack.slack_margin = bad;
+    EXPECT_THROW(prov.replan(cd::SyncMode::BSP, 1000, cu::minutes(90), {}, slack),
+                 std::invalid_argument);
+    co::SpotPlanOptions spot;
+    spot.bid_multiplier = bad;
+    EXPECT_THROW(prov.plan_spot(cd::SyncMode::BSP, {cu::minutes(90), 0.8}, market, spot),
+                 std::invalid_argument);
+  }
   const auto& w = cd::workload_by_name("cifar10");
   co::LossModel loss(w.sync, w.loss().beta0, w.loss().beta1);
   EXPECT_THROW(

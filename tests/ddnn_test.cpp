@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "cloud/instance.hpp"
 #include "ddnn/cluster.hpp"
 #include "ddnn/loss.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
+#include "models/zoo.hpp"
 
 namespace cd = cynthia::ddnn;
 namespace cc = cynthia::cloud;
+namespace cm = cynthia::models;
 
 namespace {
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
@@ -86,6 +91,89 @@ TEST(LossProcess, NoiseIsBoundedAndDeterministic) {
     const double expected = a.expected(s);
     EXPECT_NEAR(va / expected, 1.0, 3.5 * w.loss_noise_rel);
   }
+}
+
+// The direct sampler is the shortcut Predictor::build takes instead of
+// simulating its loss history; run_training is its oracle. The grid varies
+// everything the curve depends on (workload, sync mode, seed, worker count,
+// total, stride, offset) and, to show that nothing else matters, the
+// instance type and PS count of the simulated run.
+TEST(LossSampling, DirectCurveMatchesSimulatedRunBitForBit) {
+  std::vector<cd::WorkloadSpec> zoo = cd::paper_workloads();
+  for (const char* name : {"resnet50", "alexnet", "lstm"}) {
+    zoo.push_back(cd::workload_from_network(cm::build_by_name(name)));
+  }
+  struct Shape {
+    long iterations;
+    long stride;  // 0 = auto
+    long offset;
+  };
+  // 37 % 3 != 0 and 200 % 7 != 0 put a final point off the stride.
+  const Shape shapes[] = {{200, 0, 0}, {37, 3, 0}, {120, 0, 50}, {200, 7, 25}};
+  const cc::InstanceType* types[] = {&m4(), &cc::Catalog::aws().at("c3.xlarge"),
+                                     &cc::Catalog::aws().at("r3.xlarge")};
+  long cases = 0;
+  for (cd::WorkloadSpec w : zoo) {
+    for (cd::SyncMode mode : {cd::SyncMode::BSP, cd::SyncMode::ASP, cd::SyncMode::SSP}) {
+      w.sync = mode;
+      for (std::uint64_t seed : {3ULL, 0x9e3779b97f4a7c15ULL}) {
+        for (int n : {1, 5}) {
+          const Shape& shape = shapes[cases % 4];
+          const int n_ps = 1 + static_cast<int>(cases % 2);
+          cd::TrainOptions o;
+          o.iterations = shape.iterations;
+          o.seed = seed;
+          o.loss_sample_stride = shape.stride;
+          o.loss_iteration_offset = shape.offset;
+          const auto run = cd::run_training(
+              cd::ClusterSpec::homogeneous(*types[cases % 3], n, n_ps), w, o);
+          const auto direct = cd::sample_loss_curve(w, n, seed, shape.iterations, shape.stride,
+                                                    shape.offset);
+          SCOPED_TRACE(w.name + " " + cd::to_string(mode) + " seed " + std::to_string(seed) +
+                       " n " + std::to_string(n) + " case " + std::to_string(cases));
+          ASSERT_EQ(direct.size(), run.loss_curve.size());
+          for (std::size_t i = 0; i < direct.size(); ++i) {
+            EXPECT_EQ(direct[i].iteration, run.loss_curve[i].iteration) << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(direct[i].loss),
+                      std::bit_cast<std::uint64_t>(run.loss_curve[i].loss))
+                << i;
+          }
+          EXPECT_EQ(direct.back().iteration, shape.offset + shape.iterations);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 7 * 3 * 2 * 2);
+}
+
+TEST(LossSampling, AutoStrideAndDefaultTotal) {
+  // The auto stride (total / 200) and a 0 total (the workload's default):
+  // one 1000-iteration run per sync mode, with the defaults left unset.
+  cd::WorkloadSpec w = cd::workload_from_network(cm::build_by_name("alexnet"));
+  ASSERT_EQ(w.default_iterations, 1000);
+  for (cd::SyncMode mode : {cd::SyncMode::BSP, cd::SyncMode::ASP, cd::SyncMode::SSP}) {
+    w.sync = mode;
+    const auto run = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 2, 1), w, {});
+    const auto direct = cd::sample_loss_curve(w, 2, cd::TrainOptions{}.seed, 0);
+    ASSERT_EQ(direct.size(), 200u);
+    ASSERT_EQ(direct.size(), run.loss_curve.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(direct[i].iteration, 5 * static_cast<long>(i + 1));
+      EXPECT_EQ(direct[i].iteration, run.loss_curve[i].iteration);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(direct[i].loss),
+                std::bit_cast<std::uint64_t>(run.loss_curve[i].loss));
+    }
+  }
+}
+
+TEST(LossSampling, InvalidInputsThrow) {
+  cd::WorkloadSpec w = cd::workload_by_name("mnist");
+  EXPECT_THROW(cd::sample_loss_curve(w, 0, 1, 100), std::invalid_argument);
+  EXPECT_THROW(cd::sample_loss_curve(w, 4, 1, -1), std::invalid_argument);
+  w.default_iterations = 0;
+  EXPECT_THROW(cd::sample_loss_curve(w, 4, 1, 0), std::invalid_argument);
+  EXPECT_EQ(cd::sample_loss_curve(w, 4, 1, 1).size(), 1u);
 }
 
 // ------------------------------------------------------------- clusters
