@@ -81,10 +81,14 @@
 //
 // Workloads: mnist | cifar10 | resnet32 | vgg19, or any zoo model name
 // (resnet50, alexnet, lstm) which is derived via workload_from_network.
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -114,6 +118,23 @@
 using namespace cynthia;
 
 namespace {
+
+/// Rejects the value of `--flag` with the CLI's one error shape.
+[[noreturn]] void bad_flag(const std::string& flag, const std::string& token,
+                           const std::string& reason) {
+  throw std::invalid_argument("bad --" + flag + " '" + token + "': " + reason);
+}
+
+/// All of `token` as a finite real number; `what` names the value.
+double finite_real(const std::string& flag, const std::string& token, const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  if (token.empty() || end != token.c_str() + token.size()) {
+    bad_flag(flag, token, "expected a number");
+  }
+  if (!std::isfinite(value)) bad_flag(flag, token, what + " must be finite");
+  return value;
+}
 
 /// Minimal --flag value parser: positional args + string options.
 struct Args {
@@ -149,10 +170,30 @@ struct Args {
     return a;
   }
 
-  [[nodiscard]] std::optional<double> number(const std::string& name) const {
+  /// A real-valued flag (see finite_real); nullopt when absent.
+  [[nodiscard]] std::optional<double> real(const std::string& name, const std::string& what) const {
     auto it = options.find(name);
     if (it == options.end()) return std::nullopt;
-    return std::stod(it->second);
+    return finite_real(name, it->second, what);
+  }
+  /// An integer flag: all of its token must be a non-negative integer that
+  /// T holds (no sign, fraction, exponent or trailing text); nullopt when
+  /// absent.
+  template <class T>
+  [[nodiscard]] std::optional<T> integer(const std::string& name) const {
+    auto it = options.find(name);
+    if (it == options.end()) return std::nullopt;
+    const std::string& token = it->second;
+    std::uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::invalid_argument || end != token.data() + token.size()) {
+      bad_flag(name, token, "expected a non-negative integer");
+    }
+    constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (ec == std::errc::result_out_of_range || value > kMax) {
+      bad_flag(name, token, "at most " + std::to_string(kMax));
+    }
+    return static_cast<T>(value);
   }
   [[nodiscard]] std::string text(const std::string& name, std::string fallback) const {
     auto it = options.find(name);
@@ -248,11 +289,10 @@ int cmd_profile(const Args& args) {
 /// a multiple of the long-run mean spot price; anything below the mean
 /// discount floor (mean spot / on-demand) would sit under the market
 /// forever, so reject it with a hint instead of spinning a doomed search.
-/// A non-finite bid (nan, inf) is rejected too: NaN passes no comparison.
 double validated_bid_multiplier(const Args& args, const cloud::SpotMarket& market) {
-  const double bid = args.number("bid").value_or(1.6);
+  const double bid = args.real("bid", "bid multiplier").value_or(1.6);
   const double floor = market.options().mean_discount;
-  if (!std::isfinite(bid) || bid <= 0.0 || bid < floor) {
+  if (bid <= 0.0 || bid < floor) {
     char hint[160];
     std::snprintf(hint, sizeof hint,
                   "bad --bid %g: bid is a finite multiple of the mean spot price and must be "
@@ -264,7 +304,9 @@ double validated_bid_multiplier(const Args& args, const cloud::SpotMarket& marke
 }
 
 int cmd_plan(const Args& args) {
-  if (args.positional.size() < 2 || !args.number("minutes") || !args.number("loss")) {
+  const auto minutes = args.real("minutes", "time goal");
+  const auto loss = args.real("loss", "target loss");
+  if (args.positional.size() < 2 || !minutes || !loss) {
     std::puts(
         "usage: cynthiactl plan <workload> --minutes M --loss L [--gpu] [--type T]"
         " [--spot] [--bid MULT]");
@@ -278,10 +320,10 @@ int cmd_plan(const Args& args) {
   core::Provisioner prov(pred.model(), pred.loss(), std::move(types));
   telemetry::Telemetry tel;
   prov.set_metrics(&tel.metrics);
-  const core::ProvisionGoal goal{util::minutes(*args.number("minutes")), *args.number("loss")};
+  const core::ProvisionGoal goal{util::minutes(*minutes), *loss};
 
   if (args.flag("spot")) {
-    const auto seed = static_cast<std::uint64_t>(args.number("seed").value_or(1.0));
+    const auto seed = args.integer<std::uint64_t>("seed").value_or(1);
     const cloud::SpotMarket market(catalog, seed);
     core::SpotPlanOptions so;
     so.bid_multiplier = validated_bid_multiplier(args, market);
@@ -382,10 +424,9 @@ faults::FaultSchedule build_fault_schedule(const Args& args, int n_workers, int 
                                            std::uint64_t seed, double horizon_seconds) {
   const std::string text = args.text("faults", "");
   if (text.empty()) return {};
-  const std::uint64_t fault_seed = static_cast<std::uint64_t>(
-      args.number("fault-seed").value_or(static_cast<double>(seed)));
+  const std::uint64_t fault_seed = args.integer<std::uint64_t>("fault-seed").value_or(seed);
   if (text.rfind("rate:", 0) == 0) {
-    const double per_hour = std::stod(text.substr(5));
+    const double per_hour = finite_real("faults", text.substr(5), "fault rate");
     faults::FaultRates rates;
     rates.crash_per_hour = per_hour / 4.0;
     rates.slowdown_per_hour = per_hour / 4.0;
@@ -405,7 +446,8 @@ faults::FaultSchedule build_fault_schedule(const Args& args, int n_workers, int 
 }
 
 int cmd_simulate(const Args& args) {
-  if (args.positional.size() < 2 || !args.number("workers")) {
+  const auto workers = args.integer<int>("workers");
+  if (args.positional.size() < 2 || !workers) {
     std::puts(
         "usage: cynthiactl simulate <workload> --workers N [--ps K] [--type T]"
         " [--iterations S] [--stragglers] [--faults SPEC] [--fault-seed N]"
@@ -416,17 +458,17 @@ int cmd_simulate(const Args& args) {
   const auto w = resolve_workload(args.positional[1]);
   const auto& catalog = cloud::Catalog::aws();
   const auto& type = resolve_type(args.text("type", "m4.xlarge"));
-  const int n = static_cast<int>(*args.number("workers"));
-  const int ps = static_cast<int>(args.number("ps").value_or(1));
+  const int n = *workers;
+  const int ps = args.integer<int>("ps").value_or(1);
   const auto cluster =
       args.flag("stragglers")
           ? ddnn::ClusterSpec::with_stragglers(type, catalog.at("m1.xlarge"), n, ps)
           : ddnn::ClusterSpec::homogeneous(type, n, ps);
   ddnn::TrainOptions o;
-  o.iterations = static_cast<long>(args.number("iterations").value_or(0));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed").value_or(1));
+  o.iterations = args.integer<long>("iterations").value_or(0);
+  const std::uint64_t seed = args.integer<std::uint64_t>("seed").value_or(1);
   o.seed = seed;
-  const double horizon_seconds = args.number("fault-horizon").value_or(3600.0);
+  const double horizon_seconds = args.real("fault-horizon", "fault horizon").value_or(3600.0);
   const faults::FaultSchedule schedule =
       build_fault_schedule(args, n, ps, seed, horizon_seconds);
   if (!schedule.empty()) {
@@ -466,12 +508,13 @@ int cmd_simulate(const Args& args) {
     plan.n_ps = ps;
     plan.iterations = o.iterations;
     plan.total_iterations = o.iterations;
-    const bool time_goal_given = args.number("minutes").has_value();
-    const bool loss_goal_given = args.number("loss").has_value();
+    const auto minutes = args.real("minutes", "time goal");
+    const auto loss = args.real("loss", "target loss");
+    const bool time_goal_given = minutes.has_value();
+    const bool loss_goal_given = loss.has_value();
     core::ProvisionGoal goal;
-    goal.time_goal = time_goal_given ? util::minutes(*args.number("minutes"))
-                                     : util::Seconds{1e12};
-    goal.target_loss = loss_goal_given ? *args.number("loss") : 0.0;
+    goal.time_goal = time_goal_given ? util::minutes(*minutes) : util::Seconds{1e12};
+    goal.target_loss = loss.value_or(0.0);
     const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
     const orch::SloSentinel sentinel(so);
     const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
@@ -596,8 +639,9 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  if (args.positional.size() < 2 || !args.number("workers") ||
-      args.number("iterations").value_or(0) <= 0) {
+  const auto workers = args.integer<int>("workers");
+  const auto iterations = args.integer<long>("iterations");
+  if (args.positional.size() < 2 || !workers || iterations.value_or(0) <= 0) {
     std::puts(
         "usage: cynthiactl report <workload> --workers N --iterations S [--ps K]"
         " [--type T] [--faults SPEC] [--fault-seed N] [--fault-horizon S]"
@@ -607,10 +651,10 @@ int cmd_report(const Args& args) {
   }
   const auto w = resolve_workload(args.positional[1]);
   const auto& type = resolve_type(args.text("type", "m4.xlarge"));
-  const int n = static_cast<int>(*args.number("workers"));
-  const int ps = static_cast<int>(args.number("ps").value_or(1));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.number("seed").value_or(1));
-  const double horizon_seconds = args.number("fault-horizon").value_or(3600.0);
+  const int n = *workers;
+  const int ps = args.integer<int>("ps").value_or(1);
+  const std::uint64_t seed = args.integer<std::uint64_t>("seed").value_or(1);
+  const double horizon_seconds = args.real("fault-horizon", "fault horizon").value_or(3600.0);
   const faults::FaultSchedule schedule =
       build_fault_schedule(args, n, ps, seed, horizon_seconds);
   if (!schedule.empty()) {
@@ -620,7 +664,7 @@ int cmd_report(const Args& args) {
   // The journal is the whole point of this command: telemetry is always on.
   telemetry::Telemetry tel;
   ddnn::TrainOptions o;
-  o.iterations = static_cast<long>(*args.number("iterations"));
+  o.iterations = *iterations;
   o.seed = seed;
   o.telemetry = &tel;
   o.trace_bucket_seconds = 1.0;
@@ -636,18 +680,19 @@ int cmd_report(const Args& args) {
   plan.n_ps = ps;
   plan.iterations = o.iterations;
   plan.total_iterations = o.iterations;
-  const bool time_goal_given = args.number("minutes").has_value();
-  const bool loss_goal_given = args.number("loss").has_value();
+  const auto minutes = args.real("minutes", "time goal");
+  const auto loss = args.real("loss", "target loss");
+  const bool time_goal_given = minutes.has_value();
+  const bool loss_goal_given = loss.has_value();
   core::ProvisionGoal goal;
-  goal.time_goal =
-      time_goal_given ? util::minutes(*args.number("minutes")) : util::Seconds{1e12};
-  goal.target_loss = loss_goal_given ? *args.number("loss") : 0.0;
+  goal.time_goal = time_goal_given ? util::minutes(*minutes) : util::Seconds{1e12};
+  goal.target_loss = loss.value_or(0.0);
 
   const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
   const orch::SloSentinel sentinel(so);
   const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
 
-  const double bound = args.number("bound").value_or(0.10);
+  const double bound = args.real("bound", "audit bound").value_or(0.10);
   const std::string title = w.name + " on " + std::to_string(n) + "x " + type.name + " + " +
                             std::to_string(ps) + " PS (policy " +
                             orch::to_string(so.policy) + ", seed " + std::to_string(seed) +
@@ -722,9 +767,12 @@ int cmd_serve(const Args& args) {
   service::TrafficOptions traffic;
   const std::string arrival = args.text("arrival", "");
   if (!arrival.empty()) traffic = service::TrafficOptions::parse(arrival);
-  if (args.number("jobs")) traffic.jobs = static_cast<long>(*args.number("jobs"));
-  if (args.number("seed")) traffic.seed = static_cast<std::uint64_t>(*args.number("seed"));
-  if (args.number("patience")) traffic.patience = util::minutes(*args.number("patience"));
+  if (const auto jobs = args.integer<long>("jobs")) traffic.jobs = *jobs;
+  if (const auto seed = args.integer<std::uint64_t>("seed")) traffic.seed = *seed;
+  if (const auto patience = args.real("patience", "patience")) {
+    traffic.patience = util::minutes(*patience);
+  }
+  const auto slo = args.real("slo", "SLO attainment floor");
 
   // Default sized so the stock 1k-job day runs at ~75% utilization with
   // real queueing (docs/SERVICE.md); scale up for larger --jobs.
@@ -733,8 +781,8 @@ int cmd_serve(const Args& args) {
 
   service::ServeOptions so;
   so.seed = traffic.seed;
-  if (args.number("revocations")) {
-    so.mean_revocation_interval = util::minutes(*args.number("revocations"));
+  if (const auto revocations = args.real("revocations", "revocation interval")) {
+    so.mean_revocation_interval = util::minutes(*revocations);
   }
   if (args.flag("spot")) {
     so.spot_fleets = true;
@@ -809,9 +857,8 @@ int cmd_serve(const Args& args) {
     }
   }
 
-  if (args.number("slo") && s.slo_attain_rate < *args.number("slo")) {
-    std::fprintf(stderr, "SLO attainment %.3f below required %.3f\n", s.slo_attain_rate,
-                 *args.number("slo"));
+  if (slo && s.slo_attain_rate < *slo) {
+    std::fprintf(stderr, "SLO attainment %.3f below required %.3f\n", s.slo_attain_rate, *slo);
     return 3;
   }
   return 0;

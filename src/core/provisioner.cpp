@@ -129,7 +129,10 @@ struct Provisioner::TypeSearch {
 
 Provisioner::Provisioner(CynthiaModel model, LossModel loss,
                          std::vector<cloud::InstanceType> types)
-    : model_(std::move(model)), loss_(std::move(loss)), types_(std::move(types)) {
+    : model_(std::move(model)),
+      loss_(std::move(loss)),
+      types_(std::move(types)),
+      cache_(types_.size()) {
   if (types_.empty()) throw std::invalid_argument("Provisioner: empty instance type list");
   // A zero rate divides by zero in the Theorem 4.1 bounds, and a zero price
   // makes any shape free; reject both instead of planning on them.
@@ -142,23 +145,7 @@ Provisioner::Provisioner(CynthiaModel model, LossModel loss,
       }
     }
   }
-  // Dense fast path for the candidate grid. Bounds cover the default quotas
-  // (max_workers_quota 64, n_ps + kMaxExtraPs well under 8); larger shapes
-  // silently use the sharded map instead.
-  cache_.enable_dense(static_cast<std::uint32_t>(types_.size()), 128, 8);
 }
-
-Provisioner::Provisioner(Provisioner&& other) noexcept
-    : model_(std::move(other.model_)),
-      loss_(std::move(other.loss_)),
-      types_(std::move(other.types_)),
-      cache_(std::move(other.cache_)),
-      considered_(std::move(other.considered_)),
-      plans_(other.plans_.load(std::memory_order_relaxed)),
-      evaluated_(other.evaluated_.load(std::memory_order_relaxed)),
-      pruned_(other.pruned_.load(std::memory_order_relaxed)),
-      metrics_(other.metrics_),
-      journal_(other.journal_) {}
 
 IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
                                                 std::size_t type_index, int n_wk, int n_ps,
@@ -220,10 +207,9 @@ ProvisionPlan Provisioner::search_catalog(SearchFn&& search_type) const {
     best.bounds = r.bounds;
   }
 
-  plans_.fetch_add(1, std::memory_order_relaxed);
-  evaluated_.fetch_add(evaluated, std::memory_order_relaxed);
-  pruned_.fetch_add(pruned, std::memory_order_relaxed);
-  std::lock_guard lock(considered_mutex_);
+  ++plans_;
+  evaluated_ += evaluated;
+  pruned_ += pruned;
   considered_ = std::move(trace);  // empty unless keep_trace
   return best;
 }
@@ -275,9 +261,9 @@ void Provisioner::record_journal(const ProvisionPlan& plan, const char* call) co
 
 PlannerStats Provisioner::stats() const {
   PlannerStats s;
-  s.plans = plans_.load(std::memory_order_relaxed);
-  s.candidates_evaluated = evaluated_.load(std::memory_order_relaxed);
-  s.candidates_pruned = pruned_.load(std::memory_order_relaxed);
+  s.plans = plans_;
+  s.candidates_evaluated = evaluated_;
+  s.candidates_pruned = pruned_;
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   return s;
@@ -285,6 +271,7 @@ PlannerStats Provisioner::stats() const {
 
 ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                 const ProvisionOptions& options) const {
+  owner_.check("Provisioner");
   if (!std::isfinite(goal.time_goal.value()) || goal.time_goal.value() <= 0.0) {
     throw std::invalid_argument("Provisioner: time goal must be finite and > 0");
   }
@@ -407,6 +394,7 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
                                   util::Seconds remaining_time,
                                   const ProvisionOptions& options,
                                   const ReplanDegradation& degradation) const {
+  owner_.check("Provisioner");
   if (remaining_iterations <= 0) {
     throw std::invalid_argument("Provisioner::replan: nothing left to train");
   }
@@ -428,7 +416,6 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
     // want the cheapest-effort answer in that case, which is "keep going".
     ProvisionPlan none;
     none.feasible = false;
-    std::lock_guard lock(considered_mutex_);
     considered_.clear();
     return none;
   }

@@ -8,15 +8,15 @@
 // The search hot path is engineered for sub-millisecond planning (the SLO
 // sentinel and the multi-tenant service call it thousands of times): each
 // call is one serial scan over the catalog, perf-model evaluations are
-// memoized in the provisioner's own thread-safe PredictionCache, and
-// provably non-winning grid points are pruned with Theorem 4.1 bound
-// structure plus cost-monotonicity lower bounds (see docs/PERF.md for the
-// safety argument).
+// memoized in the provisioner's own PredictionCache, and provably
+// non-winning grid points are pruned with Theorem 4.1 bound structure plus
+// cost-monotonicity lower bounds (see docs/PERF.md for the safety argument).
+// A Provisioner is single-owner: it belongs to the thread that built it, and
+// each thread that plans builds its own (plan and replan check the caller
+// in CYNTHIA_INVARIANTS builds, see util::OwnerThread).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +29,7 @@
 #include "core/prediction_cache.hpp"
 #include "core/revocation.hpp"
 #include "ddnn/workload.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace cynthia::telemetry {
@@ -207,9 +208,8 @@ class Provisioner {
   Provisioner(CynthiaModel model, LossModel loss, std::vector<cloud::InstanceType> types);
 
   /// Movable for construction-time plumbing (bench harnesses aggregate a
-  /// Provisioner by value). Moving while a planning call is in flight on
-  /// the source is undefined; the cache and counters carry over.
-  Provisioner(Provisioner&& other) noexcept;
+  /// Provisioner by value); the cache and counters carry over.
+  Provisioner(Provisioner&&) noexcept = default;
   Provisioner& operator=(Provisioner&&) = delete;
   Provisioner(const Provisioner&) = delete;
   Provisioner& operator=(const Provisioner&) = delete;
@@ -251,9 +251,7 @@ class Provisioner {
                                      const ReplanDegradation& degradation = {}) const;
 
   /// Candidates examined by the last call when keep_trace was set, in
-  /// catalog order, then scan order. Each call publishes its whole trace
-  /// under a lock, so concurrent callers never interleave entries; read it
-  /// after the planning call returns.
+  /// catalog order, then scan order.
   [[nodiscard]] const std::vector<CandidateEvaluation>& considered() const {
     return considered_;
   }
@@ -264,10 +262,6 @@ class Provisioner {
   /// Snapshot of the cumulative hot-path counters.
   [[nodiscard]] PlannerStats stats() const;
 
-  /// Prediction-cache introspection (tests and benches).
-  [[nodiscard]] const PredictionCache& cache() const { return cache_; }
-  void clear_cache() const { cache_.clear(); }
-
   /// Attaches a metrics registry: every subsequent plan/replan records its
   /// wall-clock latency plus cache/prune counters (telemetry/telemetry.hpp
   /// names). Not owned; nullptr detaches.
@@ -277,9 +271,7 @@ class Provisioner {
   /// kPlanChosen record (the winning plan, or "infeasible") plus a
   /// kPlanSummary record with the cumulative evaluated/pruned/cache
   /// counters. Planner records carry t=0 — planning overhead is host-clock
-  /// time, never simulated time. Unlike the metrics registry, the journal
-  /// is single-threaded: only attach it when plan() is called from one
-  /// thread (the service front-end, sentinel, and cynthiactl all are).
+  /// time, never simulated time.
   void set_journal(telemetry::Journal* journal) { journal_ = journal; }
 
  private:
@@ -289,11 +281,11 @@ class Provisioner {
   LossModel loss_;
   std::vector<cloud::InstanceType> types_;
   mutable PredictionCache cache_;
-  mutable std::mutex considered_mutex_;  ///< guards considered_ across calls
   mutable std::vector<CandidateEvaluation> considered_;
-  mutable std::atomic<std::uint64_t> plans_{0};
-  mutable std::atomic<std::uint64_t> evaluated_{0};
-  mutable std::atomic<std::uint64_t> pruned_{0};
+  mutable std::uint64_t plans_ = 0;
+  mutable std::uint64_t evaluated_ = 0;
+  mutable std::uint64_t pruned_ = 0;
+  util::OwnerThread owner_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Journal* journal_ = nullptr;
 

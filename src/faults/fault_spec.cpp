@@ -189,8 +189,15 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
 
 FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_seconds,
                                       int n_workers, int n_ps, std::uint64_t seed) {
-  if (horizon_seconds < 0.0) {
-    throw std::invalid_argument("FaultSchedule::generate: horizon must be >= 0");
+  // A non-finite horizon or rate never ends the arrival loop below.
+  if (!std::isfinite(horizon_seconds) || horizon_seconds < 0.0) {
+    throw std::invalid_argument("FaultSchedule::generate: horizon must be finite and >= 0");
+  }
+  for (const double per_hour : {rates.crash_per_hour, rates.slowdown_per_hour, rates.nic_per_hour,
+                                rates.blip_per_hour}) {
+    if (!std::isfinite(per_hour) || per_hour < 0.0) {
+      throw std::invalid_argument("FaultSchedule::generate: rates must be finite and >= 0");
+    }
   }
   if (n_workers <= 0 || n_ps <= 0) {
     throw std::invalid_argument("FaultSchedule::generate: cluster must be non-empty");

@@ -84,6 +84,8 @@ class FaultSchedule {
 
   /// Draws Poisson arrivals per fault class over [0, horizon_seconds] with
   /// one util::Rng(seed); same inputs produce a bit-identical schedule.
+  /// Throws std::invalid_argument for a horizon or a *_per_hour rate that is
+  /// negative or not finite.
   static FaultSchedule generate(const FaultRates& rates, double horizon_seconds,
                                 int n_workers, int n_ps, std::uint64_t seed);
 

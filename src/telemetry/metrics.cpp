@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -44,18 +43,13 @@ std::vector<double> Histogram::make_bounds(const HistogramOptions& options) {
 }
 
 Histogram::Histogram(HistogramOptions options)
-    : bounds_(make_bounds(options)),
-      counts_(new std::atomic<std::uint64_t>[bounds_.size() + 1]),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
-}
+    : bounds_(make_bounds(options)), counts_(bounds_.size() + 1, 0) {}
 
 void Histogram::observe(double value) {
-  detail::atomic_min(min_, value);
-  detail::atomic_max(max_, value);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  detail::atomic_add(sum_, value);
+  if (value < min_) min_ = value;
+  if (value > max_) max_ = value;
+  ++count_;
+  sum_ += value;
   // First bucket whose upper bound admits the value; past the last bound the
   // observation lands in the overflow bucket.
   std::size_t idx = bounds_.size();
@@ -65,7 +59,7 @@ void Histogram::observe(double value) {
       break;
     }
   }
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  ++counts_[idx];
 }
 
 double Histogram::approx_quantile(double quantile_frac) const {
@@ -75,67 +69,51 @@ double Histogram::approx_quantile(double quantile_frac) const {
   // Rank of the target observation (1-based, ceil(q*total) clamped to >= 1).
   const auto target = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(q * static_cast<double>(total))));
-  const auto counts = bucket_counts();
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
     const std::uint64_t before = cumulative;
-    cumulative += counts[i];
+    cumulative += counts_[i];
     if (cumulative < target) continue;
     const double lower = i == 0 ? 0.0 : bounds_[i - 1];
     // Overflow bucket has no finite upper bound; the observed max caps it.
     const double upper = i < bounds_.size() ? bounds_[i] : max();
     const double within =
-        static_cast<double>(target - before) / static_cast<double>(counts[i]);
+        static_cast<double>(target - before) / static_cast<double>(counts_[i]);
     const double estimate = lower + (upper - lower) * within;
     return std::clamp(estimate, min(), max());
   }
   return max();
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> snapshot(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    snapshot[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return snapshot;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard lock(mutex_);
+  owner_.check("MetricsRegistry");
   return counters_[name];
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard lock(mutex_);
+  owner_.check("MetricsRegistry");
   return gauges_[name];
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, HistogramOptions options) {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<Histogram>(options)).first;
-  }
-  return *it->second;
+  owner_.check("MetricsRegistry");
+  return histograms_.try_emplace(name, options).first->second;
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
+  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 double MetricsRegistry::counter_value(const std::string& name, double fallback_value) const {
@@ -149,23 +127,21 @@ double MetricsRegistry::gauge_value(const std::string& name, double fallback_val
 }
 
 std::size_t MetricsRegistry::size() const {
-  std::lock_guard lock(mutex_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 void MetricsRegistry::write_csv(std::ostream& os) const {
-  std::lock_guard lock(mutex_);
   os << "kind,name,field,value\n";
   for (const auto& [name, c] : counters_) csv_row(os, "counter", name, "value", c.value());
   for (const auto& [name, g] : gauges_) csv_row(os, "gauge", name, "value", g.value());
   for (const auto& [name, h] : histograms_) {
-    csv_row(os, "histogram", name, "count", static_cast<double>(h->count()));
-    csv_row(os, "histogram", name, "sum", h->sum());
-    csv_row(os, "histogram", name, "min", h->min());
-    csv_row(os, "histogram", name, "max", h->max());
+    csv_row(os, "histogram", name, "count", static_cast<double>(h.count()));
+    csv_row(os, "histogram", name, "sum", h.sum());
+    csv_row(os, "histogram", name, "min", h.min());
+    csv_row(os, "histogram", name, "max", h.max());
     std::uint64_t cumulative = 0;
-    const auto& bounds = h->upper_bounds();
-    const auto counts = h->bucket_counts();
+    const auto& bounds = h.upper_bounds();
+    const auto& counts = h.bucket_counts();
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       cumulative += counts[i];
       csv_row(os, "histogram", name, "le_" + fmt(bounds[i]), static_cast<double>(cumulative));

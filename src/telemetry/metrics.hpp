@@ -1,75 +1,45 @@
 // Process-light metrics registry: counters, gauges, log-scale histograms.
 //
 // One MetricsRegistry per experiment run, mirroring the one-Simulator-per-run
-// design — but registries are also safe to share across threads: a
-// Provisioner shared by concurrent callers records into the registry it was
-// given. Instrument sites are wait-free (relaxed atomics); only metric
-// *creation* (the name lookup) takes a mutex, and the returned references
-// stay valid for the registry's lifetime, so hot paths hoist the lookup.
-// Cross-metric reads taken during concurrent writes are each individually
-// atomic but not a consistent snapshot (sum may trail count by an
-// in-flight observation). Metrics are exported in the repo's CSV table
-// format (kind,name,field,value) for external tooling.
+// design. A registry is single-owner: it belongs to the thread that built it
+// and holds no locks (the name lookups check the caller in CYNTHIA_INVARIANTS
+// builds, see util::OwnerThread). The returned references stay valid for the
+// registry's lifetime, so hot paths hoist the lookup. Metrics are exported in
+// the repo's CSV table format (kind,name,field,value) for external tooling.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace cynthia::telemetry {
-
-namespace detail {
-
-/// Relaxed atomic add for doubles (fetch_add on atomic<double> rounds the
-/// same way; the CAS loop spelling works on every supported toolchain).
-inline void atomic_add(std::atomic<double>& target, double amount) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + amount, std::memory_order_relaxed)) {
-  }
-}
-
-inline void atomic_min(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-  }
-}
-
-inline void atomic_max(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (value > current &&
-         !target.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace detail
 
 /// Monotonically increasing value (events fired, seconds accumulated).
 class Counter {
  public:
   void inc(double amount = 1.0) {
-    if (amount > 0.0) detail::atomic_add(value_, amount);
+    if (amount > 0.0) value_ += amount;
   }
-  [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
+  [[nodiscard]] double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Last-write-wins instantaneous value (utilization, staleness, dollars).
 class Gauge {
  public:
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
-  [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
+  void set(double value) { value_ = value; }
+  [[nodiscard]] double value() const { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Fixed log-scale bucket layout: upper bounds at lowest_bound * growth^i.
@@ -81,27 +51,22 @@ struct HistogramOptions {
 
 /// Histogram over fixed log-scale buckets (latencies span decades, so linear
 /// buckets would waste resolution at one end; the layout is fixed up front
-/// so merging/export never rebuckets). observe() is wait-free.
+/// so merging/export never rebuckets).
 class Histogram {
  public:
   explicit Histogram(HistogramOptions options = {});
 
   void observe(double value);
 
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double min() const {
-    return count() ? min_.load(std::memory_order_relaxed) : 0.0;
-  }
-  [[nodiscard]] double max() const {
-    return count() ? max_.load(std::memory_order_relaxed) : 0.0;
-  }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double sum() const { return sum_; }
+  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
+  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
 
   /// Finite bucket upper bounds, ascending; size == options.bucket_count.
   [[nodiscard]] const std::vector<double>& upper_bounds() const { return bounds_; }
-  /// Snapshot of per-bucket counts; size == bucket_count + 1, last entry is
-  /// overflow. Copied out so readers never race a concurrent observe().
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// Per-bucket counts; size == bucket_count + 1, last entry is overflow.
+  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
 
   /// Approximate quantile (q in [0,1]) from the bucket layout: finds the
   /// bucket holding the q-th observation and interpolates linearly inside
@@ -117,16 +82,16 @@ class Histogram {
 
  private:
   std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size() + 1 slots
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_;
-  std::atomic<double> max_;
+  std::vector<std::uint64_t> counts_;  ///< bounds_.size() + 1 slots
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Name -> metric map with stable references (node-based storage) and
-/// deterministic (sorted) export order. Lookups lock; the returned metric
-/// objects are lock-free and remain valid for the registry's lifetime.
+/// deterministic (sorted) export order. The returned metric objects remain
+/// valid for the registry's lifetime.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
@@ -149,10 +114,10 @@ class MetricsRegistry {
   void write_csv_file(const std::string& path) const;
 
  private:
-  mutable std::mutex mutex_;  ///< guards the maps, not the metrics
+  util::OwnerThread owner_;
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace cynthia::telemetry

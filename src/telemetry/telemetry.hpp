@@ -3,10 +3,9 @@
 // A Telemetry* is nullable everywhere it is accepted (TrainOptions,
 // ClusterManager): nullptr — the default — means every instrument site is a
 // single pointer test and the run behaves byte-identically to an
-// uninstrumented build. One Telemetry per run, like one Simulator per run;
-// the metrics side is nevertheless thread-safe (wait-free instrument
-// sites) so concurrent callers may share one registry. The tracer remains
-// single-threaded — keep one Tracer per run.
+// uninstrumented build. One Telemetry per run, like one Simulator per run,
+// and one owner: the registry, tracer and journal belong to the thread that
+// built the bundle, so concurrent runs each build their own.
 //
 // Layer conventions (what the instrumented code records):
 //   * ddnn::trainer — spans "compute"/"barrier"/"wait" on track "wk<j>.cpu",

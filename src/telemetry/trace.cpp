@@ -6,7 +6,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "util/check.hpp"
 #include "util/csv.hpp"
 
 namespace cynthia::telemetry {
@@ -65,12 +64,6 @@ int Tracer::track_id(const std::string& track) {
   return id;
 }
 
-void Tracer::assert_owning_thread() const {
-  CYNTHIA_DCHECK(std::this_thread::get_id() == owner_,
-                 "Tracer is single-threaded: recording from thread ",
-                 std::this_thread::get_id(), " but owned by thread ", owner_);
-}
-
 bool Tracer::admit() {
   if (events_.size() >= kMaxEvents) {
     ++dropped_;
@@ -81,7 +74,7 @@ bool Tracer::admit() {
 
 void Tracer::span(const std::string& track, std::string name, std::string category, double t0,
                   double t1) {
-  assert_owning_thread();
+  owner_.check("Tracer");
   if (!admit()) return;
   TraceEvent e;
   e.kind = TraceEvent::Kind::Span;
@@ -94,7 +87,7 @@ void Tracer::span(const std::string& track, std::string name, std::string catego
 }
 
 void Tracer::instant(const std::string& track, std::string name, std::string category, double t) {
-  assert_owning_thread();
+  owner_.check("Tracer");
   if (!admit()) return;
   TraceEvent e;
   e.kind = TraceEvent::Kind::Instant;

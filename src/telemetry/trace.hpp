@@ -11,8 +11,9 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "util/check.hpp"
 
 namespace cynthia::telemetry {
 
@@ -29,11 +30,10 @@ struct TraceEvent {
   double duration = 0.0; ///< spans only
 };
 
-/// Single-threaded by contract: unlike the wait-free metrics, the tracer
-/// belongs to the thread that constructed it. The contract is enforced —
-/// every recording call CYNTHIA_DCHECKs the caller against the owning
-/// thread id captured at construction, so cross-thread misuse fails loudly
-/// under CYNTHIA_INVARIANTS builds instead of silently corrupting traces.
+/// Single-owner, like the metrics registry: the tracer belongs to the thread
+/// that constructed it, and every recording call checks the caller against
+/// that thread (util::OwnerThread), so cross-thread misuse fails loudly in
+/// CYNTHIA_INVARIANTS builds instead of silently corrupting traces.
 class Tracer {
  public:
   /// Records a span on `track` covering [t0, t1] in simulation seconds.
@@ -48,7 +48,7 @@ class Tracer {
   /// on separate simulation clocks (provisioning, then training) compose
   /// into one sequential timeline.
   void set_time_offset(double seconds) {
-    assert_owning_thread();
+    owner_.check("Tracer");
     offset_ = seconds;
   }
   [[nodiscard]] double time_offset() const { return offset_; }
@@ -81,11 +81,10 @@ class Tracer {
   std::map<std::string, int> track_ids_;
   double offset_ = 0.0;
   std::size_t dropped_ = 0;
-  std::thread::id owner_ = std::this_thread::get_id();
+  util::OwnerThread owner_;
 
   int track_id(const std::string& track);
   bool admit();
-  void assert_owning_thread() const;
 };
 
 }  // namespace cynthia::telemetry

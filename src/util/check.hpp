@@ -28,6 +28,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace cynthia::util {
 
@@ -39,9 +40,8 @@ class CheckFailure : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Whether CYNTHIA_CHECK conditions are evaluated. Relaxed atomic: the flag
-/// is set once at startup (env/CLI), before any caller shares work across
-/// threads.
+/// Whether CYNTHIA_CHECK conditions are evaluated. A process-wide relaxed
+/// atomic, so every thread may read it; set it at startup (env/CLI).
 bool invariants_enabled();
 void set_invariants_enabled(bool enabled);
 
@@ -82,3 +82,24 @@ std::string format_check_message(const Args&... args) {
     (void)sizeof(!(cond));        \
   } while (0)
 #endif
+
+namespace cynthia::util {
+
+/// The thread that constructed a single-owner instance (Provisioner and its
+/// cache, MetricsRegistry, Tracer). Those types hold no locks: an instance
+/// belongs to one thread, and each thread builds its own. check() enforces
+/// that in CYNTHIA_INVARIANTS builds, where a call from another thread throws
+/// CheckFailure; elsewhere it compiles to nothing.
+class OwnerThread {
+ public:
+  void check([[maybe_unused]] const char* type) const {
+    CYNTHIA_DCHECK(std::this_thread::get_id() == id_, type,
+                   " is single-owner: called from thread ", std::this_thread::get_id(),
+                   " but owned by thread ", id_);
+  }
+
+ private:
+  std::thread::id id_ = std::this_thread::get_id();
+};
+
+}  // namespace cynthia::util

@@ -7,6 +7,7 @@
 // recovery controller's repair-in-place and elastic re-planning policies.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "cloud/instance.hpp"
@@ -89,6 +90,29 @@ TEST(FaultSchedule, GenerateIsBitIdenticalForSeed) {
   EXPECT_EQ(a.digest(), b.digest());
   const auto c = cf::FaultSchedule::generate(rates, 7200.0, 8, 2, 43);
   EXPECT_NE(a.digest(), c.digest()) << "different seed should move the timeline";
+}
+
+TEST(FaultSchedule, GenerateRejectsNonFiniteHorizonAndBadRates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  cf::FaultRates rates;
+  rates.crash_per_hour = 4.0;
+  for (const double horizon : {inf, nan, -1.0}) {
+    EXPECT_THROW(cf::FaultSchedule::generate(rates, horizon, 4, 1, 7), std::invalid_argument)
+        << "horizon " << horizon;
+  }
+  for (double cf::FaultRates::*rate :
+       {&cf::FaultRates::crash_per_hour, &cf::FaultRates::slowdown_per_hour,
+        &cf::FaultRates::nic_per_hour, &cf::FaultRates::blip_per_hour}) {
+    for (const double bad : {inf, nan, -1.0}) {
+      cf::FaultRates r;
+      r.*rate = bad;
+      EXPECT_THROW(cf::FaultSchedule::generate(r, 3600.0, 4, 1, 7), std::invalid_argument)
+          << "rate " << bad;
+    }
+  }
+  // Zero rates over a zero horizon stay valid: no faults.
+  EXPECT_TRUE(cf::FaultSchedule::generate({}, 0.0, 4, 1, 7).empty());
 }
 
 TEST(FaultSchedule, ParseToStringRoundTrips) {

@@ -4,20 +4,27 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cloud/instance.hpp"
 #include "cloud/pricing.hpp"
+#include "core/predictor.hpp"
+#include "core/provisioner.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 #include "util/check.hpp"
 
 namespace cd = cynthia::ddnn;
 namespace cc = cynthia::cloud;
+namespace co = cynthia::core;
 namespace cs = cynthia::sim;
+namespace ct = cynthia::telemetry;
 namespace cu = cynthia::util;
 
 namespace {
@@ -105,6 +112,46 @@ TEST(CynthiaCheck, DcheckMatchesBuildConfiguration) {
 #else
   EXPECT_EQ(evaluations, 0) << "default builds compile DCHECKs out";
   EXPECT_NO_THROW(CYNTHIA_DCHECK(false));
+#endif
+}
+
+// ------------------------------------------------ single-owner instances
+
+TEST(CynthiaCheck, SingleOwnerInstancesRejectOtherThreads) {
+#ifdef CYNTHIA_INVARIANTS
+  ScopedInvariants on(true);
+  const auto& w = cd::workload_by_name("cifar10");
+  const co::Predictor pred = co::Predictor::build(w, m4());
+  const co::Provisioner prov(pred.model(), pred.loss(), cc::Catalog::aws().provisionable());
+  ct::MetricsRegistry registry;
+  ct::Tracer tracer;
+  const co::ProvisionGoal goal{cu::minutes(90), 0.8};
+  auto throws = [](auto&& call) {
+    try {
+      call();
+    } catch (const cu::CheckFailure&) {
+      return true;
+    }
+    return false;
+  };
+  bool plan = false, replan = false, lookup = false, record = false;
+  std::thread other([&] {
+    plan = throws([&] { (void)prov.plan(w.sync, goal); });
+    replan = throws([&] { (void)prov.replan(w.sync, 2000, cu::minutes(45)); });
+    lookup = throws([&] { registry.counter("x"); });
+    record = throws([&] { tracer.span("track", "span", "cat", 0.0, 1.0); });
+  });
+  other.join();
+  EXPECT_TRUE(plan);
+  EXPECT_TRUE(replan);
+  EXPECT_TRUE(lookup);
+  EXPECT_TRUE(record);
+  // The owning thread is unaffected.
+  EXPECT_TRUE(prov.plan(w.sync, goal).feasible);
+  EXPECT_NO_THROW(registry.counter("x"));
+  EXPECT_NO_THROW(tracer.span("track", "span", "cat", 0.0, 1.0));
+#else
+  GTEST_SKIP() << "owner checks compile out unless CYNTHIA_INVARIANTS is defined";
 #endif
 }
 

@@ -7,16 +7,21 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "cloud/instance.hpp"
 #include "cloud/pricing.hpp"
+#include "core/predictor.hpp"
+#include "core/provisioner.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
+#include "faults/fault_spec.hpp"
 #include "orchestrator/cluster_manager.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -465,4 +470,89 @@ TEST(OrchestratorTelemetry, JoinFailuresCountRetries) {
   manager.launch(Catalog::aws().at("m4.xlarge"), 1);
   EXPECT_FALSE(manager.wait_all_ready());
   EXPECT_DOUBLE_EQ(tel.metrics.counter_value(ct::metric::kJoinRetries), 1.0);
+}
+
+// ------------------------------------------------------- pinned CSV export
+//
+// The tests above check each layer's metrics by shape. This one pins the
+// exact CSV that one registry holds after a BSP run, an ASP run under
+// faults, a deploy and a few planner calls (both prediction-cache tiers),
+// so a change to how metrics store or combine values shows up here. The
+// planner.plan_seconds rows hold wall-clock latencies and are left out.
+
+namespace {
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// write_csv output without the rows of metric `skip`.
+std::string csv_without(const ct::MetricsRegistry& m, const std::string& skip) {
+  std::ostringstream os;
+  m.write_csv(os);
+  std::istringstream in(os.str());
+  std::string kept, line;
+  while (std::getline(in, line)) {
+    if (line.find(',' + skip + ',') == std::string::npos) kept += line + '\n';
+  }
+  return kept;
+}
+
+}  // namespace
+
+TEST(Metrics, PinnedCsvDigest) {
+  namespace co = cynthia::core;
+  const auto& m4 = Catalog::aws().at("m4.xlarge");
+  ct::Telemetry tel;
+  straggler_run(&tel);  // BSP
+
+  auto asp = cd::workload_by_name("mnist");
+  asp.sync = cd::SyncMode::ASP;
+  const auto schedule = cynthia::faults::FaultSchedule::parse("slow:wk0@0.1x3+0.2;crash:wk1@0.3+0.1");
+  cd::TrainOptions o;
+  o.iterations = 120;
+  o.telemetry = &tel;
+  o.faults = &schedule;
+  ASSERT_GT(cd::run_training(cd::ClusterSpec::homogeneous(m4, 4, 1), asp, o).faults.injected, 0);
+
+  cynthia::sim::Simulator sim;
+  cynthia::cloud::BillingMeter billing;
+  cynthia::orch::ClusterManager manager(sim, billing);
+  manager.set_telemetry(&tel);
+  co::ProvisionPlan shape;
+  shape.feasible = true;
+  shape.type = m4;
+  shape.n_workers = 3;
+  shape.n_ps = 1;
+  ASSERT_TRUE(manager.deploy(shape).active);
+
+  const auto& w = cd::workload_by_name("cifar10");
+  const co::Predictor pred = co::Predictor::build(w, m4);
+  co::Provisioner prov(pred.model(), pred.loss(), Catalog::aws().provisionable());
+  prov.set_metrics(&tel.metrics);
+  const co::ProvisionGoal goal{cynthia::util::minutes(90), 0.8};
+  ASSERT_TRUE(prov.plan(w.sync, goal).feasible);
+  ASSERT_TRUE(prov.plan(w.sync, goal).feasible);  // answered from the warm cache
+  // 13 PS lies past the cache's flat table: the map tier answers.
+  EXPECT_GT(prov.plan(w.sync, {cynthia::util::minutes(5), 2.0}).n_ps, 8);
+  ASSERT_TRUE(prov.replan(w.sync, 2000, cynthia::util::minutes(45)).feasible);
+
+  // Ties with a bound, underflow, overflow and NaN, as the instrument sees them.
+  ct::Histogram& h = tel.metrics.histogram("pin.values", {0.5, 2.0, 4});
+  for (const double v : {0.5, 0.75, 4.0, 100.0, -3.0, 0.75,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    h.observe(v);
+  }
+
+  const std::string csv = csv_without(tel.metrics, ct::metric::kPlannerPlanSeconds);
+  ASSERT_NE(csv.find("gauge,planner.cache_hits,value,"), std::string::npos);
+  char digest[19];
+  std::snprintf(digest, sizeof digest, "0x%016llx",
+                static_cast<unsigned long long>(fnv1a(csv)));
+  EXPECT_STREQ(digest, "0x00fa2adb03df521e") << csv;
 }
