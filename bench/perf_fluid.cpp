@@ -6,6 +6,7 @@
 // (tests/fluid_incremental_test.cpp); a completion-time digest is still
 // cross-checked here so a future regression cannot silently publish a
 // bogus speedup.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +44,11 @@ struct ChurnResult {
   std::uint64_t digest = 0xCBF29CE484222325ULL;
 };
 
+// Per-worker churn volumes; they vary per worker so completions interleave
+// rather than tie.
+double compute_volume(int w) { return 40.0 + 0.37 * w; }
+double push_volume(int w) { return 65.0 + 0.53 * w; }
+
 /// The paper's PS-training shape: every worker cycles compute (its own CPU,
 /// a singleton component) -> push (its NIC + the shared PS NIC, one big
 /// component). Each completion triggers a reallocation; the incremental
@@ -60,15 +66,13 @@ ChurnResult run_churn(bool incremental, int n_workers, int rounds) {
   }
 
   ChurnResult out;
-  // Per-worker self-rescheduling cycle; volumes vary per worker so
-  // completions interleave rather than tie.
+  // Per-worker self-rescheduling cycle. The callbacks run after start_round
+  // returns, so they capture nothing of its frame by reference.
   std::function<void(int, int)> start_round = [&](int w, int round) {
     if (round >= rounds) return;
-    const double compute_volume = 40.0 + 0.37 * w;
-    const double push_volume = 65.0 + 0.53 * w;
-    fluid.start_job(compute_volume, {wk_cpu[w]}, [&, w, round](double t_compute) {
+    fluid.start_job(compute_volume(w), {wk_cpu[w]}, [&, w, round](double t_compute) {
       out.digest = fnv1a_double(out.digest, t_compute);
-      fluid.start_job(push_volume, {wk_nic[w], ps_nic}, [&, w, round](double t_push) {
+      fluid.start_job(push_volume(w), {wk_nic[w], ps_nic}, [&, w, round](double t_push) {
         out.digest = fnv1a_double(out.digest, t_push);
         start_round(w, round + 1);
       });
@@ -79,6 +83,15 @@ ChurnResult run_churn(bool incremental, int n_workers, int rounds) {
   for (int w = 0; w < n_workers; ++w) start_round(w, 0);
   sim.run();
   out.wall_seconds = bench::perf::now_seconds() - t0;
+  // Every push crosses the shared PS NIC, so it must have served all of
+  // them; anything else means the churn did not run the workload it claims.
+  double pushed = 0.0;
+  for (int w = 0; w < n_workers; ++w) pushed += rounds * push_volume(w);
+  const double served = fluid.resource_volume_served(ps_nic);
+  if (std::abs(served - pushed) > 1e-9 * pushed) {
+    throw std::logic_error("perf_fluid: PS NIC served " + std::to_string(served) +
+                           " units, expected " + std::to_string(pushed));
+  }
   out.reallocs = fluid.realloc_count();
   out.flows_resolved = fluid.flows_resolved();
   out.flows_avoided = fluid.flows_avoided();

@@ -763,7 +763,8 @@ int cmd_report(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  // Traffic: the --arrival grammar, with --jobs/--seed/--patience overrides.
+  // Traffic: the --arrival grammar, with --jobs/--seed/--patience overrides,
+  // checked again once overridden.
   service::TrafficOptions traffic;
   const std::string arrival = args.text("arrival", "");
   if (!arrival.empty()) traffic = service::TrafficOptions::parse(arrival);
@@ -772,6 +773,7 @@ int cmd_serve(const Args& args) {
   if (const auto patience = args.real("patience", "patience")) {
     traffic.patience = util::minutes(*patience);
   }
+  traffic.validate();
   const auto slo = args.real("slo", "SLO attainment floor");
 
   // Default sized so the stock 1k-job day runs at ~75% utilization with

@@ -1,8 +1,12 @@
 #include "service/traffic.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 #include "util/rng.hpp"
 
@@ -12,19 +16,53 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
 
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const std::string& why) {
+  throw std::invalid_argument("traffic: bad " + key + " '" + value + "': " + why);
+}
+
+/// All of `value` as a T: no sign on an unsigned T, no fraction, no
+/// trailing text, in range.
+template <class T>
+T parse_integer(const std::string& key, const std::string& value) {
+  T out{};
+  const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec == std::errc::result_out_of_range) bad_value(key, value, "out of range");
+  if (ec != std::errc() || end != value.data() + value.size()) {
+    bad_value(key, value, std::is_unsigned_v<T> ? "expected a non-negative integer"
+                                                : "expected an integer");
+  }
+  return out;
+}
+
+/// All of `token` as a finite real; `value` is the text reported on failure.
+double parse_real(const std::string& key, const std::string& value, std::string_view token) {
+  double out = 0.0;
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
+  if (ec != std::errc() || end != token.data() + token.size()) {
+    bad_value(key, value, "expected a number");
+  }
+  if (!std::isfinite(out)) bad_value(key, value, "must be finite");
+  return out;
+}
+
+double parse_real(const std::string& key, const std::string& value) {
+  return parse_real(key, value, value);
+}
+
 /// "30s" / "45m" / "24h" / plain seconds.
-util::Seconds parse_duration(const std::string& text) {
-  if (text.empty()) throw std::invalid_argument("traffic: empty duration");
-  const char suffix = text.back();
+util::Seconds parse_duration(const std::string& key, const std::string& value) {
+  const char suffix = value.empty() ? '\0' : value.back();
   const bool has_suffix = suffix == 's' || suffix == 'm' || suffix == 'h';
-  const double value = std::stod(has_suffix ? text.substr(0, text.size() - 1) : text);
+  const std::string_view number(value.data(), has_suffix ? value.size() - 1 : value.size());
+  const double amount = parse_real(key, value, number);
   switch (suffix) {
     case 'm':
-      return util::minutes(value);
+      return util::minutes(amount);
     case 'h':
-      return util::hours(value);
+      return util::hours(amount);
     default:
-      return util::Seconds{value};
+      return util::Seconds{amount};
   }
 }
 
@@ -38,10 +76,9 @@ std::vector<WorkloadShare> parse_mix(const std::string& text) {
     const auto colon = item.find(':');
     WorkloadShare share;
     share.workload = colon == std::string::npos ? item : item.substr(0, colon);
-    share.weight = colon == std::string::npos ? 1.0 : std::stod(item.substr(colon + 1));
-    if (share.weight <= 0.0) {
-      throw std::invalid_argument("traffic: non-positive mix weight in '" + item + "'");
-    }
+    share.weight = colon == std::string::npos
+                       ? 1.0
+                       : parse_real("mix weight", item, std::string_view(item).substr(colon + 1));
     // Inherit the calibrated goal menu for known workloads; unknown names
     // fail later at service submit with a per-job rejection, not here.
     for (const auto& d : defaults) {
@@ -92,48 +129,58 @@ TrafficOptions TrafficOptions::parse(const std::string& spec) {
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "jobs") {
-        options.jobs = std::stol(value);
-      } else if (key == "horizon") {
-        options.horizon = parse_duration(value);
-      } else if (key == "diurnal") {
-        options.diurnal_amplitude = std::stod(value);
-      } else if (key == "peak") {
-        options.peak_hour = std::stod(value);
-      } else if (key == "seed") {
-        options.seed = static_cast<std::uint64_t>(std::stoull(value));
-      } else if (key == "tenants") {
-        options.tenants = std::stoi(value);
-      } else if (key == "patience") {
-        options.patience = parse_duration(value);
-      } else if (key == "production") {
-        options.production_fraction = std::stod(value);
-      } else if (key == "batch") {
-        options.batch_fraction = std::stod(value);
-      } else if (key == "mix") {
-        options.mix = parse_mix(value);
-      } else {
-        throw std::invalid_argument("traffic: unknown key '" + key + "'");
-      }
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("traffic: bad value in '" + item + "'");
+    if (key == "jobs") {
+      options.jobs = parse_integer<long>(key, value);
+    } else if (key == "horizon") {
+      options.horizon = parse_duration(key, value);
+    } else if (key == "diurnal") {
+      options.diurnal_amplitude = parse_real(key, value);
+    } else if (key == "peak") {
+      options.peak_hour = parse_real(key, value);
+    } else if (key == "seed") {
+      options.seed = parse_integer<std::uint64_t>(key, value);
+    } else if (key == "tenants") {
+      options.tenants = parse_integer<int>(key, value);
+    } else if (key == "patience") {
+      options.patience = parse_duration(key, value);
+    } else if (key == "production") {
+      options.production_fraction = parse_real(key, value);
+    } else if (key == "batch") {
+      options.batch_fraction = parse_real(key, value);
+    } else if (key == "mix") {
+      options.mix = parse_mix(value);
+    } else {
+      throw std::invalid_argument("traffic: unknown key '" + key + "'");
     }
   }
-  if (options.jobs <= 0) throw std::invalid_argument("traffic: jobs must be positive");
-  if (options.horizon.value() <= 0.0) {
-    throw std::invalid_argument("traffic: horizon must be positive");
+  options.validate();
+  return options;
+}
+
+void TrafficOptions::validate() const {
+  // Written so that NaN fails every check: it makes each comparison false.
+  if (jobs <= 0) throw std::invalid_argument("traffic: jobs must be positive");
+  if (!(horizon.value() > 0.0 && std::isfinite(horizon.value()))) {
+    throw std::invalid_argument("traffic: horizon must be finite and positive");
   }
-  if (options.diurnal_amplitude < 0.0 || options.diurnal_amplitude >= 1.0) {
+  if (!(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0)) {
     throw std::invalid_argument("traffic: diurnal amplitude must be in [0, 1)");
   }
-  if (options.production_fraction < 0.0 || options.batch_fraction < 0.0 ||
-      options.production_fraction + options.batch_fraction > 1.0) {
+  if (!std::isfinite(peak_hour)) throw std::invalid_argument("traffic: peak hour must be finite");
+  if (tenants < 1) throw std::invalid_argument("traffic: tenants must be at least 1");
+  if (!(patience.value() >= 0.0 && std::isfinite(patience.value()))) {
+    throw std::invalid_argument("traffic: patience must be finite and >= 0 (0 waits forever)");
+  }
+  if (!(production_fraction >= 0.0 && batch_fraction >= 0.0 &&
+        production_fraction + batch_fraction <= 1.0)) {
     throw std::invalid_argument("traffic: class fractions must be >= 0 and sum <= 1");
   }
-  return options;
+  for (const WorkloadShare& share : mix) {
+    if (!(share.weight > 0.0 && std::isfinite(share.weight))) {
+      throw std::invalid_argument("traffic: mix weight of '" + share.workload +
+                                  "' must be finite and positive");
+    }
+  }
 }
 
 TrafficGenerator::TrafficGenerator(TrafficOptions options) : options_(std::move(options)) {}

@@ -45,15 +45,22 @@ struct TrafficOptions {
   double peak_hour = 14.0;  ///< local hour of the rate maximum
   std::uint64_t seed = 1;
   int tenants = 64;
-  /// Patience every job is submitted with; <= 0 waits forever.
+  /// Patience every job is submitted with; 0 waits forever.
   util::Seconds patience{0.0};
   double production_fraction = 0.2;
   double batch_fraction = 0.3;  ///< remainder is Priority::kStandard
   /// Tenant mix; empty = the calibrated default zoo mix.
   std::vector<WorkloadShare> mix;
 
-  /// Parses the grammar above; throws std::invalid_argument on bad input.
+  /// Parses the grammar above, each value as a whole token, then
+  /// validate()s; throws std::invalid_argument naming the key on bad input.
   static TrafficOptions parse(const std::string& spec);
+
+  /// Throws std::invalid_argument unless every field is in its domain: jobs
+  /// >= 1, a finite positive horizon, a diurnal amplitude in [0, 1), finite
+  /// reals, tenants >= 1, patience >= 0, class fractions >= 0 summing to
+  /// <= 1 and positive mix weights. Call it again after overriding fields.
+  void validate() const;
 };
 
 /// The calibrated default mix (mnist-heavy, with cifar10/vgg19/resnet32

@@ -72,6 +72,7 @@ double FluidSystem::job_remaining(JobId id) const {
 }
 
 double FluidSystem::job_rate(JobId id) const {
+  CYNTHIA_DCHECK(!batching_, "job_rate read inside a completion callback, before the batch solve");
   const Job* j = find_job(id);
   return j ? j->rate : 0.0;
 }
@@ -82,7 +83,11 @@ const std::string& FluidSystem::resource_name(ResourceId id) const {
 
 double FluidSystem::resource_capacity(ResourceId id) const { return resources_.at(id).capacity; }
 
-double FluidSystem::resource_used(ResourceId id) const { return resources_.at(id).used_rate; }
+double FluidSystem::resource_used(ResourceId id) const {
+  CYNTHIA_DCHECK(!batching_,
+                 "resource_used read inside a completion callback, before the batch solve");
+  return resources_.at(id).used_rate;
+}
 
 double FluidSystem::resource_utilization(ResourceId id, double until) const {
   const Resource& r = resources_.at(id);
@@ -192,6 +197,12 @@ std::vector<double> FluidSystem::compute_maxmin_rates() const {
 }
 
 void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
+  if (batching_) {
+    // Inside a completion event's callbacks no simulated time passes, so one
+    // solve after they return gives the rates of solving after each change.
+    pending_.insert(pending_.end(), touched.begin(), touched.end());
+    return;
+  }
   ++realloc_count_;
   if (incremental_ && !touched.empty()) {
     resolve_component(touched);
@@ -220,41 +231,42 @@ void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
 void FluidSystem::resolve_component(const std::vector<ResourceId>& touched) {
   const std::size_t n = jobs_.size();
   const std::size_t nr = resources_.size();
+  SolveScratch& s = scratch_;
 
   // CSR adjacency resource -> crossing job indices: one O(edges) pass, far
   // below the water-filling work it lets us skip.
-  std::vector<std::size_t> head(nr + 1, 0);
+  s.head.assign(nr + 1, 0);
   for (const auto& job : jobs_) {
-    for (ResourceId rid : job.resources) ++head[rid + 1];
+    for (ResourceId rid : job.resources) ++s.head[rid + 1];
   }
-  for (std::size_t r = 0; r < nr; ++r) head[r + 1] += head[r];
-  std::vector<std::size_t> adj(head.back());
-  std::vector<std::size_t> cursor(head.begin(), head.end() - 1);
+  for (std::size_t r = 0; r < nr; ++r) s.head[r + 1] += s.head[r];
+  s.adj.resize(s.head.back());
+  s.cursor.assign(s.head.begin(), s.head.end() - 1);
   for (std::size_t j = 0; j < n; ++j) {
-    for (ResourceId rid : jobs_[j].resources) adj[cursor[rid]++] = j;
+    for (ResourceId rid : jobs_[j].resources) s.adj[s.cursor[rid]++] = j;
   }
 
   // Flood-fill the affected component(s) from the touched resources.
-  std::vector<char> res_in(nr, 0);
-  std::vector<char> job_in(n, 0);
-  std::vector<ResourceId> frontier;
+  s.res_in.assign(nr, 0);
+  s.job_in.assign(n, 0);
+  s.frontier.clear();
   for (ResourceId rid : touched) {
-    if (!res_in[rid]) {
-      res_in[rid] = 1;
-      frontier.push_back(rid);
+    if (!s.res_in[rid]) {
+      s.res_in[rid] = 1;
+      s.frontier.push_back(rid);
     }
   }
-  while (!frontier.empty()) {
-    const ResourceId r = frontier.back();
-    frontier.pop_back();
-    for (std::size_t e = head[r]; e < head[r + 1]; ++e) {
-      const std::size_t j = adj[e];
-      if (job_in[j]) continue;
-      job_in[j] = 1;
+  while (!s.frontier.empty()) {
+    const ResourceId r = s.frontier.back();
+    s.frontier.pop_back();
+    for (std::size_t e = s.head[r]; e < s.head[r + 1]; ++e) {
+      const std::size_t j = s.adj[e];
+      if (s.job_in[j]) continue;
+      s.job_in[j] = 1;
       for (ResourceId rid : jobs_[j].resources) {
-        if (!res_in[rid]) {
-          res_in[rid] = 1;
-          frontier.push_back(rid);
+        if (!s.res_in[rid]) {
+          s.res_in[rid] = 1;
+          s.frontier.push_back(rid);
         }
       }
     }
@@ -262,31 +274,31 @@ void FluidSystem::resolve_component(const std::vector<ResourceId>& touched) {
 
   // Ascending-index member lists keep the freeze/accumulation order equal
   // to the global solver's, independent of flood-fill visit order.
-  std::vector<ResourceId> res_ids;
-  std::vector<std::size_t> job_ids;
+  s.res_ids.clear();
+  s.job_ids.clear();
   for (std::size_t r = 0; r < nr; ++r) {
-    if (res_in[r]) res_ids.push_back(r);
+    if (s.res_in[r]) s.res_ids.push_back(r);
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (job_in[j]) job_ids.push_back(j);
+    if (s.job_in[j]) s.job_ids.push_back(j);
   }
 
   // Progressive water-filling restricted to the component (same arithmetic
   // as compute_maxmin_rates over the affected subset).
-  std::vector<double> rem_cap(nr, 0.0);
-  std::vector<int> unfrozen_on(nr, 0);
-  for (ResourceId r : res_ids) rem_cap[r] = resources_[r].capacity;
-  for (std::size_t j : job_ids) {
-    for (ResourceId rid : jobs_[j].resources) ++unfrozen_on[rid];
+  s.rem_cap.assign(nr, 0.0);
+  s.unfrozen_on.assign(nr, 0);
+  for (ResourceId r : s.res_ids) s.rem_cap[r] = resources_[r].capacity;
+  for (std::size_t j : s.job_ids) {
+    for (ResourceId rid : jobs_[j].resources) ++s.unfrozen_on[rid];
   }
-  std::vector<char> frozen(n, 0);
+  s.frozen.assign(n, 0);
   std::size_t frozen_count = 0;
-  while (frozen_count < job_ids.size()) {
+  while (frozen_count < s.job_ids.size()) {
     double best_share = std::numeric_limits<double>::infinity();
     ResourceId best_r = nr;
-    for (ResourceId r : res_ids) {
-      if (unfrozen_on[r] == 0) continue;
-      const double share = rem_cap[r] / unfrozen_on[r];
+    for (ResourceId r : s.res_ids) {
+      if (s.unfrozen_on[r] == 0) continue;
+      const double share = s.rem_cap[r] / s.unfrozen_on[r];
       if (share < best_share) {
         best_share = share;
         best_r = r;
@@ -294,29 +306,29 @@ void FluidSystem::resolve_component(const std::vector<ResourceId>& touched) {
     }
     if (best_r == nr) break;  // remaining jobs use no resources
     best_share = std::max(0.0, best_share);
-    for (std::size_t j : job_ids) {
-      if (frozen[j]) continue;
+    for (std::size_t j : s.job_ids) {
+      if (s.frozen[j]) continue;
       const auto& rs = jobs_[j].resources;
       if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) continue;
-      frozen[j] = 1;
+      s.frozen[j] = 1;
       ++frozen_count;
       jobs_[j].rate = best_share;
       for (ResourceId rid : rs) {
-        rem_cap[rid] = std::max(0.0, rem_cap[rid] - best_share);
-        --unfrozen_on[rid];
+        s.rem_cap[rid] = std::max(0.0, s.rem_cap[rid] - best_share);
+        --s.unfrozen_on[rid];
       }
     }
   }
 
   // Rebuild used_rate for affected resources only; every job crossing them
   // is affected, so the ascending-index accumulation matches the global one.
-  for (ResourceId r : res_ids) resources_[r].used_rate = 0.0;
-  for (std::size_t j : job_ids) {
+  for (ResourceId r : s.res_ids) resources_[r].used_rate = 0.0;
+  for (std::size_t j : s.job_ids) {
     for (ResourceId rid : jobs_[j].resources) resources_[rid].used_rate += jobs_[j].rate;
   }
 
-  flows_resolved_ += job_ids.size();
-  flows_avoided_ += n - job_ids.size();
+  flows_resolved_ += s.job_ids.size();
+  flows_avoided_ += n - s.job_ids.size();
 }
 
 void FluidSystem::schedule_completion() {
@@ -346,8 +358,8 @@ void FluidSystem::schedule_completion() {
   if (util::invariants_enabled()) verify_allocation();
 }
 
-/// Conservation laws of the max-min allocation, checked after every
-/// reallocate() (i.e. after every settle that changed the job set):
+/// Conservation laws of the max-min allocation, checked after every solve
+/// (including each batched solve that closes a completion event):
 ///   1. rates are finite and non-negative;
 ///   2. flow conservation — the used rate booked on a resource equals the
 ///      sum of the rates of the jobs crossing it, and never exceeds its
@@ -397,27 +409,42 @@ void FluidSystem::on_completion_event() {
   CYNTHIA_CHECK(std::any_of(jobs_.begin(), jobs_.end(),
                             [](const Job& j) { return j.remaining <= kEpsilonVolume; }),
                 "completion event fired with no job drained");
-  // Collect all jobs that finished (ties complete together), remove them
-  // from the active set *before* running callbacks so callbacks observe a
-  // consistent system and may start new jobs.
+  // Move every finished job out (ties complete together) in one pass that
+  // keeps the survivors in order: jobs_ order is the solve order, which
+  // bit-exactness rests on. Callbacks then observe a consistent system and
+  // may start new jobs.
   std::vector<Job> finished;
-  for (auto it = jobs_.begin(); it != jobs_.end();) {
-    if (it->remaining <= kEpsilonVolume) {
-      finished.push_back(std::move(*it));
-      it = jobs_.erase(it);
+  pending_.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    Job& job = jobs_[i];
+    if (job.remaining <= kEpsilonVolume) {
+      pending_.insert(pending_.end(), job.resources.begin(), job.resources.end());
+      finished.push_back(std::move(job));
     } else {
-      ++it;
+      if (kept != i) jobs_[kept] = std::move(job);
+      ++kept;
     }
   }
-  std::vector<ResourceId> touched;
-  for (const Job& job : finished) {
-    touched.insert(touched.end(), job.resources.begin(), job.resources.end());
-  }
-  reallocate(touched);
+  jobs_.resize(kept);
+  // One solve for the whole instant: starts, cancels and capacity changes
+  // made by the callbacks only add their resources to pending_.
+  batching_ = true;
   const double now = sim_->now();
-  for (auto& job : finished) {
-    if (job.on_complete) job.on_complete(now);
+  try {
+    for (auto& job : finished) {
+      if (job.on_complete) job.on_complete(now);
+    }
+  } catch (...) {
+    solve_batch();
+    throw;
   }
+  solve_batch();
+}
+
+void FluidSystem::solve_batch() {
+  batching_ = false;
+  reallocate(pending_);
 }
 
 }  // namespace cynthia::sim

@@ -29,6 +29,18 @@ using JobId = std::uint64_t;
 
 /// Max-min fair fluid system. One instance per experiment; owns its
 /// resources and active jobs and drives itself via the Simulator.
+///
+/// Solves are batched per instant. While a completion event runs the
+/// callbacks of the jobs it finished, start_job, cancel_job and
+/// set_resource_capacity only record the resources they touch; one solve
+/// over all of them follows once the callbacks return, and schedules one
+/// completion event. No simulated time passes inside the callbacks, so the
+/// rates, used rates and completion times equal those of solving after
+/// every change (docs/PERF.md). Contract for reads inside a completion
+/// callback: job_rate and resource_used are not allowed there (they would
+/// see the allocation from before the event; CYNTHIA_DCHECK'd), and every
+/// other reader is exact, because each scales the allocation by the zero
+/// time elapsed since the event settled.
 class FluidSystem {
  public:
   explicit FluidSystem(Simulator& sim) : sim_(&sim) {}
@@ -53,11 +65,13 @@ class FluidSystem {
 
   [[nodiscard]] std::size_t active_jobs() const { return jobs_.size(); }
   [[nodiscard]] double job_remaining(JobId id) const;
+  /// Not callable inside a completion callback (see the class comment).
   [[nodiscard]] double job_rate(JobId id) const;
 
   [[nodiscard]] const std::string& resource_name(ResourceId id) const;
   [[nodiscard]] double resource_capacity(ResourceId id) const;
   /// Currently allocated rate on the resource (after the last reallocation).
+  /// Not callable inside a completion callback (see the class comment).
   [[nodiscard]] double resource_used(ResourceId id) const;
   /// Time-averaged utilization in [0,1] over [0, until].
   [[nodiscard]] double resource_utilization(ResourceId id, double until) const;
@@ -98,8 +112,9 @@ class FluidSystem {
   void set_incremental(bool on) { incremental_ = on; }
   [[nodiscard]] bool incremental() const { return incremental_; }
 
-  /// Reallocation passes performed (every job start/finish/cancel and
-  /// capacity change triggers one).
+  /// Max-min solves performed: one per completion event (covering every
+  /// start, cancel and capacity change its callbacks made), plus one per
+  /// start, cancel or capacity change made outside a completion callback.
   [[nodiscard]] std::size_t realloc_count() const { return realloc_count_; }
   /// Cumulative flows actually re-solved by water-filling across all
   /// reallocations; the global solver re-solves every active flow every
@@ -127,6 +142,16 @@ class FluidSystem {
     std::function<void(double)> on_complete;
   };
 
+  /// resolve_component's working arrays, kept across solves so that a
+  /// steady-state solve allocates nothing (each solve assigns or clears them).
+  struct SolveScratch {
+    std::vector<std::size_t> head, adj, cursor, job_ids;
+    std::vector<ResourceId> frontier, res_ids;
+    std::vector<char> res_in, job_in, frozen;
+    std::vector<double> rem_cap;
+    std::vector<int> unfrozen_on;
+  };
+
   Simulator* sim_;
   std::vector<Resource> resources_;
   std::vector<Job> jobs_;  // insertion order; ids strictly increasing
@@ -138,18 +163,24 @@ class FluidSystem {
   std::size_t realloc_count_ = 0;
   std::uint64_t flows_resolved_ = 0;
   std::uint64_t flows_avoided_ = 0;
+  bool batching_ = false;            // completion callbacks are running
+  std::vector<ResourceId> pending_;  // resources touched in this batch
+  SolveScratch scratch_;
 
   void settle();
   /// Re-runs max-min after an event that touched `touched` resources (job
   /// started/removed there, or capacity changed). Incremental mode
   /// water-fills only the touched connected component; an empty list (or
-  /// incremental off) solves globally.
+  /// incremental off) solves globally. Inside a batch it only appends
+  /// `touched` to pending_.
   void reallocate(const std::vector<ResourceId>& touched);
   void resolve_component(const std::vector<ResourceId>& touched);
   /// Reschedules the next completion event from the current rates and
   /// checks the starvation invariant (shared tail of every reallocation).
   void schedule_completion();
   void on_completion_event();
+  /// Closes the batch and solves once over pending_.
+  void solve_batch();
   void verify_allocation() const;
   [[nodiscard]] std::vector<double> compute_maxmin_rates() const;
   [[nodiscard]] const Job* find_job(JobId id) const;

@@ -366,3 +366,153 @@ TEST(Determinism, PinnedSentinelDigests) {
     EXPECT_EQ(hex(sentinel_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
   }
 }
+
+// --------------------------------------------------- pinned trainer digests
+//
+// The job digests above reach the trainer only through the orchestrator, and
+// none of them runs SSP or the pipelined pushes that start the most flows per
+// completion. These pin run_training itself: the paper's four workloads x
+// {BSP, ASP, SSP} x three cluster shapes (one with two PS shards, one with
+// stragglers), each fault-free and under one mixed fault schedule, plus one
+// unpipelined run, one under an acting monitor and one with ingress tracing.
+
+namespace {
+
+constexpr long kPinnedIterations = 120;
+
+/// Excludes the last worker (replaced 5 s later) at its 10th probe, and
+/// downgrades a BSP run to SSP at its 30th.
+class ScriptedMonitor : public cd::TrainingMonitor {
+ public:
+  cd::MonitorAction observe(const cd::HealthProbe& probe) override {
+    cd::MonitorAction action;
+    ++probes_;
+    if (probes_ == 10) {
+      action.kind = cd::MonitorAction::Kind::kExcludeWorker;
+      action.target = static_cast<int>(probe.worker_busy_seconds.size()) - 1;
+      action.replacement_after_seconds = 5.0;
+      action.reason = "scripted-exclude";
+    } else if (probes_ == 30 && probe.mode == cd::SyncMode::BSP) {
+      action.kind = cd::MonitorAction::Kind::kDowngradeSsp;
+      action.staleness_bound = 2;
+      action.reason = "scripted-downgrade";
+    }
+    return action;
+  }
+
+ private:
+  int probes_ = 0;
+};
+
+/// One schedule mixing every fault kind, timed as fractions of the run's
+/// fault-free length `t` so each event lands inside every run: a worker
+/// slowdown, a PS NIC degradation, a replaced worker crash, a worker blip and
+/// a replaced PS crash (which rolls back to the last checkpoint).
+cf::FaultSchedule mixed_faults(double t) {
+  std::vector<cf::FaultSpec> events(5);
+  events[0].kind = cf::FaultKind::kSlowdown;
+  events[0].target = 0;
+  events[0].time_seconds = 0.15 * t;
+  events[0].slowdown_factor = 3.0;
+  events[0].recovery_seconds = 0.3 * t;
+  events[1].kind = cf::FaultKind::kNicDegradation;
+  events[1].on_ps = true;
+  events[1].time_seconds = 0.25 * t;
+  events[1].degraded_fraction = 0.25;
+  events[1].recovery_seconds = 0.3 * t;
+  events[2].kind = cf::FaultKind::kCrash;
+  events[2].target = 1;
+  events[2].time_seconds = 0.4 * t;
+  events[2].recovery_seconds = 0.15 * t;
+  events[3].kind = cf::FaultKind::kTransientBlip;
+  events[3].target = 2;
+  events[3].time_seconds = 0.55 * t;
+  events[3].slowdown_factor = 50.0;
+  events[3].recovery_seconds = 0.05 * t;
+  events[4].kind = cf::FaultKind::kCrash;
+  events[4].on_ps = true;
+  events[4].time_seconds = 0.7 * t;
+  events[4].recovery_seconds = 0.05 * t;
+  return cf::FaultSchedule(std::move(events));
+}
+
+std::uint64_t train_digest(const cd::TrainResult& r) { return Fold().add(r).value(); }
+
+}  // namespace
+
+TEST(Determinism, PinnedTrainDigests) {
+  // Grid order: workload, mode, shape; fault-free then faulted per cell.
+  const std::uint64_t grid[] = {
+      0x8a8b14fef93b7b99ull, 0x65af0abb748dd1baull, 0x6ae9d9bd6611faebull, 0x5ec111365f6be1ceull,
+      0x5ee41ec2dbaa5230ull, 0x9ee378c0d6b09c39ull, 0x0cf9665a10340a51ull, 0xad0e255716a53ec0ull,
+      0xf30491245fab6e3cull, 0xfbf61b63c348145cull, 0x2686e48e00789cbbull, 0x8bcbb56001fd077full,
+      0x847830e59f3ad84cull, 0x86deb5eae5c26145ull, 0x5980b94b7f777f03ull, 0x60bc8eed50b4c88bull,
+      0x445d87503ff6084eull, 0xc7ff5039b2479df0ull, 0xb7db7c53bf849f5bull, 0x269788528b309c8full,
+      0xd4f79560e69fa01full, 0xd37325768b633636ull, 0x3183b50696c801fbull, 0xb7a9198dbc72bf96ull,
+      0x7785ce4a13dbb6ebull, 0x6809b4fa07f41f13ull, 0x32c00b0c7c89b274ull, 0x22040a2e70c31b0cull,
+      0xa0db2bcafa3ce687ull, 0xc7ea3cf7bb91be89ull, 0xf9728f6c2500c338ull, 0x60565f97b0206ee4ull,
+      0x85df6759897c75f7ull, 0x03e7a97f4004db0aull, 0x6455188fb526003cull, 0x9ad09268bcbbc0f5ull,
+      0xe5f49a8a19e78ae2ull, 0x2f67dbb50b22c973ull, 0xbe3be5ef60669a18ull, 0xd629b3f2e4a3a423ull,
+      0x56242060c9115b64ull, 0xe367d78eebdea139ull, 0x22ce02f37d103054ull, 0x24a5630450305e37ull,
+      0xa25d17a390f7b629ull, 0xe14135f6e796521bull, 0x33606c883c422ce0ull, 0x39b3fdd23229efd7ull,
+      0x8a1b9f2bccda9fe8ull, 0x442cce4e8aa5fe35ull, 0x3a6f1325bc3bc492ull, 0xd9c2eac4736a07bbull,
+      0xad92ed7fd5a412e5ull, 0x23c3c5ed7d776f90ull, 0x88944d94bca23384ull, 0x64e9b8418260d7f1ull,
+      0x9174c21cb385ae74ull, 0x595b1f663510af88ull, 0x0f3c0bf1a4556216ull, 0xdb6b99d2f77826a1ull,
+      0xcb92d9566e90cf7full, 0xc571683c555d37e2ull, 0xfa7fda1a49820e20ull, 0x66d4094cd01cedddull,
+      0xeb9587c979a8c9b1ull, 0x95343dac8fdf0ff1ull, 0xa82fc3b38cc23540ull, 0x14a680d9b4006944ull,
+      0x06eed98cadd8716bull, 0xe3abc5f8a8b69e35ull, 0x1649412391c6db0eull, 0xb201264175e605d9ull,
+  };
+  const cc::InstanceType& m1 = cc::Catalog::aws().at("m1.xlarge");
+  const cd::ClusterSpec shapes[] = {cd::ClusterSpec::homogeneous(m4(), 4, 1),
+                                    cd::ClusterSpec::homogeneous(m4(), 6, 2),
+                                    cd::ClusterSpec::with_stragglers(m4(), m1, 6, 1)};
+  const char* shape_names[] = {"m4 4+1", "m4 6+2", "stragglers 6+1"};
+  std::size_t i = 0;
+  for (const char* workload : {"mnist", "cifar10", "resnet32", "vgg19"}) {
+    for (const cd::SyncMode mode : {cd::SyncMode::BSP, cd::SyncMode::ASP, cd::SyncMode::SSP}) {
+      cd::WorkloadSpec w = cd::workload_by_name(workload);
+      w.sync = mode;
+      for (std::size_t s = 0; s < std::size(shapes); ++s) {
+        const std::string label =
+            std::string(workload) + " " + cd::to_string(mode) + " " + shape_names[s];
+        cd::TrainOptions o;
+        o.iterations = kPinnedIterations;
+        const auto clean = cd::run_training(shapes[s], w, o);
+        const cf::FaultSchedule schedule = mixed_faults(clean.total_time);
+        o.faults = &schedule;
+        const auto faulted = cd::run_training(shapes[s], w, o);
+        ASSERT_GT(faulted.faults.injected, 0) << label;
+        EXPECT_EQ(hex(train_digest(clean)), hex(grid[i++])) << label;
+        EXPECT_EQ(hex(train_digest(faulted)), hex(grid[i++])) << label << " + faults";
+      }
+    }
+  }
+  ASSERT_EQ(i, std::size(grid));
+
+  const auto& cifar10 = cd::workload_by_name("cifar10");
+  cd::TrainOptions unpipelined;
+  unpipelined.iterations = kPinnedIterations;
+  unpipelined.comm_pipeline_blocks = 1;
+  EXPECT_EQ(hex(train_digest(cd::run_training(shapes[1], cifar10, unpipelined))),
+            hex(0xe39effe8366d053aull))
+      << "comm_pipeline_blocks = 1";
+
+  ScriptedMonitor monitor;
+  cd::TrainOptions monitored;
+  monitored.iterations = kPinnedIterations;
+  monitored.monitor = &monitor;
+  const auto acted = cd::run_training(shapes[2], cifar10, monitored);
+  ASSERT_FALSE(acted.monitor.exclusions.empty());
+  ASSERT_TRUE(acted.monitor.downgraded);
+  EXPECT_EQ(hex(train_digest(acted)), hex(0x439d2290d3978a0aull)) << "acting monitor";
+
+  cd::TrainOptions traced;
+  traced.iterations = kPinnedIterations;
+  traced.trace_bucket_seconds = 0.5;
+  const auto ingress = cd::run_training(shapes[1], cd::workload_by_name("vgg19"), traced);
+  ASSERT_FALSE(ingress.ps_ingress_trace.empty());
+  Fold f;
+  f.add(ingress);
+  for (const cu::TimeBucket& b : ingress.ps_ingress_trace) f.add(b.start).add(b.width).add(b.value);
+  EXPECT_EQ(hex(f.value()), hex(0xd5e440b4a65ce218ull)) << "trace_bucket_seconds = 0.5";
+}

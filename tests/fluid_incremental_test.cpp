@@ -185,3 +185,51 @@ TEST(FluidIncremental, RunTwiceDigestDeterminism) {
   EXPECT_EQ(first.fluid.flows_resolved(), second.fluid.flows_resolved());
   EXPECT_EQ(first.fluid.flows_avoided(), second.fluid.flows_avoided());
 }
+
+TEST(FluidIncremental, BatchedEventMatchesFreshSolve) {
+  // One completion callback starts three jobs, cancels one of them and
+  // degrades the PS NIC. The event's single solve must leave exactly the
+  // allocation of a fresh system that starts the survivors directly, in the
+  // same order and with their remaining volumes, on the new capacity.
+  constexpr int kWorkers = 4;
+  constexpr double kDegradedPsNic = 90.0;
+  for (const bool incremental : {true, false}) {
+    Rig rig(incremental, kWorkers);
+    std::vector<cs::JobId> survivors = {
+        rig.fluid.start_job(500.0, {rig.wk_nic[1], rig.ps_nic}, [](double) {}),
+        rig.fluid.start_job(300.0, {rig.wk_cpu[2]}, [](double) {}),
+        rig.fluid.start_job(400.0, {rig.wk_nic[2], rig.ps_nic}, [](double) {}),
+    };
+    bool fired = false;
+    rig.fluid.start_job(1.0, {rig.wk_cpu[0]}, [&](double) {
+      fired = true;
+      survivors.push_back(rig.fluid.start_job(80.0, {rig.wk_nic[0], rig.ps_nic}, [](double) {}));
+      const cs::JobId cancelled = rig.fluid.start_job(30.0, {rig.wk_cpu[0]}, [](double) {});
+      survivors.push_back(rig.fluid.start_job(60.0, {rig.wk_nic[3], rig.ps_nic}, [](double) {}));
+      rig.fluid.cancel_job(cancelled);
+      rig.fluid.set_resource_capacity(rig.ps_nic, kDegradedPsNic);
+    });
+
+    const std::size_t reallocs_before = rig.fluid.realloc_count();
+    ASSERT_TRUE(rig.sim.step());  // the 1-unit job finishes first
+    ASSERT_TRUE(fired) << "incremental=" << incremental;
+    EXPECT_EQ(rig.fluid.realloc_count(), reallocs_before + 1) << "incremental=" << incremental;
+    ASSERT_EQ(rig.fluid.active_jobs(), survivors.size());
+
+    Rig fresh(incremental, kWorkers);
+    fresh.fluid.set_resource_capacity(fresh.ps_nic, kDegradedPsNic);
+    const std::vector<std::vector<cs::ResourceId>> routes = {
+        {fresh.wk_nic[1], fresh.ps_nic}, {fresh.wk_cpu[2]}, {fresh.wk_nic[2], fresh.ps_nic},
+        {fresh.wk_nic[0], fresh.ps_nic}, {fresh.wk_nic[3], fresh.ps_nic}};
+    std::vector<cs::JobId> fresh_ids;
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      fresh_ids.push_back(
+          fresh.fluid.start_job(rig.fluid.job_remaining(survivors[i]), routes[i], [](double) {}));
+    }
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      EXPECT_EQ(rig.fluid.job_rate(survivors[i]), fresh.fluid.job_rate(fresh_ids[i]))
+          << "job " << i << ", incremental=" << incremental;
+    }
+    expect_same_resource_state(rig, fresh);
+  }
+}

@@ -192,6 +192,28 @@ TEST(Invariants, FluidSolverConservesFlowUnderChecks) {
   EXPECT_EQ(done, 2);
 }
 
+TEST(Invariants, FluidRateReadInsideCompletionCallbackIsRejected) {
+#ifdef CYNTHIA_INVARIANTS
+  // Inside a completion callback the event's batch is still open, so a rate
+  // read would see the allocation from before the event (fluid.hpp).
+  ScopedInvariants on(true);
+  cs::Simulator sim;
+  cs::FluidSystem fs(sim);
+  const auto cpu = fs.add_resource("cpu", 2.0);
+  cs::JobId started = 0;
+  fs.start_job(1.0, {cpu}, [&](double) {
+    started = fs.start_job(4.0, {cpu}, nullptr);
+    (void)fs.job_rate(started);
+  });
+  EXPECT_THROW(sim.run(), cu::CheckFailure);
+  // The throw still closed the batch: the started job was solved.
+  EXPECT_EQ(fs.job_rate(started), 2.0);
+  EXPECT_EQ(fs.resource_used(cpu), 2.0);
+#else
+  GTEST_SKIP() << "CYNTHIA_DCHECK is compiled out without CYNTHIA_INVARIANTS";
+#endif
+}
+
 TEST(Invariants, BillingMeterMonotonicityHolds) {
   ScopedInvariants on(true);
   cc::BillingMeter meter;

@@ -302,6 +302,69 @@ TEST(Traffic, ParseGrammar) {
   EXPECT_THROW(cs::TrafficOptions::parse("nonsense=1"), std::invalid_argument);
 }
 
+namespace {
+
+/// The message TrafficOptions::parse rejects `spec` with ("" if accepted).
+std::string traffic_error(const std::string& spec) {
+  try {
+    (void)cs::TrafficOptions::parse(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+// The traffic grammar fails closed: each value is read as a whole token, and
+// the error names the key.
+TEST(Traffic, RejectsTrailingText) {
+  EXPECT_EQ(traffic_error("jobs=5abc,horizon=1h"),
+            "traffic: bad jobs '5abc': expected an integer");
+  EXPECT_EQ(traffic_error("diurnal=0.5x"), "traffic: bad diurnal '0.5x': expected a number");
+  EXPECT_EQ(traffic_error("horizon=2hh"), "traffic: bad horizon '2hh': expected a number");
+  EXPECT_EQ(traffic_error("jobs=99999999999999999999"),
+            "traffic: bad jobs '99999999999999999999': out of range");
+}
+
+TEST(Traffic, RejectsNonFiniteReals) {
+  EXPECT_EQ(traffic_error("diurnal=nan"), "traffic: bad diurnal 'nan': must be finite");
+  EXPECT_EQ(traffic_error("peak=nan"), "traffic: bad peak 'nan': must be finite");
+  EXPECT_EQ(traffic_error("production=nan"), "traffic: bad production 'nan': must be finite");
+  EXPECT_EQ(traffic_error("horizon=infh"), "traffic: bad horizon 'infh': must be finite");
+  EXPECT_EQ(traffic_error("mix=mnist:nan"), "traffic: bad mix weight 'mnist:nan': must be finite");
+  // Finite text that overflows once scaled to seconds.
+  EXPECT_EQ(traffic_error("horizon=1e306h"), "traffic: horizon must be finite and positive");
+}
+
+TEST(Traffic, RejectsTenantsBelowOne) {
+  EXPECT_EQ(traffic_error("tenants=0"), "traffic: tenants must be at least 1");
+  EXPECT_EQ(traffic_error("tenants=-3"), "traffic: tenants must be at least 1");
+}
+
+TEST(Traffic, RejectsSignedSeed) {
+  EXPECT_EQ(traffic_error("seed=-1"), "traffic: bad seed '-1': expected a non-negative integer");
+  EXPECT_EQ(cs::TrafficOptions::parse("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+}
+
+TEST(Traffic, RejectsNegativePatience) {
+  EXPECT_EQ(traffic_error("patience=-5m"),
+            "traffic: patience must be finite and >= 0 (0 waits forever)");
+  EXPECT_EQ(cs::TrafficOptions::parse("patience=0").patience.value(), 0.0);
+}
+
+TEST(Traffic, ValidateCatchesOverriddenFields) {
+  // cynthiactl serve applies --jobs/--seed/--patience after parse().
+  auto opts = cs::TrafficOptions::parse("poisson:jobs=5,horizon=1h");
+  EXPECT_NO_THROW(opts.validate());
+  opts.jobs = 0;
+  EXPECT_THROW(opts.validate(), std::invalid_argument);
+  opts.jobs = 5;
+  opts.patience = cu::minutes(-5.0);
+  EXPECT_THROW(opts.validate(), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // ProvisioningService: admission, queueing, and determinism.
 // ---------------------------------------------------------------------------
