@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -78,32 +77,28 @@ util::Dollars SpotMarket::cost(const std::string& type, double t0, double t1) co
   return util::Dollars{dollars};
 }
 
-double SpotMarket::next_revocation_after(const std::string& type, double t, double bid,
-                                         double horizon) const {
+std::vector<HeldWindow> SpotMarket::held_windows(const std::string& type, double bid,
+                                                 double t0, double t1) const {
+  if (!(t0 >= 0.0) || !std::isfinite(t1)) throw std::invalid_argument("SpotMarket: bad walk");
   Trace& trace = trace_for(type);
   const double step = options_.step_seconds.value();
-  const auto last = static_cast<std::size_t>((t + horizon) / step);
-  extend(trace, last + 1);
-  for (auto i = static_cast<std::size_t>(t / step); i <= last; ++i) {
-    if (trace.steps[i] > bid) {
-      return std::max(t, static_cast<double>(i) * step);
+  std::vector<HeldWindow> out;
+  if (t1 <= t0) return out;
+  extend(trace, static_cast<std::size_t>(t1 / step) + 1);
+  bool held = false;
+  for (auto i = static_cast<std::size_t>(t0 / step);; ++i) {
+    const double at = std::max(t0, static_cast<double>(i) * step);
+    if (at >= t1) break;
+    if ((trace.steps[i] <= bid) == held) continue;
+    held = !held;
+    if (held) {
+      out.push_back({at, t1, false});
+    } else {
+      out.back().end = at;
+      out.back().revoked = true;
     }
   }
-  return std::numeric_limits<double>::infinity();
-}
-
-double SpotMarket::next_availability_after(const std::string& type, double t, double bid,
-                                           double horizon) const {
-  Trace& trace = trace_for(type);
-  const double step = options_.step_seconds.value();
-  const auto last = static_cast<std::size_t>((t + horizon) / step);
-  extend(trace, last + 1);
-  for (auto i = static_cast<std::size_t>(t / step); i <= last; ++i) {
-    if (trace.steps[i] <= bid) {
-      return std::max(t, static_cast<double>(i) * step);
-    }
-  }
-  return std::numeric_limits<double>::infinity();
+  return out;
 }
 
 double SpotMarket::mean_price(const std::string& type) const {

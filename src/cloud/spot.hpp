@@ -4,8 +4,8 @@
 // instance is reclaimed whenever the market price rises above the user's
 // bid. This module provides per-instance-type price traces as a
 // mean-reverting random walk with occasional demand spikes, plus the two
-// queries an execution layer needs: "what does running over [t0, t1) cost?"
-// and "when after t does the price next cross my bid?".
+// queries planning and execution need: "what does running over [t0, t1)
+// cost?" and "over which windows does my bid hold?".
 #pragma once
 
 #include <map>
@@ -17,6 +17,14 @@
 #include "util/units.hpp"
 
 namespace cynthia::cloud {
+
+/// One stretch of capacity held at a bid: acquired at `start` (the price is
+/// at or below the bid), lost at `end`.
+struct HeldWindow {
+  double start = 0.0;
+  double end = 0.0;      ///< revocation time, or the walk's end when censored
+  bool revoked = false;  ///< false: the bid still held when the walk ended
+};
 
 struct SpotTraceOptions {
   double mean_discount = 0.35;   ///< long-run spot price as a fraction of on-demand
@@ -41,16 +49,14 @@ class SpotMarket {
   /// cost of one instance held through that window.
   [[nodiscard]] util::Dollars cost(const std::string& type, double t0, double t1) const;
 
-  /// First time >= t where the price strictly exceeds `bid` ($/h), i.e.
-  /// when an instance bought at `bid` is revoked. Searches up to
-  /// `horizon` seconds ahead; returns infinity if the bid always holds.
-  [[nodiscard]] double next_revocation_after(const std::string& type, double t, double bid,
-                                             double horizon = util::days(14.0).value()) const;
-
-  /// First time >= t where the price is <= `bid` (when a revoked cluster
-  /// can be re-acquired). Infinity if never within the horizon.
-  [[nodiscard]] double next_availability_after(const std::string& type, double t, double bid,
-                                               double horizon = util::days(14.0).value()) const;
+  /// The one walk over the price trace: every window in [t0, t1) during
+  /// which an instance bought at `bid` ($/h) is held, in time order. A window
+  /// opens at the first step whose price is <= bid and closes (revoked) at the
+  /// first later step whose price strictly exceeds it; the last window is
+  /// censored at t1 when the bid still holds there. Consecutive windows are
+  /// separated by the outage the market imposes between them.
+  [[nodiscard]] std::vector<HeldWindow> held_windows(const std::string& type, double bid,
+                                                     double t0, double t1) const;
 
   /// Long-run mean spot price for the type.
   [[nodiscard]] double mean_price(const std::string& type) const;

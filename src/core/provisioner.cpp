@@ -556,7 +556,6 @@ SpotProvisionPlan Provisioner::plan_spot(ddnn::SyncMode mode, const ProvisionGoa
     out.estimate.expected_busy = out.durable.predicted_time;
     out.estimate.expected_wall = out.durable.predicted_time;
   }
-  if (!options.allow_mixed && !options.allow_all_spot) return out;
 
   // Enumerate the full bounded grid once (whole intervals, traced): a
   // durable-infeasible shape can never become feasible on spot — the
@@ -568,10 +567,7 @@ SpotProvisionPlan Provisioner::plan_spot(ddnn::SyncMode mode, const ProvisionGoa
   (void)plan(mode, goal, sweep);
   const std::vector<CandidateEvaluation> candidates = considered();
 
-  const util::Seconds ckpt_write{model_.profile().gparam.value() /
-                                 std::max(1.0, options.checkpoint_bandwidth.value())};
-  InterruptionFitOptions fit_options;
-  fit_options.horizon = options.fit_horizon;
+  const util::Seconds ckpt_write = model_.profile().gparam / kCheckpointBandwidth;
   std::map<std::string, InterruptionModel> fits;  // ordered: deterministic reuse
 
   for (const CandidateEvaluation& c : candidates) {
@@ -584,7 +580,7 @@ SpotProvisionPlan Provisioner::plan_spot(ddnn::SyncMode mode, const ProvisionGoa
     auto fit = fits.find(c.type);
     if (fit == fits.end()) {
       const util::DollarsPerHour bid{market.mean_price(c.type) * options.bid_multiplier};
-      fit = fits.emplace(c.type, fit_interruption_model(market, type, bid, fit_options)).first;
+      fit = fits.emplace(c.type, fit_interruption_model(market, type, bid)).first;
     }
     const InterruptionModel& process = fit->second;
     if (process.held.value() <= 0.0) continue;  // bid never acquires capacity
@@ -592,12 +588,9 @@ SpotProvisionPlan Provisioner::plan_spot(ddnn::SyncMode mode, const ProvisionGoa
     RevocationRunShape shape;
     shape.work = util::Seconds{c.total_time};
     shape.t_iter = util::Seconds{c.t_iter};
-    shape.restart_delay = options.restart_delay;
 
     const FleetDurability variants[] = {FleetDurability::kMixed, FleetDurability::kAllSpot};
     for (const FleetDurability variant : variants) {
-      if (variant == FleetDurability::kMixed && !options.allow_mixed) continue;
-      if (variant == FleetDurability::kAllSpot && !options.allow_all_spot) continue;
       RevocationRunShape s = shape;
       s.state_survives = variant == FleetDurability::kMixed;
       if (!s.state_survives) {

@@ -141,14 +141,6 @@ enum class FleetDurability {
 struct SpotPlanOptions {
   /// Bid as a multiple of each type's long-run mean spot price.
   double bid_multiplier = 1.6;
-  /// Durable-storage bandwidth for checkpoint writes and restore reads.
-  util::MBps checkpoint_bandwidth{200.0};
-  /// Replacement boot delay charged (while holding) per revocation.
-  util::Seconds restart_delay{180.0};
-  /// Interruption-model fit window (core/revocation.hpp).
-  util::Seconds fit_horizon = util::days(14.0);
-  bool allow_mixed = true;
-  bool allow_all_spot = true;
   /// Underlying Algorithm 1 grid options for candidate enumeration.
   ProvisionOptions search;
 };

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace cynthia::core {
 
@@ -35,47 +36,33 @@ std::string InterruptionModel::describe() const {
 
 InterruptionModel fit_interruption_model(const cloud::SpotMarket& market,
                                          const cloud::InstanceType& type,
-                                         util::DollarsPerHour bid,
-                                         const InterruptionFitOptions& options) {
+                                         util::DollarsPerHour bid) {
   if (bid.value() <= 0.0) {
     throw std::invalid_argument("fit_interruption_model: bid must be positive");
-  }
-  if (options.horizon.value() <= 0.0) {
-    throw std::invalid_argument("fit_interruption_model: horizon must be positive");
   }
   InterruptionModel m;
   m.type = type.name;
   m.bid = bid;
   m.on_demand = type.price;
-  m.horizon = options.horizon;
+  m.horizon = kInterruptionFitHorizon;
   m.mean_uptime = util::Seconds{kInf};
 
-  const double horizon = options.horizon.value();
+  const double horizon = kInterruptionFitHorizon.value();
   double held = 0.0;
   double outage = 0.0;
-  int outages = 0;
   util::Dollars held_cost{0.0};
 
-  // Replay the trace: alternate held windows (acquired -> revoked) with
-  // outage windows (revoked -> re-acquirable) until the horizon.
-  double t = market.next_availability_after(type.name, 0.0, bid.value(), horizon);
-  while (std::isfinite(t) && t < horizon) {
-    const double revoked = market.next_revocation_after(type.name, t, bid.value(), horizon - t);
-    const double window_end = std::isfinite(revoked) ? std::min(revoked, horizon) : horizon;
-    held += window_end - t;
-    held_cost += market.cost(type.name, t, window_end);
-    if (!std::isfinite(revoked) || revoked >= horizon) break;  // censored tail
+  // Every revocation inside the window is followed by an outage that runs to
+  // the next held window, or is censored at the horizon.
+  const std::vector<cloud::HeldWindow> windows =
+      market.held_windows(type.name, bid.value(), 0.0, horizon);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const cloud::HeldWindow& w = windows[i];
+    held += w.end - w.start;
+    held_cost += market.cost(type.name, w.start, w.end);
+    if (!w.revoked) break;  // censored tail
     m.revocations += 1;
-    const double back = market.next_availability_after(type.name, revoked, bid.value(),
-                                                       horizon - revoked);
-    if (!std::isfinite(back) || back >= horizon) {
-      outage += horizon - revoked;
-      outages += 1;
-      break;
-    }
-    outage += back - revoked;
-    outages += 1;
-    t = back;
+    outage += (i + 1 < windows.size() ? windows[i + 1].start : horizon) - w.end;
   }
 
   m.held = util::Seconds{held};
@@ -87,7 +74,9 @@ InterruptionModel fit_interruption_model(const cloud::SpotMarket& market,
     m.hazard = static_cast<double>(m.revocations) / held;
     m.mean_uptime = util::Seconds{held / static_cast<double>(m.revocations)};
   }
-  if (outages > 0) m.mean_outage = util::Seconds{outage / static_cast<double>(outages)};
+  if (m.revocations > 0) {
+    m.mean_outage = util::Seconds{outage / static_cast<double>(m.revocations)};
+  }
   return m;
 }
 
@@ -107,7 +96,7 @@ ExpectedRun expected_run(const InterruptionModel& model, const RevocationRunShap
   if (shape.state_survives) {
     // The PS tier keeps the parameters: a worker revocation costs the
     // in-flight iteration plus the replacement boot, nothing else.
-    loss_per_revocation = 0.5 * shape.t_iter.value() + shape.restart_delay.value();
+    loss_per_revocation = 0.5 * shape.t_iter.value() + kRestartDelay.value();
   } else {
     const double tau = checkpoint_interval.value();
     if (tau <= 0.0) {
@@ -119,7 +108,7 @@ ExpectedRun expected_run(const InterruptionModel& model, const RevocationRunShap
       // then a checkpoint read and the re-provisioning delay, all while
       // holding (and paying for) the replacement capacity.
       loss_per_revocation = 0.5 * (tau + shape.checkpoint_write.value()) +
-                            shape.restore_read.value() + shape.restart_delay.value();
+                            shape.restore_read.value() + kRestartDelay.value();
     }
   }
 

@@ -12,8 +12,8 @@
 // restart delay, outage wall time) and a deterministic checkpoint-cadence
 // optimizer (the memonger-style policy enumeration, SNIPPETS.md #1).
 //
-// Everything here is seeded-deterministic: the same market seed and fit
-// options produce bit-identical models, estimates and chosen cadences.
+// Everything here is seeded-deterministic: the same market seed and bid
+// produce bit-identical models, estimates and chosen cadences.
 #pragma once
 
 #include <string>
@@ -24,15 +24,19 @@
 
 namespace cynthia::core {
 
-struct InterruptionFitOptions {
-  /// Price-trace window the fit replays. Longer windows average more
-  /// revocation/outage cycles; 14 days matches the SpotMarket query default.
-  util::Seconds horizon = util::days(14.0);
-};
+/// Durable-storage bandwidth for checkpoint writes and restore reads. The
+/// planner's model and the executed spot run read this one value, so
+/// realized and expected costs price the same restore.
+inline constexpr util::MBps kCheckpointBandwidth{200.0};
+/// Re-provisioning delay once revoked capacity is re-acquirable; instances
+/// are held (and billed) through it.
+inline constexpr util::Seconds kRestartDelay{180.0};
+/// Price-trace window fit_interruption_model replays.
+inline constexpr util::Seconds kInterruptionFitHorizon = util::days(14.0);
 
-/// Empirical interruption process for one (instance type, bid), fitted by
-/// alternating next_revocation_after / next_availability_after over the
-/// trace and integrating the price across every held window.
+/// Empirical interruption process for one (instance type, bid), fitted from
+/// SpotMarket::held_windows over kInterruptionFitHorizon by integrating the
+/// price across every held window.
 struct InterruptionModel {
   std::string type;
   util::DollarsPerHour bid{0.0};        ///< per instance actually bid
@@ -58,8 +62,7 @@ struct InterruptionModel {
 /// held_price_ratio == 1 — callers should treat an empty fit as unusable.
 InterruptionModel fit_interruption_model(const cloud::SpotMarket& market,
                                          const cloud::InstanceType& type,
-                                         util::DollarsPerHour bid,
-                                         const InterruptionFitOptions& options = {});
+                                         util::DollarsPerHour bid);
 
 /// The training run whose expected shape is being estimated, reduced to
 /// what the renewal calculator needs.
@@ -68,11 +71,9 @@ struct RevocationRunShape {
   util::Seconds t_iter{0.0};  ///< iteration granularity (cadence snapping)
   /// One checkpoint write to durable storage (gparam / bandwidth).
   util::Seconds checkpoint_write{0.0};
-  /// One checkpoint read on restart after a revocation.
+  /// One checkpoint read on restart after a revocation (each restart also
+  /// pays kRestartDelay).
   util::Seconds restore_read{0.0};
-  /// Re-provisioning delay once capacity is re-acquirable (instances are
-  /// held — and billed — through it).
-  util::Seconds restart_delay{180.0};
   /// Mixed fleet: the PS tier is on-demand and keeps the authoritative
   /// parameters, so worker revocations lose only the in-flight iteration —
   /// no rollback, no restore, no checkpoints needed against revocation.

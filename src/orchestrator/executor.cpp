@@ -1,12 +1,14 @@
 #include "orchestrator/executor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "cloud/pricing.hpp"
+#include "core/revocation.hpp"
 #include "ddnn/loss.hpp"
 #include "orchestrator/cluster_manager.hpp"
 #include "sim/simulator.hpp"
@@ -41,21 +43,71 @@ double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed) 
   return seconds;
 }
 
+/// How far past its launch a spot run walks the price trace.
+constexpr util::Seconds kSpotWalk = util::days(30.0);
+
+/// The market's revocations of a spot tier as crash faults on the training
+/// clock, which starts at market time `train_start`. Each revocation crashes
+/// every spot node at once; the tier resumes `restart` seconds after the bid
+/// holds again. A held window too short to finish the restart never resumes
+/// training, so its outage runs on to the next re-acquisition. A revocation
+/// whose re-acquisition lies past the walk is dropped, never made permanent,
+/// and one whose restart ends before training starts changes nothing.
+faults::FaultSchedule revocation_crashes(const std::vector<cloud::HeldWindow>& held,
+                                         double train_start, double restart, int workers,
+                                         int ps) {
+  std::vector<faults::FaultSpec> crashes;
+  for (std::size_t i = 0; i + 1 < held.size();) {
+    std::size_t back = i + 1;
+    while (held[back].revoked && held[back].end < held[back].start + restart) {
+      if (++back == held.size()) return faults::FaultSchedule(std::move(crashes));
+    }
+    const double at = std::max(0.0, held[i].end - train_start);
+    const double resume = held[back].start + restart - train_start;
+    i = back;
+    if (resume <= at) continue;
+    faults::FaultSpec spec;  // kCrash
+    spec.time_seconds = at;
+    spec.recovery_seconds = resume - at;
+    for (spec.target = 0; spec.target < workers; ++spec.target) crashes.push_back(spec);
+    spec.on_ps = true;
+    for (spec.target = 0; spec.target < ps; ++spec.target) crashes.push_back(spec);
+  }
+  return faults::FaultSchedule(std::move(crashes));
+}
+
+/// Price integral of `dockers` spot dockers over the held windows up to
+/// market time `end`; a docker pays its slot's share of the instance price,
+/// as plan_spot prices it.
+util::Dollars spot_tier_cost(const cloud::SpotMarket& market, const cloud::InstanceType& type,
+                             const std::vector<cloud::HeldWindow>& held, double end,
+                             int dockers) {
+  double instance_dollars = 0.0;
+  for (const cloud::HeldWindow& w : held) {
+    if (w.start >= end) break;
+    instance_dollars += market.cost(type.name, w.start, std::min(w.end, end)).value();
+  }
+  return util::Dollars{instance_dollars / std::max(1, type.physical_cores) * dockers};
+}
+
 }  // namespace
 
 JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan& plan,
                    const faults::FaultSchedule& schedule, const core::ProvisionGoal& goal,
                    const SentinelOptions& options, const core::Provisioner* provisioner,
-                   bool cut_at_first_crash) {
+                   bool cut_at_first_crash, const SpotFleet* spot) {
   if (!plan.feasible) throw std::invalid_argument("execute_job: infeasible plan");
+  if (spot != nullptr && (!schedule.empty() || options.enabled || cut_at_first_crash)) {
+    throw std::invalid_argument(
+        "execute_job: a spot run takes no fault schedule, sentinel or elastic cut");
+  }
   schedule.validate(plan.n_workers, plan.n_ps);
 
   JobRun run;
   SentinelReport& report = run.report;
   report.plan = plan;
   // Checkpoint restore: the parameter payload read back from durable storage.
-  const double restore_seconds =
-      workload.gparam.value() / std::max(1.0, options.checkpoint_bandwidth_mbps);
+  const double restore_seconds = (workload.gparam / core::kCheckpointBandwidth).value();
   run.restore = util::Seconds{restore_seconds};
 
   // Each crash is repaired in place unless a re-plan answers it: its
@@ -70,7 +122,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       const double provision = measure_replacement(
           plan, replacement_seed(options.seed, run.replacement_provisioning.size()));
       run.replacement_provisioning.push_back(provision);
-      event.recovery_seconds = options.detection_seconds + provision + restore_seconds;
+      event.recovery_seconds = kDetectionSeconds.value() + provision + restore_seconds;
     }
     enriched.add(event);
   }
@@ -83,12 +135,48 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   Deployment deployment = manager.deploy(plan);
   report.provisioning_seconds = deployment.provisioning_seconds();
 
+  // A spot run launches when the bid first holds and starts training once the
+  // deployment is Ready; the market's revocations are its only faults.
+  ddnn::TrainOptions training = options.training;
+  std::vector<cloud::HeldWindow> held;  // the spot tier's windows, market clock
+  double launch = 0.0;
+  int spot_ps = 0;  // PS shards on spot (all-spot) rather than on-demand
+  if (spot != nullptr) {
+    const core::SpotProvisionPlan& answer = spot->answer;
+    if (!answer.feasible || answer.durability == core::FleetDurability::kDurable) {
+      throw std::invalid_argument("execute_job: the spot input needs a mixed or all-spot answer");
+    }
+    const std::string& type = plan.type.name;
+    const double bid = answer.bid.value();
+    const std::vector<cloud::HeldWindow> first =
+        spot->market.held_windows(type, bid, 0.0, kSpotWalk.value());
+    if (first.empty()) throw std::invalid_argument("execute_job: the spot bid never holds");
+    launch = first.front().start;
+    held = spot->market.held_windows(type, bid, launch, launch + kSpotWalk.value());
+    double restart = core::kRestartDelay.value();
+    if (answer.durability == core::FleetDurability::kAllSpot) {
+      // The PS tier is revoked too: every restart reads the checkpoint back,
+      // and the trainer rolls back to the plan_spot cadence.
+      const double seconds_per_update =
+          plan.predicted_time.value() / static_cast<double>(plan.total_iterations);
+      if (!(seconds_per_update > 0.0) || !std::isfinite(seconds_per_update)) {
+        throw std::invalid_argument("execute_job: all-spot plan needs a positive predicted time");
+      }
+      spot_ps = plan.n_ps;
+      restart += restore_seconds;
+      training.checkpoint_interval_iterations = std::max<long>(
+          1, std::lround(answer.checkpoint_interval.value() / seconds_per_update));
+    }
+    enriched = revocation_crashes(held, launch + report.provisioning_seconds, restart,
+                                  plan.n_workers, spot_ps);
+  }
+
   // Blacklist-to-replacement-join delay for the replace mitigation, measured
   // once up front on a dedicated clock (a straggler replacement walks the
   // same kubeadm-join lifecycle as a crash replacement).
   const double replace_delay =
       options.enabled
-          ? options.detection_seconds +
+          ? kDetectionSeconds.value() +
                 measure_replacement(plan, replacement_seed(options.seed, 97)) + restore_seconds
           : -1.0;
 
@@ -152,7 +240,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     dcfg.allow_stop = seg_i + 1 < max_segments;
     StragglerDetector detector(dcfg, &report.detections, &report.mitigations);
 
-    ddnn::TrainOptions o = options.training;
+    ddnn::TrainOptions o = training;
     o.iterations = total_iterations - done;
     o.seed = seg_i == 0 ? options.seed : replacement_seed(options.seed, 400 + seg_i);
     o.faults = carried.schedule.empty() ? nullptr : &carried.schedule;
@@ -211,11 +299,11 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       // parameter payload onto the new shard before training resumes.
       const double provision = measure_replacement(
           current_plan, replacement_seed(options.seed, 200 + seg_i));
-      next_gap = options.detection_seconds + provision + restore_seconds;
+      next_gap = kDetectionSeconds.value() + provision + restore_seconds;
       current_plan.n_ps += 1;
       cluster = ddnn::ClusterSpec::homogeneous(current_plan.type, current_plan.n_workers,
                                                current_plan.n_ps);
-      leases.push_back({current_plan.type, 0, 1, elapsed + cut + options.detection_seconds});
+      leases.push_back({current_plan.type, 0, 1, elapsed + cut + kDetectionSeconds.value()});
       report.added_ps += 1;
       if (!report.mitigations.empty() && report.mitigations.back().action == "add-ps") {
         report.mitigations.back().detail +=
@@ -236,7 +324,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
         }
         derate = std::clamp(derate, 0.05, 1.0);
         const double budget = goal.time_goal.value() - (elapsed + cut) -
-                              options.detection_seconds - restore_seconds;
+                              kDetectionSeconds.value() - restore_seconds;
         core::Provisioner::ReplanDegradation degradation;
         degradation.capability_derate = derate;
         degradation.slack_margin = options.thresholds.forecast_margin;
@@ -254,14 +342,14 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
         const double provision2 = deployment2.provisioning_seconds();
         cluster = deployment2.spec;
         manager2.teardown(deployment2);
-        next_gap = options.detection_seconds + provision2 + restore_seconds;
+        next_gap = kDetectionSeconds.value() + provision2 + restore_seconds;
         // Billing switches clusters: the original is released once the
         // master commits to the replan; the new one runs to the end.
         if (original_held_until < 0.0) {
-          original_held_until = elapsed + cut + options.detection_seconds;
+          original_held_until = elapsed + cut + kDetectionSeconds.value();
         }
         leases.push_back({next.type, next.n_workers, next.n_ps,
-                          elapsed + cut + options.detection_seconds, for_crash});
+                          elapsed + cut + kDetectionSeconds.value(), for_crash});
         current_plan = next;
         excluded.clear();      // the new cluster has no blacklist history
         carry_active = false;  // ... and fresh, undegraded hardware
@@ -327,23 +415,42 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // ---- billing ----
   // Original deployment: actual meter from launch until release (job end,
   // or the replan handoff).
-  const double held = original_held_until >= 0.0 ? original_held_until : job_end;
-  control_plane.run_until(deployment.ready_at + held);
+  const double held_until = original_held_until >= 0.0 ? original_held_until : job_end;
+  control_plane.run_until(deployment.ready_at + held_until);
   manager.teardown(deployment);
-  report.actual_cost = billing.total(util::Seconds{control_plane.now()});
   // Each `+=` below is mirrored as one journal billing settlement, so the
   // cost ledger's grouped fold reproduces this chain bit-for-bit.
-  if (tel != nullptr) {
-    cloud::journal_meter_settlement(tel->journal, billing, util::Seconds{control_plane.now()},
-                                    telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan,
-                                    util::Seconds{deployment.ready_at}, "original");
-  }
   auto journal_cost = [&](telemetry::CostPhase phase, telemetry::CostCause cause,
                           const std::string& node, double dollars, const std::string& what) {
     if (tel == nullptr) return;
     tel->journal.billing_delta(job_end, tel->journal.next_settlement(), phase, cause, node,
                                dollars, what);
   };
+  if (spot == nullptr) {
+    report.actual_cost = billing.total(util::Seconds{control_plane.now()});
+    if (tel != nullptr) {
+      cloud::journal_meter_settlement(tel->journal, billing, util::Seconds{control_plane.now()},
+                                      telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan,
+                                      util::Seconds{deployment.ready_at}, "original");
+    }
+  } else {
+    // The spot tier pays the market over its held windows from launch to the
+    // end of the job, restart delays and restore reads included; a mixed
+    // fleet's PS tier pays on-demand for the whole hold.
+    const double market_end = launch + report.provisioning_seconds + job_end;
+    const int spot_dockers = plan.n_workers + spot_ps;
+    report.actual_cost = spot_tier_cost(spot->market, plan.type, held, market_end, spot_dockers);
+    journal_cost(telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan, "spot-tier",
+                 report.actual_cost.value(),
+                 plan.type.name + " x" + std::to_string(spot_dockers) + " spot");
+    if (spot_ps == 0) {
+      const util::Dollars ps_tier =
+          core::plan_cost(plan.type, 0, plan.n_ps, util::Seconds{market_end - launch});
+      report.actual_cost += ps_tier;
+      journal_cost(telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan, "ps-tier",
+                   ps_tier.value(), plan.type.name + " x" + std::to_string(plan.n_ps));
+    }
+  }
   // Added shards / re-planned clusters: Eq. 8 over their lease windows.
   int lease_index = 0;
   for (const Lease& lease : leases) {
@@ -362,7 +469,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // Straggler replacements: one node each from blacklist+detection to end.
   for (const ddnn::MonitorExclusion& e : report.training.monitor.exclusions) {
     if (e.replaced_at < 0.0) continue;  // permanent blacklist, no new node
-    const double window = std::max(0.0, job_end - (e.at + options.detection_seconds));
+    const double window = std::max(0.0, job_end - (e.at + kDetectionSeconds.value()));
     const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
     report.actual_cost += dollars;
     journal_cost(telemetry::CostPhase::kMitigate, telemetry::CostCause::kSentinelAction,
@@ -377,7 +484,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     if (k >= run.replacement_provisioning.size()) break;
     const double provision = run.replacement_provisioning[k++];
     if (!outcome.fired || (k == 1 && crash_replanned)) continue;
-    const double tail = job_end - (outcome.injected_at + options.detection_seconds + provision);
+    const double tail = job_end - (outcome.injected_at + kDetectionSeconds.value() + provision);
     const double window = provision + std::max(0.0, tail);
     const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
     report.actual_cost += dollars;
@@ -403,6 +510,11 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       mtr.counter(metric::kSentinelAddedPs).inc(static_cast<double>(report.added_ps));
     }
     if (report.replanned && !crash_replanned) mtr.counter(metric::kSentinelReplans).inc();
+    if (spot_ps > 0 && report.training.faults.crashes > 0) {
+      // One checkpoint read per all-spot revocation, which crashes every node.
+      const long revocations = report.training.faults.crashes / (plan.n_workers + spot_ps);
+      mtr.counter(metric::kRestoreSeconds).inc(restore_seconds * static_cast<double>(revocations));
+    }
     // The gauge holds the fully-attributed job cost; the journal's cost
     // ledger sums to exactly this value.
     mtr.gauge(metric::kBillingDollars).set(report.actual_cost.value());
@@ -427,13 +539,25 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       tel->journal.verdict(job_end, "loss-goal", report.loss_goal_met, goal.target_loss,
                            report.achieved_loss);
     }
-    if (plan.predicted_cost.value() > 0.0) {
-      tel->journal.verdict(job_end, "cost",
-                           report.actual_cost.value() <= plan.predicted_cost.value() * 1.1,
-                           plan.predicted_cost.value(), report.actual_cost.value());
+    // A spot run answers for plan_spot's expected cost, not the nominal one.
+    const double expected_cost =
+        spot != nullptr ? spot->answer.expected_cost.value() : plan.predicted_cost.value();
+    if (expected_cost > 0.0) {
+      tel->journal.verdict(job_end, "cost", report.actual_cost.value() <= expected_cost * 1.1,
+                           expected_cost, report.actual_cost.value());
     }
   }
   return run;
+}
+
+JobRun run_on_spot(const cloud::SpotMarket& market, const ddnn::WorkloadSpec& workload,
+                   const core::SpotProvisionPlan& answer, const core::ProvisionGoal& goal,
+                   const SentinelOptions& options) {
+  if (answer.durability == core::FleetDurability::kDurable) {
+    return execute_job(workload, answer.plan, {}, goal, options, nullptr, false);
+  }
+  const SpotFleet fleet{market, answer};
+  return execute_job(workload, answer.plan, {}, goal, options, nullptr, false, &fleet);
 }
 
 }  // namespace cynthia::orch

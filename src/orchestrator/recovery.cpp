@@ -13,8 +13,7 @@ namespace {
 /// Master-side recovery timeline: detection, replacement Ready, and training
 /// resume as instant events next to the trainer's inject/recover pair, with
 /// one journal detection/mitigation pair per fired crash.
-void record_recovery(telemetry::Telemetry* tel, const RecoveryOptions& options,
-                     const FaultRunReport& report) {
+void record_recovery(telemetry::Telemetry* tel, const FaultRunReport& report) {
   if (!tel) return;
   std::size_t k = 0;
   double recovery_total = 0.0;
@@ -26,19 +25,19 @@ void record_recovery(telemetry::Telemetry* tel, const RecoveryOptions& options,
     // The first crash is the one an elastic re-plan answers: the job resumes
     // on the new cluster, not on a repaired node.
     const bool replanned = k == 1 && report.replanned;
-    const double detected = outcome.injected_at + options.detection_seconds;
+    const double detected = outcome.injected_at + kDetectionSeconds.value();
     const double resumed = replanned ? report.resume_at : outcome.recovered_at;
     tel->tracer.instant("faults", "detect:" + outcome.spec.to_string(), "recovery", detected);
     tel->tracer.instant("faults", "replacement_ready", "recovery", detected + provision);
     tel->journal.event(detected, telemetry::JournalKind::kDetection, outcome.spec.to_string(),
-                       "heartbeat timeout", options.detection_seconds);
+                       "heartbeat timeout", kDetectionSeconds.value());
     if (resumed >= 0.0) {
       tel->tracer.instant("faults", "resume", "recovery", resumed);
       tel->journal.event(resumed, telemetry::JournalKind::kMitigation,
                          replanned ? "elastic-replan" : "repair-in-place",
                          outcome.spec.to_string());
     }
-    recovery_total += options.detection_seconds + provision + report.restore_seconds;
+    recovery_total += kDetectionSeconds.value() + provision + report.restore_seconds;
   }
   if (recovery_total > 0.0) {
     tel->metrics.counter(telemetry::metric::kFaultRecoverySeconds).inc(recovery_total);
@@ -59,8 +58,6 @@ FaultRunReport RecoveryController::run(const ddnn::WorkloadSpec& workload,
   }
   SentinelOptions job_options;
   job_options.enabled = false;
-  job_options.detection_seconds = options_.detection_seconds;
-  job_options.checkpoint_bandwidth_mbps = options_.checkpoint_bandwidth_mbps;
   job_options.seed = options_.seed;
   job_options.training = options_.training;
   JobRun run = execute_job(workload, plan, schedule, goal, job_options,
@@ -79,7 +76,7 @@ FaultRunReport RecoveryController::run(const ddnn::WorkloadSpec& workload,
   report.actual_cost = run.report.actual_cost;
   report.time_goal_met = run.report.time_goal_met;
   report.loss_goal_met = run.report.loss_goal_met;
-  record_recovery(options_.training.telemetry, options_, report);
+  record_recovery(options_.training.telemetry, report);
 
   if (options_.measure_baseline) {
     // The fault-free shadow run (same seed); keep the trace clean.

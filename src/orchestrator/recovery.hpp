@@ -33,10 +33,6 @@
 namespace cynthia::orch {
 
 struct RecoveryOptions {
-  /// Master-side failure detection latency (missed-heartbeat window).
-  double detection_seconds = 5.0;
-  /// Durable-storage read bandwidth for restoring a checkpoint (MB/s).
-  double checkpoint_bandwidth_mbps = 200.0;
   /// After the first crash, re-run Algorithm 1 over the remaining budget
   /// instead of repairing the original cluster shape in place.
   bool elastic = false;

@@ -104,10 +104,6 @@ struct SentinelOptions {
   int max_actions = 4;
   /// Staleness bound for the SSP downgrade path.
   int ssp_staleness_bound = 3;
-  /// Master-side heartbeat latency before any mitigation takes effect.
-  double detection_seconds = 5.0;
-  /// Durable-storage read bandwidth for checkpoint restores (MB/s).
-  double checkpoint_bandwidth_mbps = 200.0;
   std::uint64_t seed = 2024;
   /// Forwarded to the training simulator; iterations/faults/monitor are
   /// overwritten by the sentinel.

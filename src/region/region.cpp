@@ -1,7 +1,9 @@
 #include "region/region.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -58,11 +60,14 @@ Region Region::parse(const std::string& spec, const cloud::Catalog& catalog) {
       throw std::invalid_argument("Region::parse: expected <type>=<slots> in '" + item + "'");
     }
     const std::string name = item.substr(0, eq);
+    // The whole value must be one decimal integer: "32abc", "3.9" and "0x10"
+    // are rejected, not truncated.
+    const std::string_view value = std::string_view(item).substr(eq + 1);
     int count = 0;
-    try {
-      count = std::stoi(item.substr(eq + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("Region::parse: bad slot count in '" + item + "'");
+    const auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(), count);
+    if (ec != std::errc() || end != value.data() + value.size()) {
+      throw std::invalid_argument("Region::parse: bad slot count in '" + item +
+                                  "': expected a non-negative integer");
     }
     if (count < 0) {
       throw std::invalid_argument("Region::parse: negative slot count in '" + item + "'");

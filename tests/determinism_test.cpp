@@ -23,36 +23,76 @@
 #include "faults/fault_spec.hpp"
 #include "orchestrator/recovery.hpp"
 #include "orchestrator/sentinel.hpp"
+#include "orchestrator/executor.hpp"
 #include "orchestrator/service.hpp"
-#include "orchestrator/spot_runner.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cc = cynthia::cloud;
 namespace cd = cynthia::ddnn;
+namespace core = cynthia::core;
+namespace cf = cynthia::faults;
+namespace ct = cynthia::telemetry;
+namespace cu = cynthia::util;
 namespace orch = cynthia::orch;
 
 namespace {
 
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
 
+/// plan_spot's answer built by hand: cifar10 on `workers` + 1 m4.xlarge for
+/// `iterations` updates at `bid_multiplier` x the mean spot price.
+core::SpotProvisionPlan spot_answer(const cc::SpotMarket& market,
+                                    core::FleetDurability durability, int workers,
+                                    long iterations, double bid_multiplier) {
+  core::SpotProvisionPlan a;
+  a.feasible = true;
+  a.durability = durability;
+  a.plan.feasible = true;
+  a.plan.type = m4();
+  a.plan.n_workers = workers;
+  a.plan.n_ps = 1;
+  a.plan.iterations = a.plan.total_iterations = iterations;
+  a.plan.t_iter = 8.2 / workers;  // cifar10 on m4.xlarge workers
+  a.plan.predicted_time = cu::Seconds{a.plan.t_iter * static_cast<double>(iterations)};
+  a.plan.predicted_cost = core::plan_cost(m4(), workers, 1, a.plan.predicted_time);
+  a.bid = cu::DollarsPerHour{market.mean_price("m4.xlarge") * bid_multiplier};
+  a.checkpoint_interval = cu::Seconds{600.0};
+  a.expected_cost = a.plan.predicted_cost;
+  return a;
+}
+
+orch::JobRun run_spot(const cc::SpotMarket& market, const core::SpotProvisionPlan& answer,
+                      ct::Telemetry* tel) {
+  orch::SentinelOptions o;
+  o.enabled = false;
+  o.seed = 7;
+  o.training.telemetry = tel;
+  return orch::run_on_spot(market, cd::workload_by_name("cifar10"), answer,
+                           {cu::hours(12.0), 1e9}, o);
+}
+
 // Orders every scalar a run produces into one comparable digest.
 struct RunDigest {
   double wall_time = 0.0;
-  double busy_time = 0.0;
+  double provisioning = 0.0;
   double cost = 0.0;
-  int revocations = 0;
+  long crashes = 0;
+  long lost_iterations = 0;
   long iterations = 0;
+  std::uint64_t journal = 0;
 
   bool operator==(const RunDigest&) const = default;
 };
 
 RunDigest spot_digest(std::uint64_t market_seed) {
   cc::SpotMarket market(cc::Catalog::aws(), market_seed);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions o;
-  o.training.iterations = 40;
-  const auto r = orch::run_on_spot(market, w, m4(), 3, 1, 400, o);
-  return {r.wall_time, r.busy_time, r.cost.value(), r.revocations, r.iterations};
+  ct::Telemetry tel;
+  const auto r = run_spot(market, spot_answer(market, core::FleetDurability::kAllSpot, 3, 400, 1.6),
+                          &tel);
+  const cd::TrainResult& t = r.report.training;
+  return {t.total_time,         r.report.provisioning_seconds, r.report.actual_cost.value(),
+          t.faults.crashes,     t.faults.lost_iterations,      t.iterations,
+          tel.journal.digest()};
 }
 
 }  // namespace
@@ -181,15 +221,11 @@ TEST(Determinism, NeverActingMonitorIsBitIdenticalUnderFaults) {
 // The tests above compare two runs of the same build. These pin the job
 // paths' outputs to constants, so a refactor that changes every run the same
 // way still fails: TrainingService::submit, RecoveryController::run
-// (repair-in-place, with the fault-free baseline) and SloSentinel::run
-// (without a provisioner, journal digest included).
+// (repair-in-place, with the fault-free baseline), SloSentinel::run
+// (without a provisioner, journal digest included) and run_on_spot (mixed
+// and all-spot fleets on two markets, journal digest included).
 
 namespace {
-
-namespace core = cynthia::core;
-namespace cf = cynthia::faults;
-namespace ct = cynthia::telemetry;
-namespace cu = cynthia::util;
 
 /// FNV-1a over the bit patterns of every field a job report carries.
 class Fold {
@@ -364,6 +400,32 @@ TEST(Determinism, PinnedSentinelDigests) {
                                     0xe2793b3c3dd171f6ull, 0xa8c7703042e4ce09ull};
   for (std::size_t i = 0; i < std::size(kFaultCases); ++i) {
     EXPECT_EQ(hex(sentinel_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
+  }
+}
+
+TEST(Determinism, PinnedSpotRunDigests) {
+  struct Case {
+    core::FleetDurability durability;
+    std::uint64_t market_seed;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {core::FleetDurability::kMixed, 11, 0x00dd91b65ea71cf5ull},
+      {core::FleetDurability::kAllSpot, 11, 0xcb35c32e78160296ull},
+      {core::FleetDurability::kMixed, 42, 0x1ac8ae008ca3a204ull},
+      {core::FleetDurability::kAllSpot, 42, 0x37bf1816d1dfd0ecull},
+  };
+  for (const Case& c : cases) {
+    cc::SpotMarket market(cc::Catalog::aws(), c.market_seed);
+    ct::Telemetry tel;
+    const auto r = run_spot(market, spot_answer(market, c.durability, 2, 600, 1.1), &tel);
+    Fold f;
+    f.add(r.report.training).add(r.report.provisioning_seconds).add(r.report.actual_cost.value());
+    f.add(r.report.time_goal_met).add(r.restore.value());
+    const std::string label =
+        std::string(core::to_string(c.durability)) + " @ seed " + std::to_string(c.market_seed);
+    EXPECT_GT(r.report.training.faults.crashes, 0) << label;
+    EXPECT_EQ(hex(f.add(tel.journal.digest()).value()), hex(c.digest)) << label;
   }
 }
 

@@ -3,15 +3,14 @@
 // Covers the determinism contract (same seed -> bit-identical schedule and
 // training digest; zero-fault schedule -> bit-identical to the fault-free
 // run), crash/rollback/recovery semantics under the runtime invariant
-// checker, the fluid capacity hook, the spot restore charge, and the
-// recovery controller's repair-in-place and elastic re-planning policies.
+// checker, the fluid capacity hook, and the recovery controller's
+// repair-in-place and elastic re-planning policies.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
 
 #include "cloud/instance.hpp"
-#include "cloud/spot.hpp"
 #include "core/predictor.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/trainer.hpp"
@@ -19,7 +18,6 @@
 #include "faults/fault_spec.hpp"
 #include "orchestrator/recovery.hpp"
 #include "orchestrator/service.hpp"
-#include "orchestrator/spot_runner.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/report.hpp"
@@ -247,23 +245,6 @@ TEST(FluidCapacity, RejectsNonPositiveCapacityAndBadId) {
   EXPECT_THROW(fluid.set_resource_capacity(cpu, 0.0), std::invalid_argument);
   EXPECT_THROW(fluid.set_resource_capacity(cpu, -5.0), std::invalid_argument);
   EXPECT_THROW(fluid.set_resource_capacity(cpu + 17, 10.0), std::out_of_range);
-}
-
-// ------------------------------------------------------------ spot restore
-
-TEST(SpotRestore, RevocationsChargeCheckpointReadTime) {
-  const cc::SpotMarket market(cc::Catalog::aws(), 7);
-  const auto& w = cd::workload_by_name("mnist");
-  orch::SpotRunOptions o;
-  o.bid_multiplier = 1.02;  // tight bid: force revocations
-  o.checkpoint_interval = 120.0;
-  const auto r = orch::run_on_spot(market, w, m4(), 4, 1, 200000, o);
-  ASSERT_GT(r.revocations, 0) << "tight bid should be revoked at least once";
-  EXPECT_GT(r.restore_overhead, 0.0);
-  const double read_seconds = w.gparam.value() / o.checkpoint_bandwidth_mbps;
-  EXPECT_NEAR(r.restore_overhead / read_seconds,
-              static_cast<double>(r.revocations), 1.0)
-      << "one checkpoint read per successful restart";
 }
 
 // ------------------------------------------------------ recovery controller

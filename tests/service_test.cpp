@@ -171,6 +171,26 @@ TEST(Region, ParseGrammar) {
   EXPECT_THROW(cr::Region::parse("m4.xlarge=4,m4.xlarge=8"), std::invalid_argument);
 }
 
+// Slot counts are whole-token decimal integers: nothing is truncated.
+TEST(Region, ParseRejectsTrailingText) {
+  EXPECT_THROW(cr::Region::parse("*=32abc"), std::invalid_argument);
+  EXPECT_THROW(cr::Region::parse("m4.xlarge=32 "), std::invalid_argument);
+}
+
+TEST(Region, ParseRejectsFractionalCount) {
+  EXPECT_THROW(cr::Region::parse("*=3.9"), std::invalid_argument);
+}
+
+TEST(Region, ParseRejectsHexCount) {
+  EXPECT_THROW(cr::Region::parse("m4.xlarge=0x10"), std::invalid_argument);
+}
+
+TEST(Region, ParseRejectsOutOfRangeCount) {
+  EXPECT_THROW(cr::Region::parse("*=99999999999"), std::invalid_argument);
+  EXPECT_THROW(cr::Region::parse("m4.xlarge=-4"), std::invalid_argument);
+  EXPECT_EQ(cr::Region::parse("m4.xlarge=0").capacity("m4.xlarge"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Core: the finite-region planning cap (ProvisionOptions::max_total_dockers).
 // ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 //
 // Covers the interruption-model fitting and expected-run math in
 // core/revocation, the mixed-fleet planner (core::Provisioner::plan_spot),
-// the price-trace-derived fault schedules and mixed-fleet execution in
-// orch, and the bit-identical-at-fixed-seed determinism contract that ties
-// them together.
+// the executed spot runs (orch::run_on_spot on the job executor: revocation
+// crashes, rollback, billing and ledger), and the bit-identical-at-fixed-seed
+// determinism contract that ties them together.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,13 +15,18 @@
 #include "core/provisioner.hpp"
 #include "core/revocation.hpp"
 #include "ddnn/workload.hpp"
-#include "orchestrator/spot_runner.hpp"
+#include "faults/fault_spec.hpp"
+#include "orchestrator/executor.hpp"
+#include "telemetry/report.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/units.hpp"
 
 namespace cc = cynthia::cloud;
 namespace cd = cynthia::ddnn;
+namespace cf = cynthia::faults;
 namespace core = cynthia::core;
 namespace orch = cynthia::orch;
+namespace ct = cynthia::telemetry;
 namespace util = cynthia::util;
 
 namespace {
@@ -63,17 +68,13 @@ TEST(SpotTrace, CostIsAdditiveOverAdjacentWindows) {
 TEST(SpotTrace, RevocationImpliesPriceAboveBid) {
   cc::SpotMarket market(cc::Catalog::aws(), 13);
   const double bid = tight_bid(market).value();
-  double t = market.next_availability_after("m4.xlarge", 0.0, bid);
-  ASSERT_TRUE(std::isfinite(t));
-  for (int i = 0; i < 8; ++i) {
-    const double revoked = market.next_revocation_after("m4.xlarge", t, bid);
-    if (!std::isfinite(revoked)) break;
-    EXPECT_GT(market.price_at("m4.xlarge", revoked), bid);
-    const double back = market.next_availability_after("m4.xlarge", revoked, bid);
-    if (!std::isfinite(back)) break;
-    EXPECT_LE(market.price_at("m4.xlarge", back), bid);
-    EXPECT_GT(back, revoked);
-    t = back;
+  const auto held = market.held_windows("m4.xlarge", bid, 0.0, util::days(2.0).value());
+  ASSERT_GT(held.size(), 1u);
+  for (std::size_t i = 0; i + 1 < held.size(); ++i) {
+    ASSERT_TRUE(held[i].revoked);
+    EXPECT_GT(market.price_at("m4.xlarge", held[i].end), bid);
+    EXPECT_LE(market.price_at("m4.xlarge", held[i + 1].start), bid);
+    EXPECT_GT(held[i + 1].start, held[i].end);
   }
 }
 
@@ -224,67 +225,220 @@ TEST(SpotPlanner, InvalidBidThrows) {
       std::invalid_argument);
 }
 
-// --------------------------------------------------- schedules & runs
+// ------------------------------------------------- executed spot runs
+//
+// plan_spot answers built by hand, so each case controls the bid and the
+// cadence: cifar10 on 2 workers + 1 PS of m4.xlarge for 800 updates (about an
+// hour of training) on a market that revokes a tight bid within it.
 
-TEST(RevocationSchedule, DigestIdenticalAcrossRuns) {
-  cc::SpotMarket market(cc::Catalog::aws(), 51);
-  const double bid = tight_bid(market).value();
-  const auto a = orch::revocation_schedule(market, "m4.xlarge", bid, 4, util::days(2.0),
-                                           util::Seconds{180.0});
-  const auto b = orch::revocation_schedule(market, "m4.xlarge", bid, 4, util::days(2.0),
-                                           util::Seconds{180.0});
-  EXPECT_EQ(a.digest(), b.digest());
-  EXPECT_FALSE(a.events().empty());
-  // Each revocation crashes every worker; none are permanent.
-  EXPECT_EQ(a.events().size() % 4, 0u);
-  for (const auto& spec : a.events()) {
-    EXPECT_FALSE(spec.on_ps);
-    EXPECT_GE(spec.recovery_seconds, 180.0);
+namespace {
+
+constexpr long kSpotIterations = 800;
+
+core::SpotProvisionPlan spot_answer(const cc::SpotMarket& market,
+                                    core::FleetDurability durability, double bid_multiplier,
+                                    double checkpoint_seconds = 600.0) {
+  core::SpotProvisionPlan a;
+  a.feasible = true;
+  a.durability = durability;
+  a.plan.feasible = true;
+  a.plan.type = m4();
+  a.plan.n_workers = 2;
+  a.plan.n_ps = 1;
+  a.plan.iterations = a.plan.total_iterations = kSpotIterations;
+  a.plan.t_iter = 4.1;  // cifar10 on 2 m4.xlarge workers
+  a.plan.predicted_time = util::Seconds{a.plan.t_iter * kSpotIterations};
+  a.plan.predicted_cost = core::plan_cost(m4(), 2, 1, a.plan.predicted_time);
+  a.bid = util::DollarsPerHour{market.mean_price("m4.xlarge") * bid_multiplier};
+  a.checkpoint_interval = util::Seconds{checkpoint_seconds};
+  a.expected_cost = a.plan.predicted_cost;
+  return a;
+}
+
+const core::ProvisionGoal kSpotGoal{util::hours(12.0), 1e9};
+
+orch::SentinelOptions spot_options(ct::Telemetry* tel = nullptr) {
+  orch::SentinelOptions o;
+  o.enabled = false;
+  o.seed = 7;
+  o.training.telemetry = tel;
+  return o;
+}
+
+orch::JobRun run_spot(const cc::SpotMarket& market, const core::SpotProvisionPlan& answer,
+                      ct::Telemetry* tel = nullptr) {
+  return orch::run_on_spot(market, cd::workload_by_name("cifar10"), answer, kSpotGoal,
+                           spot_options(tel));
+}
+
+/// Revocations a run lived through: each one crashes every spot node.
+long revocations(const orch::JobRun& run, const core::SpotProvisionPlan& answer) {
+  const bool all_spot = answer.durability == core::FleetDurability::kAllSpot;
+  const int spot_nodes = answer.plan.n_workers + (all_spot ? answer.plan.n_ps : 0);
+  return run.report.training.faults.crashes / spot_nodes;
+}
+
+}  // namespace
+
+TEST(SpotRunner, CompletesAndUndercutsOnDemand) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto answer = spot_answer(market, core::FleetDurability::kAllSpot, 1.8);
+  const auto r = run_spot(market, answer);
+  EXPECT_EQ(r.report.training.iterations, kSpotIterations);
+  EXPECT_FALSE(r.report.training.stopped_early);
+  EXPECT_TRUE(r.report.time_goal_met);
+  EXPECT_GT(r.report.actual_cost.value(), 0.0);
+  const auto durable = orch::execute_job(cd::workload_by_name("cifar10"), answer.plan, {},
+                                         kSpotGoal, spot_options(), nullptr, false);
+  EXPECT_LT(r.report.actual_cost.value(), durable.report.actual_cost.value())
+      << "spot must undercut the durable run of the same plan";
+}
+
+TEST(SpotRunner, LowBidMeansMoreRevocationsAndWall) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto tight = spot_answer(market, core::FleetDurability::kAllSpot, 1.05);
+  const auto generous = spot_answer(market, core::FleetDurability::kAllSpot, 2.6);
+  const auto a = run_spot(market, tight);
+  const auto b = run_spot(market, generous);
+  ASSERT_EQ(a.report.training.iterations, kSpotIterations);
+  ASSERT_EQ(b.report.training.iterations, kSpotIterations);
+  EXPECT_GT(revocations(a, tight), 0);
+  EXPECT_GE(revocations(a, tight), revocations(b, generous));
+  EXPECT_GE(a.report.training.total_time, b.report.training.total_time);
+}
+
+TEST(SpotRunner, RarerCheckpointsRollBackMore) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto frequent = spot_answer(market, core::FleetDurability::kAllSpot, 1.1, 120.0);
+  const auto rare = spot_answer(market, core::FleetDurability::kAllSpot, 1.1, 3600.0);
+  const auto f = run_spot(market, frequent);
+  const auto r = run_spot(market, rare);
+  ASSERT_EQ(f.report.training.iterations, kSpotIterations);
+  ASSERT_EQ(r.report.training.iterations, kSpotIterations);
+  ASSERT_GT(revocations(f, frequent), 0) << "the tight bid must be revoked";
+  EXPECT_GE(r.report.training.faults.lost_iterations, f.report.training.faults.lost_iterations);
+  EXPECT_GT(r.report.training.faults.lost_iterations, 0);
+}
+
+TEST(MixedFleet, SurvivesRevocationsAndUndercutsOnDemand) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto answer = spot_answer(market, core::FleetDurability::kMixed, 1.1);
+  const auto r = run_spot(market, answer);
+  ASSERT_EQ(r.report.training.iterations, kSpotIterations);
+  EXPECT_GT(revocations(r, answer), 0);
+  // The on-demand PS tier keeps the parameters: workers rejoin live.
+  EXPECT_EQ(r.report.training.faults.lost_iterations, 0);
+  for (const cd::FaultEventOutcome& e : r.report.training.faults.events) {
+    EXPECT_FALSE(e.spec.on_ps) << "a mixed fleet's PS tier is never revoked";
+  }
+  const auto durable = orch::execute_job(cd::workload_by_name("cifar10"), answer.plan, {},
+                                         kSpotGoal, spot_options(), nullptr, false);
+  EXPECT_LT(r.report.actual_cost.value(), durable.report.actual_cost.value());
+}
+
+TEST(SpotRunner, FullHoldWindowIsBilled) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto answer = spot_answer(market, core::FleetDurability::kAllSpot, 1.05);
+  const auto r = run_spot(market, answer);
+  const long revoked = revocations(r, answer);
+  ASSERT_GT(revoked, 0);
+  // The bill integrates the price over every held window from launch to the
+  // end of the job: all three dockers pay their slot share of the instance.
+  const double bid = answer.bid.value();
+  const double launch = market.held_windows("m4.xlarge", bid, 0.0, 86400.0).front().start;
+  const double end = launch + r.report.provisioning_seconds + r.report.training.total_time;
+  double held = 0.0;
+  double instance_dollars = 0.0;
+  for (const cc::HeldWindow& w : market.held_windows("m4.xlarge", bid, launch, end)) {
+    held += w.end - w.start;
+    instance_dollars += market.cost("m4.xlarge", w.start, w.end).value();
+  }
+  EXPECT_NEAR(r.report.actual_cost.value(), instance_dollars / m4().physical_cores * 3,
+              1e-12);
+  // Held time covers provisioning, training and, per revocation, the restart
+  // delay and the restore read: nothing the tier holds rides free.
+  double trainer_outage = 0.0;
+  for (const cd::FaultEventOutcome& e : r.report.training.faults.events) {
+    if (e.fired && e.spec.on_ps) trainer_outage += e.recovered_at - e.injected_at;
+  }
+  const double restart = core::kRestartDelay.value() + r.restore.value();
+  EXPECT_NEAR(held,
+              r.report.provisioning_seconds + r.report.training.total_time - trainer_outage +
+                  static_cast<double>(revoked) * restart,
+              1e-6);
+}
+
+TEST(SpotRestore, RevocationsChargeCheckpointReadTime) {
+  // Same market, bid and deployment: the all-spot tier's outages are the
+  // mixed tier's plus exactly one checkpoint read each.
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto all_spot = run_spot(market, spot_answer(market, core::FleetDurability::kAllSpot, 1.1));
+  const auto mixed = run_spot(market, spot_answer(market, core::FleetDurability::kMixed, 1.1));
+  const auto& a = all_spot.report.training.faults.events;
+  const auto& m = mixed.report.training.faults.events;
+  ASSERT_FALSE(m.empty());
+  ASSERT_EQ(a.size(), m.size() / 2 * 3) << "same revocations, one more node each";
+  for (std::size_t i = 0; i < m.size() / 2; ++i) {
+    EXPECT_DOUBLE_EQ(a[3 * i].spec.time_seconds, m[2 * i].spec.time_seconds);
+    EXPECT_NEAR(a[3 * i].spec.recovery_seconds - m[2 * i].spec.recovery_seconds,
+                all_spot.restore.value(), 1e-9);
   }
 }
 
 TEST(MixedFleet, BitIdenticalAcrossRepeats) {
-  cc::SpotMarket market(cc::Catalog::aws(), 52);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::MixedFleetOptions o;
-  o.bid_multiplier = 1.1;  // tight: force revocations into the run
-  const auto a = orch::run_mixed_fleet(market, w, m4(), 4, 1, 3000, o);
-  const auto b = orch::run_mixed_fleet(market, w, m4(), 4, 1, 3000, o);
-  ASSERT_TRUE(a.completed);
-  EXPECT_EQ(a.schedule.digest(), b.schedule.digest());
-  EXPECT_DOUBLE_EQ(a.wall_time, b.wall_time);
-  EXPECT_DOUBLE_EQ(a.cost.value(), b.cost.value());
-  EXPECT_EQ(a.revocations, b.revocations);
-}
-
-TEST(MixedFleet, SurvivesRevocationsAndUndercutsOnDemand) {
-  cc::SpotMarket market(cc::Catalog::aws(), 53);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::MixedFleetOptions o;
-  o.bid_multiplier = 1.1;
-  const auto r = orch::run_mixed_fleet(market, w, m4(), 4, 1, 4000, o);
-  ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.training.iterations, 4000);
-  // Workers ride the discounted spot price, so the mixed bill undercuts
-  // the all-on-demand counterfactual for the same held time.
-  EXPECT_LT(r.cost.value(), r.on_demand_cost.value());
-  EXPECT_GT(r.worker_busy_time, 0.0);
-  EXPECT_LE(r.worker_busy_time, r.wall_time + 1e-9);
-}
-
-TEST(SpotRunner, FullHoldWindowIsBilled) {
-  cc::SpotMarket market(cc::Catalog::aws(), 54);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions o;
-  o.bid_multiplier = 1.05;  // tight: force at least one revocation
-  const auto r = orch::run_on_spot(market, w, m4(), 4, 1, 4000, o);
-  ASSERT_TRUE(r.completed);
-  if (r.revocations > 0) {
-    EXPECT_GT(r.restore_overhead, 0.0);
-    EXPECT_GT(r.restart_overhead, 0.0);
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  for (const auto durability : {core::FleetDurability::kMixed, core::FleetDurability::kAllSpot}) {
+    const auto answer = spot_answer(market, durability, 1.1);
+    ct::Telemetry tel_a, tel_b;
+    const auto a = run_spot(market, answer, &tel_a);
+    const auto b = run_spot(market, answer, &tel_b);
+    EXPECT_EQ(tel_a.journal.digest(), tel_b.journal.digest()) << core::to_string(durability);
+    EXPECT_EQ(a.report.actual_cost.value(), b.report.actual_cost.value());
+    EXPECT_EQ(a.report.training.total_time, b.report.training.total_time);
+    EXPECT_GT(revocations(a, answer), 0);
   }
-  // The billed busy time covers work, checkpoint writes, lost progress,
-  // restore reads and restart delays — nothing rides free.
-  EXPECT_GE(r.busy_time + 1e-6, r.checkpoint_overhead + r.lost_work + r.restore_overhead +
-                                    r.restart_overhead);
+}
+
+TEST(SpotRunner, AccountingIsCoherent) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  for (const auto durability : {core::FleetDurability::kMixed, core::FleetDurability::kAllSpot}) {
+    ct::Telemetry tel;
+    const auto r = run_spot(market, spot_answer(market, durability, 1.1), &tel);
+    // One billing delta per tier, folding to the run's cost bit for bit.
+    const ct::CostLedger ledger = ct::CostLedger::from(tel.journal);
+    EXPECT_EQ(ledger.entries().size(), durability == core::FleetDurability::kMixed ? 2u : 1u);
+    EXPECT_EQ(ledger.total().value(), r.report.actual_cost.value())
+        << core::to_string(durability);
+  }
+}
+
+TEST(SpotRunner, InvalidArgumentsThrow) {
+  cc::SpotMarket market(cc::Catalog::aws(), 11);
+  const auto& w = cd::workload_by_name("cifar10");
+  const auto answer = spot_answer(market, core::FleetDurability::kAllSpot, 1.6);
+  const orch::SpotFleet fleet{market, answer};
+  // Revocations are a spot run's only faults and recoveries.
+  EXPECT_THROW(orch::execute_job(w, answer.plan, cf::FaultSchedule::parse("crash:wk0@10"),
+                                 kSpotGoal, spot_options(), nullptr, false, &fleet),
+               std::invalid_argument);
+  orch::SentinelOptions sentinel = spot_options();
+  sentinel.enabled = true;
+  EXPECT_THROW(orch::run_on_spot(market, w, answer, kSpotGoal, sentinel), std::invalid_argument);
+  EXPECT_THROW(orch::execute_job(w, answer.plan, {}, kSpotGoal, spot_options(), nullptr, true,
+                                 &fleet),
+               std::invalid_argument);
+  // The cadence divides by the predicted time per update.
+  auto unpredicted = answer;
+  unpredicted.plan.predicted_time = util::Seconds{0.0};
+  EXPECT_THROW(run_spot(market, unpredicted), std::invalid_argument);
+  // A durable answer has no spot tier; a bid below the market never launches.
+  auto durable = answer;
+  durable.durability = core::FleetDurability::kDurable;
+  const orch::SpotFleet durable_fleet{market, durable};
+  EXPECT_THROW(orch::execute_job(w, durable.plan, {}, kSpotGoal, spot_options(), nullptr, false,
+                                 &durable_fleet),
+               std::invalid_argument);
+  auto underbid = answer;
+  underbid.bid = util::DollarsPerHour{1e-6};
+  EXPECT_THROW(run_spot(market, underbid), std::invalid_argument);
 }

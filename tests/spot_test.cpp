@@ -1,5 +1,5 @@
-// Tests for the spot-market substrate and the checkpointed spot execution
-// layer (Proteus-style related work).
+// Tests for the spot-market substrate (Proteus-style related work); the
+// executed spot runs are covered by tests/spot_revocation_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,11 +7,9 @@
 #include "cloud/instance.hpp"
 #include "cloud/spot.hpp"
 #include "ddnn/workload.hpp"
-#include "orchestrator/spot_runner.hpp"
 
 namespace cc = cynthia::cloud;
 namespace cd = cynthia::ddnn;
-namespace orch = cynthia::orch;
 
 namespace {
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
@@ -77,13 +75,19 @@ TEST(SpotMarket, CostIntegratesPrice) {
 TEST(SpotMarket, RevocationAndAvailabilityAreConsistent) {
   cc::SpotMarket market;
   const double bid = market.mean_price("m4.xlarge") * 1.3;
-  const double revoked = market.next_revocation_after("m4.xlarge", 0.0, bid);
-  if (std::isfinite(revoked)) {
-    EXPECT_GT(market.price_at("m4.xlarge", revoked), bid);
-    const double back = market.next_availability_after("m4.xlarge", revoked, bid);
-    ASSERT_TRUE(std::isfinite(back));
-    EXPECT_GT(back, revoked);
-    EXPECT_LE(market.price_at("m4.xlarge", back), bid);
+  const auto held = market.held_windows("m4.xlarge", bid, 0.0, 14 * 86400.0);
+  ASSERT_FALSE(held.empty());
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    EXPECT_LE(market.price_at("m4.xlarge", held[i].start), bid);
+    EXPECT_GT(held[i].end, held[i].start);
+    if (!held[i].revoked) {
+      EXPECT_EQ(i + 1, held.size()) << "only the last window is censored";
+      continue;
+    }
+    EXPECT_GT(market.price_at("m4.xlarge", held[i].end), bid);
+    if (i + 1 < held.size()) {
+      EXPECT_GT(held[i + 1].start, held[i].end);
+    }
   }
 }
 
@@ -91,8 +95,11 @@ TEST(SpotMarket, HighBidNeverRevoked) {
   cc::SpotMarket market;
   // Above the 1.2x on-demand cap, a bid can never be crossed.
   const double bid = m4().price.value() * 1.3;
-  EXPECT_TRUE(std::isinf(
-      market.next_revocation_after("m4.xlarge", 0.0, bid, /*horizon=*/3 * 86400)));
+  const auto held = market.held_windows("m4.xlarge", bid, 100.0, 3 * 86400.0);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_DOUBLE_EQ(held[0].start, 100.0);
+  EXPECT_DOUBLE_EQ(held[0].end, 3 * 86400.0);
+  EXPECT_FALSE(held[0].revoked);
 }
 
 TEST(SpotMarket, InvalidOptionsThrow) {
@@ -102,75 +109,4 @@ TEST(SpotMarket, InvalidOptionsThrow) {
   cc::SpotTraceOptions bad2;
   bad2.mean_discount = 0.0;
   EXPECT_THROW(cc::SpotMarket(cc::Catalog::aws(), 1, bad2), std::invalid_argument);
-}
-
-// -------------------------------------------------------------- runner
-
-TEST(SpotRunner, CompletesAndUndercutsOnDemand) {
-  cc::SpotMarket market(cc::Catalog::aws(), 11);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions o;
-  o.bid_multiplier = 1.8;
-  const auto r = orch::run_on_spot(market, w, m4(), 6, 1, 3000, o);
-  ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.iterations, 3000);
-  EXPECT_GT(r.cost.value(), 0.0);
-  EXPECT_LT(r.cost.value(), r.on_demand_cost.value())
-      << "spot must be cheaper than on-demand for the same busy time";
-  EXPECT_GE(r.wall_time, r.busy_time);
-}
-
-TEST(SpotRunner, LowBidMeansMoreRevocationsAndWall) {
-  cc::SpotMarket market(cc::Catalog::aws(), 11);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions tight;
-  tight.bid_multiplier = 1.05;
-  orch::SpotRunOptions generous;
-  generous.bid_multiplier = 2.6;
-  const auto a = orch::run_on_spot(market, w, m4(), 6, 1, 3000, tight);
-  const auto b = orch::run_on_spot(market, w, m4(), 6, 1, 3000, generous);
-  ASSERT_TRUE(a.completed);
-  ASSERT_TRUE(b.completed);
-  EXPECT_GE(a.revocations, b.revocations);
-  EXPECT_GE(a.wall_time, b.wall_time);
-}
-
-TEST(SpotRunner, CheckpointCadenceTradesOverheadForLoss) {
-  cc::SpotMarket market(cc::Catalog::aws(), 23);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions frequent;
-  frequent.bid_multiplier = 1.1;  // stormy: revocations will happen
-  frequent.checkpoint_interval = 120.0;
-  orch::SpotRunOptions rare = frequent;
-  rare.checkpoint_interval = 3600.0;
-  const auto f = orch::run_on_spot(market, w, m4(), 6, 1, 6000, frequent);
-  const auto r = orch::run_on_spot(market, w, m4(), 6, 1, 6000, rare);
-  ASSERT_TRUE(f.completed);
-  ASSERT_TRUE(r.completed);
-  EXPECT_GT(f.checkpoint_overhead, r.checkpoint_overhead);
-  if (r.revocations > 0) {
-    EXPECT_GE(r.lost_work, f.lost_work);
-  }
-}
-
-TEST(SpotRunner, AccountingIsCoherent) {
-  cc::SpotMarket market(cc::Catalog::aws(), 31);
-  const auto& w = cd::workload_by_name("cifar10");
-  orch::SpotRunOptions o;
-  o.bid_multiplier = 1.3;
-  const auto r = orch::run_on_spot(market, w, m4(), 4, 1, 2000, o);
-  ASSERT_TRUE(r.completed);
-  // busy time covers useful work + overhead + lost work.
-  EXPECT_GE(r.busy_time + 1e-6, r.checkpoint_overhead + r.lost_work);
-  // Wall time includes outages whenever there was a revocation.
-  if (r.revocations > 0) EXPECT_GT(r.wall_time, r.busy_time);
-}
-
-TEST(SpotRunner, InvalidArgumentsThrow) {
-  cc::SpotMarket market;
-  const auto& w = cd::workload_by_name("cifar10");
-  EXPECT_THROW(orch::run_on_spot(market, w, m4(), 4, 1, 0), std::invalid_argument);
-  orch::SpotRunOptions bad;
-  bad.bid_multiplier = 0.0;
-  EXPECT_THROW(orch::run_on_spot(market, w, m4(), 4, 1, 100, bad), std::invalid_argument);
 }
