@@ -203,7 +203,8 @@ void Session::build_resources() {
     const auto& d = cluster_.ps[k];
     const std::string tag = "ps" + std::to_string(k);
     ps_cpu_.push_back(fluid_.add_resource(tag + ".cpu", d.cpu.value()));
-    ps_in_.push_back(fluid_.add_resource(tag + ".in", d.nic.value(), opts_.trace_bucket_seconds));
+    ps_in_.push_back(fluid_.add_resource(tag + ".in", d.nic.value(),
+                                        util::Seconds{opts_.trace_bucket_seconds}));
     ps_eg_.push_back(fluid_.add_resource(tag + ".eg", d.nic.value()));
   }
   pending_subchains_.assign(n, 0);

@@ -1,6 +1,7 @@
 #include "faults/fault_spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -42,11 +43,15 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-double parse_number(const std::string& item, const std::string& text, std::size_t& pos) {
-  const char* begin = text.c_str() + pos;
+/// Reads the number at `pos` of `item` and advances past it. Only a finite
+/// value is a number here: "nan" and "inf" (and overflows to inf) would slip
+/// past validate()'s range checks and act as no fault, or as a different one.
+double parse_number(const std::string& item, std::size_t& pos) {
+  const char* begin = item.c_str() + pos;
   char* end = nullptr;
   const double v = std::strtod(begin, &end);
   if (end == begin) bad_spec(item, "expected a number");
+  if (!std::isfinite(v)) bad_spec(item, "expected a finite number");
   pos += static_cast<std::size_t>(end - begin);
   return v;
 }
@@ -86,30 +91,33 @@ FaultSpec parse_event(const std::string& item) {
       target.find_first_not_of("0123456789", digits) != std::string::npos) {
     bad_spec(item, "target index must be a non-negative integer");
   }
-  spec.target = std::atoi(target.c_str() + digits);
+  const char* index_end = target.data() + target.size();
+  if (std::from_chars(target.data() + digits, index_end, spec.target).ec != std::errc{}) {
+    bad_spec(item, "target index out of range");
+  }
 
   std::size_t pos = at + 1;
-  spec.time_seconds = parse_number(item, item, pos);
+  spec.time_seconds = parse_number(item, pos);
   bool saw_factor = false;
   bool saw_bandwidth = false;
   while (pos < item.size()) {
     const char tag = item[pos++];
     switch (tag) {
       case 'x':
-        spec.slowdown_factor = parse_number(item, item, pos);
+        spec.slowdown_factor = parse_number(item, pos);
         saw_factor = true;
         break;
       case '=':
-        spec.degraded_mbps = parse_number(item, item, pos);
+        spec.degraded_mbps = parse_number(item, pos);
         saw_bandwidth = true;
         break;
       case '*':
-        spec.degraded_fraction = parse_number(item, item, pos);
+        spec.degraded_fraction = parse_number(item, pos);
         spec.degraded_mbps = 0.0;
         saw_bandwidth = true;
         break;
       case '+':
-        spec.recovery_seconds = parse_number(item, item, pos);
+        spec.recovery_seconds = parse_number(item, pos);
         break;
       default:
         bad_spec(item, "unknown suffix (want x<factor>, =<mbps>, *<fraction>, +<recovery>)");
@@ -264,29 +272,31 @@ FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_se
 }
 
 void FaultSchedule::validate(int n_workers, int n_ps) const {
+  // Every check is written so that NaN fails it.
   for (const FaultSpec& spec : events_) {
+    const auto reject = [&spec](const char* why) {
+      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() + "\" " + why);
+    };
     const int limit = spec.on_ps ? n_ps : n_workers;
-    if (spec.target < 0 || spec.target >= limit) {
-      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() +
-                                  "\" targets a node outside the cluster");
-    }
-    if (spec.time_seconds < 0.0) {
-      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() +
-                                  "\" has a negative time");
+    if (spec.target < 0 || spec.target >= limit) reject("targets a node outside the cluster");
+    if (!(std::isfinite(spec.time_seconds) && spec.time_seconds >= 0.0)) {
+      reject("needs a finite time >= 0");
     }
     if ((spec.kind == FaultKind::kSlowdown || spec.kind == FaultKind::kTransientBlip) &&
-        spec.slowdown_factor < 1.0) {
-      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() +
-                                  "\" needs slowdown factor >= 1");
+        !(std::isfinite(spec.slowdown_factor) && spec.slowdown_factor >= 1.0)) {
+      reject("needs a finite slowdown factor >= 1");
     }
-    if (spec.kind == FaultKind::kNicDegradation && spec.degraded_mbps <= 0.0 &&
-        (spec.degraded_fraction <= 0.0 || spec.degraded_fraction > 1.0)) {
-      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() +
-                                  "\" needs =mbps > 0 or *fraction in (0,1]");
+    if (spec.kind == FaultKind::kNicDegradation &&
+        !(std::isfinite(spec.degraded_mbps) &&
+          (spec.degraded_mbps > 0.0 ||
+           (spec.degraded_fraction > 0.0 && spec.degraded_fraction <= 1.0)))) {
+      reject("needs =mbps finite and > 0 or *fraction in (0,1]");
+    }
+    if (!std::isfinite(spec.recovery_seconds)) {
+      reject("needs a finite recovery time (< 0 means permanent)");
     }
     if (spec.kind == FaultKind::kTransientBlip && spec.recovery_seconds < 0.0) {
-      throw std::invalid_argument("FaultSchedule: event \"" + spec.to_string() +
-                                  "\" — blips must recover");
+      reject("— blips must recover");
     }
   }
 }

@@ -9,13 +9,15 @@
 namespace cynthia::sim {
 
 ResourceId FluidSystem::add_resource(std::string name, double capacity,
-                                     double trace_bucket_seconds) {
-  if (capacity <= 0.0) throw std::invalid_argument("FluidSystem: capacity must be > 0");
+                                     util::Seconds trace_bucket) {
+  if (!(std::isfinite(capacity) && capacity > 0.0)) {
+    throw std::invalid_argument("FluidSystem: capacity must be finite and > 0");
+  }
   Resource r;
   r.name = std::move(name);
   r.capacity = capacity;
-  if (trace_bucket_seconds > 0.0) {
-    r.trace = std::make_unique<util::RateTrace>(trace_bucket_seconds);
+  if (trace_bucket.value() > 0.0) {
+    r.trace = std::make_unique<util::RateTrace>(trace_bucket.value());
   }
   resources_.push_back(std::move(r));
   return resources_.size() - 1;
@@ -23,6 +25,7 @@ ResourceId FluidSystem::add_resource(std::string name, double capacity,
 
 JobId FluidSystem::start_job(double volume, std::vector<ResourceId> resources,
                              std::function<void(double)> on_complete) {
+  if (!std::isfinite(volume)) throw std::invalid_argument("FluidSystem: job volume must be finite");
   for (ResourceId rid : resources) {
     if (rid >= resources_.size()) throw std::out_of_range("FluidSystem: bad resource id");
   }
@@ -39,28 +42,57 @@ JobId FluidSystem::start_job(double volume, std::vector<ResourceId> resources,
     throw std::invalid_argument("FluidSystem: job must traverse at least one resource");
   }
   settle();
-  Job job;
+  std::size_t slot = slots_.size();
+  if (free_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Job& job = slots_[slot];
   job.id = id;
   job.remaining = volume;
+  job.rate = 0.0;
   job.resources = std::move(resources);
   job.on_complete = std::move(on_complete);
-  jobs_.push_back(std::move(job));
-  reallocate(jobs_.back().resources);
+  // The new job has the largest live id, so appending keeps every list in
+  // ascending id order.
+  for (ResourceId rid : job.resources) resources_[rid].crossing.push_back(slot);
+  live_.push_back(slot);
+  reallocate(job.resources);
   return id;
 }
 
 void FluidSystem::cancel_job(JobId id) {
-  auto it = std::find_if(jobs_.begin(), jobs_.end(), [&](const Job& j) { return j.id == id; });
-  if (it == jobs_.end()) return;
+  const auto it = find_live(id);
+  if (it == live_.end()) return;
   settle();
-  const std::vector<ResourceId> touched = std::move(it->resources);
-  jobs_.erase(it);
-  reallocate(touched);
+  const std::size_t slot = *it;
+  live_.erase(it);
+  release(slot);
+  reallocate(slots_[slot].resources);
+}
+
+void FluidSystem::release(std::size_t slot) {
+  Job& job = slots_[slot];
+  for (ResourceId rid : job.resources) {
+    auto& crossing = resources_[rid].crossing;
+    crossing.erase(std::find(crossing.begin(), crossing.end(), slot));
+  }
+  job.id = 0;
+  job.on_complete = nullptr;
+  free_.push_back(slot);
+}
+
+std::vector<std::size_t>::const_iterator FluidSystem::find_live(JobId id) const {
+  const auto by_id = [this](std::size_t slot, JobId v) { return slots_[slot].id < v; };
+  const auto it = std::lower_bound(live_.begin(), live_.end(), id, by_id);
+  return it != live_.end() && slots_[*it].id == id ? it : live_.end();
 }
 
 const FluidSystem::Job* FluidSystem::find_job(JobId id) const {
-  auto it = std::find_if(jobs_.begin(), jobs_.end(), [&](const Job& j) { return j.id == id; });
-  return it == jobs_.end() ? nullptr : &*it;
+  const auto it = find_live(id);
+  return it == live_.end() ? nullptr : &slots_[*it];
 }
 
 double FluidSystem::job_remaining(JobId id) const {
@@ -113,8 +145,9 @@ double FluidSystem::resource_saturated_seconds(ResourceId id) const {
 
 void FluidSystem::set_resource_capacity(ResourceId id, double capacity) {
   if (id >= resources_.size()) throw std::out_of_range("FluidSystem: bad resource id");
-  if (capacity <= 0.0) {
-    throw std::invalid_argument("FluidSystem: capacity must stay > 0 (cancel jobs to kill a node)");
+  if (!(std::isfinite(capacity) && capacity > 0.0)) {
+    throw std::invalid_argument(
+        "FluidSystem: capacity must stay finite and > 0 (cancel jobs to kill a node)");
   }
   settle();
   resources_[id].capacity = capacity;
@@ -139,7 +172,8 @@ void FluidSystem::settle() {
     last_settle_ = now;
     return;
   }
-  for (auto& job : jobs_) {
+  for (std::size_t slot : live_) {
+    Job& job = slots_[slot];
     job.remaining = std::max(0.0, job.remaining - job.rate * dt);
   }
   for (auto& r : resources_) {
@@ -153,15 +187,16 @@ void FluidSystem::settle() {
 }
 
 std::vector<double> FluidSystem::compute_maxmin_rates() const {
-  // Progressive water-filling: repeatedly saturate the tightest resource.
-  const std::size_t n = jobs_.size();
+  // Progressive water-filling over the live jobs in id order: repeatedly
+  // saturate the tightest resource. rates[j] belongs to slots_[live_[j]].
+  const std::size_t n = live_.size();
   std::vector<double> rates(n, 0.0);
   std::vector<bool> frozen(n, false);
   std::vector<double> rem_cap(resources_.size());
   std::vector<int> unfrozen_on(resources_.size(), 0);
   for (std::size_t r = 0; r < resources_.size(); ++r) rem_cap[r] = resources_[r].capacity;
   for (std::size_t j = 0; j < n; ++j) {
-    for (ResourceId rid : jobs_[j].resources) ++unfrozen_on[rid];
+    for (ResourceId rid : slots_[live_[j]].resources) ++unfrozen_on[rid];
   }
 
   std::size_t frozen_count = 0;
@@ -182,7 +217,7 @@ std::vector<double> FluidSystem::compute_maxmin_rates() const {
     // Freeze every unfrozen job crossing the bottleneck at that share.
     for (std::size_t j = 0; j < n; ++j) {
       if (frozen[j]) continue;
-      const auto& rs = jobs_[j].resources;
+      const auto& rs = slots_[live_[j]].resources;
       if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) continue;
       frozen[j] = true;
       ++frozen_count;
@@ -209,11 +244,12 @@ void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
   } else {
     const auto rates = compute_maxmin_rates();
     for (auto& r : resources_) r.used_rate = 0.0;
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      jobs_[j].rate = rates[j];
-      for (ResourceId rid : jobs_[j].resources) resources_[rid].used_rate += rates[j];
+    for (std::size_t j = 0; j < live_.size(); ++j) {
+      Job& job = slots_[live_[j]];
+      job.rate = rates[j];
+      for (ResourceId rid : job.resources) resources_[rid].used_rate += rates[j];
     }
-    flows_resolved_ += jobs_.size();
+    flows_resolved_ += live_.size();
   }
   schedule_completion();
 }
@@ -223,117 +259,105 @@ void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
 /// Correctness rests on two facts. (1) Max-min fairness decomposes exactly
 /// by component — the global water-filling's freeze sequence restricted to
 /// one component reads and writes only that component's capacities and
-/// counts, in the same ascending-index order the restricted solve uses, so
-/// the restricted solve reproduces the global rates bit-for-bit. (2) The
+/// counts, in the same ascending-id order the restricted solve uses, so the
+/// restricted solve reproduces the global rates bit-for-bit. (2) The
 /// affected set is closed: every job crossing an affected resource is
 /// itself affected, so untouched jobs keep rates (and their resources keep
 /// used_rate sums) that a global re-solve would recompute identically.
+///
+/// The work is proportional to the component, read off the crossing lists
+/// (docs/PERF.md, "Solve cost follows the component"): a crossing list is in
+/// ascending job id, the order in which the global solve freezes jobs and
+/// accumulates used_rate; scanning the members in ascending resource index
+/// keeps its lowest-index tie-break; and by closure a resource's unfrozen
+/// count starts at its crossing-list length.
 void FluidSystem::resolve_component(const std::vector<ResourceId>& touched) {
-  const std::size_t n = jobs_.size();
-  const std::size_t nr = resources_.size();
   SolveScratch& s = scratch_;
-
-  // CSR adjacency resource -> crossing job indices: one O(edges) pass, far
-  // below the water-filling work it lets us skip.
-  s.head.assign(nr + 1, 0);
-  for (const auto& job : jobs_) {
-    for (ResourceId rid : job.resources) ++s.head[rid + 1];
-  }
-  for (std::size_t r = 0; r < nr; ++r) s.head[r + 1] += s.head[r];
-  s.adj.resize(s.head.back());
-  s.cursor.assign(s.head.begin(), s.head.end() - 1);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (ResourceId rid : jobs_[j].resources) s.adj[s.cursor[rid]++] = j;
-  }
+  const std::uint64_t epoch = ++s.epoch;
 
   // Flood-fill the affected component(s) from the touched resources.
-  s.res_in.assign(nr, 0);
-  s.job_in.assign(n, 0);
   s.frontier.clear();
+  s.members.clear();
+  std::size_t n_jobs = 0;
   for (ResourceId rid : touched) {
-    if (!s.res_in[rid]) {
-      s.res_in[rid] = 1;
+    if (resources_[rid].stamp != epoch) {
+      resources_[rid].stamp = epoch;
       s.frontier.push_back(rid);
     }
   }
   while (!s.frontier.empty()) {
     const ResourceId r = s.frontier.back();
     s.frontier.pop_back();
-    for (std::size_t e = s.head[r]; e < s.head[r + 1]; ++e) {
-      const std::size_t j = s.adj[e];
-      if (s.job_in[j]) continue;
-      s.job_in[j] = 1;
-      for (ResourceId rid : jobs_[j].resources) {
-        if (!s.res_in[rid]) {
-          s.res_in[rid] = 1;
+    s.members.push_back(r);
+    for (std::size_t slot : resources_[r].crossing) {
+      Job& job = slots_[slot];
+      if (job.stamp == epoch) continue;
+      job.stamp = epoch;
+      ++n_jobs;
+      for (ResourceId rid : job.resources) {
+        if (resources_[rid].stamp != epoch) {
+          resources_[rid].stamp = epoch;
           s.frontier.push_back(rid);
         }
       }
     }
   }
-
-  // Ascending-index member lists keep the freeze/accumulation order equal
-  // to the global solver's, independent of flood-fill visit order.
-  s.res_ids.clear();
-  s.job_ids.clear();
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (s.res_in[r]) s.res_ids.push_back(r);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    if (s.job_in[j]) s.job_ids.push_back(j);
-  }
+  std::sort(s.members.begin(), s.members.end());
 
   // Progressive water-filling restricted to the component (same arithmetic
   // as compute_maxmin_rates over the affected subset).
-  s.rem_cap.assign(nr, 0.0);
-  s.unfrozen_on.assign(nr, 0);
-  for (ResourceId r : s.res_ids) s.rem_cap[r] = resources_[r].capacity;
-  for (std::size_t j : s.job_ids) {
-    for (ResourceId rid : jobs_[j].resources) ++s.unfrozen_on[rid];
+  for (ResourceId r : s.members) {
+    Resource& res = resources_[r];
+    res.rem_cap = res.capacity;
+    res.unfrozen = res.crossing.size();
   }
-  s.frozen.assign(n, 0);
+  const ResourceId none = resources_.size();
   std::size_t frozen_count = 0;
-  while (frozen_count < s.job_ids.size()) {
+  while (frozen_count < n_jobs) {
     double best_share = std::numeric_limits<double>::infinity();
-    ResourceId best_r = nr;
-    for (ResourceId r : s.res_ids) {
-      if (s.unfrozen_on[r] == 0) continue;
-      const double share = s.rem_cap[r] / s.unfrozen_on[r];
+    ResourceId best_r = none;
+    for (ResourceId r : s.members) {
+      const Resource& res = resources_[r];
+      if (res.unfrozen == 0) continue;
+      const double share = res.rem_cap / static_cast<double>(res.unfrozen);
       if (share < best_share) {
         best_share = share;
         best_r = r;
       }
     }
-    if (best_r == nr) break;  // remaining jobs use no resources
+    if (best_r == none) break;  // remaining jobs use no resources
     best_share = std::max(0.0, best_share);
-    for (std::size_t j : s.job_ids) {
-      if (s.frozen[j]) continue;
-      const auto& rs = jobs_[j].resources;
-      if (std::find(rs.begin(), rs.end(), best_r) == rs.end()) continue;
-      s.frozen[j] = 1;
+    for (std::size_t slot : resources_[best_r].crossing) {
+      Job& job = slots_[slot];
+      if (job.frozen == epoch) continue;
+      job.frozen = epoch;
       ++frozen_count;
-      jobs_[j].rate = best_share;
-      for (ResourceId rid : rs) {
-        s.rem_cap[rid] = std::max(0.0, s.rem_cap[rid] - best_share);
-        --s.unfrozen_on[rid];
+      job.rate = best_share;
+      for (ResourceId rid : job.resources) {
+        Resource& res = resources_[rid];
+        res.rem_cap = std::max(0.0, res.rem_cap - best_share);
+        --res.unfrozen;
       }
     }
   }
 
-  // Rebuild used_rate for affected resources only; every job crossing them
-  // is affected, so the ascending-index accumulation matches the global one.
-  for (ResourceId r : s.res_ids) resources_[r].used_rate = 0.0;
-  for (std::size_t j : s.job_ids) {
-    for (ResourceId rid : jobs_[j].resources) resources_[rid].used_rate += jobs_[j].rate;
+  // Rebuild used_rate for affected resources only, each from 0.0 over its
+  // crossing list: the global solve's ascending-id accumulation order.
+  for (ResourceId r : s.members) {
+    Resource& res = resources_[r];
+    double used = 0.0;
+    for (std::size_t slot : res.crossing) used += slots_[slot].rate;
+    res.used_rate = used;
   }
 
-  flows_resolved_ += s.job_ids.size();
-  flows_avoided_ += n - s.job_ids.size();
+  flows_resolved_ += n_jobs;
+  flows_avoided_ += live_.size() - n_jobs;
 }
 
 void FluidSystem::schedule_completion() {
   double min_finish = std::numeric_limits<double>::infinity();
-  for (const auto& job : jobs_) {
+  for (std::size_t slot : live_) {
+    const Job& job = slots_[slot];
     if (job.rate > 0.0) {
       min_finish = std::min(min_finish, job.remaining / job.rate);
     }
@@ -349,7 +373,7 @@ void FluidSystem::schedule_completion() {
     const double slack = min_finish * 1e-12 + 1e-9;
     completion_event_ =
         sim_->after(std::max(0.0, min_finish + slack), [this] { on_completion_event(); });
-  } else if (!jobs_.empty()) {
+  } else if (!live_.empty()) {
     // All active jobs starved (zero rate) — only possible if every resource
     // they use has zero remaining capacity, which cannot happen under
     // max-min with positive capacities. Treat as a logic error loudly.
@@ -367,14 +391,33 @@ void FluidSystem::schedule_completion() {
 ///   3. bottleneck saturation — every running job crosses at least one
 ///      resource that the allocation saturates (the defining property of
 ///      max-min fairness: nobody's rate can be raised without lowering a
-///      rate that is already no larger).
+///      rate that is already no larger);
+///   4. the crossing lists index exactly the live jobs' resource lists, in
+///      ascending job id (the incremental solve's order).
 void FluidSystem::verify_allocation() const {
   constexpr double kRel = 1e-9;
   std::vector<double> crossing_sum(resources_.size(), 0.0);
-  for (const auto& job : jobs_) {
+  std::vector<std::size_t> crossing_count(resources_.size(), 0);
+  for (std::size_t slot : live_) {
+    const Job& job = slots_[slot];
     CYNTHIA_CHECK(std::isfinite(job.rate) && job.rate >= 0.0, "job ", job.id,
                   " has rate ", job.rate);
-    for (ResourceId rid : job.resources) crossing_sum[rid] += job.rate;
+    for (ResourceId rid : job.resources) {
+      crossing_sum[rid] += job.rate;
+      ++crossing_count[rid];
+    }
+  }
+  for (std::size_t r = 0; r < resources_.size(); ++r) {
+    const auto& crossing = resources_[r].crossing;
+    CYNTHIA_CHECK(crossing.size() == crossing_count[r], "crossing list of ",
+                  resources_[r].name, " holds ", crossing.size(), " jobs, not ",
+                  crossing_count[r]);
+    for (std::size_t i = 0; i < crossing.size(); ++i) {
+      const Job& job = slots_[crossing[i]];
+      const bool crosses = std::count(job.resources.begin(), job.resources.end(), r) > 0;
+      CYNTHIA_CHECK(job.id != 0 && crosses && (i == 0 || slots_[crossing[i - 1]].id <= job.id),
+                    "crossing list of ", resources_[r].name, " is out of order or stale");
+    }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     const double cap = resources_[r].capacity;
@@ -385,7 +428,8 @@ void FluidSystem::verify_allocation() const {
     CYNTHIA_CHECK(resources_[r].used_rate <= cap + tol, "resource ", resources_[r].name,
                   " over-subscribed: ", resources_[r].used_rate, " > capacity ", cap);
   }
-  for (const auto& job : jobs_) {
+  for (std::size_t slot : live_) {
+    const Job& job = slots_[slot];
     if (job.rate <= 0.0) continue;
     bool bottlenecked = false;
     for (ResourceId rid : job.resources) {
@@ -403,42 +447,43 @@ void FluidSystem::verify_allocation() const {
 void FluidSystem::on_completion_event() {
   completion_event_ = 0;
   settle();
-  // The completion slack in reallocate() guarantees progress: at least one
-  // job must have drained by the time this event fires, or the simulation
-  // would spin on zero-volume completion events forever.
-  CYNTHIA_CHECK(std::any_of(jobs_.begin(), jobs_.end(),
-                            [](const Job& j) { return j.remaining <= kEpsilonVolume; }),
-                "completion event fired with no job drained");
-  // Move every finished job out (ties complete together) in one pass that
-  // keeps the survivors in order: jobs_ order is the solve order, which
-  // bit-exactness rests on. Callbacks then observe a consistent system and
-  // may start new jobs.
-  std::vector<Job> finished;
+  // Take every finished job out (ties complete together) in one pass that
+  // keeps live_ in ascending id, the solve order bit-exactness rests on.
+  // Their callbacks are moved out first and run in id order afterwards, so
+  // they observe a consistent system and may start new jobs, which may
+  // reuse the freed slots.
   pending_.clear();
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    Job& job = jobs_[i];
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    const std::size_t slot = live_[i];
+    Job& job = slots_[slot];
     if (job.remaining <= kEpsilonVolume) {
       pending_.insert(pending_.end(), job.resources.begin(), job.resources.end());
-      finished.push_back(std::move(job));
+      finished_.push_back(std::move(job.on_complete));
+      release(slot);
     } else {
-      if (kept != i) jobs_[kept] = std::move(job);
-      ++kept;
+      live_[kept++] = slot;
     }
   }
-  jobs_.resize(kept);
+  live_.resize(kept);
+  // The completion slack in schedule_completion() guarantees progress: at
+  // least one job must have drained by the time this event fires, or the
+  // simulation would spin on zero-volume completion events forever.
+  CYNTHIA_CHECK(!finished_.empty(), "completion event fired with no job drained");
   // One solve for the whole instant: starts, cancels and capacity changes
   // made by the callbacks only add their resources to pending_.
   batching_ = true;
   const double now = sim_->now();
   try {
-    for (auto& job : finished) {
-      if (job.on_complete) job.on_complete(now);
+    for (auto& on_complete : finished_) {
+      if (on_complete) on_complete(now);
     }
   } catch (...) {
+    finished_.clear();
     solve_batch();
     throw;
   }
+  finished_.clear();
   solve_batch();
 }
 

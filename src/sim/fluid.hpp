@@ -21,6 +21,7 @@
 
 #include "sim/simulator.hpp"
 #include "util/time_series.hpp"
+#include "util/units.hpp"
 
 namespace cynthia::sim {
 
@@ -48,22 +49,26 @@ class FluidSystem {
   FluidSystem(const FluidSystem&) = delete;
   FluidSystem& operator=(const FluidSystem&) = delete;
 
-  /// Registers a resource with the given capacity (units/second).
-  /// If `trace_bucket_seconds` > 0, the used rate is recorded into a
-  /// RateTrace with that bucket width (used for Figs. 2 and 7).
-  ResourceId add_resource(std::string name, double capacity, double trace_bucket_seconds = 0.0);
+  /// Registers a resource with the given capacity (units/second), which
+  /// must be finite and > 0 (std::invalid_argument otherwise). If
+  /// `trace_bucket` > 0, the used rate is recorded into a RateTrace with that
+  /// bucket width (used for Figs. 2 and 7).
+  ResourceId add_resource(std::string name, double capacity,
+                          util::Seconds trace_bucket = util::Seconds{0.0});
 
   /// Starts a job of `volume` units traversing all of `resources`
   /// simultaneously (a network flow crossing two NICs, or a CPU task on one
   /// core). `on_complete(finish_time)` fires when the volume drains.
-  /// A job with volume <= epsilon completes via a zero-delay event.
+  /// A job with volume <= epsilon completes via a zero-delay event; a
+  /// non-finite volume throws std::invalid_argument. A resource listed twice
+  /// carries the job twice (it uses twice the job's rate there).
   JobId start_job(double volume, std::vector<ResourceId> resources,
                   std::function<void(double)> on_complete);
 
   /// Removes an active job without firing its callback; no-op if finished.
   void cancel_job(JobId id);
 
-  [[nodiscard]] std::size_t active_jobs() const { return jobs_.size(); }
+  [[nodiscard]] std::size_t active_jobs() const { return live_.size(); }
   [[nodiscard]] double job_remaining(JobId id) const;
   /// Not callable inside a completion callback (see the class comment).
   [[nodiscard]] double job_rate(JobId id) const;
@@ -91,9 +96,10 @@ class FluidSystem {
   /// Changes a resource's capacity mid-run (fault injection: a slowed CPU,
   /// a degraded NIC). Settles progress under the old allocation first, then
   /// re-runs max-min over the new capacities so every active job re-settles
-  /// onto the changed topology. Capacity must stay > 0 — model a dead node
-  /// by cancelling its jobs, not by zeroing its resources (zero capacity
-  /// would starve active jobs, which the solver treats as a logic error).
+  /// onto the changed topology. Capacity must stay finite and > 0 — model a
+  /// dead node by cancelling its jobs, not by zeroing its resources (zero
+  /// capacity would starve active jobs, which the solver treats as a logic
+  /// error, and a NaN one would never bind, leaving its jobs' rates stale).
   void set_resource_capacity(ResourceId id, double capacity);
 
   /// Settles utilization integrals up to the current simulation time
@@ -132,29 +138,40 @@ class FluidSystem {
     double saturated_integral = 0.0;  // sum of dt while used_rate ~= capacity
     double used_rate = 0.0;           // current allocation
     std::unique_ptr<util::RateTrace> trace;
+    /// Slots of the live jobs using this resource, in ascending job id (a
+    /// job listing the resource twice appears twice, side by side).
+    std::vector<std::size_t> crossing;
+    // resolve_component's working state, meaningful while `stamp` equals the
+    // current solve's epoch (so a solve never clears it).
+    std::uint64_t stamp = 0;
+    double rem_cap = 0.0;
+    std::size_t unfrozen = 0;
   };
 
   struct Job {
-    JobId id = 0;
+    JobId id = 0;  // 0 marks a free slot
     double remaining = 0.0;
     double rate = 0.0;
     std::vector<ResourceId> resources;
     std::function<void(double)> on_complete;
+    std::uint64_t stamp = 0;   // == epoch: in the component being solved
+    std::uint64_t frozen = 0;  // == epoch: its rate is fixed in that solve
   };
 
-  /// resolve_component's working arrays, kept across solves so that a
-  /// steady-state solve allocates nothing (each solve assigns or clears them).
+  /// resolve_component's lists, kept across solves so that a steady-state
+  /// solve allocates nothing. Per-resource and per-job marks carry the
+  /// epoch of the solve that set them instead of being cleared, so a solve
+  /// costs the size of its component, not of the whole system.
   struct SolveScratch {
-    std::vector<std::size_t> head, adj, cursor, job_ids;
-    std::vector<ResourceId> frontier, res_ids;
-    std::vector<char> res_in, job_in, frozen;
-    std::vector<double> rem_cap;
-    std::vector<int> unfrozen_on;
+    std::uint64_t epoch = 0;
+    std::vector<ResourceId> frontier, members;
   };
 
   Simulator* sim_;
   std::vector<Resource> resources_;
-  std::vector<Job> jobs_;  // insertion order; ids strictly increasing
+  std::vector<Job> slots_;         // stable job storage; freed slots are reused
+  std::vector<std::size_t> free_;  // free slots of slots_
+  std::vector<std::size_t> live_;  // slots of the live jobs, in ascending job id
   JobId next_job_id_ = 1;
   double last_settle_ = 0.0;
   EventId completion_event_ = 0;
@@ -165,6 +182,9 @@ class FluidSystem {
   std::uint64_t flows_avoided_ = 0;
   bool batching_ = false;            // completion callbacks are running
   std::vector<ResourceId> pending_;  // resources touched in this batch
+  /// Callbacks of the jobs a completion event finished, moved out of their
+  /// slots before any runs (a callback's start_job may reuse or grow slots_).
+  std::vector<std::function<void(double)>> finished_;
   SolveScratch scratch_;
 
   void settle();
@@ -181,8 +201,14 @@ class FluidSystem {
   void on_completion_event();
   /// Closes the batch and solves once over pending_.
   void solve_batch();
+  /// Unlinks a live job's slot from its resources' crossing lists and frees
+  /// it; the caller has already taken it out of live_. Its `resources` stay
+  /// readable until the slot is reused.
+  void release(std::size_t slot);
   void verify_allocation() const;
   [[nodiscard]] std::vector<double> compute_maxmin_rates() const;
+  /// Position of a live job in live_ (binary search by id), or live_.end().
+  [[nodiscard]] std::vector<std::size_t>::const_iterator find_live(JobId id) const;
   [[nodiscard]] const Job* find_job(JobId id) const;
 };
 

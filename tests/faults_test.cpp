@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "cloud/instance.hpp"
 #include "core/predictor.hpp"
@@ -130,6 +131,101 @@ TEST(FaultSchedule, RejectsMalformedAndOutOfRange) {
   const auto schedule = cf::FaultSchedule::parse("crash:wk5@3+10");
   EXPECT_THROW(schedule.validate(4, 1), std::invalid_argument);
   EXPECT_NO_THROW(schedule.validate(6, 1));
+}
+
+namespace {
+
+/// The message parse() throws for `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)cf::FaultSchedule::parse(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(FaultSchedule, ParseRejectsNonFiniteTime) {
+  for (const std::string text : {"slow:wk0@nanx3", "crash:wk1@inf", "crash:wk1@-inf+5",
+                                 "nic:ps0@1e999=40", "blip:wk2@NAN+10"}) {
+    EXPECT_EQ(parse_error(text),
+              "FaultSchedule: bad event \"" + text + "\": expected a finite number");
+  }
+}
+
+TEST(FaultSchedule, ParseRejectsNonFiniteSuffixValues) {
+  // Each of these used to parse: a NaN factor slowed nothing, a NaN
+  // bandwidth ran as the default 50% degradation, and a NaN recovery made
+  // the crash permanent.
+  for (const std::string text : {"slow:wk0@0.5xnan", "blip:wk0@0.5xinf", "nic:wk2@2=nan",
+                                 "nic:wk2@2*nan", "nic:wk2@2=1e400", "crash:wk1@1.5+nan",
+                                 "crash:wk1@1.5+inf", "slow:wk0@1x2+-nan"}) {
+    EXPECT_EQ(parse_error(text),
+              "FaultSchedule: bad event \"" + text + "\": expected a finite number");
+  }
+  // Finite values in every position still parse, exponent notation included.
+  EXPECT_EQ(parse_error("slow:wk0@0.5x3;nic:wk2@2=40;nic:ps0@1*0.25;crash:wk1@1.5+2e1"), "");
+}
+
+TEST(FaultSchedule, ParseRejectsOutOfRangeTargetIndex) {
+  EXPECT_EQ(parse_error("crash:wk3000000000@1"),
+            "FaultSchedule: bad event \"crash:wk3000000000@1\": target index out of range");
+  EXPECT_EQ(parse_error("crash:ps99999999999999999999@1"),
+            "FaultSchedule: bad event \"crash:ps99999999999999999999@1\": target index out of "
+            "range");
+  EXPECT_EQ(parse_error("crash:wk-1@1"),
+            "FaultSchedule: bad event \"crash:wk-1@1\": target index must be a non-negative "
+            "integer");
+  const auto largest = cf::FaultSchedule::parse("crash:wk2147483647@1");
+  EXPECT_EQ(largest.events().front().target, 2147483647);
+  EXPECT_EQ(cf::FaultSchedule::parse("crash:wk007@1").events().front().target, 7);
+}
+
+TEST(FaultSchedule, ValidateRejectsNonFiniteFields) {
+  // Specs built in code skip the parser; validate() must catch them too,
+  // with checks that NaN fails, naming the event and the bad field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto validate_error = [](const cf::FaultSpec& spec) -> std::string {
+    try {
+      cf::FaultSchedule({spec}).validate(4, 1);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  cf::FaultSpec slow;
+  slow.kind = cf::FaultKind::kSlowdown;
+  slow.time_seconds = 1.0;
+  EXPECT_EQ(validate_error(slow), "");
+  for (const double bad : {nan, inf}) {
+    cf::FaultSpec s = slow;
+    s.time_seconds = bad;
+    EXPECT_NE(validate_error(s).find("needs a finite time >= 0"), std::string::npos) << bad;
+    s = slow;
+    s.slowdown_factor = bad;
+    EXPECT_NE(validate_error(s).find("needs a finite slowdown factor >= 1"), std::string::npos)
+        << bad;
+    s = slow;
+    s.recovery_seconds = bad;
+    EXPECT_NE(validate_error(s).find("needs a finite recovery time"), std::string::npos) << bad;
+  }
+  cf::FaultSpec nic;
+  nic.kind = cf::FaultKind::kNicDegradation;
+  nic.time_seconds = 2.0;
+  nic.target = 2;
+  EXPECT_EQ(validate_error(nic), "");
+  for (const double bad : {nan, inf}) {
+    cf::FaultSpec s = nic;
+    s.degraded_mbps = bad;
+    EXPECT_EQ(validate_error(s), "FaultSchedule: event \"" + s.to_string() +
+                                     "\" needs =mbps finite and > 0 or *fraction in (0,1]")
+        << bad;
+  }
+  nic.degraded_fraction = nan;
+  EXPECT_NE(validate_error(nic).find("*fraction in (0,1]"), std::string::npos);
 }
 
 // ----------------------------------------------------------- determinism

@@ -9,13 +9,16 @@
 // equality (no tolerances).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace cs = cynthia::sim;
 namespace cd = cynthia::ddnn;
@@ -232,4 +235,197 @@ TEST(FluidIncremental, BatchedEventMatchesFreshSolve) {
     }
     expect_same_resource_state(rig, fresh);
   }
+}
+
+namespace {
+
+/// What the random scripts exercised, summed over seeds, so the differential
+/// test cannot pass on scripts that never reach the cases it names.
+struct ScriptCoverage {
+  int multi_resource_starts = 0;
+  int repeated_resource_starts = 0;
+  int starts_in_callbacks = 0;
+  int cancels_in_callbacks = 0;
+  int cancels_of_finished = 0;
+  int capacity_changes = 0;
+};
+
+/// One side of the differential test: a fluid system driven by a seeded
+/// script of starts, cancels and capacity changes, issued both directly and
+/// from completion callbacks. Both sides draw from identical RNG streams, so
+/// while their completions agree they make the same calls at the same
+/// instants. After every solve it checks that the solve counted each live
+/// flow once, as re-solved or as avoided.
+class ScriptedSystem {
+ public:
+  ScriptedSystem(bool incremental, std::uint64_t seed, int start_budget, ScriptCoverage& coverage)
+      : rng_(seed), starts_left_(start_budget), coverage_(coverage) {
+    fluid.set_incremental(incremental);
+    const auto n_resources = rng_.uniform_int(2, 9);
+    for (std::int64_t r = 0; r < n_resources; ++r) {
+      resources.push_back(fluid.add_resource("r" + std::to_string(r), rng_.uniform(1.0, 50.0)));
+    }
+    const auto initial = rng_.uniform_int(2, 12);
+    for (std::int64_t i = 0; i < initial; ++i) start();
+    const auto scripted = rng_.uniform_int(4, 16);
+    for (std::int64_t i = 0; i < scripted; ++i) {
+      sim.at(rng_.uniform(0.0, 12.0), [this] { random_op(); });
+    }
+  }
+
+  ScriptedSystem(const ScriptedSystem&) = delete;
+  ScriptedSystem& operator=(const ScriptedSystem&) = delete;
+
+  /// Checks the solve accounting since the last check: at most one solve,
+  /// and it added exactly the live flow count to resolved + avoided.
+  void check_solves() {
+    const std::size_t solves = fluid.realloc_count() - reallocs_seen_;
+    const std::uint64_t flows = fluid.flows_resolved() + fluid.flows_avoided() - flows_seen_;
+    ASSERT_LE(solves, 1u);
+    EXPECT_EQ(flows, solves == 1 ? fluid.active_jobs() : 0u);
+    reallocs_seen_ = fluid.realloc_count();
+    flows_seen_ = fluid.flows_resolved() + fluid.flows_avoided();
+  }
+
+  cs::Simulator sim;
+  cs::FluidSystem fluid{sim};
+  std::vector<cs::ResourceId> resources;
+  std::vector<cs::JobId> issued;  // every id start_job returned, in order
+  std::vector<std::pair<cs::JobId, double>> completions;
+
+ private:
+  cynthia::util::Rng rng_;
+  int starts_left_;
+  ScriptCoverage& coverage_;
+  std::vector<char> finished_;  // per issued index
+  bool in_completion_ = false;  // inside a completion event's callbacks
+  std::size_t reallocs_seen_ = 0;
+  std::uint64_t flows_seen_ = 0;
+
+  cs::ResourceId random_resource() {
+    return resources[static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(resources.size()) - 1))];
+  }
+
+  /// Calls made outside a completion event solve at once; check each.
+  void after_call() {
+    if (!in_completion_) check_solves();
+  }
+
+  void start() {
+    if (starts_left_ <= 0) return;
+    --starts_left_;
+    const bool drained = rng_.chance(0.05);  // zero volume: completes via a plain event
+    const double volume = drained ? 0.0 : rng_.uniform(0.5, 40.0);
+    std::vector<cs::ResourceId> route;
+    const auto hops = rng_.uniform_int(1, 3);
+    for (std::int64_t h = 0; h < hops; ++h) route.push_back(random_resource());
+    if (rng_.chance(0.15)) {
+      route.push_back(route.front());
+      ++coverage_.repeated_resource_starts;
+    }
+    if (route.size() > 1) ++coverage_.multi_resource_starts;
+    if (in_completion_) ++coverage_.starts_in_callbacks;
+    const std::size_t index = issued.size();
+    issued.push_back(0);
+    finished_.push_back(0);
+    issued[index] = fluid.start_job(volume, std::move(route), [this, index, drained](double t) {
+      on_complete(index, t, !drained);
+    });
+    after_call();
+  }
+
+  void cancel() {
+    if (issued.empty()) return;
+    const auto index = static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(issued.size()) - 1));
+    if (finished_[index]) ++coverage_.cancels_of_finished;
+    if (in_completion_) ++coverage_.cancels_in_callbacks;
+    fluid.cancel_job(issued[index]);
+    after_call();
+  }
+
+  void change_capacity() {
+    ++coverage_.capacity_changes;
+    fluid.set_resource_capacity(random_resource(), rng_.uniform(1.0, 50.0));
+    after_call();
+  }
+
+  void random_op() {
+    const double pick = rng_.uniform(0.0, 1.0);
+    if (pick < 0.5) {
+      start();
+    } else if (pick < 0.75) {
+      cancel();
+    } else {
+      change_capacity();
+    }
+  }
+
+  void on_complete(std::size_t index, double t, bool in_completion_event) {
+    finished_[index] = 1;
+    completions.emplace_back(issued[index], t);
+    in_completion_ = in_completion_event;
+    const auto starts = rng_.uniform_int(0, 2);
+    for (std::int64_t i = 0; i < starts; ++i) start();
+    if (rng_.chance(0.25)) cancel();
+    if (rng_.chance(0.1)) change_capacity();
+    in_completion_ = false;
+  }
+};
+
+void expect_same_state(ScriptedSystem& inc, ScriptedSystem& global) {
+  ASSERT_EQ(inc.sim.now(), global.sim.now());
+  ASSERT_EQ(inc.issued, global.issued);
+  ASSERT_EQ(inc.completions, global.completions);
+  ASSERT_EQ(inc.fluid.active_jobs(), global.fluid.active_jobs());
+  ASSERT_EQ(inc.fluid.realloc_count(), global.fluid.realloc_count());
+  for (cs::JobId id : inc.issued) {
+    ASSERT_EQ(inc.fluid.job_rate(id), global.fluid.job_rate(id)) << "job " << id;
+    ASSERT_EQ(inc.fluid.job_remaining(id), global.fluid.job_remaining(id)) << "job " << id;
+  }
+  for (std::size_t r = 0; r < inc.resources.size(); ++r) {
+    ASSERT_EQ(inc.fluid.resource_used(inc.resources[r]),
+              global.fluid.resource_used(global.resources[r]))
+        << "resource " << r;
+  }
+}
+
+}  // namespace
+
+TEST(FluidIncremental, RandomScriptsMatchGlobalSolve) {
+  // Seeded random resource graphs and scripts, run in both solver modes in
+  // lockstep, one event at a time. Every rate, used rate and completion
+  // time must agree exactly after every event.
+  constexpr int kSeeds = 40;
+  constexpr int kStartBudget = 160;
+  constexpr int kMaxSteps = 100000;
+  ScriptCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ScriptedSystem inc(true, seed, kStartBudget, coverage);
+    ScriptedSystem global(false, seed, kStartBudget, coverage);
+    expect_same_state(inc, global);
+    int steps = 0;
+    for (;;) {
+      const bool inc_more = inc.sim.step();
+      ASSERT_EQ(inc_more, global.sim.step());
+      if (!inc_more) break;
+      ASSERT_LT(++steps, kMaxSteps) << "script did not drain";
+      inc.check_solves();
+      global.check_solves();
+      expect_same_state(inc, global);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(inc.fluid.active_jobs(), 0u);
+    EXPECT_EQ(global.fluid.flows_avoided(), 0u) << "global mode re-solves everything";
+    EXPECT_EQ(inc.fluid.flows_resolved() + inc.fluid.flows_avoided(),
+              global.fluid.flows_resolved());
+  }
+  EXPECT_GT(coverage.multi_resource_starts, 0);
+  EXPECT_GT(coverage.repeated_resource_starts, 0);
+  EXPECT_GT(coverage.starts_in_callbacks, 0);
+  EXPECT_GT(coverage.cancels_in_callbacks, 0);
+  EXPECT_GT(coverage.cancels_of_finished, 0);
+  EXPECT_GT(coverage.capacity_changes, 0);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -223,6 +224,52 @@ TEST(Fluid, InvalidInputsThrow) {
   EXPECT_THROW(fs.start_job(1.0, {r + 100}, nullptr), std::out_of_range);
 }
 
+TEST(Fluid, RejectsNonFiniteCapacity) {
+  // NaN passes a `capacity <= 0` test, and the water-filling never picks a
+  // NaN- or inf-capacity resource as a bottleneck, so jobs crossing only
+  // such resources would keep a stale rate. Both entry points refuse them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  cs::Simulator sim;
+  cs::FluidSystem fs(sim);
+  for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
+    EXPECT_THROW(fs.add_resource("bad", bad), std::invalid_argument) << bad;
+  }
+  auto r = fs.add_resource("link", 4.0);
+  auto id = fs.start_job(8.0, {r}, nullptr);
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(fs.set_resource_capacity(r, bad), std::invalid_argument) << bad;
+  }
+  // A refused change leaves the allocation untouched.
+  EXPECT_DOUBLE_EQ(fs.resource_capacity(r), 4.0);
+  EXPECT_DOUBLE_EQ(fs.job_rate(id), 4.0);
+  EXPECT_DOUBLE_EQ(fs.resource_used(r), 4.0);
+  sim.run();
+  EXPECT_NEAR(sim.now(), 2.0, 1e-6);
+}
+
+TEST(Fluid, RejectsNonFiniteVolume) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  cs::Simulator sim;
+  cs::FluidSystem fs(sim);
+  auto r = fs.add_resource("link", 4.0);
+  bool fired = false;
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(fs.start_job(bad, {r}, [&](double) { fired = true; }), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(fs.active_jobs(), 0u);
+  EXPECT_EQ(fs.realloc_count(), 0u);
+  // The system is unchanged: the next job runs alone at full rate.
+  double finish = -1.0;
+  auto id = fs.start_job(8.0, {r}, [&](double t) { finish = t; });
+  EXPECT_DOUBLE_EQ(fs.job_rate(id), 4.0);
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_NEAR(finish, 2.0, 1e-6);
+}
+
 TEST(Fluid, CancelJobFreesCapacity) {
   cs::Simulator sim;
   cs::FluidSystem fs(sim);
@@ -329,7 +376,7 @@ TEST_P(FluidConservation, ServedVolumeEqualsInjectedVolume) {
   const int n_jobs = GetParam();
   cs::Simulator sim;
   cs::FluidSystem fs(sim);
-  auto link = fs.add_resource("link", 7.0, /*trace bucket=*/0.5);
+  auto link = fs.add_resource("link", 7.0, cynthia::util::Seconds{0.5});
   cynthia::util::Rng rng(n_jobs * 1000 + 7);
   double injected = 0.0;
   int completed = 0;
@@ -358,7 +405,7 @@ INSTANTIATE_TEST_SUITE_P(JobCounts, FluidConservation, ::testing::Values(1, 2, 5
 TEST(Fluid, TraceIncludesTheOpenSegment) {
   cs::Simulator sim;
   cs::FluidSystem fs(sim);
-  auto link = fs.add_resource("link", 2.0, /*trace bucket=*/0.5);
+  auto link = fs.add_resource("link", 2.0, cynthia::util::Seconds{0.5});
   bool done = false;
   fs.start_job(20.0, {link}, [&done](double) { done = true; });  // 10 s at full rate
   sim.run_until(3.0);
