@@ -5,8 +5,8 @@
 // completed cycle) with a HealthProbe describing per-worker busy time and
 // PS-side saturation since the previous probe. The monitor answers with a
 // MonitorAction — do nothing, blacklist a worker (optionally scheduling its
-// replacement), downgrade BSP to SSP mid-run, or cut the run so an outer
-// controller can reconfigure the cluster.
+// replacement), or cut the run so an outer controller can reconfigure the
+// cluster or, for a BSP -> SSP downgrade, continue under SSP.
 //
 // Determinism contract: a null monitor — or one that always returns
 // kNone — adds zero perturbation; the probe bookkeeping never schedules
@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "ddnn/workload.hpp"
-#include "faults/fault_spec.hpp"
 
 namespace cynthia::ddnn {
-
-struct FaultEventOutcome;
 
 /// Snapshot handed to the monitor at each synchronization point.
 struct HealthProbe {
@@ -54,7 +51,7 @@ struct MonitorAction {
     kNone,           ///< keep training
     kStop,           ///< cut the run (outer controller reconfigures)
     kExcludeWorker,  ///< blacklist `target`; optionally schedule a replacement
-    kDowngradeSsp,   ///< BSP only: finish the budget under SSP
+    kDowngradeSsp,   ///< BSP only: cut the run; the rest runs under SSP
   };
   Kind kind = Kind::kNone;
   int target = -1;  ///< worker index for kExcludeWorker
@@ -64,7 +61,7 @@ struct MonitorAction {
   /// caller). < 0: blacklist permanently, no replacement.
   double replacement_after_seconds = -1.0;
 
-  /// kDowngradeSsp: staleness bound for the SSP continuation.
+  /// kDowngradeSsp: staleness bound the SSP continuation runs under.
   int staleness_bound = 3;
 
   /// Machine-readable cause ("straggler:wk2", "ps-bottleneck", "replan");
@@ -79,39 +76,5 @@ class TrainingMonitor {
   virtual ~TrainingMonitor() = default;
   virtual MonitorAction observe(const HealthProbe& probe) = 0;
 };
-
-/// Result of re-timing a fault schedule across a segment cut (see
-/// carry_schedule): the continuation events are re-injections of faults
-/// that were already counted in the first segment, so merged summaries
-/// subtract them from the injected/crash totals.
-struct CarriedSchedule {
-  faults::FaultSchedule schedule;
-  long continued_crashes = 0;  ///< still-dead nodes re-killed at t=0
-  long continued_slowdowns = 0;
-  long continued_nic = 0;
-  long continued_blips = 0;
-
-  [[nodiscard]] long continued_total() const {
-    return continued_crashes + continued_slowdowns + continued_nic + continued_blips;
-  }
-};
-
-/// Re-times `schedule` onto a continuation segment after a cut at
-/// `cut_seconds` followed by a pause of `gap_seconds` during which the job
-/// runs nowhere (reconfiguration / re-provisioning). `outcomes` is the first
-/// segment's per-event record (same order as the schedule):
-///   * events that fired and fully recovered before the cut are dropped;
-///   * active degradations are re-injected at t=0 with their remaining
-///     recovery (minus the pause; healed-during-pause events are dropped),
-///     and still-dead nodes are re-killed at t=0 the same way — only when
-///     `carry_active` is set, i.e. the continuation runs on the same
-///     physical nodes (a re-planned cluster is fresh hardware);
-///   * unfired events shift left by cut+gap; events that would land inside
-///     the pause hit a cluster that is not training and are dropped;
-///   * targets outside the (possibly reshaped) n_workers x n_ps are dropped.
-CarriedSchedule carry_schedule(const faults::FaultSchedule& schedule,
-                               const std::vector<FaultEventOutcome>& outcomes,
-                               double cut_seconds, double gap_seconds, int n_workers, int n_ps,
-                               bool carry_active = true);
 
 }  // namespace cynthia::ddnn

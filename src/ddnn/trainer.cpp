@@ -657,8 +657,8 @@ bool Session::apply_monitor_action(const MonitorAction& action) {
     case MonitorAction::Kind::kStop:
       break;
   }
-  // kStop and kDowngradeSsp both cut the run at this clean sync point;
-  // run_training (or the SLO sentinel) owns the continuation.
+  // kStop and kDowngradeSsp both cut the run at this clean sync point; the
+  // orchestrator's executor owns the continuation.
   result_.monitor.stopped = true;
   result_.monitor.stop_reason = action.reason;
   if (tel_on()) {
@@ -1252,13 +1252,8 @@ class SspSession final : public AspSession {
     parked_ = std::move(still_parked);
   }
 
-  /// Bound of 0 would park everyone (deadlock); clamp to >= 1. Negative
-  /// means "use the workload's configured bound".
-  [[nodiscard]] int effective_bound() const {
-    const int b = opts_.ssp_staleness_bound >= 0 ? opts_.ssp_staleness_bound
-                                                 : workload_.ssp_staleness_bound;
-    return std::max(1, b);
-  }
+  /// Bound of 0 would park everyone (deadlock); clamp to >= 1.
+  [[nodiscard]] int effective_bound() const { return std::max(1, workload_.ssp_staleness_bound); }
 
   /// Smallest completed count among workers that still have work to do
   /// (idled-out workers must not gate the rest at the tail of the run).
@@ -1280,9 +1275,10 @@ class SspSession final : public AspSession {
   }
 };
 
-/// Dispatches one segment to the engine matching the workload's sync mode.
-TrainResult run_one(const ClusterSpec& cluster, const WorkloadSpec& workload,
-                    const TrainOptions& options) {
+}  // namespace
+
+TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workload,
+                         const TrainOptions& options) {
   switch (workload.sync) {
     case SyncMode::BSP: {
       BspSession session(cluster, workload, options);
@@ -1297,172 +1293,6 @@ TrainResult run_one(const ClusterSpec& cluster, const WorkloadSpec& workload,
   }
   AspSession session(cluster, workload, options);
   return session.run();
-}
-
-}  // namespace
-
-TrainResult merge_train_segments(const TrainResult& seg1, const TrainResult& seg2,
-                                 double resume_at_seconds, double gap_outage_seconds,
-                                 const CarriedSchedule* carried) {
-  TrainResult merged = seg2;  // cluster-shape fields describe segment two
-  merged.iterations = seg1.iterations + seg2.iterations;
-  merged.total_time = resume_at_seconds + seg2.total_time;
-  merged.computation_time = seg1.computation_time + seg2.computation_time;
-  merged.communication_time = seg1.communication_time + seg2.communication_time;
-  merged.avg_iteration_time = merged.total_time / std::max<long>(1, merged.iterations);
-  merged.stopped_early = seg2.stopped_early;
-
-  // Loss curve: segment one's samples up to its durable count, then the
-  // continuation (already on the global iteration axis via its offset).
-  merged.loss_curve.clear();
-  for (const LossSample& s : seg1.loss_curve) {
-    if (s.iteration <= seg1.iterations) merged.loss_curve.push_back(s);
-  }
-  for (const LossSample& s : seg2.loss_curve) {
-    if (merged.loss_curve.empty() || s.iteration > merged.loss_curve.back().iteration) {
-      merged.loss_curve.push_back(s);
-    }
-  }
-
-  // Fault accounting: sum the segments, subtracting the continuation's
-  // re-injections (already counted when they first fired in segment one).
-  FaultSummary f;
-  f.injected = seg1.faults.injected + seg2.faults.injected;
-  f.crashes = seg1.faults.crashes + seg2.faults.crashes;
-  f.slowdowns = seg1.faults.slowdowns + seg2.faults.slowdowns;
-  f.nic_degradations = seg1.faults.nic_degradations + seg2.faults.nic_degradations;
-  f.blips = seg1.faults.blips + seg2.faults.blips;
-  if (carried != nullptr) {
-    f.injected -= carried->continued_total();
-    f.crashes -= carried->continued_crashes;
-    f.slowdowns -= carried->continued_slowdowns;
-    f.nic_degradations -= carried->continued_nic;
-    f.blips -= carried->continued_blips;
-  }
-  f.lost_iterations = seg1.faults.lost_iterations + seg2.faults.lost_iterations;
-  f.outage_seconds =
-      seg1.faults.outage_seconds + seg2.faults.outage_seconds + gap_outage_seconds;
-  f.degraded_node_seconds =
-      seg1.faults.degraded_node_seconds + seg2.faults.degraded_node_seconds;
-  for (const FaultEventOutcome& e : seg1.faults.events) {
-    if (e.fired) f.events.push_back(e);  // unfired ones carried into segment two
-  }
-  for (const FaultEventOutcome& e : seg2.faults.events) {
-    // carry_schedule re-injects still-active faults at exactly t = 0, and
-    // shifts every unfired event to a strictly positive time — so with a
-    // carried schedule, time 0 identifies a continuation of a fault already
-    // listed above. Fold its recovery back into the original record.
-    // Exact on purpose: re-injections are constructed with literal 0.0.
-    if (carried != nullptr && e.spec.time_seconds == 0.0) {  // cynthia-lint: allow(FLT-001)
-      if (e.fired && e.recovered_at >= 0.0) {
-        for (FaultEventOutcome& orig : f.events) {
-          if (orig.spec.kind == e.spec.kind && orig.spec.target == e.spec.target &&
-              orig.spec.on_ps == e.spec.on_ps && orig.fired && orig.recovered_at < 0.0) {
-            orig.recovered_at = resume_at_seconds + e.recovered_at;
-            break;
-          }
-        }
-      }
-      continue;
-    }
-    FaultEventOutcome shifted = e;
-    shifted.spec.time_seconds += resume_at_seconds;
-    if (shifted.fired) shifted.injected_at += resume_at_seconds;
-    if (shifted.recovered_at >= 0.0) shifted.recovered_at += resume_at_seconds;
-    f.events.push_back(std::move(shifted));
-  }
-  merged.faults = std::move(f);
-
-  // Monitor record: segment one's history plus the continuation's, with the
-  // continuation's clock shifted onto the job clock.
-  MonitorOutcome mo = seg1.monitor;
-  for (MonitorExclusion e : seg2.monitor.exclusions) {
-    e.at += resume_at_seconds;
-    if (e.replaced_at >= 0.0) e.replaced_at += resume_at_seconds;
-    mo.exclusions.push_back(e);
-  }
-  mo.stopped = seg2.monitor.stopped;
-  mo.stop_reason = seg2.monitor.stop_reason;
-  if (seg2.monitor.downgraded) {
-    mo.downgraded = true;
-    mo.downgraded_at = resume_at_seconds + seg2.monitor.downgraded_at;
-    mo.downgraded_at_iteration = seg1.iterations + seg2.monitor.downgraded_at_iteration;
-    mo.staleness_bound = seg2.monitor.staleness_bound;
-  }
-  merged.monitor = std::move(mo);
-  return merged;
-}
-
-TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workload,
-                         const TrainOptions& options) {
-  TrainResult first = run_one(cluster, workload, options);
-  // kStop cuts (reconfiguration reasons) are returned as-is — the outer
-  // controller (the SLO sentinel) owns those continuations. Only the
-  // BSP -> SSP downgrade is finished here: it needs no new cluster.
-  if (!first.monitor.downgraded) return first;
-
-  // BSP -> SSP downgrade: finish the remaining budget under SSP on the same
-  // cluster, resuming at the cut with zero gap — the same nodes keep
-  // running, only the synchronization discipline changes. Every update
-  // closed before the cut is durable (the PS stayed up).
-  const long budget = options.iterations > 0 ? options.iterations : workload.default_iterations;
-  const long remaining = budget - first.iterations;
-  if (remaining <= 0) return first;
-  const double cut = first.total_time;
-
-  WorkloadSpec continued = workload;
-  continued.sync = SyncMode::SSP;
-  continued.ssp_staleness_bound = std::max(1, first.monitor.staleness_bound);
-
-  TrainOptions o2 = options;
-  o2.iterations = remaining;
-  o2.seed = options.seed * 1000003ULL + 0x5350ULL;  // decorrelate the SSP leg
-  o2.ssp_staleness_bound = continued.ssp_staleness_bound;
-  o2.loss_iteration_offset = options.loss_iteration_offset + first.iterations;
-  // Workers blacklisted before or during segment one stay out. A replacement
-  // that already joined rejoins the SSP leg as a fresh worker; one scheduled
-  // but not yet joined at the cut is dropped with the cut (its join event
-  // died with segment one's simulator — documented in docs/FAULTS.md).
-  for (const MonitorExclusion& e : first.monitor.exclusions) {
-    if (e.replaced_at >= 0.0 && e.replaced_at <= cut) continue;
-    o2.excluded_workers.push_back(e.worker);
-  }
-  std::sort(o2.excluded_workers.begin(), o2.excluded_workers.end());
-  o2.excluded_workers.erase(std::unique(o2.excluded_workers.begin(), o2.excluded_workers.end()),
-                            o2.excluded_workers.end());
-  if (options.stop_after_seconds > 0.0) {
-    const double left = options.stop_after_seconds - cut;
-    if (left <= 0.0) return first;
-    o2.stop_after_seconds = left;
-  }
-
-  // Still-active degradations carry onto the continuation (same physical
-  // nodes); unfired events shift onto its clock.
-  CarriedSchedule carried;
-  const CarriedSchedule* carried_ptr = nullptr;
-  if (options.faults != nullptr && !options.faults->empty()) {
-    carried = carry_schedule(*options.faults, first.faults.events, cut, /*gap_seconds=*/0.0,
-                             cluster.n_workers(), cluster.n_ps(), /*carry_active=*/true);
-    o2.faults = carried.schedule.empty() ? nullptr : &carried.schedule;
-    carried_ptr = &carried;
-  }
-
-  telemetry::Telemetry* tel = options.telemetry;
-  double saved_offset = 0.0;
-  if (tel != nullptr) {
-    saved_offset = tel->tracer.time_offset();
-    tel->set_time_offset(saved_offset + cut);
-  }
-  TrainResult second;
-  try {
-    second = run_one(cluster, continued, o2);
-  } catch (...) {
-    if (tel != nullptr) tel->set_time_offset(saved_offset);
-    throw;
-  }
-  if (tel != nullptr) tel->set_time_offset(saved_offset);
-
-  return merge_train_segments(first, second, cut, /*gap_outage_seconds=*/0.0, carried_ptr);
 }
 
 RepeatedResult run_repeated(const ClusterSpec& cluster, const WorkloadSpec& workload,

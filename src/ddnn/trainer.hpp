@@ -1,6 +1,6 @@
 // PS-architecture distributed training simulation.
 //
-// run_training() executes a full DDNN training job on a simulated cluster
+// run_training() executes one DDNN training run on a simulated cluster
 // and reports the quantities the paper measures: total training time, the
 // computation/communication breakdown (Fig. 3), per-docker CPU utilization
 // (Table 2), the PS ingress throughput trace (Figs. 2 and 7) and the noisy
@@ -51,9 +51,6 @@ struct TrainOptions {
 
   /// Loss curve sampling stride; 0 = auto (~200 samples per run).
   long loss_sample_stride = 0;
-
-  /// SSP staleness bound override; negative = use the workload's value.
-  int ssp_staleness_bound = -1;
 
   /// Parameter-sharding pipeline depth: each worker's update is split into
   /// this many blocks whose push -> apply -> pull stages overlap (how PS
@@ -138,15 +135,17 @@ struct MonitorExclusion {
 };
 
 /// Interventions a TrainingMonitor performed during the run; empty/false
-/// when no monitor was attached or it never acted.
+/// when no monitor was attached or it never acted. A downgrade cuts the run
+/// like a stop: `downgraded` records that the cut asked for SSP, and the
+/// caller trains the rest of the budget under `staleness_bound`.
 struct MonitorOutcome {
   std::vector<MonitorExclusion> exclusions;
   bool stopped = false;          ///< a monitor action cut the run
   std::string stop_reason;       ///< MonitorAction::reason of the cut
-  bool downgraded = false;       ///< BSP -> SSP switch happened
+  bool downgraded = false;       ///< the cut was a BSP -> SSP downgrade
   double downgraded_at = -1.0;
   long downgraded_at_iteration = 0;
-  int staleness_bound = 0;       ///< bound of the SSP continuation
+  int staleness_bound = 0;       ///< bound the SSP continuation runs under
 };
 
 struct TrainResult {
@@ -173,25 +172,19 @@ struct TrainResult {
   double final_loss = 0.0;
   std::vector<LossSample> loss_curve;
 
-  /// True when stop_after_seconds (or an unrecoverable PS crash) cut the
-  /// run; `iterations` then holds the updates durably applied by the cut.
+  /// True when stop_after_seconds, an unrecoverable PS crash or a monitor
+  /// cut ended the run; `iterations` then holds the updates durably applied
+  /// by the cut.
   bool stopped_early = false;
   FaultSummary faults;
   MonitorOutcome monitor;
 };
 
-/// Stitches two segments of one job into one result after a deliberate cut
-/// (every closed update of segment one is durable — the PS was up when the
-/// run was cut). `resume_at_seconds` is the job-clock time segment two started;
-/// `gap_outage_seconds` (= resume_at_seconds - cut) is counted as outage. Cluster-
-/// shape-dependent fields (utilization, ingress) describe segment two's
-/// cluster, following the elastic-recovery convention. `carried`, when the
-/// continuation re-injected still-active faults, deduplicates their counts.
-TrainResult merge_train_segments(const TrainResult& seg1, const TrainResult& seg2,
-                                 double resume_at_seconds, double gap_outage_seconds,
-                                 const CarriedSchedule* carried = nullptr);
-
-/// Runs one training job to completion; deterministic for a given seed.
+/// Runs one training segment on one engine, the one matching
+/// `workload.sync`; deterministic for a given seed. It runs to the iteration
+/// budget unless `stop_after_seconds`, an unrecoverable PS crash or a monitor
+/// cut (kStop, kDowngradeSsp) ends it early. Continuing after a cut is the
+/// orchestrator's job (orch::execute_job).
 TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workload,
                          const TrainOptions& options = {});
 

@@ -6,10 +6,12 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cloud/pricing.hpp"
 #include "core/revocation.hpp"
 #include "ddnn/loss.hpp"
+#include "ddnn/trainer.hpp"
 #include "orchestrator/cluster_manager.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -41,6 +43,179 @@ double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed) 
   const double seconds = replacement.provisioning_seconds();
   manager.teardown(replacement);
   return seconds;
+}
+
+/// Result of re-timing a fault schedule across a segment cut (see
+/// carry_schedule): the continuation events are re-injections of faults
+/// that were already counted in the first segment, so merged summaries
+/// subtract them from the injected/crash totals.
+struct CarriedSchedule {
+  faults::FaultSchedule schedule;
+  long continued_crashes = 0;  ///< still-dead nodes re-killed at t=0
+  long continued_slowdowns = 0;
+  long continued_nic = 0;
+  long continued_blips = 0;
+
+  [[nodiscard]] long continued_total() const {
+    return continued_crashes + continued_slowdowns + continued_nic + continued_blips;
+  }
+};
+
+/// Re-times `schedule` onto a continuation segment after a cut at `cut`
+/// followed by a pause of `gap` during which the job runs nowhere
+/// (reconfiguration / re-provisioning). `outcomes` is the first segment's
+/// per-event record (same order as the schedule):
+///   * events that fired and fully recovered before the cut are dropped;
+///   * active degradations are re-injected at t=0 with their remaining
+///     recovery (minus the pause; healed-during-pause events are dropped),
+///     and still-dead nodes are re-killed at t=0 the same way — only when
+///     `carry_active` is set, i.e. the continuation runs on the same
+///     physical nodes (a re-planned cluster is fresh hardware);
+///   * unfired events shift left by cut+gap; events that would land inside
+///     the pause hit a cluster that is not training and are dropped;
+///   * targets outside the (possibly reshaped) n_workers x n_ps are dropped.
+CarriedSchedule carry_schedule(const faults::FaultSchedule& schedule,
+                               const std::vector<ddnn::FaultEventOutcome>& outcomes,
+                               util::Seconds cut, util::Seconds gap, int n_workers, int n_ps,
+                               bool carry_active) {
+  CarriedSchedule out;
+  const auto& events = schedule.events();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const faults::FaultSpec& spec = events[i];
+    const int limit = spec.on_ps ? n_ps : n_workers;
+    if (spec.target >= limit) continue;  // reshaped out of the cluster
+    const ddnn::FaultEventOutcome* outcome = i < outcomes.size() ? &outcomes[i] : nullptr;
+    if (outcome != nullptr && outcome->fired) {
+      if (outcome->recovered_at >= 0.0) continue;  // healed before the cut
+      if (!carry_active) continue;  // the continuation runs on fresh hardware
+      // Active at the cut: remaining recovery on the continuation clock.
+      double remaining = -1.0;
+      if (spec.recovery_seconds >= 0.0) {
+        remaining = outcome->injected_at + spec.recovery_seconds - cut.value() - gap.value();
+        if (remaining <= 0.0) continue;  // heals during the pause
+      }
+      faults::FaultSpec carried = spec;
+      carried.time_seconds = 0.0;
+      carried.recovery_seconds = remaining;
+      out.schedule.add(carried);
+      switch (spec.kind) {
+        case faults::FaultKind::kCrash: ++out.continued_crashes; break;
+        case faults::FaultKind::kSlowdown: ++out.continued_slowdowns; break;
+        case faults::FaultKind::kNicDegradation: ++out.continued_nic; break;
+        case faults::FaultKind::kTransientBlip: ++out.continued_blips; break;
+      }
+      continue;
+    }
+    // Not fired in segment one: shift onto the continuation clock; events
+    // landing inside the pause hit a cluster that is not training.
+    const double shifted = spec.time_seconds - cut.value() - gap.value();
+    if (shifted <= 0.0) continue;
+    faults::FaultSpec carried = spec;
+    carried.time_seconds = shifted;
+    out.schedule.add(carried);
+  }
+  return out;
+}
+
+/// Stitches two segments of one job into one result after a deliberate cut
+/// (every closed update of segment one is durable — the PS was up when the
+/// run was cut). `resume_at` is the job-clock time segment two started;
+/// `gap_outage` (= resume_at - cut) is counted as outage. Cluster-shape-
+/// dependent fields (utilization, ingress) describe segment two's cluster,
+/// following the elastic-recovery convention. `carried`, when the
+/// continuation re-injected still-active faults, deduplicates their counts.
+ddnn::TrainResult merge_train_segments(const ddnn::TrainResult& seg1,
+                                       const ddnn::TrainResult& seg2, util::Seconds resume_at,
+                                       util::Seconds gap_outage,
+                                       const CarriedSchedule* carried) {
+  const double resume_at_seconds = resume_at.value();
+  ddnn::TrainResult merged = seg2;  // cluster-shape fields describe segment two
+  merged.iterations = seg1.iterations + seg2.iterations;
+  merged.total_time = resume_at_seconds + seg2.total_time;
+  merged.computation_time = seg1.computation_time + seg2.computation_time;
+  merged.communication_time = seg1.communication_time + seg2.communication_time;
+  merged.avg_iteration_time = merged.total_time / std::max<long>(1, merged.iterations);
+  merged.stopped_early = seg2.stopped_early;
+
+  // Loss curve: segment one's samples up to its durable count, then the
+  // continuation (already on the global iteration axis via its offset).
+  merged.loss_curve.clear();
+  for (const ddnn::LossSample& s : seg1.loss_curve) {
+    if (s.iteration <= seg1.iterations) merged.loss_curve.push_back(s);
+  }
+  for (const ddnn::LossSample& s : seg2.loss_curve) {
+    if (merged.loss_curve.empty() || s.iteration > merged.loss_curve.back().iteration) {
+      merged.loss_curve.push_back(s);
+    }
+  }
+
+  // Fault accounting: sum the segments, subtracting the continuation's
+  // re-injections (already counted when they first fired in segment one).
+  ddnn::FaultSummary f;
+  f.injected = seg1.faults.injected + seg2.faults.injected;
+  f.crashes = seg1.faults.crashes + seg2.faults.crashes;
+  f.slowdowns = seg1.faults.slowdowns + seg2.faults.slowdowns;
+  f.nic_degradations = seg1.faults.nic_degradations + seg2.faults.nic_degradations;
+  f.blips = seg1.faults.blips + seg2.faults.blips;
+  if (carried != nullptr) {
+    f.injected -= carried->continued_total();
+    f.crashes -= carried->continued_crashes;
+    f.slowdowns -= carried->continued_slowdowns;
+    f.nic_degradations -= carried->continued_nic;
+    f.blips -= carried->continued_blips;
+  }
+  f.lost_iterations = seg1.faults.lost_iterations + seg2.faults.lost_iterations;
+  f.outage_seconds =
+      seg1.faults.outage_seconds + seg2.faults.outage_seconds + gap_outage.value();
+  f.degraded_node_seconds =
+      seg1.faults.degraded_node_seconds + seg2.faults.degraded_node_seconds;
+  for (const ddnn::FaultEventOutcome& e : seg1.faults.events) {
+    if (e.fired) f.events.push_back(e);  // unfired ones carried into segment two
+  }
+  for (const ddnn::FaultEventOutcome& e : seg2.faults.events) {
+    // carry_schedule re-injects still-active faults at exactly t = 0, and
+    // shifts every unfired event to a strictly positive time — so with a
+    // carried schedule, time 0 identifies a continuation of a fault already
+    // listed above. Fold its recovery back into the original record.
+    // Exact on purpose: re-injections are constructed with literal 0.0.
+    if (carried != nullptr && e.spec.time_seconds == 0.0) {  // cynthia-lint: allow(FLT-001)
+      if (e.fired && e.recovered_at >= 0.0) {
+        for (ddnn::FaultEventOutcome& orig : f.events) {
+          if (orig.spec.kind == e.spec.kind && orig.spec.target == e.spec.target &&
+              orig.spec.on_ps == e.spec.on_ps && orig.fired && orig.recovered_at < 0.0) {
+            orig.recovered_at = resume_at_seconds + e.recovered_at;
+            break;
+          }
+        }
+      }
+      continue;
+    }
+    ddnn::FaultEventOutcome shifted = e;
+    shifted.spec.time_seconds += resume_at_seconds;
+    if (shifted.fired) shifted.injected_at += resume_at_seconds;
+    if (shifted.recovered_at >= 0.0) shifted.recovered_at += resume_at_seconds;
+    f.events.push_back(std::move(shifted));
+  }
+  merged.faults = std::move(f);
+
+  // Monitor record: segment one's history plus the continuation's, with the
+  // continuation's clock shifted onto the job clock.
+  ddnn::MonitorOutcome mo = seg1.monitor;
+  for (ddnn::MonitorExclusion e : seg2.monitor.exclusions) {
+    e.at += resume_at_seconds;
+    if (e.replaced_at >= 0.0) e.replaced_at += resume_at_seconds;
+    mo.exclusions.push_back(e);
+  }
+  mo.stopped = seg2.monitor.stopped;
+  mo.stop_reason = seg2.monitor.stop_reason;
+  if (seg2.monitor.downgraded) {
+    mo.downgraded = true;
+    mo.downgraded_at = resume_at_seconds + seg2.monitor.downgraded_at;
+    mo.downgraded_at_iteration = seg1.iterations + seg2.monitor.downgraded_at_iteration;
+    mo.staleness_bound = seg2.monitor.staleness_bound;
+  }
+  merged.monitor = std::move(mo);
+  return merged;
 }
 
 /// How far past its launch a spot run walks the price trace.
@@ -207,10 +382,16 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   bool forecast_enabled = true;
   bool crash_replanned = false;  ///< a re-plan answered the first crash
   ddnn::TrainResult merged;
-  ddnn::CarriedSchedule carried;
+  CarriedSchedule carried;
   carried.schedule = enriched;
-  const ddnn::CarriedSchedule* carried_ptr = nullptr;  ///< dedup for the merge
+  const CarriedSchedule* carried_ptr = nullptr;  ///< dedup for the merge
   const ddnn::TrainResult no_history;
+  // Every BSP -> SSP switch: the rest of the job trains on the same nodes
+  // under SSP with staleness `bound`.
+  auto switch_to_ssp = [&](int bound) {
+    current_workload.sync = ddnn::SyncMode::SSP;
+    current_workload.ssp_staleness_bound = std::max(1, bound);
+  };
 
   /// Nodes leased on top of the original deployment, from `from_seconds`
   /// (job clock, includes their provisioning lead) to the end of the job.
@@ -268,20 +449,16 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     if (shift) tel->set_time_offset(saved_offset);
     actions_remaining = detector.actions_remaining();
 
-    // run_training services the BSP -> SSP downgrade internally; later
-    // segments must continue under the downgraded discipline.
-    if (seg.monitor.downgraded && current_workload.sync == ddnn::SyncMode::BSP) {
-      current_workload.sync = ddnn::SyncMode::SSP;
-      current_workload.ssp_staleness_bound = std::max(1, seg.monitor.staleness_bound);
-    }
-
     const double cut = seg.total_time;  // segment clock
-    merged = seg_i == 0 ? seg : ddnn::merge_train_segments(merged, seg, elapsed, gap, carried_ptr);
+    merged = seg_i == 0 ? seg
+                        : merge_train_segments(merged, seg, util::Seconds{elapsed},
+                                               util::Seconds{gap}, carried_ptr);
     report.segments = seg_i + 1;
     done = merged.iterations;
 
     std::string reason = merged.monitor.stopped ? merged.monitor.stop_reason : "";
     if (crash_cut && seg.stopped_early) reason = "crash";
+    if (seg.monitor.downgraded) reason = "ssp-downgrade";
     if (tel != nullptr) {
       const double actual_t_iter = cut / static_cast<double>(std::max<long>(1, seg.iterations));
       tel->journal.segment(elapsed, "segment-" + std::to_string(seg_i),
@@ -294,7 +471,10 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     double next_gap = 0.0;
     bool carry_active = true;
 
-    if (reason == "ps-bottleneck") {
+    if (reason == "ssp-downgrade") {
+      // Same nodes, no pause: only the synchronization discipline changes.
+      switch_to_ssp(seg.monitor.staleness_bound);
+    } else if (reason == "ps-bottleneck") {
       // Add one PS shard of the same type; resharding re-reads the
       // parameter payload onto the new shard before training resumes.
       const double provision = measure_replacement(
@@ -368,8 +548,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
         // (nothing left to escalate to).
         forecast_enabled = false;
         if (ssp_downgrade_allowed && current_workload.sync == ddnn::SyncMode::BSP) {
-          current_workload.sync = ddnn::SyncMode::SSP;
-          current_workload.ssp_staleness_bound = std::max(1, options.ssp_staleness_bound);
+          switch_to_ssp(options.ssp_staleness_bound);
           merged.monitor.downgraded = true;
           merged.monitor.downgraded_at = elapsed + cut;
           merged.monitor.downgraded_at_iteration = done;
@@ -385,11 +564,13 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     }
     // Unknown reasons resume on the same cluster with no pause.
 
-    // A sentinel cut after the first segment carries neither that segment's
-    // fired faults nor its blacklist: the continuation starts on healed
-    // nodes. Later cuts, and crash cuts, carry both. The pinned sentinel
-    // digests hold this asymmetry.
-    const ddnn::TrainResult& history = seg_i == 0 && !crash_cut ? no_history : seg;
+    // An add-ps or replan cut that ends the first segment carries neither
+    // that segment's fired faults nor its blacklist: the continuation starts
+    // on healed nodes. Later cuts, and crash cuts, carry both. The pinned
+    // sentinel digests hold this asymmetry.
+    // The downgrade is exempt: it keeps training on the same, unrepaired nodes.
+    const bool healed = seg_i == 0 && !crash_cut && reason != "ssp-downgrade";
+    const ddnn::TrainResult& history = healed ? no_history : seg;
     // Blacklisted workers whose replacement had not joined by the cut stay
     // out on a same-node continuation (the pending join died with the cut).
     if (carry_active) {
@@ -401,8 +582,9 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       excluded.erase(std::unique(excluded.begin(), excluded.end()), excluded.end());
     }
 
-    carried = ddnn::carry_schedule(carried.schedule, history.faults.events, cut, next_gap,
-                                   cluster.n_workers(), cluster.n_ps(), carry_active);
+    carried = carry_schedule(carried.schedule, history.faults.events, util::Seconds{cut},
+                             util::Seconds{next_gap}, cluster.n_workers(), cluster.n_ps(),
+                             carry_active);
     carried_ptr = &carried;
     elapsed += cut + next_gap;
     gap = next_gap;

@@ -3,8 +3,9 @@
 // Every job runs the same loop: deploy the plan through the control plane,
 // train to the iteration budget as segments separated by recovery gaps,
 // service each cut (add a PS shard, re-plan onto a new cluster, or resume on
-// the same nodes), tear down, settle the bill and render the time, loss and
-// cost verdicts. The entry points are thin callers that pick a policy:
+// the same nodes, under SSP after a downgrade), tear down, settle the bill
+// and render the time, loss and cost verdicts. The entry points are thin
+// callers that pick a policy:
 //   * TrainingService::submit and repair-in-place run with the monitor off;
 //     every crash is healed in place by one measured replacement node;
 //   * elastic recovery (RecoveryOptions::elastic) cuts at the first crash and

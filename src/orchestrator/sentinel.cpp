@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "orchestrator/executor.hpp"
+#include "util/check.hpp"
 
 namespace cynthia::orch {
 
@@ -58,16 +59,9 @@ StragglerDetector::StragglerDetector(Config config, std::vector<DetectionEvent>*
 }
 
 ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
-  // A clock that moved backwards means run_training cut the segment and
-  // resumed on a fresh simulator (the BSP -> SSP continuation): fold the
-  // previous leg's span into the job-clock offset and keep the baselines.
-  if (probe.now + 1e-12 < last_now_) {
-    cfg_.elapsed_offset_seconds += last_now_;
-    cooldown_until_ = std::max(0.0, cooldown_until_ - last_now_);
-    last_iteration_ = 0;
-    last_now_ = 0.0;
-  }
-
+  // One detector watches one segment, whose simulator clock never rewinds.
+  CYNTHIA_DCHECK(probe.now >= last_now_, "StragglerDetector: probe clock moved back from ",
+                 last_now_, " to ", probe.now);
   ++probes_;
   const int n = static_cast<int>(probe.worker_busy_seconds.size());
   if (static_cast<int>(ewma_.size()) != n) ewma_.assign(n, -1.0);
@@ -201,7 +195,9 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
       // The replacement is fresh hardware; its baseline starts over.
       if (event.worker < static_cast<int>(ewma_.size())) ewma_[event.worker] = -1.0;
     } else if (cfg_.policy == MitigationPolicy::kSsp) {
-      if (probe.mode != ddnn::SyncMode::BSP || !cfg_.allow_ssp_downgrade) return {};
+      if (probe.mode != ddnn::SyncMode::BSP || !cfg_.allow_ssp_downgrade || !cfg_.allow_stop) {
+        return {};
+      }
       action.kind = ddnn::MonitorAction::Kind::kDowngradeSsp;
       action.staleness_bound = cfg_.ssp_staleness_bound;
       action.reason = "straggler:wk" + std::to_string(event.worker);
@@ -220,7 +216,7 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
     }
   } else {  // slo-forecast
     const bool can_ssp =
-        probe.mode == ddnn::SyncMode::BSP && cfg_.allow_ssp_downgrade;
+        probe.mode == ddnn::SyncMode::BSP && cfg_.allow_ssp_downgrade && cfg_.allow_stop;
     if ((cfg_.policy == MitigationPolicy::kSsp || is_auto) && can_ssp) {
       action.kind = ddnn::MonitorAction::Kind::kDowngradeSsp;
       action.staleness_bound = cfg_.ssp_staleness_bound;

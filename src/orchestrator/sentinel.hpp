@@ -5,8 +5,8 @@
 // (Algorithm 1). A real cloud degrades under the job: a worker's CPU is
 // throttled, a NIC drops to a fraction of line rate, a PS shard saturates.
 // The sentinel closes that loop online:
-//   * detect  — StragglerDetector rides inside run_training() as a
-//     ddnn::TrainingMonitor. Per-worker iteration times feed seeded,
+//   * detect  — a fresh StragglerDetector rides inside each training
+//     segment's run_training() as a ddnn::TrainingMonitor. Per-worker iteration times feed seeded,
 //     deterministic EWMA baselines; a worker whose baseline sits a robust
 //     z-score (median absolute deviation) above the cluster median — with
 //     hysteresis and cooldown so one noisy barrier never triggers — is a
@@ -16,7 +16,8 @@
 //   * mitigate — a pluggable policy engine: blacklist-and-replace the slow
 //     node (the RecoveryController replacement path), add a PS shard when
 //     the PS is the bottleneck, or downgrade BSP to SSP with a bounded
-//     staleness when the forecast says Tg is gone.
+//     staleness when the forecast says Tg is gone. Every action but the
+//     replacement cuts the segment; the executor continues it.
 //   * re-plan — when mitigation cannot save Tg, re-run Algorithm 1 over the
 //     remaining budget (core::Provisioner::replan) with a degradation-aware
 //     slack margin derived from measured capability.
@@ -129,7 +130,8 @@ struct SentinelReport {
 };
 
 /// Per-segment detector state and policy routing. Exposed so tests can
-/// drive it with synthetic probes; SloSentinel wires it into run_training.
+/// drive it with synthetic probes; the executor builds a fresh one for every
+/// segment, so the probe clock never moves backwards.
 class StragglerDetector : public ddnn::TrainingMonitor {
  public:
   struct Config {
@@ -153,8 +155,9 @@ class StragglerDetector : public ddnn::TrainingMonitor {
     bool allow_ssp_downgrade = true;
     /// Remaining mitigation budget; every action decrements it.
     int actions_remaining = 4;
-    /// False when no outer controller handles kStop cuts (add-ps/replan
-    /// degrade to detect-only instead of stranding the run).
+    /// False when no outer controller continues a cut (the executor's last
+    /// segment): add-ps, replan and the SSP downgrade all cut the run, so
+    /// they degrade to detect-only instead of stranding it.
     bool allow_stop = true;
   };
 
@@ -185,8 +188,8 @@ class StragglerDetector : public ddnn::TrainingMonitor {
 
 /// Runs one training job under the sentinel on the orchestrator's job
 /// executor (executor.hpp): deploys `plan`, trains with the
-/// StragglerDetector attached, and services kStop cuts (add-ps / replan) by
-/// reconfiguring and resuming until the budget completes.
+/// StragglerDetector attached, and services its cuts (add-ps, replan, the
+/// SSP downgrade) by reconfiguring and resuming until the budget completes.
 class SloSentinel {
  public:
   explicit SloSentinel(SentinelOptions options = {});

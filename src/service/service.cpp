@@ -28,6 +28,18 @@ constexpr double kBudgetEpsilon = 1e-9;
 /// join-repair budget (rare); admission proceeds with a painful latency
 /// instead of unwinding.
 constexpr util::Seconds kDeployFailureLatency{300.0};
+/// Relative stddev of actual vs predicted run time (bounded normal, clamped
+/// to +-3 sigma).
+constexpr double kRuntimeNoise = 0.03;
+/// Checkpoint granularity: iterations completed at revocation are rounded
+/// down to a multiple of this before re-planning the remainder.
+constexpr long kCheckpointIterations = 50;
+/// Admission-scan width: queued jobs examined per capacity-release event
+/// (priority order; smaller jobs may backfill past a blocked head).
+constexpr int kBackfillWindow = 64;
+/// Cached admission plans for queued jobs are recomputed at most this often,
+/// bounding planner work to O(queue / interval) per release storm.
+constexpr util::Seconds kReplanInterval{300.0};
 
 /// splitmix64-style mix: every (job, attempt) draws from its own stream, so
 /// outcomes are independent of admission interleaving.
@@ -283,8 +295,7 @@ struct FleetEngine {
     // Progress survives at checkpoint granularity — except on a mixed
     // fleet, where the on-demand PS keeps the parameters and every closed
     // iteration is durable. The remainder is pinned for the replan path.
-    const long ckpt =
-        ra.mixed ? 1 : std::max<long>(1, svc.options_.checkpoint_iterations);
+    const long ckpt = ra.mixed ? 1 : kCheckpointIterations;
     const double frac = ra.duration > 0.0 ? elapsed / ra.duration : 0.0;
     long done = static_cast<long>(frac * static_cast<double>(ra.attempt_total)) / ckpt * ckpt;
     done = std::min(done, ra.attempt_total - 1);
@@ -311,7 +322,7 @@ struct FleetEngine {
 
   /// A capacity release genuinely changes what the ladder can find, so
   /// negative planning caches (ladder found nothing) are dropped on every
-  /// release; positive caches stay until replan_interval expires (the job
+  /// release; positive caches stay until kReplanInterval expires (the job
   /// keeps waiting for its planned type unless the wait grows stale).
   void clear_negative_caches() {
     for (const std::size_t idx : queue_) {
@@ -322,10 +333,9 @@ struct FleetEngine {
   }
 
   void scan() {
-    const int window = std::max(1, svc.options_.backfill_window);
     int examined = 0;
     std::size_t i = 0;
-    while (i < queue_.size() && examined < window) {
+    while (i < queue_.size() && examined < kBackfillWindow) {
       const std::size_t idx = queue_[i];
       ++examined;
       if (try_admit(idx)) {
@@ -339,7 +349,7 @@ struct FleetEngine {
   bool try_admit(std::size_t idx) {
     QueueState& st = qstate[idx];
     const double now = sim.now();
-    if (now - st.planned_at <= svc.options_.replan_interval.value()) {
+    if (now - st.planned_at <= kReplanInterval.value()) {
       // Cache window: reuse the last planning decision (or its negative).
       if (!st.has_plan || !fits_now(st.plan)) return false;
       commit(idx, st.plan);
@@ -437,8 +447,7 @@ struct FleetEngine {
     ra.train_start = now + ra.prov;
 
     util::Rng rng(mix_seed(svc.options_.seed, rq.id, o.attempts));
-    const double noise = svc.options_.runtime_noise;
-    const double factor = noise > 0.0 ? rng.bounded_normal(1.0, noise, 3.0 * noise) : 1.0;
+    const double factor = rng.bounded_normal(1.0, kRuntimeNoise, 3.0 * kRuntimeNoise);
     ra.duration = std::max(1e-9, plan.predicted_time.value() * factor);
 
     // Revocation delay is always drawn so the attempt's stream is stable

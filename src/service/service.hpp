@@ -54,18 +54,10 @@ struct ServeOptions {
   core::PredictorOptions predictor;
   std::uint64_t seed = 2024;
 
-  /// Relative stddev of actual vs predicted run time (bounded normal,
-  /// clamped to +-3 sigma); 0 = runs land exactly on the prediction.
-  double runtime_noise = 0.03;
-
   /// Spot-style capacity loss: per running attempt, a revocation strikes
   /// after an Exp(mean) delay when that delay lands inside the attempt's
   /// run window. <= 0 disables revocations.
   util::Seconds mean_revocation_interval{0.0};
-
-  /// Checkpoint granularity: iterations completed at revocation are
-  /// rounded down to a multiple of this before re-planning the remainder.
-  long checkpoint_iterations = 50;
 
   /// Mixed on-demand+spot fleets for revoked jobs: when enabled, every
   /// re-admission of a revoked job runs its workers on spot capacity (the
@@ -77,14 +69,6 @@ struct ServeOptions {
   bool spot_fleets = false;
   /// Bid as a multiple of each type's long-run mean spot price.
   double spot_bid_multiplier = 1.6;
-
-  /// Admission-scan width: queued jobs examined per capacity-release event
-  /// (priority order; smaller jobs may backfill past a blocked head).
-  int backfill_window = 64;
-
-  /// Cached admission plans for queued jobs are recomputed at most this
-  /// often, bounding planner work to O(queue / interval) per release storm.
-  util::Seconds replan_interval{300.0};
 };
 
 /// Fleet-level rollup over one run()'s outcomes. Queue-wait quantiles are

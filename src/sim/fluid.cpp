@@ -165,13 +165,13 @@ const util::RateTrace* FluidSystem::resource_trace(ResourceId id) {
 void FluidSystem::settle_now() { settle(); }
 
 void FluidSystem::settle() {
-  ++settle_count_;
   const double now = sim_->now();
   const double dt = now - last_settle_;
   if (dt <= 0.0) {
     last_settle_ = now;
     return;
   }
+  ++settle_count_;
   for (std::size_t slot : live_) {
     Job& job = slots_[slot];
     job.remaining = std::max(0.0, job.remaining - job.rate * dt);

@@ -106,7 +106,9 @@ class FluidSystem {
   /// (call before reading utilization mid-run).
   void settle_now();
 
-  /// Number of settle passes performed (telemetry: fluid hot-path count).
+  /// Number of settle sweeps over the live jobs, i.e. settles that advanced
+  /// the clock; a settle at dt = 0 does no work and is not counted
+  /// (telemetry: fluid hot-path count).
   [[nodiscard]] std::size_t settle_count() const { return settle_count_; }
 
   /// Toggles component-scoped reallocation (default on). Max-min fairness

@@ -396,8 +396,8 @@ TEST(Determinism, PinnedRepairInPlaceDigests) {
 
 TEST(Determinism, PinnedSentinelDigests) {
   const std::uint64_t expected[] = {0x909f0e8edb1d6673ull, 0xa2e21fff06a2d7f3ull,
-                                    0x6018827d1c9eec2bull, 0xe0f4913b9f1791e2ull,
-                                    0xe2793b3c3dd171f6ull, 0xa8c7703042e4ce09ull};
+                                    0x6018827d1c9eec2bull, 0x0d62acac16faaadeull,
+                                    0x19baee1e2e3c715full, 0xa8c7703042e4ce09ull};
   for (std::size_t i = 0; i < std::size(kFaultCases); ++i) {
     EXPECT_EQ(hex(sentinel_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
   }
@@ -443,7 +443,7 @@ namespace {
 constexpr long kPinnedIterations = 120;
 
 /// Excludes the last worker (replaced 5 s later) at its 10th probe, and
-/// downgrades a BSP run to SSP at its 30th.
+/// cuts a BSP run with a downgrade to SSP at its 30th.
 class ScriptedMonitor : public cd::TrainingMonitor {
  public:
   cd::MonitorAction observe(const cd::HealthProbe& probe) override {
@@ -566,7 +566,8 @@ TEST(Determinism, PinnedTrainDigests) {
   const auto acted = cd::run_training(shapes[2], cifar10, monitored);
   ASSERT_FALSE(acted.monitor.exclusions.empty());
   ASSERT_TRUE(acted.monitor.downgraded);
-  EXPECT_EQ(hex(train_digest(acted)), hex(0x439d2290d3978a0aull)) << "acting monitor";
+  ASSERT_TRUE(acted.stopped_early);  // the downgrade cuts; the executor continues
+  EXPECT_EQ(hex(train_digest(acted)), hex(0x6fce4b83136ec685ull)) << "acting monitor";
 
   cd::TrainOptions traced;
   traced.iterations = kPinnedIterations;

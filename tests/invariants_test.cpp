@@ -44,12 +44,11 @@ class ScopedInvariants {
 
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
 
-cd::TrainResult train(const char* workload, int sync_override_ssp_bound = -1) {
+cd::TrainResult train(const char* workload) {
   const auto& w = cd::workload_by_name(workload);
   auto cluster = cd::ClusterSpec::homogeneous(m4(), 4, 2);
   cd::TrainOptions o;
   o.iterations = 60;
-  o.ssp_staleness_bound = sync_override_ssp_bound;
   return cd::run_training(cluster, w, o);
 }
 

@@ -126,19 +126,6 @@ TEST(SspEngine, BoundZeroClampsToOneNoDeadlock) {
   EXPECT_GT(r.total_time, 0.0);
 }
 
-TEST(SspEngine, OptionOverridesWorkloadBound) {
-  auto cluster = cd::ClusterSpec::with_stragglers(m4(), m1(), 4, 1);
-  auto w = ssp_workload("resnet32", 8);
-  cd::TrainOptions tight;
-  tight.iterations = 80;
-  tight.ssp_staleness_bound = 1;
-  cd::TrainOptions inherit;
-  inherit.iterations = 80;
-  const double t_tight = cd::run_training(cluster, w, tight).total_time;
-  const double t_loose = cd::run_training(cluster, w, inherit).total_time;
-  EXPECT_GT(t_tight, t_loose);
-}
-
 TEST(SspEngine, TighterBoundConvergesFasterPerIteration) {
   // Same fitted curve, same iteration budget: a tighter staleness bound
   // must end at a lower loss (cross-mode comparisons are not meaningful

@@ -59,6 +59,29 @@ orch::StragglerDetector::Config detector_config() {
   return cfg;
 }
 
+/// The journal's `segment` records, in job order.
+std::vector<cynthia::telemetry::JournalRecord> segment_records(
+    const cynthia::telemetry::Journal& journal) {
+  std::vector<cynthia::telemetry::JournalRecord> out;
+  for (const auto& rec : journal.records()) {
+    if (rec.kind == cynthia::telemetry::JournalKind::kSegment) out.push_back(rec);
+  }
+  return out;
+}
+
+/// Compute spans traced for worker `w` that start in [t0, t1) on the job clock.
+int compute_spans(const cynthia::telemetry::Tracer& tracer, int w, double t0, double t1) {
+  const std::string track = "wk" + std::to_string(w) + ".cpu";
+  int n = 0;
+  for (const auto& ev : tracer.events()) {
+    if (ev.name == "compute" && tracer.tracks()[ev.track] == track && ev.start >= t0 &&
+        ev.start < t1) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 core::ProvisionPlan manual_plan(int n_workers, int n_ps, long iterations) {
   core::ProvisionPlan plan;
   plan.feasible = true;
@@ -255,6 +278,8 @@ TEST_F(StragglersTest, SentinelHonorsMitigationBudget) {
 }
 
 TEST_F(StragglersTest, SentinelSspPolicyDowngradesUnderForecastMiss) {
+  // `cynthiactl simulate cifar10 --workers 4 --ps 1 --iterations 400
+  // --faults <below> --mitigate=ssp --minutes 20`: one downgrade, no later cut.
   const auto& w = cd::workload_by_name("cifar10");  // BSP
   const auto plan = manual_plan(4, 1, 400);
   // A uniform cluster-wide slowdown: no single straggler stands out, so the
@@ -262,15 +287,82 @@ TEST_F(StragglersTest, SentinelSspPolicyDowngradesUnderForecastMiss) {
   const auto schedule = cf::FaultSchedule::parse(
       "slow:wk0@100x2+100000;slow:wk1@100x2+100000;slow:wk2@100x2+100000;"
       "slow:wk3@100x2+100000");
+  cynthia::telemetry::Telemetry tel;
   orch::SentinelOptions options;
+  options.seed = 1;
   options.policy = orch::MitigationPolicy::kSsp;
+  options.training.telemetry = &tel;
   // Tight but reachable: the fault-free run takes ~824 s.
-  const core::ProvisionGoal goal{cu::Seconds{1200.0}, 1e9};
+  const core::ProvisionGoal goal{cu::minutes(20.0), 0.0};
   const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
-  EXPECT_TRUE(report.training.monitor.downgraded);
-  EXPECT_EQ(report.training.iterations, 400);
-  ASSERT_FALSE(report.mitigations.empty());
+
+  const cd::TrainResult& r = report.training;
+  ASSERT_TRUE(r.monitor.downgraded);
+  EXPECT_EQ(r.iterations, 400);
+  ASSERT_EQ(report.mitigations.size(), 1u);
   EXPECT_EQ(report.mitigations[0].action, "ssp-downgrade");
+
+  // The downgrade ends segment 0; the SSP segment runs the rest of the budget.
+  EXPECT_EQ(report.segments, 2);
+  const auto segments = segment_records(tel.journal);
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].detail, "ssp-downgrade");
+  EXPECT_EQ(segments[0].iterations, r.monitor.downgraded_at_iteration);
+  EXPECT_EQ(segments[1].detail, "completed");
+  EXPECT_EQ(segments[1].t, r.monitor.downgraded_at);  // no pause between them
+  EXPECT_EQ(segments[0].iterations + segments[1].iterations, 400);
+
+  // Every slowdown is still active at the cut: the SSP segment re-injects it
+  // on the same node, it never recovers, and it is counted once.
+  EXPECT_EQ(r.faults.slowdowns, 4);
+  ASSERT_EQ(r.faults.events.size(), 4u);
+  for (const cd::FaultEventOutcome& e : r.faults.events) {
+    EXPECT_TRUE(e.fired) << e.spec.to_string();
+    EXPECT_EQ(e.injected_at, 100.0) << e.spec.to_string();
+    EXPECT_LT(e.recovered_at, 0.0) << e.spec.to_string();
+  }
+  const double degraded_to_end = 4.0 * (r.total_time - 100.0);
+  EXPECT_NEAR(r.faults.degraded_node_seconds, degraded_to_end, 1e-9 * degraded_to_end);
+}
+
+TEST_F(StragglersTest, SspDowngradeKeepsAPendingReplacementExcluded) {
+  // Determinism's sentinel fault case 4: wk1 is blacklisted at ~136 s with
+  // its replacement due at ~207 s, and the forecast downgrades at ~188 s, so
+  // the replacement's join dies with the cut.
+  const auto& w = cd::workload_by_name("cifar10");
+  const auto plan = manual_plan(4, 1, 200);
+  const auto schedule =
+      cf::FaultSchedule::parse("slow:wk1@100x4+100000;blip:wk3@50x100+10;nic:ps0@60*0.25+300");
+  cynthia::telemetry::Telemetry tel;
+  orch::SentinelOptions options;
+  options.seed = 7;
+  options.training.telemetry = &tel;
+  const auto report =
+      orch::SloSentinel(options).run(w, plan, schedule, {cu::Seconds{600.0}, 1e9});
+
+  const cd::TrainResult& r = report.training;
+  ASSERT_TRUE(r.monitor.downgraded);
+  const double cut = r.monitor.downgraded_at;
+  const cd::MonitorExclusion* wk1 = nullptr;
+  for (const cd::MonitorExclusion& e : r.monitor.exclusions) {
+    if (e.worker == 1) wk1 = &e;
+  }
+  ASSERT_NE(wk1, nullptr);
+  ASSERT_LT(wk1->at, cut);
+  ASSERT_GT(wk1->replaced_at, cut);
+
+  // The run cuts again after the downgrade, and the merged result keeps only
+  // the last segment's utilization: look at the SSP segment's own trace.
+  const auto segments = segment_records(tel.journal);
+  std::size_t ssp = 0;
+  while (ssp < segments.size() && segments[ssp].detail != "ssp-downgrade") ++ssp;
+  ASSERT_LT(ssp + 1, segments.size());
+  const cynthia::telemetry::JournalRecord& next = segments[ssp + 1];
+  EXPECT_EQ(next.t, cut);
+  const double end = next.t + next.value;
+  EXPECT_EQ(compute_spans(tel.tracer, 1, cut, end), 0) << "wk1 trained in the SSP segment";
+  for (int j : {0, 2, 3}) EXPECT_GT(compute_spans(tel.tracer, j, cut, end), 0) << "wk" << j;
+  EXPECT_EQ(r.iterations, 200);
 }
 
 TEST_F(StragglersTest, SentinelDisabledMatchesPlainTraining) {
