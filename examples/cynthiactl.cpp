@@ -810,6 +810,7 @@ int cmd_serve(const Args& args) {
   t.row({"starved", std::to_string(s.starved)});
   t.row({"attempts", std::to_string(s.attempts)});
   t.row({"replans", std::to_string(s.replans)});
+  t.row({"ladder searches", std::to_string(s.ladder_searches)});
   t.row({"revocations", std::to_string(s.revocations)});
   if (so.spot_fleets) t.row({"spot attempts", std::to_string(s.spot_attempts)});
   t.row({"SLO attained", std::to_string(s.slo_attained)});

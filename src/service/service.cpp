@@ -40,6 +40,9 @@ constexpr int kBackfillWindow = 64;
 /// Cached admission plans for queued jobs are recomputed at most this often,
 /// bounding planner work to O(queue / interval) per release storm.
 constexpr util::Seconds kReplanInterval{300.0};
+/// A capped search on a type the region does not limit runs uncapped; the
+/// ladder memo records its failure as a failure at this cap.
+constexpr int kNoCap = std::numeric_limits<int>::max();
 
 /// splitmix64-style mix: every (job, attempt) draws from its own stream, so
 /// outcomes are independent of admission interleaving.
@@ -99,14 +102,46 @@ struct FleetEngine {
   region::Region region;  ///< working copy of the service's template
   std::vector<JobOutcome> outcomes;
 
+  /// What one fixed-budget rung of the admission ladder (rung 1: the
+  /// original Tg; rung 2: any-time) already knows about a queued job. The
+  /// inputs of its searches (budget, goal, `remaining`) do not change while
+  /// the job waits, so their answers are remembered rather than recomputed
+  /// on every capacity release; on_revoked resets the memo with `remaining`.
+  ///
+  /// Skipping is exact. The uncapped search gives the same plan for the same
+  /// inputs, so only its type and footprint are kept: the call is skipped
+  /// while that plan is infeasible or does not fit, and re-run when it fits.
+  /// A capped search sees its cap only as the row cut `n + n_ps >
+  /// max_total_dockers` (Provisioner::plan and replan). Rows, their order
+  /// and every other cut ignore the cap, and the cost cut fires only after a
+  /// feasible candidate. So at a fixed budget each row's scan at a smaller
+  /// cap is a prefix of its scan at a larger one, and "no plan at cap c"
+  /// implies "no plan at any cap <= c". Rung 0's budget shrinks with the
+  /// clock, and Algorithm 1 is not monotone in the budget (the Theorem 4.1
+  /// bounds move with Tg), so rung 0 keeps no memo.
+  struct RungMemo {
+    static constexpr int kUnknown = -2;     ///< uncapped search not run yet
+    static constexpr int kInfeasible = -1;  ///< uncapped search found no plan
+    int uncapped_type = kUnknown;           ///< else an index into stocked_types_
+    int uncapped_footprint = 0;
+    /// Per stocked type, the largest cap at which the capped search found no
+    /// plan (0: none yet; kNoCap: it failed uncapped). Empty until the rung
+    /// first reaches its capped searches.
+    std::vector<int> failed_cap;
+  };
+
   /// Queued-job planning cache: bounds planner work during release storms.
   struct QueueState {
+    /// The cached decision is positive: from arrival until the first ladder
+    /// run it is the arrival plan, which at_tg keeps as rung 1's uncapped
+    /// answer (a ladder run that finds a plan admits the job at once).
     bool has_plan = false;
-    core::ProvisionPlan plan;
     double planned_at = -std::numeric_limits<double>::infinity();
     /// 0 = fresh job (iteration budget comes from the loss model); > 0 =
     /// iterations pinned by the last revocation checkpoint (replan path).
     long remaining = 0;
+    RungMemo at_tg;     ///< rung 1
+    RungMemo any_time;  ///< rung 2 (revoked jobs only)
   };
   std::vector<QueueState> qstate;
 
@@ -129,6 +164,7 @@ struct FleetEngine {
   util::Dollars fleet_cost{0.0};
   long total_attempts = 0;
   long total_replans = 0;
+  long total_ladder_searches = 0;
   long total_revocations = 0;
   long total_spot_attempts = 0;
 
@@ -186,6 +222,29 @@ struct FleetEngine {
     return cap == region::Region::kUnbounded || footprint(plan) <= cap;
   }
 
+  /// Is the remembered uncapped answer worth a search now: not known yet,
+  /// or a plan whose footprint fits the free slots of its type?
+  [[nodiscard]] bool uncapped_may_fit(const RungMemo& memo) const {
+    if (memo.uncapped_type == RungMemo::kUnknown) return true;
+    if (memo.uncapped_type == RungMemo::kInfeasible) return false;
+    const auto type = static_cast<std::size_t>(memo.uncapped_type);
+    return region.fits(svc.stocked_types_[type].name, memo.uncapped_footprint);
+  }
+
+  void remember_uncapped(RungMemo& memo, const core::ProvisionPlan& plan) const {
+    if (!plan.feasible) {
+      memo.uncapped_type = RungMemo::kInfeasible;
+      return;
+    }
+    const auto& types = svc.stocked_types_;
+    const auto it = std::find_if(types.begin(), types.end(), [&](const cloud::InstanceType& t) {
+      return t.name == plan.type.name;
+    });
+    CYNTHIA_CHECK(it != types.end(), "plan on an unstocked type: ", plan.type.name);
+    memo.uncapped_type = static_cast<int>(it - types.begin());
+    memo.uncapped_footprint = footprint(plan);
+  }
+
   /// Could any capacity-capped plan for this goal run on the *empty*
   /// region? Jobs failing this can never start and are rejected up front
   /// instead of starving the queue head forever.
@@ -234,8 +293,9 @@ struct FleetEngine {
       return;
     }
     qstate[idx].has_plan = true;
-    qstate[idx].plan = plan;
     qstate[idx].planned_at = sim.now();
+    // Rung 1's uncapped search for a fresh job is exactly this call.
+    remember_uncapped(qstate[idx].at_tg, plan);
     enqueue(idx);
     if (rq.max_queue_wait.value() > 0.0) {
       sim.at(rq.arrival.value() + rq.max_queue_wait.value(), [this, idx] { on_timeout(idx); });
@@ -304,6 +364,8 @@ struct FleetEngine {
     qstate[idx].remaining = std::max<long>(1, prior - done);
     qstate[idx].has_plan = false;
     qstate[idx].planned_at = -std::numeric_limits<double>::infinity();
+    qstate[idx].at_tg = {};
+    qstate[idx].any_time = {};
 
     o.state = JobState::kQueued;
     if (tel != nullptr) {
@@ -351,17 +413,19 @@ struct FleetEngine {
     const double now = sim.now();
     if (now - st.planned_at <= kReplanInterval.value()) {
       // Cache window: reuse the last planning decision (or its negative).
-      if (!st.has_plan || !fits_now(st.plan)) return false;
-      commit(idx, st.plan);
+      if (!st.has_plan || !uncapped_may_fit(st.at_tg)) return false;
+      // It fits: plan again from the arrival inputs (same inputs, same plan).
+      const JobRequest& rq = outcomes[idx].request;
+      ProvisioningService::WorkloadPlanners* wp = svc.planners_for(rq.workload);
+      commit(idx, wp->all->plan(wp->spec.sync, rq.goal));
       return true;
     }
     std::optional<core::ProvisionPlan> plan = admission_plan(idx);
     st.planned_at = now;
+    st.has_plan = false;
     total_replans += 1;
     outcomes[idx].replans += 1;
-    st.has_plan = plan.has_value();
     if (!plan.has_value()) return false;
-    st.plan = *plan;
     commit(idx, *plan);
     return true;
   }
@@ -387,30 +451,40 @@ struct FleetEngine {
         best = p;
       }
     };
-    auto plan_with = [&](core::Provisioner& prov, util::Seconds budget,
-                         const core::ProvisionOptions& opts) {
-      if (st.remaining > 0) {
-        consider(prov.replan(wp->spec.sync, st.remaining, budget, opts));
-      } else {
-        consider(prov.plan(wp->spec.sync, {budget, rq.goal.target_loss}, opts));
-      }
+    auto search = [&](core::Provisioner& prov, util::Seconds budget,
+                      const core::ProvisionOptions& opts) {
+      total_ladder_searches += 1;
+      if (st.remaining > 0) return prov.replan(wp->spec.sync, st.remaining, budget, opts);
+      return prov.plan(wp->spec.sync, {budget, rq.goal.target_loss}, opts);
     };
-    auto ladder_step = [&](util::Seconds budget) {
-      plan_with(*wp->all, budget, {});
-      if (best.has_value()) return;  // unconstrained optimum fits: done
-      for (const auto& type : svc.stocked_types_) {
-        const int avail = region.available(type.name);
+    // `memo` is null on rung 0, which searches in full (see RungMemo).
+    auto ladder_step = [&](util::Seconds budget, RungMemo* memo) {
+      if (memo == nullptr || uncapped_may_fit(*memo)) {
+        const core::ProvisionPlan plan = search(*wp->all, budget, {});
+        if (memo != nullptr) remember_uncapped(*memo, plan);
+        consider(plan);
+        if (best.has_value()) return;  // unconstrained optimum fits: done
+      }
+      const auto& types = svc.stocked_types_;
+      if (memo != nullptr) memo->failed_cap.resize(types.size());  // 0: no failure yet
+      for (std::size_t t = 0; t < types.size(); ++t) {
+        const int avail = region.available(types[t].name);
         if (avail == 0) continue;
+        const int cap = avail == region::Region::kUnbounded ? kNoCap : avail;
+        // Already failed at this cap or a larger one: fails here too.
+        if (memo != nullptr && cap <= memo->failed_cap[t]) continue;
         core::ProvisionOptions opts;
-        if (avail != region::Region::kUnbounded) opts.max_total_dockers = avail;
-        plan_with(*wp->per_type.at(type.name), budget, opts);
+        if (cap != kNoCap) opts.max_total_dockers = cap;
+        const core::ProvisionPlan plan = search(*wp->per_type.at(types[t].name), budget, opts);
+        if (memo != nullptr && !plan.feasible) memo->failed_cap[t] = cap;
+        consider(plan);
       }
     };
 
     const double budget_left = rq.goal.time_goal.value() - (now - rq.arrival.value());
-    if (budget_left > kBudgetEpsilon) ladder_step(util::Seconds{budget_left});
-    if (!best.has_value()) ladder_step(rq.goal.time_goal);
-    if (!best.has_value() && st.remaining > 0) ladder_step(kAnyTimeBudget);
+    if (budget_left > kBudgetEpsilon) ladder_step(util::Seconds{budget_left}, nullptr);
+    if (!best.has_value()) ladder_step(rq.goal.time_goal, &st.at_tg);
+    if (!best.has_value() && st.remaining > 0) ladder_step(kAnyTimeBudget, &st.any_time);
     return best;
   }
 
@@ -597,6 +671,7 @@ struct FleetEngine {
     }
     s.attempts = total_attempts;
     s.replans = total_replans;
+    s.ladder_searches = total_ladder_searches;
     s.revocations = total_revocations;
     s.spot_attempts = total_spot_attempts;
     if (s.submitted > 0) {

@@ -82,6 +82,10 @@ struct FleetStats {
   long starved = 0;    ///< still queued when the fleet drained
   long attempts = 0;   ///< capacity grants across all jobs
   long replans = 0;    ///< Algorithm 1 re-runs beyond each job's first plan
+  /// Provisioner searches the admission ladder ran for those re-plans; not
+  /// the arrival plan (nor its re-run when a job is admitted on it) or the
+  /// empty-region check. Not part of the digest.
+  long ladder_searches = 0;
   long revocations = 0;
   long spot_attempts = 0;  ///< mixed-fleet re-admissions (spot_fleets only)
 

@@ -7,7 +7,9 @@
 // no tolerances — so a single ULP of drift in any optimized path fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -18,9 +20,11 @@
 #include "cloud/instance.hpp"
 #include "cloud/spot.hpp"
 #include "core/loss_model.hpp"
+#include "core/predictor.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/workload.hpp"
 #include "profiler/profiler.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace co = cynthia::core;
@@ -342,4 +346,177 @@ TEST(PlannerEquiv, PinnedPlanDigests) {
     EXPECT_EQ(hex(replan_digest(c)), hex(expected[i].replan)) << "replan";
     EXPECT_EQ(hex(spot_digest(c, market)), hex(expected[i].spot)) << "plan_spot";
   }
+}
+
+// ------------------------------------------ feasibility monotonicity
+//
+// The fleet service's admission ladder (src/service/service.cpp, RungMemo)
+// remembers, per queued job and fixed-budget rung, the largest cap at which
+// a single-type capped search found no plan, and skips that type while the
+// region has no more free slots than that. These sample the property that
+// makes the skip exact, on the planners the service builds (Predictor::build
+// on m4.xlarge, one single-type Provisioner per type), over the four fleet
+// workloads in their own sync mode and in SSP, and pin why rung 0 keeps no
+// memo.
+
+namespace {
+
+struct FleetPlanner {
+  std::string label;
+  cd::SyncMode mode;
+  double loss_floor;  ///< the fitted loss asymptote: l_g must lie above it
+  std::vector<co::Provisioner> per_type;
+};
+
+co::Predictor fleet_predictor(const char* workload, cd::SyncMode mode) {
+  cd::WorkloadSpec spec = cd::workload_by_name(workload);
+  spec.sync = mode;
+  return co::Predictor::build(spec, m4());
+}
+
+const std::vector<FleetPlanner>& fleet_planners() {
+  static const std::vector<FleetPlanner> planners = [] {
+    std::vector<FleetPlanner> out;
+    // The workloads of service::default_workload_mix().
+    for (const char* workload : {"mnist", "cifar10", "vgg19", "resnet32"}) {
+      for (cd::SyncMode mode : {cd::workload_by_name(workload).sync, cd::SyncMode::SSP}) {
+        const co::Predictor predictor = fleet_predictor(workload, mode);
+        FleetPlanner fp{std::string(workload) + " mode " + std::to_string(int(mode)), mode,
+                        predictor.loss().beta1(), {}};
+        for (const cc::InstanceType& type : cc::Catalog::aws().provisionable_with_accelerators()) {
+          fp.per_type.emplace_back(predictor.model(), predictor.loss(),
+                                   std::vector<cc::InstanceType>{type});
+        }
+        out.push_back(std::move(fp));
+      }
+    }
+    return out;
+  }();
+  return planners;
+}
+
+double log_uniform(cu::Rng& rng, double lo, double hi) {
+  return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+/// `count` sorted budgets in [lo, hi] seconds, log-uniform.
+std::vector<double> sample_budgets(cu::Rng& rng, int count, double lo, double hi) {
+  std::vector<double> out;
+  for (int i = 0; i < count; ++i) out.push_back(log_uniform(rng, lo, hi));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Ascending caps in [1, 128] (past every plan's footprint), then 0: no cap.
+std::vector<int> sample_caps(cu::Rng& rng, int count) {
+  std::vector<int> out;
+  for (int i = 0; i < count; ++i) out.push_back(static_cast<int>(rng.uniform_int(1, 128)));
+  std::sort(out.begin(), out.end());
+  out.push_back(0);
+  return out;
+}
+
+co::ProvisionOptions capped(int cap) {
+  co::ProvisionOptions options;
+  options.max_total_dockers = cap;
+  return options;
+}
+
+constexpr int kDraws = 100;
+
+}  // namespace
+
+// "No plan at cap c" implies "no plan at any cap <= c", at a fixed budget:
+// the cap only cuts each row of the scan short, and no other cut depends on
+// it until a feasible candidate exists.
+TEST(PlannerMonotone, CappedFeasibilityIsMonotoneInTheCap) {
+  cu::Rng rng(0x5eed0026);
+  long plan_flips = 0;    // draws whose plan feasibility changed along the caps
+  long replan_flips = 0;  // the same for replan
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws; ++draw) {
+        const co::ProvisionGoal goal{cu::Seconds{log_uniform(rng, 30.0, 8.0 * 3600.0)},
+                                    fp.loss_floor + log_uniform(rng, 0.005, 0.5)};
+        const long remaining = static_cast<long>(log_uniform(rng, 1.0, 20000.0));
+        const cu::Seconds budget{log_uniform(rng, 10.0, 2.0e5)};
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " Tg " +
+                     std::to_string(goal.time_goal.value()) + " l_g " +
+                     std::to_string(goal.target_loss) + " remaining " +
+                     std::to_string(remaining) + " budget " + std::to_string(budget.value()));
+        bool plan_found = false;
+        bool replan_found = false;
+        bool plan_missed = false;
+        bool replan_missed = false;
+        for (const int cap : sample_caps(rng, 10)) {
+          const bool plan_ok = prov.plan(fp.mode, goal, capped(cap)).feasible;
+          const bool replan_ok = prov.replan(fp.mode, remaining, budget, capped(cap)).feasible;
+          EXPECT_FALSE(plan_found && !plan_ok) << "plan lost its answer at cap " << cap;
+          EXPECT_FALSE(replan_found && !replan_ok) << "replan lost its answer at cap " << cap;
+          plan_missed = plan_missed || !plan_ok;
+          replan_missed = replan_missed || !replan_ok;
+          plan_found = plan_found || plan_ok;
+          replan_found = replan_found || replan_ok;
+        }
+        plan_flips += plan_found && plan_missed ? 1 : 0;
+        replan_flips += replan_found && replan_missed ? 1 : 0;
+      }
+    }
+  }
+  // The sample reaches the boundary it claims to test.
+  EXPECT_GT(plan_flips, 0);
+  EXPECT_GT(replan_flips, 0);
+}
+
+// replan's grid does not move with the budget, so a budget that finds no plan
+// bounds every smaller one: the any-time rung's failures stay failures.
+TEST(PlannerMonotone, ReplanFeasibilityIsMonotoneInTheBudget) {
+  cu::Rng rng(0x5eed0027);
+  long flips = 0;
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws; ++draw) {
+        const long remaining = static_cast<long>(log_uniform(rng, 1.0, 20000.0));
+        const int cap = rng.chance(0.3) ? 0 : static_cast<int>(rng.uniform_int(1, 64));
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " remaining " +
+                     std::to_string(remaining) + " cap " + std::to_string(cap));
+        bool found = false;
+        bool missed = false;
+        for (const double budget : sample_budgets(rng, 10, 10.0, 2.0e5)) {
+          const bool ok =
+              prov.replan(fp.mode, remaining, cu::Seconds{budget}, capped(cap)).feasible;
+          EXPECT_FALSE(found && !ok) << "replan lost its answer at budget " << budget;
+          missed = missed || !ok;
+          found = found || ok;
+        }
+        flips += found && missed ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(flips, 0);
+}
+
+// Algorithm 1's bounded search is not monotone in the budget: compute_bounds
+// moves n_lower, n_ps and each row's upper bound with Tg, so a larger Tg can
+// lose every candidate a smaller one found. This is why the admission ladder
+// keeps no memo for rung 0, whose budget (the SLO time left) shrinks with the
+// clock: a failure there says nothing about the next, smaller budget.
+TEST(PlannerMonotone, PlanIsNotMonotoneInTheBudget) {
+  const co::Predictor predictor = fleet_predictor("vgg19", cd::SyncMode::ASP);
+  const co::Provisioner prov(predictor.model(), predictor.loss(),
+                             {cc::Catalog::aws().at("p3.2xlarge")});
+  const auto at = [&](double tg) {
+    return prov.plan(cd::SyncMode::ASP, {cu::Seconds{tg}, 0.172});
+  };
+  const co::ProvisionPlan tight = at(233.0);
+  ASSERT_TRUE(tight.feasible);
+  EXPECT_EQ(tight.n_workers, 50);
+  EXPECT_EQ(tight.n_ps, 60);
+  EXPECT_FALSE(at(233.5).feasible);
+  const co::ProvisionPlan loose = at(234.0);
+  ASSERT_TRUE(loose.feasible);
+  EXPECT_EQ(loose.n_workers, 50);
+  EXPECT_EQ(loose.n_ps, 59);
 }

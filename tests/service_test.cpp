@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -511,6 +512,45 @@ TEST(Service, RunTwiceDigestIdenticalOn1kJobTrace) {
   EXPECT_GT(a.stats.completed, 0);
   EXPECT_GT(a.stats.slo_attain_rate, 0.0);
   EXPECT_GT(a.stats.utilization, 0.0);
+}
+
+// Pinned fleet outcomes: `cynthiactl serve --jobs 1000 --seed 1` and the same
+// day with `--revocations 90 --spot`. Run-twice equality cannot catch an
+// admission change that is deterministic but wrong; these pins do. A change
+// to how the admission ladder prunes its searches may move
+// `ladder_searches`, never the digest or the replan count.
+TEST(Service, PinnedFleetDigests) {
+  struct Case {
+    const char* name;
+    bool churn;
+    std::uint64_t digest;
+    long replans;
+    long attempts;
+    long revocations;
+    long ladder_searches;
+  };
+  const Case cases[] = {
+      {"plain", false, 0xb901fb185ea21d68ull, 21926, 1000, 0, 28048},
+      {"churn", true, 0x7dc5de34e4cf24e7ull, 32251, 1588, 588, 29840},
+  };
+  const auto requests =
+      cs::TrafficGenerator(cs::TrafficOptions::parse("jobs=1000,horizon=24h,seed=1")).generate();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    cs::ServeOptions opts;
+    opts.seed = 1;
+    if (c.churn) {
+      opts.mean_revocation_interval = cu::minutes(90.0);
+      opts.spot_fleets = true;
+    }
+    const auto result =
+        cs::ProvisioningService(cr::Region::parse("*=160"), cc::Catalog::aws(), opts).run(requests);
+    EXPECT_EQ(result.digest, c.digest);
+    EXPECT_EQ(result.stats.replans, c.replans);
+    EXPECT_EQ(result.stats.attempts, c.attempts);
+    EXPECT_EQ(result.stats.revocations, c.revocations);
+    EXPECT_EQ(result.stats.ladder_searches, c.ladder_searches);
+  }
 }
 
 TEST(Service, RevocationsAreDeterministicAndRecovered) {
