@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,50 +51,72 @@ double push_volume(int w) { return 65.0 + 0.53 * w; }
 /// The paper's PS-training shape: every worker cycles compute (its own CPU,
 /// a singleton component) -> push (its NIC + the shared PS NIC, one big
 /// component). Each completion triggers a reallocation; the incremental
-/// solver re-water-fills only the touched component.
+/// solver re-water-fills only the touched component. A job's tag is
+/// 2 * worker + stage (0 compute, 1 push), and the fluid system's one
+/// completion handler continues the cycle from it.
+class Churn {
+ public:
+  Churn(bool incremental, int n_workers, int rounds)
+      : fluid_(sim_, [this](sim::JobId, sim::JobTag tag, double t) { on_done(tag, t); }),
+        rounds_(rounds),
+        round_(n_workers, 0) {
+    fluid_.set_incremental(incremental);
+    ps_nic_ = fluid_.add_resource("ps.nic", 120.0);
+    for (int w = 0; w < n_workers; ++w) {
+      wk_cpu_.push_back(fluid_.add_resource("wk" + std::to_string(w) + ".cpu", 8.8));
+      wk_nic_.push_back(fluid_.add_resource("wk" + std::to_string(w) + ".nic", 125.0));
+    }
+  }
+
+  ChurnResult run() {
+    const int n_workers = static_cast<int>(round_.size());
+    const double t0 = bench::perf::now_seconds();
+    for (int w = 0; w < n_workers; ++w) start_round(w);
+    sim_.run();
+    out_.wall_seconds = bench::perf::now_seconds() - t0;
+    // Every push crosses the shared PS NIC, so it must have served all of
+    // them; anything else means the churn did not run the workload it claims.
+    double pushed = 0.0;
+    for (int w = 0; w < n_workers; ++w) pushed += rounds_ * push_volume(w);
+    const double served = fluid_.resource_volume_served(ps_nic_);
+    if (std::abs(served - pushed) > 1e-9 * pushed) {
+      throw std::logic_error("perf_fluid: PS NIC served " + std::to_string(served) +
+                             " units, expected " + std::to_string(pushed));
+    }
+    out_.reallocs = fluid_.realloc_count();
+    out_.flows_resolved = fluid_.flows_resolved();
+    out_.flows_avoided = fluid_.flows_avoided();
+    return out_;
+  }
+
+ private:
+  sim::Simulator sim_;
+  sim::FluidSystem fluid_;
+  int rounds_;
+  std::vector<int> round_;  ///< per worker, the round its cycle is in
+  sim::ResourceId ps_nic_ = 0;
+  std::vector<sim::ResourceId> wk_cpu_, wk_nic_;
+  ChurnResult out_;
+
+  void start_round(int w) {
+    if (round_[w] >= rounds_) return;
+    fluid_.start_job(compute_volume(w), {wk_cpu_[w]}, 2 * static_cast<sim::JobTag>(w));
+  }
+
+  void on_done(sim::JobTag tag, double t) {
+    out_.digest = fnv1a_double(out_.digest, t);
+    const int w = static_cast<int>(tag / 2);
+    if (tag % 2 == 0) {
+      fluid_.start_job(push_volume(w), {wk_nic_[w], ps_nic_}, tag + 1);
+      return;
+    }
+    ++round_[w];
+    start_round(w);
+  }
+};
+
 ChurnResult run_churn(bool incremental, int n_workers, int rounds) {
-  sim::Simulator sim;
-  sim::FluidSystem fluid(sim);
-  fluid.set_incremental(incremental);
-
-  const sim::ResourceId ps_nic = fluid.add_resource("ps.nic", 120.0);
-  std::vector<sim::ResourceId> wk_cpu, wk_nic;
-  for (int w = 0; w < n_workers; ++w) {
-    wk_cpu.push_back(fluid.add_resource("wk" + std::to_string(w) + ".cpu", 8.8));
-    wk_nic.push_back(fluid.add_resource("wk" + std::to_string(w) + ".nic", 125.0));
-  }
-
-  ChurnResult out;
-  // Per-worker self-rescheduling cycle. The callbacks run after start_round
-  // returns, so they capture nothing of its frame by reference.
-  std::function<void(int, int)> start_round = [&](int w, int round) {
-    if (round >= rounds) return;
-    fluid.start_job(compute_volume(w), {wk_cpu[w]}, [&, w, round](double t_compute) {
-      out.digest = fnv1a_double(out.digest, t_compute);
-      fluid.start_job(push_volume(w), {wk_nic[w], ps_nic}, [&, w, round](double t_push) {
-        out.digest = fnv1a_double(out.digest, t_push);
-        start_round(w, round + 1);
-      });
-    });
-  };
-
-  const double t0 = bench::perf::now_seconds();
-  for (int w = 0; w < n_workers; ++w) start_round(w, 0);
-  sim.run();
-  out.wall_seconds = bench::perf::now_seconds() - t0;
-  // Every push crosses the shared PS NIC, so it must have served all of
-  // them; anything else means the churn did not run the workload it claims.
-  double pushed = 0.0;
-  for (int w = 0; w < n_workers; ++w) pushed += rounds * push_volume(w);
-  const double served = fluid.resource_volume_served(ps_nic);
-  if (std::abs(served - pushed) > 1e-9 * pushed) {
-    throw std::logic_error("perf_fluid: PS NIC served " + std::to_string(served) +
-                           " units, expected " + std::to_string(pushed));
-  }
-  out.reallocs = fluid.realloc_count();
-  out.flows_resolved = fluid.flows_resolved();
-  out.flows_avoided = fluid.flows_avoided();
-  return out;
+  return Churn(incremental, n_workers, rounds).run();
 }
 
 double run_trainer_window(bool incremental) {

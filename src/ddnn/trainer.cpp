@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -22,6 +24,63 @@ namespace {
 
 namespace metric = telemetry::metric;
 
+/// What one of the trainer's fluid jobs continues with when it drains,
+/// packed into its sim::JobTag so that a completion needs no per-job
+/// closure. Field widths, low bits first: stage 2, worker 16, PS shard 16,
+/// pipeline block 8, epoch 22. run_training rejects a cluster or pipeline
+/// whose indices do not fit (kMaxWorkers, kMaxShards, kMaxBlocks) rather
+/// than alias two continuations. The epoch is the worker's epoch modulo
+/// 2^22. That is safe because void_worker cancels every in-flight fluid job
+/// of the worker; only a zero-volume job, which completes through the event
+/// queue at the instant it started, outlives a void, and it would take 2^22
+/// voids of one worker within that instant to alias its epoch.
+struct FlowTag {
+  enum class Stage : std::uint8_t { kCompute, kPush, kApply, kPull };
+
+  static constexpr int kStageBits = 2;
+  static constexpr int kWorkerBits = 16;
+  static constexpr int kShardBits = 16;
+  static constexpr int kBlockBits = 8;
+  static constexpr int kEpochBits = 22;
+  static_assert(kStageBits + kWorkerBits + kShardBits + kBlockBits + kEpochBits == 64);
+  static constexpr long kMaxWorkers = 1L << kWorkerBits;
+  static constexpr long kMaxShards = 1L << kShardBits;
+  static constexpr long kMaxBlocks = 1L << kBlockBits;
+
+  Stage stage = Stage::kCompute;
+  int worker = 0;
+  int shard = 0;
+  int block = 0;
+  std::uint32_t epoch = 0;  ///< modulo 2^kEpochBits
+
+  [[nodiscard]] static std::uint32_t epoch_bits(std::uint32_t epoch) {
+    return epoch & ((1U << kEpochBits) - 1U);
+  }
+
+  [[nodiscard]] sim::JobTag pack() const {
+    sim::JobTag tag = epoch_bits(epoch);
+    tag = tag << kBlockBits | static_cast<sim::JobTag>(block);
+    tag = tag << kShardBits | static_cast<sim::JobTag>(shard);
+    tag = tag << kWorkerBits | static_cast<sim::JobTag>(worker);
+    return tag << kStageBits | static_cast<sim::JobTag>(stage);
+  }
+
+  [[nodiscard]] static FlowTag unpack(sim::JobTag tag) {
+    const auto field = [&tag](int bits) {
+      const auto value = tag & ((sim::JobTag{1} << bits) - 1);
+      tag >>= bits;
+      return value;
+    };
+    FlowTag out;
+    out.stage = static_cast<Stage>(field(kStageBits));
+    out.worker = static_cast<int>(field(kWorkerBits));
+    out.shard = static_cast<int>(field(kShardBits));
+    out.block = static_cast<int>(field(kBlockBits));
+    out.epoch = static_cast<std::uint32_t>(tag);
+    return out;
+  }
+};
+
 /// Shared plumbing for both sync engines: builds the per-docker resources
 /// and provides the push -> apply -> pull communication chain.
 class Session {
@@ -30,7 +89,7 @@ class Session {
       : cluster_(cluster),
         workload_(workload),
         opts_(options),
-        fluid_(sim_),
+        fluid_(sim_, [this](sim::JobId id, sim::JobTag tag, double t) { on_job_done(id, tag, t); }),
         rng_(options.seed),
         loss_(workload, cluster.n_workers(), loss_seed(options.seed)),
         tel_(options.telemetry) {
@@ -57,19 +116,20 @@ class Session {
   std::vector<sim::ResourceId> worker_cpu_, worker_eg_, worker_in_;
   std::vector<sim::ResourceId> ps_cpu_, ps_in_, ps_eg_;
 
-  // Chain bookkeeping, indexed by worker.
+  // Chain bookkeeping: PS sub-chains still open per worker, and pulls
+  // landed per (worker, shard) sub-chain, at [w * n_ps + k].
   std::vector<int> pending_subchains_;
-  std::vector<std::function<void(double)>> chain_done_;
+  std::vector<int> pulls_done_;
 
   // Fault machinery. Liveness flags and epochs exist on every run (they are
   // pure bookkeeping, adding no simulator events), so a null/empty schedule
   // is bit-identical to the pre-fault trainer. A worker's epoch is bumped
   // whenever its in-flight work is voided (its crash, or a PS crash); every
-  // fluid callback captures the epoch it was issued under and drops itself
-  // on mismatch — this also covers zero-volume jobs, which complete through
-  // the event queue and cannot be cancelled.
+  // fluid job carries the epoch it was issued under in its tag, and its
+  // completion is dropped on mismatch — this also covers zero-volume jobs,
+  // which complete through the event queue and cannot be cancelled.
   std::vector<char> worker_alive_, ps_alive_;
-  std::vector<int> worker_epoch_;
+  std::vector<std::uint32_t> worker_epoch_;
   std::vector<std::vector<sim::JobId>> worker_jobs_;  ///< cancellable in-flight jobs
   std::unique_ptr<faults::FaultInjector> injector_;
   bool finalized_ = false;
@@ -121,6 +181,9 @@ class Session {
   virtual void record_tail_telemetry(double /*end_time*/) {}
 
   void build_resources();
+  /// Sizes the fluid system and the per-worker job lists for the most jobs
+  /// the cluster can have in flight.
+  void reserve_jobs();
   /// BSP splits the global batch across the workers that are up: survivors
   /// absorb a dead worker's shard (and slow down accordingly).
   [[nodiscard]] double comp_volume_bsp(int alive_count) {
@@ -137,8 +200,8 @@ class Session {
   }
 
   /// Launches the full push -> apply -> pull chain for worker `w`;
-  /// `done(finish_time)` fires when the final pull lands.
-  void start_chain(int w, std::function<void(double)> done);
+  /// on_chain_done(w, t) fires when the final pull lands.
+  void start_chain(int w);
 
   void sample_loss(long completed_updates);
   void finalize(double end_time);
@@ -150,9 +213,10 @@ class Session {
     return count;
   }
   /// start_job + per-worker job tracking so a crash can cancel everything
-  /// the worker (or its PS round-trips) still has in flight.
-  sim::JobId tracked_start(int w, double volume, std::vector<sim::ResourceId> resources,
-                           std::function<void(double)> on_complete);
+  /// the worker (or its PS round-trips) still has in flight. The job's tag
+  /// carries the worker's current epoch.
+  void start_tracked(double volume, std::initializer_list<sim::ResourceId> resources,
+                     FlowTag tag);
   void arm_faults();
   void apply_fault(const faults::FaultSpec& fault, std::size_t idx);
   void recover_fault(const faults::FaultSpec& fault, std::size_t idx);
@@ -165,7 +229,13 @@ class Session {
   [[nodiscard]] double node_base_cpu(const faults::FaultSpec& fault) const;
   [[nodiscard]] double node_base_nic(const faults::FaultSpec& fault) const;
   void set_node_cpu(const faults::FaultSpec& fault, double capacity);
-  void set_node_nic(const faults::FaultSpec& fault, double capacity_mbps);
+  void set_node_nic(const faults::FaultSpec& fault, util::MBps capacity);
+
+  // Engine hooks for the two continuations that belong to an engine: a
+  // worker's compute task drained at `t`, and its push -> apply -> pull
+  // chain landed its last pull at `t`. Voided work never reaches them.
+  virtual void on_compute_done(int w, double t) = 0;
+  virtual void on_chain_done(int w, double t) = 0;
 
   // Engine hooks for fault semantics. Called after the Session-level state
   // (liveness, epochs, job cancellation, rollback) is already settled.
@@ -180,8 +250,15 @@ class Session {
   virtual double fault_outage_anchor() { return sim_.now(); }
 
  private:
-  void launch_subchain(int w, int k, int epoch);
-  void issue_push(int w, int k, int block, int epoch, const std::shared_ptr<int>& pulls_done);
+  [[nodiscard]] int pipeline_blocks() const { return std::max(1, opts_.comm_pipeline_blocks); }
+  /// The fluid system's one completion handler: untracks the job, drops it
+  /// if its worker's work was voided since it started, and runs the
+  /// continuation its tag names.
+  void on_job_done(sim::JobId id, sim::JobTag packed, double t);
+  void issue_push(int w, int k, int block);
+  void on_push_done(const FlowTag& tag, double t);
+  void on_apply_done(const FlowTag& tag, double t);
+  void on_pull_done(const FlowTag& tag, double t);
 
   virtual void start_engine() = 0;
 };
@@ -208,11 +285,12 @@ void Session::build_resources() {
     ps_eg_.push_back(fluid_.add_resource(tag + ".eg", d.nic.value()));
   }
   pending_subchains_.assign(n, 0);
-  chain_done_.assign(n, nullptr);
+  pulls_done_.assign(static_cast<std::size_t>(n) * m, 0);
   worker_alive_.assign(n, 1);
   ps_alive_.assign(m, 1);
   worker_epoch_.assign(n, 0);
   worker_jobs_.assign(n, {});
+  reserve_jobs();
   for (int w : opts_.excluded_workers) {
     if (w < 0 || w >= n) {
       throw std::invalid_argument("run_training: excluded worker out of range");
@@ -235,32 +313,68 @@ void Session::build_resources() {
   }
 }
 
-void Session::start_chain(int w, std::function<void(double)> done) {
-  chain_done_[w] = std::move(done);
-  pending_subchains_[w] = cluster_.n_ps();
-  if (tel_on()) chain_tel_[w] = {sim_.now(), sim_.now(), -1.0};
-  const int epoch = worker_epoch_[w];
-  for (int k = 0; k < cluster_.n_ps(); ++k) launch_subchain(w, k, epoch);
+void Session::reserve_jobs() {
+  // At most one compute task per worker is in flight, and per (worker,
+  // shard) one job per pipeline block, since each block is in one stage at
+  // a time. Sizing the storage for that up front means no run grows it,
+  // not even at a new peak; past kMaxReservedJobs it grows on demand.
+  constexpr std::size_t kMaxReservedJobs = std::size_t{1} << 16;
+  const std::size_t n = worker_cpu_.size();
+  const std::size_t m = ps_cpu_.size();
+  const std::size_t blocks = pipeline_blocks();
+  const std::size_t per_worker = 1 + m * blocks;
+  if (n * per_worker > kMaxReservedJobs) return;
+  std::vector<std::size_t> crossing(ps_eg_.back() + 1, 0);  // the last resource added
+  for (std::size_t j = 0; j < n; ++j) {
+    crossing[worker_cpu_[j]] = 1;
+    crossing[worker_eg_[j]] = m;            // one push per shard
+    crossing[worker_in_[j]] = m * blocks;   // pulls
+    worker_jobs_[j].reserve(per_worker);
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    crossing[ps_cpu_[k]] = n * blocks;  // applies
+    crossing[ps_in_[k]] = n;            // one push per worker
+    crossing[ps_eg_[k]] = n * blocks;   // pulls
+  }
+  fluid_.reserve(n * per_worker, crossing);
 }
 
-sim::JobId Session::tracked_start(int w, double volume, std::vector<sim::ResourceId> resources,
-                                  std::function<void(double)> on_complete) {
-  // The job id is only known after start_job returns, but the callback needs
-  // it to untrack itself — bridge with a shared cell. Zero-volume jobs fire
-  // through the event queue before *id is read back, which is still safe:
-  // the cell outlives the call and erase() of a not-yet-pushed id is a no-op
-  // ordering-wise because start_job's zero-volume path defers the callback.
-  auto id_cell = std::make_shared<sim::JobId>(0);
-  const sim::JobId id = fluid_.start_job(
-      volume, std::move(resources),
-      [this, w, id_cell, cb = std::move(on_complete)](double t) {
-        auto& jobs = worker_jobs_[w];
-        jobs.erase(std::remove(jobs.begin(), jobs.end(), *id_cell), jobs.end());
-        if (cb) cb(t);
-      });
-  *id_cell = id;
-  worker_jobs_[w].push_back(id);
-  return id;
+void Session::start_chain(int w) {
+  const int m = cluster_.n_ps();
+  pending_subchains_[w] = m;
+  if (tel_on()) chain_tel_[w] = {sim_.now(), sim_.now(), -1.0};
+  for (int k = 0; k < m; ++k) {
+    pulls_done_[static_cast<std::size_t>(w) * m + k] = 0;
+    issue_push(w, k, 0);
+  }
+}
+
+void Session::start_tracked(double volume, std::initializer_list<sim::ResourceId> resources,
+                            FlowTag tag) {
+  tag.epoch = worker_epoch_[tag.worker];
+  // A zero-volume job completes through the event queue, after this push.
+  worker_jobs_[tag.worker].push_back(fluid_.start_job(volume, resources, tag.pack()));
+}
+
+void Session::on_job_done(sim::JobId id, sim::JobTag packed, double t) {
+  const FlowTag tag = FlowTag::unpack(packed);
+  auto& jobs = worker_jobs_[tag.worker];
+  jobs.erase(std::remove(jobs.begin(), jobs.end(), id), jobs.end());
+  if (tag.epoch != FlowTag::epoch_bits(worker_epoch_[tag.worker])) return;  // voided by a crash
+  switch (tag.stage) {
+    case FlowTag::Stage::kCompute:
+      on_compute_done(tag.worker, t);
+      return;
+    case FlowTag::Stage::kPush:
+      on_push_done(tag, t);
+      return;
+    case FlowTag::Stage::kApply:
+      on_apply_done(tag, t);
+      return;
+    case FlowTag::Stage::kPull:
+      on_pull_done(tag, t);
+      return;
+  }
 }
 
 void Session::record_chain_spans(int w, double t_end) {
@@ -272,47 +386,42 @@ void Session::record_chain_spans(int w, double t_end) {
   tel_->metrics.counter(metric::kPullSeconds).inc(t_end - pull_start);
 }
 
-void Session::launch_subchain(int w, int k, int epoch) {
-  auto pulls_done = std::make_shared<int>(0);
-  issue_push(w, k, 0, epoch, pulls_done);
+void Session::issue_push(int w, int k, int block) {
+  start_tracked(push_volume_per_ps() / pipeline_blocks(), {worker_eg_[w], ps_in_[k]},
+                {FlowTag::Stage::kPush, w, k, block});
 }
 
-void Session::issue_push(int w, int k, int block, int epoch,
-                         const std::shared_ptr<int>& pulls_done) {
-  const int blocks = std::max(1, opts_.comm_pipeline_blocks);
-  const double push_vol = push_volume_per_ps() / blocks;
-  const double apply_vol = apply_volume_per_ps() / blocks;
-  tracked_start(w, push_vol, {worker_eg_[w], ps_in_[k]}, [=, this](double t_push) {
-    if (epoch != worker_epoch_[w]) return;  // chain voided by a crash
-    if (tel_on()) {
-      chain_tel_[w].last_push_end = std::max(chain_tel_[w].last_push_end, t_push);
-    }
-    // The next block's push streams out while this block is being applied —
-    // the parameter-sharding pipeline that hides PS latency.
-    if (block + 1 < blocks) issue_push(w, k, block + 1, epoch, pulls_done);
-    tracked_start(w, apply_vol, {ps_cpu_[k]}, [=, this](double t_apply) {
-      if (epoch != worker_epoch_[w]) return;
-      if (tel_on()) {
-        ChainTel& c = chain_tel_[w];
-        if (c.first_pull_start < 0.0 || t_apply < c.first_pull_start) {
-          c.first_pull_start = t_apply;
-        }
-      }
-      tracked_start(w, push_vol, {ps_eg_[k], worker_in_[w]}, [=, this](double t) {
-        if (epoch != worker_epoch_[w]) return;
-        if (++*pulls_done == blocks) {
-          // Sub-chain to PS k finished; the worker's chain completes when
-          // every PS shard has round-tripped.
-          if (--pending_subchains_[w] == 0) {
-            if (tel_on()) record_chain_spans(w, t);
-            auto done = std::move(chain_done_[w]);
-            chain_done_[w] = nullptr;
-            if (done) done(t);
-          }
-        }
-      });
-    });
-  });
+void Session::on_push_done(const FlowTag& tag, double t) {
+  const int w = tag.worker;
+  const int k = tag.shard;
+  if (tel_on()) chain_tel_[w].last_push_end = std::max(chain_tel_[w].last_push_end, t);
+  // The next block's push streams out while this block is being applied —
+  // the parameter-sharding pipeline that hides PS latency.
+  if (tag.block + 1 < pipeline_blocks()) issue_push(w, k, tag.block + 1);
+  start_tracked(apply_volume_per_ps() / pipeline_blocks(), {ps_cpu_[k]},
+                {FlowTag::Stage::kApply, w, k, tag.block});
+}
+
+void Session::on_apply_done(const FlowTag& tag, double t) {
+  const int w = tag.worker;
+  const int k = tag.shard;
+  if (tel_on()) {
+    ChainTel& c = chain_tel_[w];
+    if (c.first_pull_start < 0.0 || t < c.first_pull_start) c.first_pull_start = t;
+  }
+  start_tracked(push_volume_per_ps() / pipeline_blocks(), {ps_eg_[k], worker_in_[w]},
+                {FlowTag::Stage::kPull, w, k, tag.block});
+}
+
+void Session::on_pull_done(const FlowTag& tag, double t) {
+  const int w = tag.worker;
+  const std::size_t sub = static_cast<std::size_t>(w) * cluster_.n_ps() + tag.shard;
+  if (++pulls_done_[sub] != pipeline_blocks()) return;
+  // Sub-chain to PS k finished; the worker's chain completes when every PS
+  // shard has round-tripped.
+  if (--pending_subchains_[w] != 0) return;
+  if (tel_on()) record_chain_spans(w, t);
+  on_chain_done(w, t);
 }
 
 void Session::sample_loss(long completed_updates) {
@@ -466,13 +575,13 @@ void Session::set_node_cpu(const faults::FaultSpec& fault, double capacity) {
                                capacity);
 }
 
-void Session::set_node_nic(const faults::FaultSpec& fault, double capacity_mbps) {
+void Session::set_node_nic(const faults::FaultSpec& fault, util::MBps capacity) {
   if (fault.on_ps) {
-    fluid_.set_resource_capacity(ps_in_[fault.target], capacity_mbps);
-    fluid_.set_resource_capacity(ps_eg_[fault.target], capacity_mbps);
+    fluid_.set_resource_capacity(ps_in_[fault.target], capacity.value());
+    fluid_.set_resource_capacity(ps_eg_[fault.target], capacity.value());
   } else {
-    fluid_.set_resource_capacity(worker_eg_[fault.target], capacity_mbps);
-    fluid_.set_resource_capacity(worker_in_[fault.target], capacity_mbps);
+    fluid_.set_resource_capacity(worker_eg_[fault.target], capacity.value());
+    fluid_.set_resource_capacity(worker_in_[fault.target], capacity.value());
   }
 }
 
@@ -497,7 +606,7 @@ void Session::apply_fault(const faults::FaultSpec& fault, std::size_t idx) {
       const double base = node_base_nic(fault);
       const double degraded = fault.degraded_mbps > 0.0 ? std::min(fault.degraded_mbps, base)
                                                         : base * fault.degraded_fraction;
-      set_node_nic(fault, std::max(degraded, base * 1e-6));
+      set_node_nic(fault, util::MBps{std::max(degraded, base * 1e-6)});
       break;
     }
     case faults::FaultKind::kTransientBlip: {
@@ -506,7 +615,7 @@ void Session::apply_fault(const faults::FaultSpec& fault, std::size_t idx) {
       // positive so in-flight flows stall rather than starve.
       const double factor = std::max(1.0, fault.slowdown_factor);
       set_node_cpu(fault, node_base_cpu(fault) / factor);
-      set_node_nic(fault, node_base_nic(fault) / factor);
+      set_node_nic(fault, util::MBps{node_base_nic(fault) / factor});
       break;
     }
     case faults::FaultKind::kCrash:
@@ -524,7 +633,6 @@ void Session::void_worker(int w) {
   for (sim::JobId id : worker_jobs_[w]) fluid_.cancel_job(id);
   worker_jobs_[w].clear();
   pending_subchains_[w] = 0;
-  chain_done_[w] = nullptr;
 }
 
 void Session::crash_worker(int w) {
@@ -569,11 +677,11 @@ void Session::recover_fault(const faults::FaultSpec& fault, std::size_t idx) {
       set_node_cpu(fault, node_base_cpu(fault));
       break;
     case faults::FaultKind::kNicDegradation:
-      set_node_nic(fault, node_base_nic(fault));
+      set_node_nic(fault, util::MBps{node_base_nic(fault)});
       break;
     case faults::FaultKind::kTransientBlip:
       set_node_cpu(fault, node_base_cpu(fault));
-      set_node_nic(fault, node_base_nic(fault));
+      set_node_nic(fault, util::MBps{node_base_nic(fault)});
       break;
     case faults::FaultKind::kCrash:
       if (fault.on_ps) {
@@ -591,7 +699,7 @@ void Session::recover_fault(const faults::FaultSpec& fault, std::size_t idx) {
         worker_alive_[fault.target] = 1;
         // The replacement node joins at full, undegraded capability.
         set_node_cpu(fault, node_base_cpu(fault));
-        set_node_nic(fault, node_base_nic(fault));
+        set_node_nic(fault, util::MBps{node_base_nic(fault)});
         engine_worker_recovered(fault.target);
       }
       break;
@@ -714,6 +822,16 @@ TrainResult Session::run() {
   if (cluster_.n_workers() <= 0 || cluster_.n_ps() <= 0) {
     throw std::invalid_argument("run_training: cluster needs workers and PS nodes");
   }
+  // Every fluid job's continuation is packed into its tag (FlowTag); a shape
+  // whose indices do not fit would alias continuations, so refuse it before
+  // building anything.
+  if (cluster_.n_workers() > FlowTag::kMaxWorkers || cluster_.n_ps() > FlowTag::kMaxShards ||
+      opts_.comm_pipeline_blocks > FlowTag::kMaxBlocks) {
+    throw std::invalid_argument("run_training: at most " + std::to_string(FlowTag::kMaxWorkers) +
+                                " workers, " + std::to_string(FlowTag::kMaxShards) +
+                                " PS nodes and " + std::to_string(FlowTag::kMaxBlocks) +
+                                " pipeline blocks");
+  }
   build_resources();
   if (alive_workers() == 0) {
     throw std::invalid_argument("run_training: every worker is excluded");
@@ -756,6 +874,7 @@ class BspSession final : public Session {
   bool suspended_ = false;
   double suspend_anchor_ = 0.0;
   std::vector<char> comp_pending_, comm_pending_, computed_last_;
+  std::vector<char> pushed_;  ///< begin_iteration's snapshot of computed_last_
   std::vector<double> tel_comp_done_, tel_comm_done_;  // per worker, -1 = absent
 
   // Tiling-identity accumulators (invariant checking): per-worker-averaged
@@ -790,10 +909,10 @@ class BspSession final : public Session {
     begin_iteration(0);
   }
 
-  void suspend_at(double anchor) {
+  void suspend_at(double anchor_time) {
     if (!suspended_) {
       suspended_ = true;
-      suspend_anchor_ = anchor;
+      suspend_anchor_ = anchor_time;
     }
   }
 
@@ -822,7 +941,7 @@ class BspSession final : public Session {
     }
     // Who has gradients to push this slot: the survivors of last slot's
     // compute phase (snapshot before this slot's compute overwrites it).
-    const std::vector<char> pushed = computed_last_;
+    pushed_.assign(computed_last_.begin(), computed_last_.end());
     if (i < total_iterations_) {
       for (int j = 0; j < n; ++j) {
         if (!worker_alive_[j]) {
@@ -832,36 +951,17 @@ class BspSession final : public Session {
         computed_last_[j] = 1;
         ++comp_remaining_;
         comp_pending_[j] = 1;
-        const int epoch = worker_epoch_[j];
-        tracked_start(j, comp_volume_bsp(alive), {worker_cpu_[j]}, [this, j, epoch](double t) {
-          if (epoch != worker_epoch_[j]) return;
-          comp_pending_[j] = 0;
-          if (track_phases()) tel_comp_done_[j] = t;
-          if (tel_on()) {
-            tel_->tracer.span(tracks_cpu_[j], "compute", "trainer", iter_start_, t);
-          }
-          if (--comp_remaining_ == 0) {
-            result_.computation_time += t - iter_start_;
-            maybe_advance();
-          }
-        });
+        start_tracked(comp_volume_bsp(alive), {worker_cpu_[j]}, {FlowTag::Stage::kCompute, j});
       }
     } else {
       computed_last_.assign(n, 0);
     }
     if (i >= 1) {
       for (int j = 0; j < n; ++j) {
-        if (!worker_alive_[j] || !pushed[j]) continue;
+        if (!worker_alive_[j] || !pushed_[j]) continue;
         ++comm_remaining_;
         comm_pending_[j] = 1;
-        start_chain(j, [this, j](double t) {
-          comm_pending_[j] = 0;
-          if (track_phases()) tel_comm_done_[j] = t;
-          if (--comm_remaining_ == 0) {
-            result_.communication_time += t - iter_start_;
-            maybe_advance();
-          }
-        });
+        start_chain(j);
       }
     }
     if (comp_remaining_ == 0 && comm_remaining_ == 0) {
@@ -874,6 +974,25 @@ class BspSession final : public Session {
           maybe_advance();
         }
       });
+    }
+  }
+
+  void on_compute_done(int w, double t) override {
+    comp_pending_[w] = 0;
+    if (track_phases()) tel_comp_done_[w] = t;
+    if (tel_on()) tel_->tracer.span(tracks_cpu_[w], "compute", "trainer", iter_start_, t);
+    if (--comp_remaining_ == 0) {
+      result_.computation_time += t - iter_start_;
+      maybe_advance();
+    }
+  }
+
+  void on_chain_done(int w, double t) override {
+    comm_pending_[w] = 0;
+    if (track_phases()) tel_comm_done_[w] = t;
+    if (--comm_remaining_ == 0) {
+      result_.communication_time += t - iter_start_;
+      maybe_advance();
     }
   }
 
@@ -1023,6 +1142,7 @@ class AspSession : public Session {
   std::vector<double> tel_comp_end_;   // current cycle's compute finish
   std::vector<double> tel_last_busy_;  // end of the last *completed* cycle
   std::vector<double> last_cycle_seconds_;  // most recent full cycle, for probes
+  std::vector<double> chain_begin_;         // current cycle's compute finish
 
   void start_engine() override {
     const int n = cluster_.n_workers();
@@ -1030,6 +1150,7 @@ class AspSession : public Session {
     worker_completed_.assign(n, 0);
     in_flight_.assign(n, 0);
     last_cycle_seconds_.assign(n, -1.0);
+    chain_begin_.assign(n, 0.0);
     if (tel_) {
       tel_comp_end_.assign(n, 0.0);
       tel_last_busy_.assign(n, 0.0);
@@ -1079,41 +1200,43 @@ class AspSession : public Session {
         tel_->tracer.span(tracks_cpu_[w], "wait", "trainer", tel_last_busy_[w], sim_.now());
       }
     }
-    const int epoch = worker_epoch_[w];
-    tracked_start(w, comp_volume_asp(), {worker_cpu_[w]}, [this, w, epoch](double t) {
-      if (epoch != worker_epoch_[w]) return;  // cycle voided by a crash
-      result_.computation_time += t - cycle_start_[w];
-      if (tel_on()) {
-        tel_comp_end_[w] = t;
-        tel_->tracer.span(tracks_cpu_[w], "compute", "trainer", cycle_start_[w], t);
-      }
-      const double chain_begin = t;
-      start_chain(w, [this, w, chain_begin](double t_done) {
-        result_.communication_time += t_done - chain_begin;
-        ++completed_;
-        ++worker_completed_[w];
-        in_flight_[w] = 0;
-        last_cycle_seconds_[w] = t_done - cycle_start_[w];
-        closed_updates_ = completed_;
-        // Iteration-counter conservation: completions never outrun issues,
-        // and issues never exceed the budget.
-        CYNTHIA_CHECK(completed_ <= issued_ && issued_ <= total_iterations_,
-                      "iteration accounting broke: completed ", completed_, ", issued ",
-                      issued_, ", budget ", total_iterations_);
-        if (tel_on()) record_cycle_telemetry(w, t_done);
-        sample_loss(completed_);
-        if (completed_ == total_iterations_) {
-          finalize(t_done);
-          return;
-        }
-        on_cycle_complete(w);
-        // Monitor probe at cycle completion: the completing worker is idle,
-        // so excluding it (or cutting the run) orphans nothing of its own;
-        // other workers' voided cycles are reclaimed by the crash machinery.
-        if (monitor_on() && probe_and_act()) return;
-        next_iteration(w);
-      });
-    });
+    start_tracked(comp_volume_asp(), {worker_cpu_[w]}, {FlowTag::Stage::kCompute, w});
+  }
+
+  void on_compute_done(int w, double t) override {
+    result_.computation_time += t - cycle_start_[w];
+    if (tel_on()) {
+      tel_comp_end_[w] = t;
+      tel_->tracer.span(tracks_cpu_[w], "compute", "trainer", cycle_start_[w], t);
+    }
+    chain_begin_[w] = t;
+    start_chain(w);
+  }
+
+  void on_chain_done(int w, double t) override {
+    result_.communication_time += t - chain_begin_[w];
+    ++completed_;
+    ++worker_completed_[w];
+    in_flight_[w] = 0;
+    last_cycle_seconds_[w] = t - cycle_start_[w];
+    closed_updates_ = completed_;
+    // Iteration-counter conservation: completions never outrun issues, and
+    // issues never exceed the budget.
+    CYNTHIA_CHECK(completed_ <= issued_ && issued_ <= total_iterations_,
+                  "iteration accounting broke: completed ", completed_, ", issued ", issued_,
+                  ", budget ", total_iterations_);
+    if (tel_on()) record_cycle_telemetry(w, t);
+    sample_loss(completed_);
+    if (completed_ == total_iterations_) {
+      finalize(t);
+      return;
+    }
+    on_cycle_complete(w);
+    // Monitor probe at cycle completion: the completing worker is idle, so
+    // excluding it (or cutting the run) orphans nothing of its own; other
+    // workers' voided cycles are reclaimed by the crash machinery.
+    if (monitor_on() && probe_and_act()) return;
+    next_iteration(w);
   }
 
   void engine_worker_crashed(int w) override {
@@ -1168,12 +1291,12 @@ class AspSession : public Session {
   /// Cycle accounting at completion only (an in-flight cycle at run end
   /// contributes nothing — its window is closed out as wait by the tail
   /// hook), so comp + comm + wait tiles each worker's timeline exactly.
-  void record_cycle_telemetry(int w, double t_done) {
+  void record_cycle_telemetry(int w, double done_time) {
     const int n = cluster_.n_workers();
     auto& mtr = tel_->metrics;
     mtr.counter(metric::kCompSeconds).inc((tel_comp_end_[w] - cycle_start_[w]) / n);
-    mtr.counter(metric::kCommExposedSeconds).inc((t_done - tel_comp_end_[w]) / n);
-    tel_last_busy_[w] = t_done;
+    mtr.counter(metric::kCommExposedSeconds).inc((done_time - tel_comp_end_[w]) / n);
+    tel_last_busy_[w] = done_time;
     long lead_max = worker_completed_[0], lead_min = worker_completed_[0];
     for (int j = 1; j < n; ++j) {
       lead_max = std::max(lead_max, worker_completed_[j]);
@@ -1236,20 +1359,19 @@ class SspSession final : public AspSession {
                     "SSP staleness bound violated: gap ", lead_max - lead_min,
                     " exceeds bound ", effective_bound());
     }
-    // A straggler advanced; wake every parked worker whose gap closed.
-    std::vector<int> still_parked;
-    std::vector<int> release = std::move(parked_);
-    parked_.clear();
-    for (int p : release) {
+    // A straggler advanced; wake every parked worker whose gap closed, in
+    // parking order, and keep the rest parked in place.
+    std::size_t kept = 0;
+    for (int p : parked_) {
       const long lead = worker_completed_[p] - min_active_completed(p);
       if (lead < effective_bound()) {
         // Re-admit via next_iteration (re-checks the budget).
         sim_.after(0.0, [this, p] { next_iteration(p); });
       } else {
-        still_parked.push_back(p);
+        parked_[kept++] = p;
       }
     }
-    parked_ = std::move(still_parked);
+    parked_.resize(kept);
   }
 
   /// Bound of 0 would park everyone (deadlock); clamp to >= 1.

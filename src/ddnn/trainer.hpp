@@ -184,7 +184,9 @@ struct TrainResult {
 /// `workload.sync`; deterministic for a given seed. It runs to the iteration
 /// budget unless `stop_after_seconds`, an unrecoverable PS crash or a monitor
 /// cut (kStop, kDowngradeSsp) ends it early. Continuing after a cut is the
-/// orchestrator's job (orch::execute_job).
+/// orchestrator's job (orch::execute_job). Each simulated flow carries its
+/// continuation in a 64-bit tag, so a run takes at most 65,536 workers,
+/// 65,536 PS nodes and 256 pipeline blocks (std::invalid_argument beyond).
 TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workload,
                          const TrainOptions& options = {});
 

@@ -9,14 +9,20 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <unordered_set>  // cynthia-lint: allow(DET-003) membership-only, never iterated
 #include <vector>
 
 namespace cynthia::sim {
 
+/// `generation << 32 | slot`; never 0, so 0 can mean "no event".
 using EventId = std::uint64_t;
 
 /// Priority queue of (time, seq, action) with cancellation.
+///
+/// Pending events are tracked by slot, not in a set: each pending event owns
+/// a slot, and its id carries the slot's generation. Firing or cancelling an
+/// event bumps the generation and frees the slot for reuse, so an old id
+/// never matches (and never cancels) the event that later takes its slot,
+/// and a warm queue allocates nothing per event.
 class EventQueue {
  public:
   /// Schedules `action` at absolute `time`; returns a handle for cancel().
@@ -25,9 +31,9 @@ class EventQueue {
   /// Cancels a pending event; returns false if already fired/cancelled.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return pending_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] bool is_pending(EventId id) const { return pending_.contains(id); }
+  [[nodiscard]] bool empty() const { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
+  [[nodiscard]] bool is_pending(EventId id) const;
 
   /// Time of the next live event; throws std::logic_error when empty.
   [[nodiscard]] double next_time() const;
@@ -59,15 +65,20 @@ class EventQueue {
   };
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  // cynthia-lint: allow(DET-003) membership-only, never iterated
-  std::unordered_set<EventId> pending_;  ///< ids scheduled but not yet fired/cancelled
-  EventId next_id_ = 1;
+  /// Per slot, the generation its next (or current pending) event carries;
+  /// starts at 1 so no id is 0.
+  std::vector<std::uint32_t> generation_;
+  std::vector<std::uint32_t> free_slots_;  ///< slots with no pending event
+  std::size_t pending_ = 0;                ///< events scheduled, not yet fired/cancelled
   std::uint64_t next_seq_ = 0;
 
   // Last popped (time, seq), for the pop-order invariant check.
   double last_pop_time_ = -std::numeric_limits<double>::infinity();
   std::uint64_t last_pop_seq_ = 0;
 
+  /// Ends the pending event `id`: bumps its slot's generation and frees the
+  /// slot (a slot whose generation would wrap to 0 is never reused).
+  void retire(EventId id);
   void drop_cancelled();
 };
 

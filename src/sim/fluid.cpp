@@ -8,6 +8,11 @@
 
 namespace cynthia::sim {
 
+FluidSystem::FluidSystem(Simulator& sim, CompletionHandler on_done)
+    : sim_(&sim), on_done_(std::move(on_done)) {
+  if (!on_done_) throw std::invalid_argument("FluidSystem: empty completion handler");
+}
+
 ResourceId FluidSystem::add_resource(std::string name, double capacity,
                                      util::Seconds trace_bucket) {
   if (!(std::isfinite(capacity) && capacity > 0.0)) {
@@ -23,8 +28,7 @@ ResourceId FluidSystem::add_resource(std::string name, double capacity,
   return resources_.size() - 1;
 }
 
-JobId FluidSystem::start_job(double volume, std::vector<ResourceId> resources,
-                             std::function<void(double)> on_complete) {
+JobId FluidSystem::start_job(double volume, std::span<const ResourceId> resources, JobTag tag) {
   if (!std::isfinite(volume)) throw std::invalid_argument("FluidSystem: job volume must be finite");
   for (ResourceId rid : resources) {
     if (rid >= resources_.size()) throw std::out_of_range("FluidSystem: bad resource id");
@@ -32,35 +36,54 @@ JobId FluidSystem::start_job(double volume, std::vector<ResourceId> resources,
   const JobId id = next_job_id_++;
   if (volume <= kEpsilonVolume) {
     // Degenerate job: complete "immediately" but still through the event
-    // queue so callers observe a consistent callback ordering.
-    if (on_complete) {
-      sim_->after(0.0, [cb = std::move(on_complete), t = sim_->now()] { cb(t); });
-    }
+    // queue so the handler sees a consistent completion ordering. Its
+    // 32-byte closure is the one allocation a job may still make.
+    sim_->after(0.0, [this, id, tag, t = sim_->now()] { on_done_(id, tag, t); });
     return id;
   }
   if (resources.empty()) {
     throw std::invalid_argument("FluidSystem: job must traverse at least one resource");
   }
   settle();
-  std::size_t slot = slots_.size();
-  if (free_.empty()) {
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
+  if (free_.empty()) grow_slots(slots_.size() + 1);
+  const std::size_t slot = free_.back();
+  free_.pop_back();
   Job& job = slots_[slot];
   job.id = id;
+  job.tag = tag;
   job.remaining = volume;
   job.rate = 0.0;
-  job.resources = std::move(resources);
-  job.on_complete = std::move(on_complete);
+  job.resources.assign(resources.begin(), resources.end());
   // The new job has the largest live id, so appending keeps every list in
   // ascending id order.
   for (ResourceId rid : job.resources) resources_[rid].crossing.push_back(slot);
   live_.push_back(slot);
   reallocate(job.resources);
   return id;
+}
+
+void FluidSystem::reserve(std::size_t jobs, std::span<const std::size_t> crossing) {
+  if (crossing.size() > resources_.size()) {
+    throw std::out_of_range("FluidSystem: crossing bounds for unknown resources");
+  }
+  slots_.reserve(jobs);
+  free_.reserve(jobs);
+  grow_slots(jobs);
+  live_.reserve(jobs);
+  finished_.reserve(jobs);
+  for (std::size_t r = 0; r < crossing.size(); ++r) resources_[r].crossing.reserve(crossing[r]);
+  pending_.reserve(resources_.size());
+  scratch_.frontier.reserve(resources_.size());
+  scratch_.members.reserve(resources_.size());
+}
+
+void FluidSystem::grow_slots(std::size_t count) {
+  while (slots_.size() < count) {
+    free_.push_back(slots_.size());
+    // Room for a flow's two NICs up front, so that reusing a slot of a
+    // one-resource task for a flow never grows it.
+    slots_.emplace_back().resources.reserve(2);
+  }
 }
 
 void FluidSystem::cancel_job(JobId id) {
@@ -80,7 +103,6 @@ void FluidSystem::release(std::size_t slot) {
     crossing.erase(std::find(crossing.begin(), crossing.end(), slot));
   }
   job.id = 0;
-  job.on_complete = nullptr;
   free_.push_back(slot);
 }
 
@@ -104,7 +126,7 @@ double FluidSystem::job_remaining(JobId id) const {
 }
 
 double FluidSystem::job_rate(JobId id) const {
-  CYNTHIA_DCHECK(!batching_, "job_rate read inside a completion callback, before the batch solve");
+  CYNTHIA_DCHECK(!batching_, "job_rate read inside the completion handler, before the batch solve");
   const Job* j = find_job(id);
   return j ? j->rate : 0.0;
 }
@@ -117,7 +139,7 @@ double FluidSystem::resource_capacity(ResourceId id) const { return resources_.a
 
 double FluidSystem::resource_used(ResourceId id) const {
   CYNTHIA_DCHECK(!batching_,
-                 "resource_used read inside a completion callback, before the batch solve");
+                 "resource_used read inside the completion handler, before the batch solve");
   return resources_.at(id).used_rate;
 }
 
@@ -151,7 +173,7 @@ void FluidSystem::set_resource_capacity(ResourceId id, double capacity) {
   }
   settle();
   resources_[id].capacity = capacity;
-  reallocate({id});
+  reallocate({&id, 1});
 }
 
 const util::RateTrace* FluidSystem::resource_trace(ResourceId id) {
@@ -231,11 +253,21 @@ std::vector<double> FluidSystem::compute_maxmin_rates() const {
   return rates;
 }
 
-void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
+void FluidSystem::mark_pending(std::span<const ResourceId> touched) {
+  // Each resource once: the solve's flood fill would skip a repeat anyway,
+  // and so pending_ never outgrows the resource count.
+  for (ResourceId rid : touched) {
+    if (resources_[rid].batch == batch_) continue;
+    resources_[rid].batch = batch_;
+    pending_.push_back(rid);
+  }
+}
+
+void FluidSystem::reallocate(std::span<const ResourceId> touched) {
   if (batching_) {
-    // Inside a completion event's callbacks no simulated time passes, so one
-    // solve after they return gives the rates of solving after each change.
-    pending_.insert(pending_.end(), touched.begin(), touched.end());
+    // Inside the completion handler no simulated time passes, so one solve
+    // after it returns gives the rates of solving after each change.
+    mark_pending(touched);
     return;
   }
   ++realloc_count_;
@@ -271,7 +303,7 @@ void FluidSystem::reallocate(const std::vector<ResourceId>& touched) {
 /// accumulates used_rate; scanning the members in ascending resource index
 /// keeps its lowest-index tie-break; and by closure a resource's unfrozen
 /// count starts at its crossing-list length.
-void FluidSystem::resolve_component(const std::vector<ResourceId>& touched) {
+void FluidSystem::resolve_component(std::span<const ResourceId> touched) {
   SolveScratch& s = scratch_;
   const std::uint64_t epoch = ++s.epoch;
 
@@ -449,17 +481,18 @@ void FluidSystem::on_completion_event() {
   settle();
   // Take every finished job out (ties complete together) in one pass that
   // keeps live_ in ascending id, the solve order bit-exactness rests on.
-  // Their callbacks are moved out first and run in id order afterwards, so
-  // they observe a consistent system and may start new jobs, which may
-  // reuse the freed slots.
+  // Their ids and tags are copied out first and handed over in id order
+  // afterwards, so the handler observes a consistent system and may start
+  // new jobs, which may reuse the freed slots.
+  ++batch_;
   pending_.clear();
   std::size_t kept = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const std::size_t slot = live_[i];
     Job& job = slots_[slot];
     if (job.remaining <= kEpsilonVolume) {
-      pending_.insert(pending_.end(), job.resources.begin(), job.resources.end());
-      finished_.push_back(std::move(job.on_complete));
+      mark_pending(job.resources);
+      finished_.push_back({job.id, job.tag});
       release(slot);
     } else {
       live_[kept++] = slot;
@@ -471,13 +504,11 @@ void FluidSystem::on_completion_event() {
   // simulation would spin on zero-volume completion events forever.
   CYNTHIA_CHECK(!finished_.empty(), "completion event fired with no job drained");
   // One solve for the whole instant: starts, cancels and capacity changes
-  // made by the callbacks only add their resources to pending_.
+  // made by the handler only add their resources to pending_.
   batching_ = true;
   const double now = sim_->now();
   try {
-    for (auto& on_complete : finished_) {
-      if (on_complete) on_complete(now);
-    }
+    for (const Finished& done : finished_) on_done_(done.id, done.tag, now);
   } catch (...) {
     finished_.clear();
     solve_batch();

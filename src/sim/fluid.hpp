@@ -13,9 +13,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,24 +28,41 @@ namespace cynthia::sim {
 
 using ResourceId = std::size_t;
 using JobId = std::uint64_t;
+/// Caller-defined payload carried by a job to its completion: the owner
+/// packs whatever it needs to continue (the trainer packs stage, worker,
+/// PS shard, block and epoch), so no per-job closure is stored.
+using JobTag = std::uint64_t;
 
 /// Max-min fair fluid system. One instance per experiment; owns its
 /// resources and active jobs and drives itself via the Simulator.
 ///
+/// Completion contract: every job completes through the one
+/// CompletionHandler given to the constructor, called as
+/// `on_done(id, tag, finish_time)` with the id start_job returned and the
+/// tag it was given. Jobs that finish at the same instant are handed over in
+/// ascending id; a cancelled job is never handed over. The handler may start
+/// and cancel jobs and change capacities. A job's resource list is copied
+/// into a reused slot, so a warm system allocates nothing per job; the one
+/// exception is a zero-volume job, whose zero-delay completion event carries
+/// a closure that may allocate.
+///
 /// Solves are batched per instant. While a completion event runs the
-/// callbacks of the jobs it finished, start_job, cancel_job and
+/// handler for the jobs it finished, start_job, cancel_job and
 /// set_resource_capacity only record the resources they touch; one solve
-/// over all of them follows once the callbacks return, and schedules one
-/// completion event. No simulated time passes inside the callbacks, so the
+/// over all of them follows once the handler returns, and schedules one
+/// completion event. No simulated time passes inside the handler, so the
 /// rates, used rates and completion times equal those of solving after
-/// every change (docs/PERF.md). Contract for reads inside a completion
-/// callback: job_rate and resource_used are not allowed there (they would
+/// every change (docs/PERF.md). Contract for reads inside the completion
+/// handler: job_rate and resource_used are not allowed there (they would
 /// see the allocation from before the event; CYNTHIA_DCHECK'd), and every
 /// other reader is exact, because each scales the allocation by the zero
 /// time elapsed since the event settled.
 class FluidSystem {
  public:
-  explicit FluidSystem(Simulator& sim) : sim_(&sim) {}
+  using CompletionHandler = std::function<void(JobId, JobTag, double)>;
+
+  /// Throws std::invalid_argument for an empty handler.
+  FluidSystem(Simulator& sim, CompletionHandler on_done);
 
   FluidSystem(const FluidSystem&) = delete;
   FluidSystem& operator=(const FluidSystem&) = delete;
@@ -58,25 +76,37 @@ class FluidSystem {
 
   /// Starts a job of `volume` units traversing all of `resources`
   /// simultaneously (a network flow crossing two NICs, or a CPU task on one
-  /// core). `on_complete(finish_time)` fires when the volume drains.
-  /// A job with volume <= epsilon completes via a zero-delay event; a
-  /// non-finite volume throws std::invalid_argument. A resource listed twice
-  /// carries the job twice (it uses twice the job's rate there).
-  JobId start_job(double volume, std::vector<ResourceId> resources,
-                  std::function<void(double)> on_complete);
+  /// core). The handler receives `tag` when the volume drains.
+  /// A job with volume <= epsilon completes via a zero-delay event (which
+  /// cancel_job cannot stop); a non-finite volume throws
+  /// std::invalid_argument. A resource listed twice carries the job twice
+  /// (it uses twice the job's rate there).
+  JobId start_job(double volume, std::span<const ResourceId> resources, JobTag tag = 0);
+  JobId start_job(double volume, std::initializer_list<ResourceId> resources, JobTag tag = 0) {
+    return start_job(volume, std::span<const ResourceId>(resources.begin(), resources.size()),
+                     tag);
+  }
 
-  /// Removes an active job without firing its callback; no-op if finished.
+  /// Removes an active job without handing it to the handler; no-op if
+  /// finished.
   void cancel_job(JobId id);
+
+  /// Sizes the job storage for `jobs` concurrent jobs of up to two resources
+  /// each, and resource r's crossing list for `crossing[r]` concurrent jobs
+  /// (`crossing` may cover a prefix of the resources). A run that stays
+  /// within these bounds grows no container of the fluid system, not even
+  /// at a new peak of concurrency; beyond them storage grows on demand.
+  void reserve(std::size_t jobs, std::span<const std::size_t> crossing);
 
   [[nodiscard]] std::size_t active_jobs() const { return live_.size(); }
   [[nodiscard]] double job_remaining(JobId id) const;
-  /// Not callable inside a completion callback (see the class comment).
+  /// Not callable inside the completion handler (see the class comment).
   [[nodiscard]] double job_rate(JobId id) const;
 
   [[nodiscard]] const std::string& resource_name(ResourceId id) const;
   [[nodiscard]] double resource_capacity(ResourceId id) const;
   /// Currently allocated rate on the resource (after the last reallocation).
-  /// Not callable inside a completion callback (see the class comment).
+  /// Not callable inside the completion handler (see the class comment).
   [[nodiscard]] double resource_used(ResourceId id) const;
   /// Time-averaged utilization in [0,1] over [0, until].
   [[nodiscard]] double resource_utilization(ResourceId id, double until) const;
@@ -121,8 +151,8 @@ class FluidSystem {
   [[nodiscard]] bool incremental() const { return incremental_; }
 
   /// Max-min solves performed: one per completion event (covering every
-  /// start, cancel and capacity change its callbacks made), plus one per
-  /// start, cancel or capacity change made outside a completion callback.
+  /// start, cancel and capacity change its handler calls made), plus one per
+  /// start, cancel or capacity change made outside the completion handler.
   [[nodiscard]] std::size_t realloc_count() const { return realloc_count_; }
   /// Cumulative flows actually re-solved by water-filling across all
   /// reallocations; the global solver re-solves every active flow every
@@ -148,16 +178,23 @@ class FluidSystem {
     std::uint64_t stamp = 0;
     double rem_cap = 0.0;
     std::size_t unfrozen = 0;
+    std::uint64_t batch = 0;  // == batch_: already in pending_
   };
 
   struct Job {
     JobId id = 0;  // 0 marks a free slot
+    JobTag tag = 0;
     double remaining = 0.0;
     double rate = 0.0;
-    std::vector<ResourceId> resources;
-    std::function<void(double)> on_complete;
+    std::vector<ResourceId> resources;  // assigned in place: the slot keeps its capacity
     std::uint64_t stamp = 0;   // == epoch: in the component being solved
     std::uint64_t frozen = 0;  // == epoch: its rate is fixed in that solve
+  };
+
+  /// A job a completion event finished, as handed to the handler.
+  struct Finished {
+    JobId id;
+    JobTag tag;
   };
 
   /// resolve_component's lists, kept across solves so that a steady-state
@@ -170,6 +207,7 @@ class FluidSystem {
   };
 
   Simulator* sim_;
+  CompletionHandler on_done_;
   std::vector<Resource> resources_;
   std::vector<Job> slots_;         // stable job storage; freed slots are reused
   std::vector<std::size_t> free_;  // free slots of slots_
@@ -182,11 +220,12 @@ class FluidSystem {
   std::size_t realloc_count_ = 0;
   std::uint64_t flows_resolved_ = 0;
   std::uint64_t flows_avoided_ = 0;
-  bool batching_ = false;            // completion callbacks are running
-  std::vector<ResourceId> pending_;  // resources touched in this batch
-  /// Callbacks of the jobs a completion event finished, moved out of their
-  /// slots before any runs (a callback's start_job may reuse or grow slots_).
-  std::vector<std::function<void(double)>> finished_;
+  bool batching_ = false;            // the completion handler is running
+  std::uint64_t batch_ = 0;          // completion events so far
+  std::vector<ResourceId> pending_;  // resources touched in this batch, each once
+  /// The jobs a completion event finished, copied out of their slots before
+  /// the handler runs (its start_job may reuse or grow slots_).
+  std::vector<Finished> finished_;
   SolveScratch scratch_;
 
   void settle();
@@ -195,14 +234,18 @@ class FluidSystem {
   /// water-fills only the touched connected component; an empty list (or
   /// incremental off) solves globally. Inside a batch it only appends
   /// `touched` to pending_.
-  void reallocate(const std::vector<ResourceId>& touched);
-  void resolve_component(const std::vector<ResourceId>& touched);
+  void reallocate(std::span<const ResourceId> touched);
+  /// Appends the resources of `touched` not yet in this batch's pending_.
+  void mark_pending(std::span<const ResourceId> touched);
+  void resolve_component(std::span<const ResourceId> touched);
   /// Reschedules the next completion event from the current rates and
   /// checks the starvation invariant (shared tail of every reallocation).
   void schedule_completion();
   void on_completion_event();
   /// Closes the batch and solves once over pending_.
   void solve_batch();
+  /// Adds free slots until there are `count`.
+  void grow_slots(std::size_t count);
   /// Unlinks a live job's slot from its resources' crossing lists and frees
   /// it; the caller has already taken it out of live_. Its `resources` stay
   /// readable until the slot is reused.

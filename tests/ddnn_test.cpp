@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -238,6 +239,32 @@ TEST(Trainer, InvalidConfigurationsThrow) {
   cd::TrainOptions o;
   o.iterations = -5;
   EXPECT_THROW(cd::run_training(c, w, o), std::invalid_argument);
+}
+
+TEST(Trainer, ShapesBeyondTheContinuationTagThrowBeforeBuilding) {
+  // Each fluid job's continuation is packed into a 64-bit tag: 16 bits of
+  // worker, 16 of PS shard, 8 of pipeline block. One past each field is
+  // refused up front (before the run builds a resource for any docker), not
+  // aliased onto another worker's, shard's or block's continuation.
+  const auto& w = cd::workload_by_name("cifar10");
+  cd::TrainOptions o;
+  o.iterations = 1;
+  const auto rejects = [&](const cd::ClusterSpec& c, const cd::TrainOptions& opts) {
+    try {
+      (void)cd::run_training(c, w, opts);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find("at most 65536 workers, 65536 PS nodes and 256 "
+                                        "pipeline blocks") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects(cd::ClusterSpec::homogeneous(m4(), 65537, 1), o));
+  EXPECT_TRUE(rejects(cd::ClusterSpec::homogeneous(m4(), 1, 65537), o));
+  const auto small = cd::ClusterSpec::homogeneous(m4(), 2, 1);
+  o.comm_pipeline_blocks = 257;
+  EXPECT_TRUE(rejects(small, o));
+  o.comm_pipeline_blocks = 256;  // the widest pipeline the block field holds
+  EXPECT_EQ(cd::run_training(small, w, o).iterations, 1);
 }
 
 TEST(Trainer, SingleWorkerComputeBoundMatchesAnalytic) {

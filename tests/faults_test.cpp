@@ -19,6 +19,7 @@
 #include "faults/fault_spec.hpp"
 #include "orchestrator/recovery.hpp"
 #include "orchestrator/service.hpp"
+#include "closure_fluid.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/report.hpp"
@@ -323,7 +324,7 @@ TEST(FaultSemantics, SlowdownStretchesTraining) {
 TEST(FluidCapacity, MidRunChangeSettlesAndValidates) {
   ScopedInvariants guard;
   sim::Simulator s;
-  sim::FluidSystem fluid(s);
+  sim::test::ClosureFluid fluid(s);
   const auto cpu = fluid.add_resource("cpu", 100.0);
   bool done = false;
   fluid.start_job(1000.0, {cpu}, [&](double) { done = true; });
@@ -336,7 +337,7 @@ TEST(FluidCapacity, MidRunChangeSettlesAndValidates) {
 
 TEST(FluidCapacity, RejectsNonPositiveCapacityAndBadId) {
   sim::Simulator s;
-  sim::FluidSystem fluid(s);
+  sim::test::ClosureFluid fluid(s);
   const auto cpu = fluid.add_resource("cpu", 100.0);
   EXPECT_THROW(fluid.set_resource_capacity(cpu, 0.0), std::invalid_argument);
   EXPECT_THROW(fluid.set_resource_capacity(cpu, -5.0), std::invalid_argument);

@@ -16,6 +16,7 @@
 
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
+#include "closure_fluid.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -30,7 +31,7 @@ namespace {
 /// the churn scripts: per-worker CPU and NIC, one shared PS NIC.
 struct Rig {
   cs::Simulator sim;
-  cs::FluidSystem fluid{sim};
+  cs::test::ClosureFluid fluid{sim};
   cs::ResourceId ps_nic = 0;
   std::vector<cs::ResourceId> wk_cpu, wk_nic;
   std::vector<double> completions;
@@ -288,7 +289,7 @@ class ScriptedSystem {
   }
 
   cs::Simulator sim;
-  cs::FluidSystem fluid{sim};
+  cs::test::ClosureFluid fluid{sim};
   std::vector<cs::ResourceId> resources;
   std::vector<cs::JobId> issued;  // every id start_job returned, in order
   std::vector<std::pair<cs::JobId, double>> completions;

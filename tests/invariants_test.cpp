@@ -14,6 +14,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "sim/event_queue.hpp"
+#include "closure_fluid.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
@@ -181,7 +182,7 @@ TEST(Invariants, SspTrainingPassesStalenessBound) {
 TEST(Invariants, FluidSolverConservesFlowUnderChecks) {
   ScopedInvariants on(true);
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   const auto cpu = fs.add_resource("cpu", 10.0);
   const auto nic = fs.add_resource("nic", 5.0);
   int done = 0;
@@ -197,7 +198,7 @@ TEST(Invariants, FluidRateReadInsideCompletionCallbackIsRejected) {
   // read would see the allocation from before the event (fluid.hpp).
   ScopedInvariants on(true);
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   const auto cpu = fs.add_resource("cpu", 2.0);
   cs::JobId started = 0;
   fs.start_job(1.0, {cpu}, [&](double) {

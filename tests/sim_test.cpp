@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "closure_fluid.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
@@ -98,6 +102,84 @@ TEST(EventQueue, PendingCountTracksLiveEvents) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, StaleIdNeverTouchesTheEventThatReusesItsSlot) {
+  // Ids are generation << 32 | slot, and a freed slot is reused at once: an
+  // id whose event fired, or was cancelled, must neither read as pending nor
+  // cancel the next event in its slot.
+  cs::EventQueue q;
+  std::vector<int> order;
+  const auto fired = q.schedule(1.0, [&] { order.push_back(1); });
+  q.pop().action();
+  const auto reuser = q.schedule(2.0, [&] { order.push_back(2); });
+  EXPECT_EQ(fired & 0xffffffffU, reuser & 0xffffffffU) << "the slot was not reused";
+  EXPECT_NE(fired, reuser);
+  EXPECT_FALSE(q.is_pending(fired));
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_TRUE(q.is_pending(reuser));
+
+  const auto cancelled = q.schedule(3.0, [&] { order.push_back(3); });
+  EXPECT_TRUE(q.cancel(cancelled));
+  const auto reuser2 = q.schedule(4.0, [&] { order.push_back(4); });
+  EXPECT_EQ(cancelled & 0xffffffffU, reuser2 & 0xffffffffU) << "the slot was not reused";
+  EXPECT_FALSE(q.is_pending(cancelled));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_TRUE(q.is_pending(reuser2));
+  EXPECT_EQ(q.pending(), 2u);
+
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
+  EXPECT_FALSE(q.is_pending(0));
+  EXPECT_FALSE(q.cancel(0));
+}
+
+TEST(EventQueue, PendingStaysExactOverASeededScript) {
+  // A long random mix of schedules, cancels (of live, fired and cancelled
+  // ids alike) and pops against a plain model of the live set: pending(),
+  // empty() and is_pending() must agree with it after every step, and every
+  // pop must return a live event in (time, scheduling order).
+  cs::EventQueue q;
+  cynthia::util::Rng rng(27);
+  std::vector<cs::EventId> issued;
+  std::vector<std::pair<double, cs::EventId>> live;  // (time, id) in scheduling order
+  double now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < 0.45 || live.empty()) {
+      const double t = now + static_cast<double>(rng.uniform_int(0, 20));  // many ties
+      const auto id = q.schedule(t, [] {});
+      EXPECT_TRUE(std::find(issued.begin(), issued.end(), id) == issued.end())
+          << "id reissued at step " << step;
+      issued.push_back(id);
+      live.emplace_back(t, id);
+    } else if (pick < 0.7) {
+      const auto id = issued[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(issued.size()) - 1))];
+      const auto it = std::find_if(live.begin(), live.end(),
+                                   [id](const auto& e) { return e.second == id; });
+      EXPECT_EQ(q.cancel(id), it != live.end()) << "step " << step;
+      if (it != live.end()) live.erase(it);
+    } else {
+      // The model's next event: earliest time, first scheduled among ties.
+      auto next = live.begin();
+      for (auto it = live.begin(); it != live.end(); ++it) {
+        if (it->first < next->first) next = it;
+      }
+      const auto popped = q.pop();
+      ASSERT_EQ(popped.id, next->second) << "step " << step;
+      EXPECT_EQ(popped.time, next->first);
+      now = popped.time;
+      live.erase(next);
+    }
+    ASSERT_EQ(q.pending(), live.size()) << "step " << step;
+    EXPECT_EQ(q.empty(), live.empty());
+    const auto probe = issued[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(issued.size()) - 1))];
+    const bool in_model = std::any_of(live.begin(), live.end(),
+                                      [probe](const auto& e) { return e.second == probe; });
+    EXPECT_EQ(q.is_pending(probe), in_model) << "step " << step;
+  }
+}
+
 TEST(EventQueue, EmptyPopThrows) {
   cs::EventQueue q;
   EXPECT_THROW(q.pop(), std::logic_error);
@@ -157,7 +239,7 @@ TEST(Simulator, RunawayGuardThrows) {
 
 TEST(Fluid, SingleJobRunsAtCapacity) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("cpu", 2.0);
   double finish = -1.0;
   fs.start_job(10.0, {r}, [&](double t) { finish = t; });
@@ -167,7 +249,7 @@ TEST(Fluid, SingleJobRunsAtCapacity) {
 
 TEST(Fluid, TwoJobsShareEqually) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("link", 10.0);
   std::vector<double> finishes;
   fs.start_job(10.0, {r}, [&](double t) { finishes.push_back(t); });
@@ -181,7 +263,7 @@ TEST(Fluid, TwoJobsShareEqually) {
 
 TEST(Fluid, ShorterJobReleasesCapacity) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("link", 10.0);
   double short_f = -1, long_f = -1;
   fs.start_job(5.0, {r}, [&](double t) { short_f = t; });
@@ -195,7 +277,7 @@ TEST(Fluid, ShorterJobReleasesCapacity) {
 
 TEST(Fluid, MultiResourceJobLimitedByTightestLink) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto wide = fs.add_resource("wide", 100.0);
   auto narrow = fs.add_resource("narrow", 5.0);
   double finish = -1;
@@ -206,7 +288,7 @@ TEST(Fluid, MultiResourceJobLimitedByTightestLink) {
 
 TEST(Fluid, ZeroVolumeCompletesViaEventQueue) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   fs.add_resource("r", 1.0);
   bool done = false;
   fs.start_job(0.0, {}, [&](double) { done = true; });
@@ -215,9 +297,37 @@ TEST(Fluid, ZeroVolumeCompletesViaEventQueue) {
   EXPECT_TRUE(done);
 }
 
+TEST(Fluid, HandlerReceivesEachJobsIdAndTag) {
+  // The one completion path: the constructor's handler gets (id, tag, t)
+  // for every drained job, ties in ascending id, and never a cancelled job.
+  cs::Simulator sim;
+  std::vector<std::pair<cs::JobId, cs::JobTag>> seen;
+  std::vector<double> times;
+  cs::FluidSystem fs(sim, [&](cs::JobId id, cs::JobTag tag, double t) {
+    seen.emplace_back(id, tag);
+    times.push_back(t);
+  });
+  const auto r = fs.add_resource("link", 10.0);
+  const auto a = fs.start_job(10.0, {r}, 0xA);
+  const auto cancelled = fs.start_job(10.0, {r}, 0xC);
+  const auto b = fs.start_job(10.0, std::vector<cs::ResourceId>{r}, 0xB);
+  const auto zero = fs.start_job(0.0, {}, 0xE);
+  fs.cancel_job(cancelled);
+  sim.run();
+  using Seen = std::vector<std::pair<cs::JobId, cs::JobTag>>;
+  EXPECT_EQ(seen, (Seen{{zero, 0xE}, {a, 0xA}, {b, 0xB}}));
+  EXPECT_EQ(times, (std::vector<double>{0.0, sim.now(), sim.now()}));
+  EXPECT_NEAR(sim.now(), 2.0, 1e-6);
+}
+
+TEST(Fluid, EmptyHandlerIsRejected) {
+  cs::Simulator sim;
+  EXPECT_THROW(cs::FluidSystem(sim, nullptr), std::invalid_argument);
+}
+
 TEST(Fluid, InvalidInputsThrow) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   EXPECT_THROW(fs.add_resource("bad", 0.0), std::invalid_argument);
   auto r = fs.add_resource("ok", 1.0);
   EXPECT_THROW(fs.start_job(1.0, {}, nullptr), std::invalid_argument);
@@ -231,7 +341,7 @@ TEST(Fluid, RejectsNonFiniteCapacity) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   for (const double bad : {nan, inf, -inf, 0.0, -1.0}) {
     EXPECT_THROW(fs.add_resource("bad", bad), std::invalid_argument) << bad;
   }
@@ -252,7 +362,7 @@ TEST(Fluid, RejectsNonFiniteVolume) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("link", 4.0);
   bool fired = false;
   for (const double bad : {nan, inf, -inf}) {
@@ -272,7 +382,7 @@ TEST(Fluid, RejectsNonFiniteVolume) {
 
 TEST(Fluid, CancelJobFreesCapacity) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("link", 10.0);
   double keep_f = -1;
   auto cancel_me = fs.start_job(1000.0, {r}, [&](double) { FAIL() << "cancelled job completed"; });
@@ -285,7 +395,7 @@ TEST(Fluid, CancelJobFreesCapacity) {
 
 TEST(Fluid, JobRemainingAndRateQueries) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("link", 4.0);
   auto id = fs.start_job(8.0, {r}, nullptr);
   EXPECT_DOUBLE_EQ(fs.job_rate(id), 4.0);
@@ -307,7 +417,7 @@ namespace {
 void check_maxmin_invariants(std::uint64_t seed) {
   cynthia::util::Rng rng(seed);
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   const int n_links = static_cast<int>(rng.uniform_int(2, 6));
   std::vector<cs::ResourceId> links;
   std::vector<double> caps;
@@ -375,7 +485,7 @@ class FluidConservation : public ::testing::TestWithParam<int> {};
 TEST_P(FluidConservation, ServedVolumeEqualsInjectedVolume) {
   const int n_jobs = GetParam();
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto link = fs.add_resource("link", 7.0, cynthia::util::Seconds{0.5});
   cynthia::util::Rng rng(n_jobs * 1000 + 7);
   double injected = 0.0;
@@ -404,7 +514,7 @@ INSTANTIATE_TEST_SUITE_P(JobCounts, FluidConservation, ::testing::Values(1, 2, 5
 
 TEST(Fluid, TraceIncludesTheOpenSegment) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto link = fs.add_resource("link", 2.0, cynthia::util::Seconds{0.5});
   bool done = false;
   fs.start_job(20.0, {link}, [&done](double) { done = true; });  // 10 s at full rate
@@ -425,7 +535,7 @@ TEST(Fluid, TraceIncludesTheOpenSegment) {
 
 TEST(Fluid, CompletionOrderRespectsVolumes) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("r", 1.0);
   std::vector<int> order;
   fs.start_job(3.0, {r}, [&](double) { order.push_back(3); });
@@ -437,7 +547,7 @@ TEST(Fluid, CompletionOrderRespectsVolumes) {
 
 TEST(Fluid, CallbackCanStartNewJobs) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("r", 1.0);
   int chain = 0;
   std::function<void(double)> next = [&](double) {
@@ -451,7 +561,7 @@ TEST(Fluid, CallbackCanStartNewJobs) {
 
 TEST(Fluid, UtilizationOfIdleResourceIsZero) {
   cs::Simulator sim;
-  cs::FluidSystem fs(sim);
+  cs::test::ClosureFluid fs(sim);
   auto r = fs.add_resource("idle", 3.0);
   auto busy = fs.add_resource("busy", 3.0);
   fs.start_job(9.0, {busy}, nullptr);
