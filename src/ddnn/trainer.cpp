@@ -166,9 +166,13 @@ class Session {
   /// so each probe reports window-local saturation fractions.
   double last_probe_time_ = 0.0;
   std::vector<double> last_ps_in_sat_, last_ps_cpu_sat_;
+  /// The probe handed to the monitor, refilled in place at every probe so
+  /// its per-worker vector is allocated once per run.
+  HealthProbe probe_;
   /// Engine hook: per-worker busy seconds for the probe (-1 = no sample).
   virtual void fill_worker_busy(HealthProbe& /*probe*/) {}
-  [[nodiscard]] HealthProbe make_probe();
+  /// Refills probe_ with everything but the per-worker busy seconds.
+  void make_probe();
   /// Calls the monitor and executes its action. Returns true when the run
   /// was cut (the caller must not continue the engine loop).
   bool probe_and_act();
@@ -715,14 +719,16 @@ void Session::stop_now() {
 
 // --- monitor plumbing ---
 
-HealthProbe Session::make_probe() {
-  HealthProbe probe;
+void Session::make_probe() {
+  HealthProbe& probe = probe_;
   probe.now = sim_.now();
   probe.iteration = closed_updates_;
   probe.total_iterations = total_iterations_;
   probe.mode = workload_.sync;
   probe.window_seconds = probe.now - last_probe_time_;
   probe.worker_busy_seconds.assign(cluster_.n_workers(), -1.0);
+  probe.ps_nic_saturated_fraction = 0.0;
+  probe.ps_cpu_saturated_fraction = 0.0;
   const double window = probe.window_seconds;
   for (int k = 0; k < cluster_.n_ps(); ++k) {
     // Saturated-time reads are non-mutating (the open segment is accounted
@@ -739,13 +745,12 @@ HealthProbe Session::make_probe() {
     last_ps_cpu_sat_[k] = cpu_sat;
   }
   last_probe_time_ = probe.now;
-  return probe;
 }
 
 bool Session::probe_and_act() {
-  HealthProbe probe = make_probe();
-  fill_worker_busy(probe);
-  return apply_monitor_action(opts_.monitor->observe(probe));
+  make_probe();
+  fill_worker_busy(probe_);
+  return apply_monitor_action(opts_.monitor->observe(probe_));
 }
 
 bool Session::apply_monitor_action(const MonitorAction& action) {

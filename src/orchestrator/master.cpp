@@ -6,8 +6,12 @@ std::string Master::random_hex(int chars) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
   out.reserve(chars);
+  // One raw draw yields 16 hex digits, low nibble first.
+  std::uint64_t bits = 0;
   for (int i = 0; i < chars; ++i) {
-    out.push_back(kDigits[rng_.uniform_int(0, 15)]);
+    if (i % 16 == 0) bits = rng_.bits();
+    out.push_back(kDigits[bits & 0xf]);
+    bits >>= 4;
   }
   return out;
 }

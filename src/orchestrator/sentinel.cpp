@@ -35,12 +35,14 @@ const char* to_string(MitigationPolicy policy) {
 
 namespace {
 
-/// Median of a scratch copy (n >= 1). Even n averages the middle pair.
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  if (v.size() % 2 == 1) return v[mid];
-  return 0.5 * (v[mid - 1] + v[mid]);
+/// Median of `values` (n >= 1), sorted in `scratch`, which keeps its
+/// capacity across calls. Even n averages the middle pair.
+double median_of(const std::vector<double>& values, std::vector<double>& scratch) {
+  scratch.assign(values.begin(), values.end());
+  std::sort(scratch.begin(), scratch.end());
+  const std::size_t mid = scratch.size() / 2;
+  if (scratch.size() % 2 == 1) return scratch[mid];
+  return 0.5 * (scratch[mid - 1] + scratch[mid]);
 }
 
 }  // namespace
@@ -83,13 +85,12 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   if (probe.now < cooldown_until_) return {};
 
   // --- straggler: robust z-score of the slowest baseline vs the cluster ---
-  std::vector<double> panel;
-  panel.reserve(ewma_.size());
+  panel_.clear();
   int worst = -1;
   double worst_val = -1.0;
   for (int j = 0; j < n; ++j) {
     if (ewma_[j] < 0.0 || probe.worker_busy_seconds[j] < 0.0) continue;
-    panel.push_back(ewma_[j]);
+    panel_.push_back(ewma_[j]);
     if (ewma_[j] > worst_val) {
       worst_val = ewma_[j];
       worst = j;
@@ -97,12 +98,11 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   }
   bool straggler = false;
   double z = 0.0;
-  if (panel.size() >= 3) {
-    const double med = median_of(panel);
-    std::vector<double> dev;
-    dev.reserve(panel.size());
-    for (double x : panel) dev.push_back(std::abs(x - med));
-    const double mad = std::max(median_of(std::move(dev)), 1e-12);
+  if (panel_.size() >= 3) {
+    const double med = median_of(panel_, sorted_);
+    dev_.clear();
+    for (double x : panel_) dev_.push_back(std::abs(x - med));
+    const double mad = std::max(median_of(dev_, sorted_), 1e-12);
     z = 0.6745 * (worst_val - med) / mad;
     // Both gates: the z-score alone explodes on a healthy near-uniform
     // cluster (tiny MAD), the ratio alone misses subtle-but-systematic

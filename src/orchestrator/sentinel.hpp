@@ -182,6 +182,10 @@ class StragglerDetector : public ddnn::TrainingMonitor {
   int forecast_streak_ = 0;
   std::vector<DetectionEvent>* detections_;
   std::vector<MitigationRecord>* mitigations_;
+  /// Per-probe scratch, reused so a probe allocates nothing once warm: the
+  /// straggler panel, its absolute deviations, and the sorted copy the
+  /// medians are read from.
+  std::vector<double> panel_, dev_, sorted_;
 
   ddnn::MonitorAction act(const DetectionEvent& event, const ddnn::HealthProbe& probe);
 };

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "util/csv.hpp"
 
@@ -86,42 +88,61 @@ double Histogram::approx_quantile(double quantile_frac) const {
   return max();
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
+namespace {
+
+/// The metric named `name`, inserted from `args` (with a copy of the name)
+/// only when absent.
+template <typename Map, typename... Args>
+typename Map::mapped_type& find_or_insert(Map& map, std::string_view name, Args&&... args) {
+  auto it = map.lower_bound(name);
+  if (it == map.end() || it->first != name) {
+    it = map.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(name),
+                          std::forward_as_tuple(std::forward<Args>(args)...));
+  }
+  return it->second;
+}
+
+template <typename Map>
+const typename Map::mapped_type* find_in(const Map& map, std::string_view name) {
+  auto it = map.find(name);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
   owner_.check("MetricsRegistry");
-  return counters_[name];
+  return find_or_insert(counters_, name);
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+Gauge& MetricsRegistry::gauge(std::string_view name) {
   owner_.check("MetricsRegistry");
-  return gauges_[name];
+  return find_or_insert(gauges_, name);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name, HistogramOptions options) {
+Histogram& MetricsRegistry::histogram(std::string_view name, HistogramOptions options) {
   owner_.check("MetricsRegistry");
-  return histograms_.try_emplace(name, options).first->second;
+  return find_or_insert(histograms_, name, options);
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
+  return find_in(counters_, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
+  return find_in(gauges_, name);
 }
 
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
+const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
+  return find_in(histograms_, name);
 }
 
-double MetricsRegistry::counter_value(const std::string& name, double fallback_value) const {
+double MetricsRegistry::counter_value(std::string_view name, double fallback_value) const {
   const Counter* c = find_counter(name);
   return c ? c->value() : fallback_value;
 }
 
-double MetricsRegistry::gauge_value(const std::string& name, double fallback_value) const {
+double MetricsRegistry::gauge_value(std::string_view name, double fallback_value) const {
   const Gauge* g = find_gauge(name);
   return g ? g->value() : fallback_value;
 }

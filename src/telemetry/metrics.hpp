@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <map>
@@ -94,17 +95,20 @@ class Histogram {
 /// valid for the registry's lifetime.
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, HistogramOptions options = {});
+  /// Lookups take a string_view and compare it against the stored names
+  /// directly, so finding an existing metric builds no key string; only the
+  /// first insertion of a name copies it.
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name, HistogramOptions options = {});
 
-  [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-  [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
+  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
+  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
+  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
   /// Value lookups with a fallback for absent metrics (summary convenience).
-  [[nodiscard]] double counter_value(const std::string& name, double fallback_value = 0.0) const;
-  [[nodiscard]] double gauge_value(const std::string& name, double fallback_value = 0.0) const;
+  [[nodiscard]] double counter_value(std::string_view name, double fallback_value = 0.0) const;
+  [[nodiscard]] double gauge_value(std::string_view name, double fallback_value = 0.0) const;
 
   [[nodiscard]] std::size_t size() const;
 
@@ -115,9 +119,9 @@ class MetricsRegistry {
 
  private:
   util::OwnerThread owner_;
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace cynthia::telemetry

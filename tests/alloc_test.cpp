@@ -1,7 +1,9 @@
 // Allocation gate for the simulator's hot path: once warm, the event queue
 // and the fluid system allocate nothing per event or job, and a steady-state
 // training iteration allocates nothing, so a run makes as many heap
-// allocations at 2N iterations as at N.
+// allocations at 2N iterations as at N. That holds with a straggler monitor
+// probing every barrier too; a traced run may add only the trace's own
+// amortised storage growth.
 //
 // This binary replaces the global operator new and delete with counting
 // versions, which is why it is its own executable: the counter affects no
@@ -19,9 +21,11 @@
 #include "ddnn/cluster.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
+#include "orchestrator/sentinel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -66,14 +70,26 @@ class AllocationGate : public ::testing::Test {
   bool saved_ = false;
 };
 
-/// Heap allocations of one fault-free, unmonitored, untraced run.
-std::uint64_t training_allocations(const char* workload, long iterations) {
+/// What a gated run attaches to the trainer.
+enum class Attach { kNothing, kMonitor, kTelemetry };
+
+/// Heap allocations of one fault-free 8x2 run on m4.xlarge, counting
+/// everything it builds: the monitor or telemetry bundle, the cluster's
+/// resources and the run itself.
+std::uint64_t training_allocations(const char* workload, long iterations,
+                                   Attach attach = Attach::kNothing) {
   const auto& w = cd::workload_by_name(workload);
   const auto cluster =
       cd::ClusterSpec::homogeneous(cynthia::cloud::Catalog::aws().at("m4.xlarge"), 8, 2);
-  cd::TrainOptions options;
-  options.iterations = iterations;
-  return allocations_during([&] { (void)cd::run_training(cluster, w, options); });
+  return allocations_during([&] {
+    cd::TrainOptions options;
+    options.iterations = iterations;
+    cynthia::orch::StragglerDetector detector{cynthia::orch::StragglerDetector::Config{}};
+    cynthia::telemetry::Telemetry tel;
+    if (attach == Attach::kMonitor) options.monitor = &detector;
+    if (attach == Attach::kTelemetry) options.telemetry = &tel;
+    (void)cd::run_training(cluster, w, options);
+  });
 }
 
 /// Workers cycling compute (own CPU) -> push (own NIC + a shared PS NIC),
@@ -175,4 +191,24 @@ TEST_F(AllocationGate, AspIterationsAllocateNothing) {
   const auto at_2n = training_allocations("resnet32", 800);
   EXPECT_EQ(at_2n, at_n) << "resnet32 ASP 8x2: " << at_n << " allocations at 400 iterations, "
                          << at_2n << " at 800";
+}
+
+TEST_F(AllocationGate, MonitoredBspIterationsAllocateNothing) {
+  // A fault-free detector probes at every barrier and never acts.
+  const auto at_n = training_allocations("cifar10", 400, Attach::kMonitor);
+  const auto at_2n = training_allocations("cifar10", 800, Attach::kMonitor);
+  EXPECT_EQ(at_2n, at_n) << "monitored cifar10 BSP 8x2: " << at_n
+                         << " allocations at 400 iterations, " << at_2n << " at 800";
+}
+
+TEST_F(AllocationGate, TracedBspIterationsAllocateOnlyTraceStorage) {
+  // Metrics and the tracer attached. The trace keeps every event: 12,400 at
+  // 400 iterations, 24,800 at 800, so its event vector doubles once more
+  // (capacity 16,384 -> 32,768). That is the only growth allowed; metric
+  // lookups and span names allocate nothing per iteration.
+  const auto at_n = training_allocations("cifar10", 400, Attach::kTelemetry);
+  const auto at_2n = training_allocations("cifar10", 800, Attach::kTelemetry);
+  EXPECT_GE(at_2n, at_n);
+  EXPECT_LE(at_2n, at_n + 1) << "traced cifar10 BSP 8x2: " << at_n
+                             << " allocations at 400 iterations, " << at_2n << " at 800";
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <regex>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -49,6 +50,21 @@ TEST(Master, IssueAndJoin) {
   EXPECT_TRUE(m.join(1, creds, 10.0));
   EXPECT_TRUE(m.is_member(1));
   EXPECT_EQ(m.member_count(), 1u);
+}
+
+TEST(Master, CredentialsHaveKubeadmShape) {
+  const std::regex token("[0-9a-f]{6}\\.[0-9a-f]{16}");
+  const std::regex hash("sha256:[0-9a-f]{64}");
+  orch::Master a(42), b(42), c(43);
+  const auto creds = a.issue_credentials(0.0);
+  EXPECT_TRUE(std::regex_match(creds.token, token)) << creds.token;
+  EXPECT_TRUE(std::regex_match(creds.discovery_hash, hash)) << creds.discovery_hash;
+  const auto same = b.issue_credentials(0.0);
+  EXPECT_EQ(same.token, creds.token);
+  EXPECT_EQ(same.discovery_hash, creds.discovery_hash);
+  const auto other = c.issue_credentials(0.0);
+  EXPECT_NE(other.token, creds.token);
+  EXPECT_NE(other.discovery_hash, creds.discovery_hash);
 }
 
 TEST(Master, RejectsWrongToken) {

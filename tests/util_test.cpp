@@ -2,10 +2,15 @@
 // table/CSV formatting, rate traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -125,6 +130,100 @@ TEST(Rng, ChanceExtremes) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
+  }
+}
+
+// The engine is MT19937-64 bit for bit: std::mt19937_64 is the oracle for
+// every seed, stream length, re-seed and copy, and for every distribution.
+namespace {
+
+/// Index of the first of `count` raw draws where `rng` and `oracle`
+/// disagree, or -1. Both advance by `count` either way.
+long first_raw_mismatch(cu::Rng& rng, std::mt19937_64& oracle, long count) {
+  long mismatch = -1;
+  for (long i = 0; i < count; ++i) {
+    if (rng.bits() != oracle() && mismatch < 0) mismatch = i;
+  }
+  return mismatch;
+}
+
+/// Stream lengths on both sides of every block and first-block boundary.
+constexpr long kBoundaryLengths[] = {0,   1,   2,   7,   8,   9,   155, 156, 157,
+                                     311, 312, 313, 623, 624, 625, 936, 937};
+
+}  // namespace
+
+TEST(RngEngine, RawDrawsEqualStdMt19937_64) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+                                   std::uint64_t{2024}, std::uint64_t{0x9e3779b97f4a7c15ull},
+                                   ~std::uint64_t{0}}) {
+    cu::Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    EXPECT_EQ(first_raw_mismatch(rng, oracle, 5000), -1) << "seed " << seed;
+  }
+}
+
+TEST(RngEngine, MixedSeedsAndLengthsEqualStdMt19937_64) {
+  std::mt19937_64 seeds(20261019);
+  for (int i = 0; i < 1200; ++i) {
+    const std::uint64_t seed = seeds();
+    // Every stream crosses a boundary length; every 16th runs long.
+    const long length = i % 16 == 0 ? 5000 : kBoundaryLengths[i % std::size(kBoundaryLengths)] + 1;
+    cu::Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    ASSERT_EQ(first_raw_mismatch(rng, oracle, length), -1) << "seed " << seed;
+  }
+}
+
+TEST(RngEngine, ReseedMidStreamRestartsTheSequence) {
+  for (const long drawn : kBoundaryLengths) {
+    cu::Rng rng(7);
+    std::mt19937_64 oracle(7);
+    ASSERT_EQ(first_raw_mismatch(rng, oracle, drawn), -1);
+    // Re-seeding a partly drawn stream discards it entirely, including the
+    // seed words and twisted words already computed.
+    const std::uint64_t next_seed = 1000 + static_cast<std::uint64_t>(drawn);
+    rng.seed(next_seed);
+    oracle.seed(next_seed);
+    EXPECT_EQ(first_raw_mismatch(rng, oracle, 700), -1) << "re-seeded after " << drawn;
+  }
+}
+
+TEST(RngEngine, CopyOfAPartlyDrawnStreamContinuesIdentically) {
+  for (const long drawn : kBoundaryLengths) {
+    cu::Rng rng(2024);
+    std::mt19937_64 oracle(2024);
+    ASSERT_EQ(first_raw_mismatch(rng, oracle, drawn), -1);
+    cu::Rng copy = rng;
+    std::mt19937_64 oracle_copy = oracle;
+    EXPECT_EQ(first_raw_mismatch(rng, oracle, 700), -1) << "original after " << drawn;
+    EXPECT_EQ(first_raw_mismatch(copy, oracle_copy, 700), -1) << "copy after " << drawn;
+  }
+}
+
+TEST(RngEngine, DistributionsEqualStdOverMt19937_64) {
+  constexpr auto kInt64Min = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kInt64Max = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{42}, std::uint64_t{977}}) {
+    cu::Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    // ~2,700 draws per seed: the interleaving crosses several blocks, and
+    // the normal's rejection loop makes the word count vary per call.
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_EQ(rng.uniform(-2.0, 5.0), std::uniform_real_distribution<double>(-2.0, 5.0)(oracle));
+      EXPECT_EQ(rng.uniform_int(1, 6), std::uniform_int_distribution<std::int64_t>(1, 6)(oracle));
+      EXPECT_EQ(rng.uniform_int(kInt64Min, kInt64Max),
+                std::uniform_int_distribution<std::int64_t>(kInt64Min, kInt64Max)(oracle));
+      EXPECT_EQ(rng.normal(10.0, 3.0), std::normal_distribution<double>(10.0, 3.0)(oracle));
+      EXPECT_EQ(rng.bounded_normal(1.0, 0.5, 0.2),
+                std::clamp(std::normal_distribution<double>(1.0, 0.5)(oracle), 0.8, 1.2));
+      EXPECT_EQ(rng.jitter(0.1),
+                std::uniform_real_distribution<double>(1.0 - 0.1, 1.0 + 0.1)(oracle));
+      EXPECT_EQ(rng.chance(0.0), std::bernoulli_distribution(0.0)(oracle));
+      EXPECT_EQ(rng.chance(1.0), std::bernoulli_distribution(1.0)(oracle));
+      EXPECT_EQ(rng.chance(0.3), std::bernoulli_distribution(0.3)(oracle));
+    }
+    EXPECT_EQ(rng.bits(), oracle()) << "seed " << seed << ": streams out of step";
   }
 }
 
