@@ -1,4 +1,5 @@
-// Extension bench: SLO survival under faults (src/faults + RecoveryController).
+// Extension bench: SLO survival under faults (src/faults + the job executor's
+// repair-in-place policy).
 //
 // Subjects two calibrated plans — mnist (BSP, communication-bound) and
 // resnet32 (ASP, compute-bound) — to generated Poisson fault schedules of
@@ -7,8 +8,7 @@
 // extra wall time / extra dollars the recovery pipeline cost relative to
 // the fault-free execution of the same plan. Crashes are healed in place
 // through the kubeadm-join replacement lifecycle (detection + provisioning
-// + checkpoint restore), exactly as the recovery controller would in
-// production.
+// + checkpoint restore), exactly as orch::execute_job does in production.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -18,7 +18,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
-#include "orchestrator/recovery.hpp"
+#include "orchestrator/executor.hpp"
 #include "util/table.hpp"
 
 using namespace cynthia;
@@ -64,16 +64,14 @@ int main() {
 
     // Fault-free reference execution of the same plan, same pipeline: its
     // time anchors the SLO (25% headroom) and its bill anchors extra cost.
-    orch::RecoveryOptions options;
-    options.seed = 7;
-    const orch::RecoveryController controller(options);
-    const core::ProvisionGoal probe_goal{util::Seconds{1e9}, 1e9};
-    const auto baseline =
-        controller.run(w, plan, faults::FaultSchedule{}, probe_goal);
+    orch::JobSpec spec{w, plan, {util::Seconds{1e9}, 1e9}};
+    spec.seed = 7;
+    const auto baseline = orch::execute_job(spec);
     const double base_time = baseline.training.total_time;
     const double base_cost = baseline.actual_cost.value();
     const core::ProvisionGoal goal{util::Seconds{base_time * 1.25},
                                    baseline.achieved_loss * 1.02};
+    spec.goal = goal;
     std::printf("\n%s: fault-free %.0f s, $%.4f -> SLO Tg = %.0f s, lg = %.3f\n", s.workload,
                 base_time, base_cost, goal.time_goal.value(), goal.target_loss);
 
@@ -92,9 +90,9 @@ int main() {
       for (std::uint64_t seed : seeds) {
         // The horizon covers the SLO window: faults past Tg cannot hit a
         // run that still meets the goal.
-        const auto schedule = faults::FaultSchedule::generate(
-            classes, goal.time_goal.value(), s.n_workers, s.n_ps, seed);
-        const auto report = controller.run(w, plan, schedule, goal);
+        spec.faults = faults::FaultSchedule::generate(classes, goal.time_goal.value(),
+                                                      s.n_workers, s.n_ps, seed);
+        const auto report = orch::execute_job(spec);
         if (!report.time_goal_met || !report.loss_goal_met) ++misses;
         crashes += static_cast<double>(report.training.faults.crashes);
         extra_time += report.training.total_time - base_time;

@@ -1,7 +1,7 @@
 // Extension bench: revocation-aware provisioning on the spot market (the
 // Proteus [13] / FC2 [27] direction the paper cites as complementary).
 //
-// Two parts, every run on the orchestrator's job executor (orch::run_on_spot):
+// Two parts, every run on the orchestrator's job executor (orch::execute_job):
 //  1. The original Fig. 11 study — the cifar10 plan (90-minute goal, loss
 //     0.8) executed all-spot across bid multipliers and checkpoint
 //     cadences (cost vs. the durable run, revocations, rolled-back updates,
@@ -66,7 +66,14 @@ core::SpotProvisionPlan all_spot(const core::ProvisionPlan& plan, const cloud::S
 long revocations(const orch::JobRun& run, const core::SpotProvisionPlan& answer) {
   const bool all_spot = answer.durability == core::FleetDurability::kAllSpot;
   const int spot_nodes = answer.plan.n_workers + (all_spot ? answer.plan.n_ps : 0);
-  return run.report.training.faults.crashes / std::max(1, spot_nodes);
+  return run.training.faults.crashes / std::max(1, spot_nodes);
+}
+
+/// plan_spot's `answer` executed on `market` (a durable answer runs on
+/// demand).
+orch::JobRun run_spot(const cloud::SpotMarket& market, const ddnn::WorkloadSpec& w,
+                      const core::SpotProvisionPlan& answer, const core::ProvisionGoal& goal) {
+  return orch::execute_job({w, answer.plan, goal, {}, orch::Spot{market, answer}});
 }
 
 }  // namespace
@@ -91,24 +98,21 @@ int main() {
   std::printf("durable plan under test: %s\n\n", plan.describe().c_str());
 
   // ---- Part 1: the classic all-spot execution study (unchanged scope).
-  orch::SentinelOptions run_options;
-  run_options.enabled = false;
   const double tg = goal.time_goal.value();
-  const double durable_cost =
-      orch::execute_job(w, plan, {}, goal, run_options, nullptr, false).report.actual_cost.value();
+  const double durable_cost = orch::execute_job({w, plan, goal}).actual_cost.value();
   cloud::SpotMarket market(cloud::Catalog::aws(), 42);
   util::Table t("All-spot execution of the plan (checkpoint every 600 s)");
   t.header({"bid (x mean)", "cost ($)", "vs durable", "revocations", "rolled back",
             "wall (s)", "deadline 5400 s"});
   for (double bid : {1.05, 1.2, 1.6, 2.4}) {
     const core::SpotProvisionPlan answer = all_spot(plan, market, bid, 600.0);
-    const orch::JobRun r = orch::run_on_spot(market, w, answer, goal, run_options);
-    const double cost = r.report.actual_cost.value();
-    const double wall = r.report.training.total_time;
+    const orch::JobRun r = run_spot(market, w, answer, goal);
+    const double cost = r.actual_cost.value();
+    const double wall = r.training.total_time;
     t.row({util::Table::num(bid, 2), util::Table::num(cost, 2),
            "-" + util::Table::pct(100.0 * (1.0 - cost / durable_cost)),
            std::to_string(revocations(r, answer)),
-           std::to_string(r.report.training.faults.lost_iterations), util::Table::num(wall, 0),
+           std::to_string(r.training.faults.lost_iterations), util::Table::num(wall, 0),
            wall <= tg ? "met" : "MISSED"});
   }
   t.print(std::cout);
@@ -117,11 +121,11 @@ int main() {
   c.header({"checkpoint every", "revocations", "rolled back", "wall (s)", "cost ($)"});
   for (double interval : {60.0, 300.0, 1200.0, 3600.0}) {
     const core::SpotProvisionPlan answer = all_spot(plan, market, 1.1, interval);
-    const orch::JobRun r = orch::run_on_spot(market, w, answer, goal, run_options);
+    const orch::JobRun r = run_spot(market, w, answer, goal);
     c.row({util::Table::num(interval, 0) + " s", std::to_string(revocations(r, answer)),
-           std::to_string(r.report.training.faults.lost_iterations),
-           util::Table::num(r.report.training.total_time, 0),
-           util::Table::num(r.report.actual_cost.value(), 2)});
+           std::to_string(r.training.faults.lost_iterations),
+           util::Table::num(r.training.total_time, 0),
+           util::Table::num(r.actual_cost.value(), 2)});
   }
   c.print(std::cout);
 
@@ -152,9 +156,9 @@ int main() {
       durable_sum += sp.durable.predicted_cost.value();
       const double saving =
           100.0 * (1.0 - sp.expected_cost.value() / sp.durable.predicted_cost.value());
-      const orch::JobRun r = orch::run_on_spot(m, w, sp, goal, run_options);
-      const double realized = r.report.actual_cost.value();
-      const double wall = r.report.training.total_time;
+      const orch::JobRun r = run_spot(m, w, sp, goal);
+      const double realized = r.actual_cost.value();
+      const double wall = r.training.total_time;
       realized_cost.add(realized);
       cost_error_max =
           std::max(cost_error_max, std::abs(realized / sp.expected_cost.value() - 1.0));

@@ -21,7 +21,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
-#include "orchestrator/sentinel.hpp"
+#include "orchestrator/executor.hpp"
 #include "util/table.hpp"
 
 using namespace cynthia;
@@ -79,11 +79,9 @@ int main() {
     // Fault-free reference through the same pipeline (sentinel attached but
     // with nothing to detect): its time anchors the SLO and its bill
     // anchors extra cost.
-    orch::SentinelOptions probe_options;
-    probe_options.seed = 7;
-    const core::ProvisionGoal probe_goal{util::Seconds{1e9}, 1e9};
-    const auto baseline =
-        orch::SloSentinel(probe_options).run(w, plan, faults::FaultSchedule{}, probe_goal);
+    orch::JobSpec probe{w, plan, {util::Seconds{1e9}, 1e9}, {}, orch::Sentinel{}};
+    probe.seed = 7;
+    const auto baseline = orch::execute_job(probe);
     const double base_time = baseline.training.total_time;
     const double base_cost = baseline.actual_cost.value();
     const core::ProvisionGoal goal{util::Seconds{base_time * 1.3},
@@ -108,10 +106,10 @@ int main() {
         const auto schedule = faults::FaultSchedule::generate(
             classes, goal.time_goal.value(), s.n_workers, s.n_ps, seed);
         for (const bool enabled : {false, true}) {
-          orch::SentinelOptions options;
-          options.seed = seed;
-          options.enabled = enabled;
-          const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
+          orch::JobSpec spec{w, plan, goal, schedule};
+          if (enabled) spec.policy = orch::Sentinel{};
+          spec.seed = seed;
+          const auto report = orch::execute_job(spec);
           CellStats& cell = enabled ? on : off;
           if (!report.time_goal_met || !report.loss_goal_met) ++cell.misses;
           cell.detections += static_cast<double>(report.detections.size());

@@ -49,7 +49,8 @@
 // report plus a machine-readable JSON twin (tools/check_report.py validates
 // it in CI). Like simulate --mitigate, a missed verdict exits 3.
 //
-// --mitigate attaches the SLO sentinel (orch::SloSentinel): stragglers and
+// --mitigate runs the job under the SLO sentinel (the job executor's
+// Sentinel policy; `report` runs the same job): stragglers and
 // degradations are detected online and mitigated under POLICY (none |
 // replace | add-ps | ssp | replan | auto; default auto — see
 // docs/FAULTS.md). The replan and auto policies re-plan through Algorithm 1
@@ -105,7 +106,7 @@
 #include "faults/fault_spec.hpp"
 #include "models/zoo.hpp"
 #include "orchestrator/cluster_manager.hpp"
-#include "orchestrator/sentinel.hpp"
+#include "orchestrator/executor.hpp"
 #include "profiler/profiler.hpp"
 #include "region/region.hpp"
 #include "service/service.hpp"
@@ -225,18 +226,6 @@ const cloud::InstanceType& resolve_type(const std::string& name) {
                                 "' (run 'cynthiactl catalog' for the list)");
   }
   return catalog.at(name);
-}
-
-/// Algorithm 1 over the provisionable catalog, for the sentinel's re-plan
-/// step. Only the replan and auto policies re-plan; the others get none.
-std::optional<core::Provisioner> sentinel_planner(const ddnn::WorkloadSpec& w,
-                                                  orch::MitigationPolicy policy) {
-  if (policy != orch::MitigationPolicy::kReplan && policy != orch::MitigationPolicy::kAuto) {
-    return std::nullopt;
-  }
-  const auto& catalog = cloud::Catalog::aws();
-  const core::Predictor predictor = core::Predictor::build(w, catalog.at("m4.xlarge"));
-  return core::Provisioner(predictor.model(), predictor.loss(), catalog.provisionable());
 }
 
 int cmd_catalog() {
@@ -445,6 +434,51 @@ faults::FaultSchedule build_fault_schedule(const Args& args, int n_workers, int 
   return faults::FaultSchedule(std::move(events));
 }
 
+/// The sentinel job `simulate --mitigate` and `report` both run: `n` x
+/// `type` workers + `ps` PS nodes for `training.iterations` updates under
+/// `schedule`, judged against --minutes/--loss. The replan and auto policies
+/// re-plan through Algorithm 1 over the provisionable catalog, profiled on
+/// m4.xlarge. The two commands differ only in what they print and write.
+struct SentinelJob {
+  orch::JobRun run;
+  bool time_goal_given = false;
+  bool loss_goal_given = false;
+
+  /// A given goal missed: the commands exit 3.
+  [[nodiscard]] bool missed() const {
+    return (time_goal_given && !run.time_goal_met) || (loss_goal_given && !run.loss_goal_met);
+  }
+};
+
+SentinelJob run_sentinel_job(const Args& args, const ddnn::WorkloadSpec& w,
+                             const cloud::InstanceType& type, int n, int ps,
+                             const faults::FaultSchedule& schedule,
+                             orch::MitigationPolicy policy, const ddnn::TrainOptions& training) {
+  core::ProvisionPlan plan;
+  plan.feasible = true;
+  plan.type = type;
+  plan.n_workers = n;
+  plan.n_ps = ps;
+  plan.iterations = training.iterations;
+  plan.total_iterations = training.iterations;
+  const auto minutes = args.real("minutes", "time goal");
+  const auto loss = args.real("loss", "target loss");
+  core::ProvisionGoal goal;
+  goal.time_goal = minutes ? util::minutes(*minutes) : util::Seconds{1e12};
+  goal.target_loss = loss.value_or(0.0);
+
+  std::optional<core::Provisioner> planner;
+  if (policy == orch::MitigationPolicy::kReplan || policy == orch::MitigationPolicy::kAuto) {
+    const auto& catalog = cloud::Catalog::aws();
+    const core::Predictor predictor = core::Predictor::build(w, catalog.at("m4.xlarge"));
+    planner.emplace(predictor.model(), predictor.loss(), catalog.provisionable());
+  }
+  const orch::JobSpec spec{w, plan, goal, schedule, orch::Sentinel{policy}, training.seed,
+                           training};
+  return {orch::execute_job(spec, planner ? &*planner : nullptr), minutes.has_value(),
+          loss.has_value()};
+}
+
 int cmd_simulate(const Args& args) {
   const auto workers = args.integer<int>("workers");
   if (args.positional.size() < 2 || !workers) {
@@ -493,36 +527,18 @@ int cmd_simulate(const Args& args) {
       std::puts("--mitigate needs an explicit --iterations budget");
       return 2;
     }
-    orch::SentinelOptions so;
-    so.policy = orch::parse_mitigation_policy(args.text("mitigate", "auto"));
-    so.seed = seed;
+    const orch::MitigationPolicy policy =
+        orch::parse_mitigation_policy(args.text("mitigate", "auto"));
     if (telemetry_on) {
       o.telemetry = &tel;
       o.trace_bucket_seconds = 1.0;
     }
-    so.training = o;
-    core::ProvisionPlan plan;
-    plan.feasible = true;
-    plan.type = type;
-    plan.n_workers = n;
-    plan.n_ps = ps;
-    plan.iterations = o.iterations;
-    plan.total_iterations = o.iterations;
-    const auto minutes = args.real("minutes", "time goal");
-    const auto loss = args.real("loss", "target loss");
-    const bool time_goal_given = minutes.has_value();
-    const bool loss_goal_given = loss.has_value();
-    core::ProvisionGoal goal;
-    goal.time_goal = time_goal_given ? util::minutes(*minutes) : util::Seconds{1e12};
-    goal.target_loss = loss.value_or(0.0);
-    const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
-    const orch::SloSentinel sentinel(so);
-    const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
+    const SentinelJob job = run_sentinel_job(args, w, type, n, ps, schedule, policy, o);
+    const orch::JobRun& report = job.run;
     const auto& r = report.training;
 
     util::Table t("Sentinel: " + w.name + " on " + std::to_string(n) + "x " + type.name +
-                  " + " + std::to_string(ps) + " PS, policy " +
-                  orch::to_string(so.policy));
+                  " + " + std::to_string(ps) + " PS, policy " + orch::to_string(policy));
     t.header({"metric", "value"});
     t.row({"iterations", std::to_string(r.iterations)});
     t.row({"total time (s)", util::Table::num(r.total_time, 1)});
@@ -541,20 +557,20 @@ int cmd_simulate(const Args& args) {
     t.row({"SSP downgrade", r.monitor.downgraded ? "yes" : "no"});
     t.row({"replanned", report.replanned ? "yes" : "no"});
     t.row({"cost ($)", util::Table::num(report.actual_cost.value(), 3)});
-    if (time_goal_given) {
+    if (job.time_goal_given) {
       t.row({"Tg verdict", report.time_goal_met ? "met" : "MISSED"});
     }
-    if (loss_goal_given) {
+    if (job.loss_goal_given) {
       t.row({"loss verdict", report.loss_goal_met ? "met" : "MISSED"});
     }
     t.print(std::cout);
     for (const auto& d : report.detections) {
-      std::printf("[detect]   t=%8.1f  %s%s  severity %.2f\n", d.at_seconds, d.kind.c_str(),
+      std::printf("[detect]   t=%8.1f  %s%s  severity %.2f\n", d.at.value(), d.kind.c_str(),
                   d.worker >= 0 ? (" wk" + std::to_string(d.worker)).c_str() : "",
                   d.severity);
     }
     for (const auto& m : report.mitigations) {
-      std::printf("[mitigate] t=%8.1f  %s  (%s)\n", m.at_seconds, m.action.c_str(),
+      std::printf("[mitigate] t=%8.1f  %s  (%s)\n", m.at.value(), m.action.c_str(),
                   m.detail.c_str());
     }
     if (telemetry_on) {
@@ -566,9 +582,7 @@ int cmd_simulate(const Args& args) {
         std::printf("[journal] %s (%zu records)\n", journal_out.c_str(), tel.journal.size());
       }
     }
-    const bool missed = (time_goal_given && !report.time_goal_met) ||
-                        (loss_goal_given && !report.loss_goal_met);
-    return missed ? 3 : 0;
+    return job.missed() ? 3 : 0;
   }
 
   cloud::BillingMeter billing;
@@ -669,34 +683,14 @@ int cmd_report(const Args& args) {
   o.telemetry = &tel;
   o.trace_bucket_seconds = 1.0;
 
-  orch::SentinelOptions so;
-  so.policy = orch::parse_mitigation_policy(args.text("policy", "auto"));
-  so.seed = seed;
-  so.training = o;
-  core::ProvisionPlan plan;
-  plan.feasible = true;
-  plan.type = type;
-  plan.n_workers = n;
-  plan.n_ps = ps;
-  plan.iterations = o.iterations;
-  plan.total_iterations = o.iterations;
-  const auto minutes = args.real("minutes", "time goal");
-  const auto loss = args.real("loss", "target loss");
-  const bool time_goal_given = minutes.has_value();
-  const bool loss_goal_given = loss.has_value();
-  core::ProvisionGoal goal;
-  goal.time_goal = time_goal_given ? util::minutes(*minutes) : util::Seconds{1e12};
-  goal.target_loss = loss.value_or(0.0);
-
-  const std::optional<core::Provisioner> planner = sentinel_planner(w, so.policy);
-  const orch::SloSentinel sentinel(so);
-  const auto report = sentinel.run(w, plan, schedule, goal, planner ? &*planner : nullptr);
+  const orch::MitigationPolicy policy = orch::parse_mitigation_policy(args.text("policy", "auto"));
+  const SentinelJob job = run_sentinel_job(args, w, type, n, ps, schedule, policy, o);
+  const orch::JobRun& report = job.run;
 
   const double bound = args.real("bound", "audit bound").value_or(0.10);
   const std::string title = w.name + " on " + std::to_string(n) + "x " + type.name + " + " +
-                            std::to_string(ps) + " PS (policy " +
-                            orch::to_string(so.policy) + ", seed " + std::to_string(seed) +
-                            ")";
+                            std::to_string(ps) + " PS (policy " + orch::to_string(policy) +
+                            ", seed " + std::to_string(seed) + ")";
   const telemetry::RunReport run = telemetry::RunReport::build(tel.journal, title, bound);
 
   util::Table t("Report: " + title);
@@ -724,8 +718,8 @@ int cmd_report(const Args& args) {
   t.row({"audit segments", std::to_string(run.audit.rows.size())});
   t.row({"audit flagged (>" + util::Table::pct(100.0 * bound) + ")",
          std::to_string(flagged)});
-  if (time_goal_given) t.row({"Tg verdict", report.time_goal_met ? "met" : "MISSED"});
-  if (loss_goal_given) t.row({"loss verdict", report.loss_goal_met ? "met" : "MISSED"});
+  if (job.time_goal_given) t.row({"Tg verdict", report.time_goal_met ? "met" : "MISSED"});
+  if (job.loss_goal_given) t.row({"loss verdict", report.loss_goal_met ? "met" : "MISSED"});
   t.row({"journal records", std::to_string(tel.journal.size())});
   char digest[32];
   std::snprintf(digest, sizeof digest, "0x%016llx",
@@ -757,9 +751,7 @@ int cmd_report(const Args& args) {
     std::printf("[json] %s\n", json_out.c_str());
   }
 
-  const bool missed = (time_goal_given && !report.time_goal_met) ||
-                      (loss_goal_given && !report.loss_goal_met);
-  return missed ? 3 : 0;
+  return job.missed() ? 3 : 0;
 }
 
 int cmd_serve(const Args& args) {

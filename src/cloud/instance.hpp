@@ -29,8 +29,8 @@ struct InstanceType {
 
   /// Accelerator attached to each docker slot (GPU-cluster extension, the
   /// paper's future work). Empty name / zero rate on CPU-only types.
-  std::string accelerator;            ///< e.g. "NVIDIA K80"
-  util::GFlopsRate accel_gflops;      ///< per-docker accelerator throughput
+  std::string accelerator{};          ///< e.g. "NVIDIA K80"
+  util::GFlopsRate accel_gflops{};    ///< per-docker accelerator throughput
 
   [[nodiscard]] bool has_accelerator() const { return accel_gflops.value() > 0.0; }
 

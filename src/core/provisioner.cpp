@@ -15,9 +15,9 @@ namespace cynthia::core {
 
 namespace {
 
-/// Self-timing scope for the operator-facing planner-latency metric. Like
-/// orchestrator/service.cpp, this wall-clock read never feeds simulated
-/// time — it only measures how long Algorithm 1 itself took.
+/// Self-timing scope for the operator-facing planner-latency metric. This
+/// wall-clock read never feeds simulated time — it only measures how long
+/// Algorithm 1 itself took.
 class PlannerTimer {
  public:
   explicit PlannerTimer(bool enabled) : enabled_(enabled) {

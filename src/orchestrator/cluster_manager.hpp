@@ -69,11 +69,6 @@ class ClusterManager {
   [[nodiscard]] Master& master() { return master_; }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
 
-  /// Replaces the join-retry backoff schedule deploy() waits out before
-  /// re-launching failed nodes. The default policy retries immediately.
-  void set_join_retry(const JoinRetryPolicy& policy) { retry_policy_ = policy; }
-  [[nodiscard]] const JoinRetryPolicy& join_retry() const { return retry_policy_; }
-
   /// Attaches a per-run telemetry sink (not owned; nullptr detaches). Node
   /// lifecycle states become spans on track "i-<id>", join failures instant
   /// events + a retry counter, deploy() a "provision" span, and the billing
@@ -85,7 +80,6 @@ class ClusterManager {
   cloud::BillingMeter* billing_;
   util::Rng rng_;
   NodeTimings timings_;
-  JoinRetryPolicy retry_policy_;
   Master master_;
   std::vector<Node> nodes_;
   NodeId next_id_ = 1;

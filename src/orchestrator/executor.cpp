@@ -13,12 +13,36 @@
 #include "ddnn/loss.hpp"
 #include "ddnn/trainer.hpp"
 #include "orchestrator/cluster_manager.hpp"
+#include "orchestrator/sentinel.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cynthia::orch {
 
 namespace metric = telemetry::metric;
+
+MitigationPolicy parse_mitigation_policy(const std::string& name) {
+  if (name == "none") return MitigationPolicy::kNone;
+  if (name == "replace") return MitigationPolicy::kReplace;
+  if (name == "add-ps") return MitigationPolicy::kAddPs;
+  if (name == "ssp") return MitigationPolicy::kSsp;
+  if (name == "replan") return MitigationPolicy::kReplan;
+  if (name == "auto") return MitigationPolicy::kAuto;
+  throw std::invalid_argument("unknown mitigation policy '" + name +
+                              "' (none|replace|add-ps|ssp|replan|auto)");
+}
+
+const char* to_string(MitigationPolicy policy) {
+  switch (policy) {
+    case MitigationPolicy::kNone: return "none";
+    case MitigationPolicy::kReplace: return "replace";
+    case MitigationPolicy::kAddPs: return "add-ps";
+    case MitigationPolicy::kSsp: return "ssp";
+    case MitigationPolicy::kReplan: return "replan";
+    case MitigationPolicy::kAuto: return "auto";
+  }
+  return "?";
+}
 
 namespace {
 
@@ -265,22 +289,67 @@ util::Dollars spot_tier_cost(const cloud::SpotMarket& market, const cloud::Insta
   return util::Dollars{instance_dollars / std::max(1, type.physical_cores) * dockers};
 }
 
+/// Master-side recovery timeline of a repair-in-place or elastic run:
+/// detection, replacement Ready and training resume as instant events next
+/// to the trainer's inject/recover pair, with one journal detection/
+/// mitigation pair per fired crash.
+void record_recovery(telemetry::Telemetry& tel, const JobRun& run) {
+  std::size_t k = 0;
+  double recovery_total = 0.0;
+  for (const auto& outcome : run.training.faults.events) {
+    if (outcome.spec.kind != faults::FaultKind::kCrash) continue;
+    if (k >= run.replacement_provisioning.size()) break;
+    const double provision = run.replacement_provisioning[k++];
+    if (!outcome.fired) continue;
+    // The first crash is the one an elastic re-plan answers: the job resumes
+    // on the new cluster, not on a repaired node.
+    const bool elastic_resume = k == 1 && run.replanned;
+    const double detected = outcome.injected_at + kDetectionSeconds.value();
+    const double resumed = elastic_resume ? run.resume_at : outcome.recovered_at;
+    tel.tracer.instant("faults", "detect:" + outcome.spec.to_string(), "recovery", detected);
+    tel.tracer.instant("faults", "replacement_ready", "recovery", detected + provision);
+    tel.journal.event(detected, telemetry::JournalKind::kDetection, outcome.spec.to_string(),
+                      "heartbeat timeout", kDetectionSeconds.value());
+    if (resumed >= 0.0) {
+      tel.tracer.instant("faults", "resume", "recovery", resumed);
+      tel.journal.event(resumed, telemetry::JournalKind::kMitigation,
+                        elastic_resume ? "elastic-replan" : "repair-in-place",
+                        outcome.spec.to_string());
+    }
+    recovery_total += kDetectionSeconds.value() + provision + run.restore.value();
+  }
+  if (recovery_total > 0.0) {
+    tel.metrics.counter(metric::kFaultRecoverySeconds).inc(recovery_total);
+  }
+}
+
 }  // namespace
 
-JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan& plan,
-                   const faults::FaultSchedule& schedule, const core::ProvisionGoal& goal,
-                   const SentinelOptions& options, const core::Provisioner* provisioner,
-                   bool cut_at_first_crash, const SpotFleet* spot) {
-  if (!plan.feasible) throw std::invalid_argument("execute_job: infeasible plan");
-  if (spot != nullptr && (!schedule.empty() || options.enabled || cut_at_first_crash)) {
-    throw std::invalid_argument(
-        "execute_job: a spot run takes no fault schedule, sentinel or elastic cut");
+JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
+  const ddnn::WorkloadSpec& workload = spec.workload;
+  const core::ProvisionPlan& plan = spec.plan;
+  const core::ProvisionGoal& goal = spec.goal;
+  const faults::FaultSchedule& schedule = spec.faults;
+  const Sentinel* sentinel = std::get_if<Sentinel>(&spec.policy);
+  const bool elastic = std::holds_alternative<Elastic>(spec.policy);
+  const Spot* spot = std::get_if<Spot>(&spec.policy);
+  if (!plan.feasible || (spot != nullptr && !spot->answer.feasible)) {
+    throw std::invalid_argument("execute_job: infeasible plan");
+  }
+  if (elastic && provisioner == nullptr) {
+    throw std::invalid_argument("execute_job: elastic re-planning needs a Provisioner");
+  }
+  if (spot != nullptr && !schedule.empty()) {
+    throw std::invalid_argument("execute_job: a spot run takes no fault schedule");
+  }
+  // A durable answer has no spot tier: it runs as repair-in-place.
+  if (spot != nullptr && spot->answer.durability == core::FleetDurability::kDurable) {
+    spot = nullptr;
   }
   schedule.validate(plan.n_workers, plan.n_ps);
 
   JobRun run;
-  SentinelReport& report = run.report;
-  report.plan = plan;
+  run.plan = plan;
   // Checkpoint restore: the parameter payload read back from durable storage.
   const double restore_seconds = (workload.gparam / core::kCheckpointBandwidth).value();
   run.restore = util::Seconds{restore_seconds};
@@ -290,12 +359,11 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // checkpoint restore, and the trainer rides through the outage.
   faults::FaultSchedule enriched;
   double first_crash_at = -1.0;
-  for (const faults::FaultSpec& spec : schedule.events()) {
-    faults::FaultSpec event = spec;
+  for (faults::FaultSpec event : schedule.events()) {
     if (event.kind == faults::FaultKind::kCrash) {
       if (first_crash_at < 0.0) first_crash_at = event.time_seconds;
       const double provision = measure_replacement(
-          plan, replacement_seed(options.seed, run.replacement_provisioning.size()));
+          plan, replacement_seed(spec.seed, run.replacement_provisioning.size()));
       run.replacement_provisioning.push_back(provision);
       event.recovery_seconds = kDetectionSeconds.value() + provision + restore_seconds;
     }
@@ -304,30 +372,27 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
 
   sim::Simulator control_plane;
   cloud::BillingMeter billing;
-  ClusterManager manager(control_plane, billing, options.seed);
-  telemetry::Telemetry* tel = options.training.telemetry;
+  ClusterManager manager(control_plane, billing, spec.seed);
+  telemetry::Telemetry* tel = spec.training.telemetry;
   if (tel != nullptr) manager.set_telemetry(tel);
   Deployment deployment = manager.deploy(plan);
-  report.provisioning_seconds = deployment.provisioning_seconds();
+  run.provisioning = util::Seconds{deployment.provisioning_seconds()};
 
   // A spot run launches when the bid first holds and starts training once the
   // deployment is Ready; the market's revocations are its only faults.
-  ddnn::TrainOptions training = options.training;
+  ddnn::TrainOptions training = spec.training;
   std::vector<cloud::HeldWindow> held;  // the spot tier's windows, market clock
   double launch = 0.0;
   int spot_ps = 0;  // PS shards on spot (all-spot) rather than on-demand
   if (spot != nullptr) {
     const core::SpotProvisionPlan& answer = spot->answer;
-    if (!answer.feasible || answer.durability == core::FleetDurability::kDurable) {
-      throw std::invalid_argument("execute_job: the spot input needs a mixed or all-spot answer");
-    }
     const std::string& type = plan.type.name;
     const double bid = answer.bid.value();
     const std::vector<cloud::HeldWindow> first =
-        spot->market.held_windows(type, bid, 0.0, kSpotWalk.value());
+        spot->market.get().held_windows(type, bid, 0.0, kSpotWalk.value());
     if (first.empty()) throw std::invalid_argument("execute_job: the spot bid never holds");
     launch = first.front().start;
-    held = spot->market.held_windows(type, bid, launch, launch + kSpotWalk.value());
+    held = spot->market.get().held_windows(type, bid, launch, launch + kSpotWalk.value());
     double restart = core::kRestartDelay.value();
     if (answer.durability == core::FleetDurability::kAllSpot) {
       // The PS tier is revoked too: every restart reads the checkpoint back,
@@ -342,7 +407,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       training.checkpoint_interval_iterations = std::max<long>(
           1, std::lround(answer.checkpoint_interval.value() / seconds_per_update));
     }
-    enriched = revocation_crashes(held, launch + report.provisioning_seconds, restart,
+    enriched = revocation_crashes(held, launch + run.provisioning.value(), restart,
                                   plan.n_workers, spot_ps);
   }
 
@@ -350,9 +415,9 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // once up front on a dedicated clock (a straggler replacement walks the
   // same kubeadm-join lifecycle as a crash replacement).
   const double replace_delay =
-      options.enabled
+      sentinel != nullptr
           ? kDetectionSeconds.value() +
-                measure_replacement(plan, replacement_seed(options.seed, 97)) + restore_seconds
+                measure_replacement(plan, replacement_seed(spec.seed, 97)) + restore_seconds
           : -1.0;
 
   const long total_iterations = plan.total_iterations;
@@ -363,10 +428,10 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // still clear l_g (with the verdict's 5% tolerance).
   bool ssp_downgrade_allowed = workload.sync == ddnn::SyncMode::BSP;
   if (ssp_downgrade_allowed && goal.target_loss > 0.0) {
-    const double ssp_final = ddnn::loss_model(
-        workload.loss_for(ddnn::SyncMode::SSP), ddnn::SyncMode::SSP,
-        static_cast<double>(total_iterations), plan.n_workers,
-        std::max(1, options.ssp_staleness_bound));
+    const double ssp_final =
+        ddnn::loss_model(workload.loss_for(ddnn::SyncMode::SSP), ddnn::SyncMode::SSP,
+                         static_cast<double>(total_iterations), plan.n_workers,
+                         kSspStalenessBound);
     ssp_downgrade_allowed = ssp_final <= goal.target_loss * 1.05;
   }
 
@@ -378,7 +443,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   double elapsed = 0.0;  ///< job clock at the current segment's start
   double gap = 0.0;      ///< reconfiguration pause before the current segment
   long done = 0;
-  int actions_remaining = options.max_actions;
+  int actions_remaining = kMaxActions;
   bool forecast_enabled = true;
   bool crash_replanned = false;  ///< a re-plan answered the first crash
   ddnn::TrainResult merged;
@@ -405,32 +470,30 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   std::vector<Lease> leases;
   double original_held_until = -1.0;  ///< < 0: until the job ends
 
-  const int max_segments = options.max_actions + 2;
+  const int max_segments = kMaxActions + 2;
   for (int seg_i = 0; seg_i < max_segments; ++seg_i) {
     StragglerDetector::Config dcfg;
-    dcfg.thresholds = options.thresholds;
-    dcfg.policy = options.policy;
+    dcfg.policy = sentinel != nullptr ? sentinel->mitigation : MitigationPolicy::kNone;
     dcfg.time_goal_seconds = forecast_enabled ? goal.time_goal.value() : 0.0;
     dcfg.elapsed_offset_seconds = elapsed;
     dcfg.iteration_offset = done;
     dcfg.total_iterations = total_iterations;
     dcfg.replacement_after_seconds = replace_delay;
-    dcfg.ssp_staleness_bound = options.ssp_staleness_bound;
     dcfg.allow_ssp_downgrade = ssp_downgrade_allowed;
     dcfg.actions_remaining = actions_remaining;
     dcfg.allow_stop = seg_i + 1 < max_segments;
-    StragglerDetector detector(dcfg, &report.detections, &report.mitigations);
+    StragglerDetector detector(dcfg, &run.detections, &run.mitigations);
 
     ddnn::TrainOptions o = training;
     o.iterations = total_iterations - done;
-    o.seed = seg_i == 0 ? options.seed : replacement_seed(options.seed, 400 + seg_i);
+    o.seed = seg_i == 0 ? spec.seed : replacement_seed(spec.seed, 400 + seg_i);
     o.faults = carried.schedule.empty() ? nullptr : &carried.schedule;
     o.loss_iteration_offset = done;
-    o.monitor = options.enabled ? &detector : nullptr;
+    o.monitor = sentinel != nullptr ? &detector : nullptr;
     o.excluded_workers = excluded;
     // Elastic recovery cuts the first segment when the first crash lands
     // (same-time events run in schedule order, so the crash fires first).
-    const bool crash_cut = seg_i == 0 && cut_at_first_crash && first_crash_at >= 0.0;
+    const bool crash_cut = seg_i == 0 && elastic && first_crash_at >= 0.0;
     o.stop_after_seconds = crash_cut ? std::max(first_crash_at, 1e-9) : 0.0;
 
     double saved_offset = 0.0;
@@ -453,7 +516,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     merged = seg_i == 0 ? seg
                         : merge_train_segments(merged, seg, util::Seconds{elapsed},
                                                util::Seconds{gap}, carried_ptr);
-    report.segments = seg_i + 1;
+    run.segments = seg_i + 1;
     done = merged.iterations;
 
     std::string reason = merged.monitor.stopped ? merged.monitor.stop_reason : "";
@@ -478,15 +541,15 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
       // Add one PS shard of the same type; resharding re-reads the
       // parameter payload onto the new shard before training resumes.
       const double provision = measure_replacement(
-          current_plan, replacement_seed(options.seed, 200 + seg_i));
+          current_plan, replacement_seed(spec.seed, 200 + seg_i));
       next_gap = kDetectionSeconds.value() + provision + restore_seconds;
       current_plan.n_ps += 1;
       cluster = ddnn::ClusterSpec::homogeneous(current_plan.type, current_plan.n_workers,
                                                current_plan.n_ps);
       leases.push_back({current_plan.type, 0, 1, elapsed + cut + kDetectionSeconds.value()});
-      report.added_ps += 1;
-      if (!report.mitigations.empty() && report.mitigations.back().action == "add-ps") {
-        report.mitigations.back().detail +=
+      run.added_ps += 1;
+      if (!run.mitigations.empty() && run.mitigations.back().action == "add-ps") {
+        run.mitigations.back().detail +=
             "; now " + std::to_string(current_plan.n_ps) + " PS shards";
       }
     } else if (reason == "replan" || reason == "crash") {
@@ -507,17 +570,17 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
                               kDetectionSeconds.value() - restore_seconds;
         core::Provisioner::ReplanDegradation degradation;
         degradation.capability_derate = derate;
-        degradation.slack_margin = options.thresholds.forecast_margin;
+        degradation.slack_margin = kForecastMargin;
         next = provisioner->replan(current_workload.sync, total_iterations - done,
                                    util::Seconds{budget}, {}, degradation);
       }
       if (next.feasible) {
-        report.replanned = true;
-        report.replacement_plan = next;
+        run.replanned = true;
+        run.replacement_plan = next;
         sim::Simulator control_plane2;
         cloud::BillingMeter billing2;
         ClusterManager manager2(control_plane2, billing2,
-                                replacement_seed(options.seed, 300 + seg_i));
+                                replacement_seed(spec.seed, 300 + seg_i));
         Deployment deployment2 = manager2.deploy(next);
         const double provision2 = deployment2.provisioning_seconds();
         cluster = deployment2.spec;
@@ -537,8 +600,8 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
           crash_replanned = true;
           run.replacement_provisioning.front() = provision2;
           run.resume_at = elapsed + cut + next_gap;
-        } else if (!report.mitigations.empty() && report.mitigations.back().action == "replan") {
-          report.mitigations.back().detail += "; -> " + next.type.name + " x" +
+        } else if (!run.mitigations.empty() && run.mitigations.back().action == "replan") {
+          run.mitigations.back().detail += "; -> " + next.type.name + " x" +
                                               std::to_string(next.n_workers) + "wk/" +
                                               std::to_string(next.n_ps) + "ps";
         }
@@ -548,14 +611,14 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
         // (nothing left to escalate to).
         forecast_enabled = false;
         if (ssp_downgrade_allowed && current_workload.sync == ddnn::SyncMode::BSP) {
-          switch_to_ssp(options.ssp_staleness_bound);
+          switch_to_ssp(kSspStalenessBound);
           merged.monitor.downgraded = true;
           merged.monitor.downgraded_at = elapsed + cut;
           merged.monitor.downgraded_at_iteration = done;
           merged.monitor.staleness_bound = current_workload.ssp_staleness_bound;
-          if (!report.mitigations.empty() && report.mitigations.back().action == "replan") {
-            report.mitigations.back().action = "ssp-downgrade";
-            report.mitigations.back().detail += "; replan infeasible";
+          if (!run.mitigations.empty() && run.mitigations.back().action == "replan") {
+            run.mitigations.back().action = "ssp-downgrade";
+            run.mitigations.back().detail += "; replan infeasible";
           }
         }
       }
@@ -590,9 +653,9 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     gap = next_gap;
   }
 
-  report.training = std::move(merged);
-  report.achieved_loss = report.training.final_loss;
-  const double job_end = report.training.total_time;
+  run.training = std::move(merged);
+  run.achieved_loss = run.training.final_loss;
+  const double job_end = run.training.total_time;
 
   // ---- billing ----
   // Original deployment: actual meter from launch until release (job end,
@@ -609,7 +672,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
                                dollars, what);
   };
   if (spot == nullptr) {
-    report.actual_cost = billing.total(util::Seconds{control_plane.now()});
+    run.actual_cost = billing.total(util::Seconds{control_plane.now()});
     if (tel != nullptr) {
       cloud::journal_meter_settlement(tel->journal, billing, util::Seconds{control_plane.now()},
                                       telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan,
@@ -619,16 +682,17 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     // The spot tier pays the market over its held windows from launch to the
     // end of the job, restart delays and restore reads included; a mixed
     // fleet's PS tier pays on-demand for the whole hold.
-    const double market_end = launch + report.provisioning_seconds + job_end;
+    const double market_end = launch + run.provisioning.value() + job_end;
     const int spot_dockers = plan.n_workers + spot_ps;
-    report.actual_cost = spot_tier_cost(spot->market, plan.type, held, market_end, spot_dockers);
+    run.actual_cost =
+        spot_tier_cost(spot->market.get(), plan.type, held, market_end, spot_dockers);
     journal_cost(telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan, "spot-tier",
-                 report.actual_cost.value(),
+                 run.actual_cost.value(),
                  plan.type.name + " x" + std::to_string(spot_dockers) + " spot");
     if (spot_ps == 0) {
       const util::Dollars ps_tier =
           core::plan_cost(plan.type, 0, plan.n_ps, util::Seconds{market_end - launch});
-      report.actual_cost += ps_tier;
+      run.actual_cost += ps_tier;
       journal_cost(telemetry::CostPhase::kTrain, telemetry::CostCause::kPlan, "ps-tier",
                    ps_tier.value(), plan.type.name + " x" + std::to_string(plan.n_ps));
     }
@@ -639,7 +703,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     const double window = std::max(0.0, job_end - lease.from_seconds);
     const util::Dollars dollars =
         core::plan_cost(lease.type, lease.n_workers, lease.n_ps, util::Seconds{window});
-    report.actual_cost += dollars;
+    run.actual_cost += dollars;
     journal_cost(lease.for_crash ? telemetry::CostPhase::kRecover
                                  : telemetry::CostPhase::kMitigate,
                  lease.for_crash ? telemetry::CostCause::kFault
@@ -649,11 +713,11 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
                      std::to_string(lease.n_ps) + "ps");
   }
   // Straggler replacements: one node each from blacklist+detection to end.
-  for (const ddnn::MonitorExclusion& e : report.training.monitor.exclusions) {
+  for (const ddnn::MonitorExclusion& e : run.training.monitor.exclusions) {
     if (e.replaced_at < 0.0) continue;  // permanent blacklist, no new node
     const double window = std::max(0.0, job_end - (e.at + kDetectionSeconds.value()));
     const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
-    report.actual_cost += dollars;
+    run.actual_cost += dollars;
     journal_cost(telemetry::CostPhase::kMitigate, telemetry::CostCause::kSentinelAction,
                  "replace-wk" + std::to_string(e.worker), dollars.value(), plan.type.name);
   }
@@ -661,7 +725,7 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
   // reacts until the end of training. The crash a re-plan answered is paid
   // for by the new cluster's lease.
   std::size_t k = 0;
-  for (const ddnn::FaultEventOutcome& outcome : report.training.faults.events) {
+  for (const ddnn::FaultEventOutcome& outcome : run.training.faults.events) {
     if (outcome.spec.kind != faults::FaultKind::kCrash) continue;
     if (k >= run.replacement_provisioning.size()) break;
     const double provision = run.replacement_provisioning[k++];
@@ -669,77 +733,68 @@ JobRun execute_job(const ddnn::WorkloadSpec& workload, const core::ProvisionPlan
     const double tail = job_end - (outcome.injected_at + kDetectionSeconds.value() + provision);
     const double window = provision + std::max(0.0, tail);
     const util::Dollars dollars = core::plan_cost(plan.type, 1, 0, util::Seconds{window});
-    report.actual_cost += dollars;
+    run.actual_cost += dollars;
     journal_cost(telemetry::CostPhase::kRecover, telemetry::CostCause::kFault,
                  "crash-replacement-" + std::to_string(k - 1), dollars.value(), plan.type.name);
   }
 
-  report.time_goal_met = job_end <= goal.time_goal.value();
-  report.loss_goal_met = report.achieved_loss <= goal.target_loss * 1.05;
+  run.time_goal_met = job_end <= goal.time_goal.value();
+  run.loss_goal_met = run.achieved_loss <= goal.target_loss * 1.05;
 
   if (tel != nullptr) {
     auto& mtr = tel->metrics;
-    if (!report.detections.empty()) {
+    if (!run.detections.empty()) {
       mtr.counter(metric::kSentinelDetections)
-          .inc(static_cast<double>(report.detections.size()));
+          .inc(static_cast<double>(run.detections.size()));
     }
-    if (!report.mitigations.empty()) {
+    if (!run.mitigations.empty()) {
       mtr.counter(metric::kSentinelMitigations)
-          .inc(static_cast<double>(report.mitigations.size()));
+          .inc(static_cast<double>(run.mitigations.size()));
     }
-    if (report.training.monitor.downgraded) mtr.counter(metric::kSentinelSspDowngrades).inc();
-    if (report.added_ps > 0) {
-      mtr.counter(metric::kSentinelAddedPs).inc(static_cast<double>(report.added_ps));
+    if (run.training.monitor.downgraded) mtr.counter(metric::kSentinelSspDowngrades).inc();
+    if (run.added_ps > 0) {
+      mtr.counter(metric::kSentinelAddedPs).inc(static_cast<double>(run.added_ps));
     }
-    if (report.replanned && !crash_replanned) mtr.counter(metric::kSentinelReplans).inc();
-    if (spot_ps > 0 && report.training.faults.crashes > 0) {
+    if (run.replanned && !crash_replanned) mtr.counter(metric::kSentinelReplans).inc();
+    if (spot_ps > 0 && run.training.faults.crashes > 0) {
       // One checkpoint read per all-spot revocation, which crashes every node.
-      const long revocations = report.training.faults.crashes / (plan.n_workers + spot_ps);
+      const long revocations = run.training.faults.crashes / (plan.n_workers + spot_ps);
       mtr.counter(metric::kRestoreSeconds).inc(restore_seconds * static_cast<double>(revocations));
     }
     // The gauge holds the fully-attributed job cost; the journal's cost
     // ledger sums to exactly this value.
-    mtr.gauge(metric::kBillingDollars).set(report.actual_cost.value());
+    mtr.gauge(metric::kBillingDollars).set(run.actual_cost.value());
 
-    for (const DetectionEvent& d : report.detections) {
+    for (const DetectionEvent& d : run.detections) {
       tel->journal.event(
-          d.at_seconds, telemetry::JournalKind::kDetection,
+          d.at.value(), telemetry::JournalKind::kDetection,
           d.worker >= 0 ? d.kind + ":wk" + std::to_string(d.worker) : d.kind,
           "severity " + std::to_string(d.severity), d.severity);
     }
-    for (const MitigationRecord& m : report.mitigations) {
-      tel->journal.event(m.at_seconds, telemetry::JournalKind::kMitigation, m.action, m.detail);
+    for (const MitigationRecord& m : run.mitigations) {
+      tel->journal.event(m.at.value(), telemetry::JournalKind::kMitigation, m.action, m.detail);
     }
-    if (report.replanned) {
+    if (run.replanned) {
       tel->journal.event(job_end, telemetry::JournalKind::kReplan,
                          crash_replanned ? "recovery" : "sentinel",
-                         "replan -> " + report.replacement_plan.describe());
+                         "replan -> " + run.replacement_plan.describe());
     }
-    tel->journal.verdict(job_end, "time-goal", report.time_goal_met, goal.time_goal.value(),
+    tel->journal.verdict(job_end, "time-goal", run.time_goal_met, goal.time_goal.value(),
                          job_end);
     if (goal.target_loss > 0.0) {
-      tel->journal.verdict(job_end, "loss-goal", report.loss_goal_met, goal.target_loss,
-                           report.achieved_loss);
+      tel->journal.verdict(job_end, "loss-goal", run.loss_goal_met, goal.target_loss,
+                           run.achieved_loss);
     }
     // A spot run answers for plan_spot's expected cost, not the nominal one.
     const double expected_cost =
         spot != nullptr ? spot->answer.expected_cost.value() : plan.predicted_cost.value();
     if (expected_cost > 0.0) {
-      tel->journal.verdict(job_end, "cost", report.actual_cost.value() <= expected_cost * 1.1,
-                           expected_cost, report.actual_cost.value());
+      tel->journal.verdict(job_end, "cost", run.actual_cost.value() <= expected_cost * 1.1,
+                           expected_cost, run.actual_cost.value());
     }
+    if (sentinel == nullptr && spot == nullptr) record_recovery(*tel, run);
   }
   return run;
-}
-
-JobRun run_on_spot(const cloud::SpotMarket& market, const ddnn::WorkloadSpec& workload,
-                   const core::SpotProvisionPlan& answer, const core::ProvisionGoal& goal,
-                   const SentinelOptions& options) {
-  if (answer.durability == core::FleetDurability::kDurable) {
-    return execute_job(workload, answer.plan, {}, goal, options, nullptr, false);
-  }
-  const SpotFleet fleet{market, answer};
-  return execute_job(workload, answer.plan, {}, goal, options, nullptr, false, &fleet);
 }
 
 }  // namespace cynthia::orch

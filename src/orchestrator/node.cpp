@@ -1,19 +1,6 @@
 #include "orchestrator/node.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace cynthia::orch {
-
-double JoinRetryPolicy::delay_seconds(int round, util::Rng& rng) const {
-  if (round < 0) throw std::invalid_argument("JoinRetryPolicy: round must be >= 0");
-  if (base_seconds <= 0.0) return 0.0;
-  if (growth <= 0.0) throw std::invalid_argument("JoinRetryPolicy: growth must be > 0");
-  double delay = std::min(base_seconds * std::pow(growth, round), max_seconds);
-  if (jitter > 0.0) delay *= rng.jitter(jitter);
-  return delay;
-}
 
 std::string to_string(NodeState state) {
   switch (state) {

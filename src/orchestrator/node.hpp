@@ -49,23 +49,6 @@ struct NodeTimings {
   }
 };
 
-/// Backoff schedule for re-launching nodes whose kubeadm join failed.
-/// Round k (0-based) waits base_seconds * growth^k, capped at max_seconds,
-/// with a seeded +/- jitter fraction so concurrent deployments do not retry
-/// in lockstep. The default base of 0 re-launches immediately — the
-/// historical behavior — so existing deployment timelines are unchanged.
-struct JoinRetryPolicy {
-  double base_seconds = 0.0;
-  double growth = 2.0;
-  double max_seconds = 60.0;
-  double jitter = 0.0;  ///< +/- fraction applied via util::Rng::jitter
-
-  /// Delay before replacement round `round` (0-based). Draws from `rng`
-  /// only when both the base and the jitter are positive, so a zero-delay
-  /// policy never perturbs the caller's random stream.
-  [[nodiscard]] double delay_seconds(int round, util::Rng& rng) const;
-};
-
 /// One managed instance.
 struct Node {
   NodeId id = 0;

@@ -2,36 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "orchestrator/executor.hpp"
 #include "util/check.hpp"
 
 namespace cynthia::orch {
-
-MitigationPolicy parse_mitigation_policy(const std::string& name) {
-  if (name == "none") return MitigationPolicy::kNone;
-  if (name == "replace") return MitigationPolicy::kReplace;
-  if (name == "add-ps") return MitigationPolicy::kAddPs;
-  if (name == "ssp") return MitigationPolicy::kSsp;
-  if (name == "replan") return MitigationPolicy::kReplan;
-  if (name == "auto") return MitigationPolicy::kAuto;
-  throw std::invalid_argument("unknown mitigation policy '" + name +
-                              "' (none|replace|add-ps|ssp|replan|auto)");
-}
-
-const char* to_string(MitigationPolicy policy) {
-  switch (policy) {
-    case MitigationPolicy::kNone: return "none";
-    case MitigationPolicy::kReplace: return "replace";
-    case MitigationPolicy::kAddPs: return "add-ps";
-    case MitigationPolicy::kSsp: return "ssp";
-    case MitigationPolicy::kReplan: return "replan";
-    case MitigationPolicy::kAuto: return "auto";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -51,14 +27,7 @@ double median_of(const std::vector<double>& values, std::vector<double>& scratch
 
 StragglerDetector::StragglerDetector(Config config, std::vector<DetectionEvent>* detections,
                                      std::vector<MitigationRecord>* mitigations)
-    : cfg_(config), detections_(detections), mitigations_(mitigations) {
-  if (cfg_.thresholds.ewma_alpha <= 0.0 || cfg_.thresholds.ewma_alpha > 1.0) {
-    throw std::invalid_argument("StragglerDetector: ewma_alpha must be in (0, 1]");
-  }
-  if (cfg_.thresholds.hysteresis_probes < 1) {
-    throw std::invalid_argument("StragglerDetector: hysteresis_probes must be >= 1");
-  }
-}
+    : cfg_(config), detections_(detections), mitigations_(mitigations) {}
 
 ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   // One detector watches one segment, whose simulator clock never rewinds.
@@ -67,21 +36,21 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   ++probes_;
   const int n = static_cast<int>(probe.worker_busy_seconds.size());
   if (static_cast<int>(ewma_.size()) != n) ewma_.assign(n, -1.0);
-  const double alpha = cfg_.thresholds.ewma_alpha;
   for (int j = 0; j < n; ++j) {
     const double x = probe.worker_busy_seconds[j];
     if (x < 0.0) continue;
-    ewma_[j] = ewma_[j] < 0.0 ? x : alpha * x + (1.0 - alpha) * ewma_[j];
+    ewma_[j] = ewma_[j] < 0.0 ? x : kEwmaAlpha * x + (1.0 - kEwmaAlpha) * ewma_[j];
   }
   if (probe.iteration > last_iteration_) {
     const double per_iter =
         (probe.now - last_now_) / static_cast<double>(probe.iteration - last_iteration_);
-    iter_ewma_ = iter_ewma_ < 0.0 ? per_iter : alpha * per_iter + (1.0 - alpha) * iter_ewma_;
+    iter_ewma_ = iter_ewma_ < 0.0 ? per_iter
+                                  : kEwmaAlpha * per_iter + (1.0 - kEwmaAlpha) * iter_ewma_;
   }
   last_now_ = probe.now;
   last_iteration_ = probe.iteration;
 
-  if (probes_ <= cfg_.thresholds.warmup_probes) return {};
+  if (probes_ <= kWarmupProbes) return {};
   if (probe.now < cooldown_until_) return {};
 
   // --- straggler: robust z-score of the slowest baseline vs the cluster ---
@@ -107,7 +76,7 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
     // Both gates: the z-score alone explodes on a healthy near-uniform
     // cluster (tiny MAD), the ratio alone misses subtle-but-systematic
     // stragglers on a noisy one.
-    straggler = worst_val >= med * cfg_.thresholds.min_ratio && z >= cfg_.thresholds.mad_z;
+    straggler = worst_val >= med * kMinRatio && z >= kMadZ;
   }
   if (straggler && worst == straggler_worker_) {
     ++straggler_streak_;
@@ -122,7 +91,7 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   // --- PS bottleneck: the fluid model's binding-constraint fractions ---
   const double sat =
       std::max(probe.ps_nic_saturated_fraction, probe.ps_cpu_saturated_fraction);
-  if (sat >= cfg_.thresholds.ps_saturation_fraction) {
+  if (sat >= kPsSaturationFraction) {
     ++ps_streak_;
   } else {
     ps_streak_ = 0;
@@ -136,7 +105,7 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
         cfg_.total_iterations - (cfg_.iteration_offset + probe.iteration);
     const double projected = cfg_.elapsed_offset_seconds + probe.now +
                              iter_ewma_ * static_cast<double>(std::max<long>(0, remaining));
-    const double budget = cfg_.time_goal_seconds * (1.0 - cfg_.thresholds.forecast_margin);
+    const double budget = cfg_.time_goal_seconds * (1.0 - kForecastMargin);
     overrun = projected / std::max(1e-12, budget);
     forecast_miss = projected > budget;
   }
@@ -148,9 +117,9 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
 
   // Priority: a named straggler explains the symptom best; the PS bottleneck
   // explains a uniformly slow cluster; the forecast is the catch-all.
-  const int h = cfg_.thresholds.hysteresis_probes;
+  const int h = kHysteresisProbes;
   DetectionEvent event;
-  event.at_seconds = cfg_.elapsed_offset_seconds + probe.now;
+  event.at = util::Seconds{cfg_.elapsed_offset_seconds + probe.now};
   if (straggler_streak_ >= h) {
     event.kind = "straggler";
     event.worker = straggler_worker_;
@@ -172,7 +141,7 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
   if (detections_ != nullptr) detections_->push_back(event);
   // Every detection starts a cooldown — even an unactionable one — so a
   // persistent condition is reported once per window, not every probe.
-  cooldown_until_ = probe.now + cfg_.thresholds.cooldown_seconds;
+  cooldown_until_ = probe.now + kCooldown.value();
   straggler_streak_ = 0;
   straggler_worker_ = -1;
   ps_streak_ = 0;
@@ -182,7 +151,7 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
   const bool is_auto = cfg_.policy == MitigationPolicy::kAuto;
   ddnn::MonitorAction action;
   MitigationRecord record;
-  record.at_seconds = event.at_seconds;
+  record.at = event.at;
 
   if (event.kind == "straggler") {
     if (is_auto || cfg_.policy == MitigationPolicy::kReplace) {
@@ -199,7 +168,7 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
         return {};
       }
       action.kind = ddnn::MonitorAction::Kind::kDowngradeSsp;
-      action.staleness_bound = cfg_.ssp_staleness_bound;
+      action.staleness_bound = kSspStalenessBound;
       action.reason = "straggler:wk" + std::to_string(event.worker);
       record.action = "ssp-downgrade";
     } else {
@@ -219,7 +188,7 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
         probe.mode == ddnn::SyncMode::BSP && cfg_.allow_ssp_downgrade && cfg_.allow_stop;
     if ((cfg_.policy == MitigationPolicy::kSsp || is_auto) && can_ssp) {
       action.kind = ddnn::MonitorAction::Kind::kDowngradeSsp;
-      action.staleness_bound = cfg_.ssp_staleness_bound;
+      action.staleness_bound = kSspStalenessBound;
       action.reason = "slo-forecast";
       record.action = "ssp-downgrade";
     } else if (cfg_.policy == MitigationPolicy::kSsp) {
@@ -240,18 +209,16 @@ ddnn::MonitorAction StragglerDetector::act(const DetectionEvent& event,
   return action;
 }
 
-// ----------------------------------------------------------- sentinel
+// ----------------------------------------------------------- adapter
 
 SloSentinel::SloSentinel(SentinelOptions options) : options_(std::move(options)) {}
 
 SentinelReport SloSentinel::run(const ddnn::WorkloadSpec& workload,
                                 const core::ProvisionPlan& plan,
                                 const faults::FaultSchedule& schedule,
-                                const core::ProvisionGoal& goal,
-                                const core::Provisioner* provisioner) const {
-  return execute_job(workload, plan, schedule, goal, options_, provisioner,
-                     /*cut_at_first_crash=*/false)
-      .report;
+                                const core::ProvisionGoal& goal) const {
+  return execute_job({workload, plan, goal, schedule, Sentinel{options_.policy}, options_.seed,
+                      options_.training});
 }
 
 }  // namespace cynthia::orch

@@ -210,7 +210,8 @@ std::vector<JobRequest> TrafficGenerator::generate() const {
     JobRequest job;
     job.id = static_cast<long>(out.size());
     job.arrival = util::Seconds{t};
-    job.tenant = "t" + std::to_string(rng.uniform_int(0, options_.tenants - 1));
+    job.tenant = "t";
+    job.tenant += std::to_string(rng.uniform_int(0, options_.tenants - 1));
     job.max_queue_wait = options_.patience;
 
     double pick = rng.uniform(0.0, weight_total);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -21,10 +22,9 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
-#include "orchestrator/recovery.hpp"
-#include "orchestrator/sentinel.hpp"
+#include "core/predictor.hpp"
 #include "orchestrator/executor.hpp"
-#include "orchestrator/service.hpp"
+#include "orchestrator/sentinel.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace cc = cynthia::cloud;
@@ -63,12 +63,11 @@ core::SpotProvisionPlan spot_answer(const cc::SpotMarket& market,
 
 orch::JobRun run_spot(const cc::SpotMarket& market, const core::SpotProvisionPlan& answer,
                       ct::Telemetry* tel) {
-  orch::SentinelOptions o;
-  o.enabled = false;
-  o.seed = 7;
-  o.training.telemetry = tel;
-  return orch::run_on_spot(market, cd::workload_by_name("cifar10"), answer,
-                           {cu::hours(12.0), 1e9}, o);
+  orch::JobSpec spec{cd::workload_by_name("cifar10"), answer.plan, {cu::hours(12.0), 1e9}};
+  spec.policy = orch::Spot{market, answer};
+  spec.seed = 7;
+  spec.training.telemetry = tel;
+  return orch::execute_job(spec);
 }
 
 // Orders every scalar a run produces into one comparable digest.
@@ -89,9 +88,9 @@ RunDigest spot_digest(std::uint64_t market_seed) {
   ct::Telemetry tel;
   const auto r = run_spot(market, spot_answer(market, core::FleetDurability::kAllSpot, 3, 400, 1.6),
                           &tel);
-  const cd::TrainResult& t = r.report.training;
-  return {t.total_time,         r.report.provisioning_seconds, r.report.actual_cost.value(),
-          t.faults.crashes,     t.faults.lost_iterations,      t.iterations,
+  const cd::TrainResult& t = r.training;
+  return {t.total_time,     r.provisioning.value(),   r.actual_cost.value(),
+          t.faults.crashes, t.faults.lost_iterations, t.iterations,
           tel.journal.digest()};
 }
 
@@ -220,10 +219,11 @@ TEST(Determinism, NeverActingMonitorIsBitIdenticalUnderFaults) {
 //
 // The tests above compare two runs of the same build. These pin the job
 // paths' outputs to constants, so a refactor that changes every run the same
-// way still fails: TrainingService::submit, RecoveryController::run
-// (repair-in-place, with the fault-free baseline), SloSentinel::run
-// (without a provisioner, journal digest included) and run_on_spot (mixed
-// and all-spot fleets on two markets, journal digest included).
+// way still fails. Every job runs on orch::execute_job: the profile -> plan
+// -> execute pipeline, repair-in-place (with the fault-free baseline run
+// beside it), the sentinel (without a provisioner, journal digest included;
+// also through the SloSentinel adapter bench/e2e calls) and spot (mixed and
+// all-spot fleets on two markets, journal digest included).
 
 namespace {
 
@@ -318,42 +318,64 @@ const FaultCase kFaultCases[] = {
      1800.0, 20.0},
 };
 
-std::uint64_t repair_digest(const FaultCase& c) {
-  const auto& w = cd::workload_by_name(c.workload);
-  orch::RecoveryOptions options;
-  options.seed = 7;
-  options.measure_baseline = true;
-  const auto r = orch::RecoveryController(options).run(
-      w, pinned_plan(c.n_workers, c.n_ps, c.iterations), cf::FaultSchedule::parse(c.schedule),
-      {cu::Seconds{c.tg_seconds}, c.target_loss});
-  Fold f;
-  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.provisioning_seconds);
-  f.add(r.restore_seconds).add(r.replacement_provisioning).add(r.resume_at);
-  f.add(r.actual_cost.value()).add(r.time_goal_met).add(r.loss_goal_met);
-  f.add(r.baseline_seconds).add(r.baseline_cost.value()).add(r.extra_seconds);
-  return f.add(r.extra_cost.value()).value();
+orch::JobSpec fault_spec(const FaultCase& c, orch::JobPolicy policy) {
+  orch::JobSpec spec{cd::workload_by_name(c.workload),
+                     pinned_plan(c.n_workers, c.n_ps, c.iterations),
+                     {cu::Seconds{c.tg_seconds}, c.target_loss},
+                     cf::FaultSchedule::parse(c.schedule),
+                     std::move(policy)};
+  spec.seed = 7;
+  return spec;
 }
 
+/// Repair-in-place, folded with its fault-free baseline: the same spec run
+/// again with no faults.
+std::uint64_t repair_digest(const FaultCase& c) {
+  orch::JobSpec spec = fault_spec(c, orch::RepairInPlace{});
+  const orch::JobRun r = orch::execute_job(spec);
+  spec.faults = {};
+  const orch::JobRun baseline = orch::execute_job(spec);
+  Fold f;
+  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.provisioning.value());
+  f.add(r.restore.value()).add(r.replacement_provisioning).add(r.resume_at);
+  f.add(r.actual_cost.value()).add(r.time_goal_met).add(r.loss_goal_met);
+  f.add(baseline.training.total_time).add(baseline.actual_cost.value());
+  f.add(r.training.total_time - baseline.training.total_time);
+  return f.add(r.actual_cost.value() - baseline.actual_cost.value()).value();
+}
+
+std::uint64_t sentinel_fold(const orch::JobRun& r, const ct::Telemetry& tel) {
+  Fold f;
+  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.added_ps).add(r.segments);
+  f.add(r.provisioning.value()).add(r.actual_cost.value()).add(r.time_goal_met);
+  f.add(r.loss_goal_met);
+  for (const orch::DetectionEvent& d : r.detections) {
+    f.add(d.at.value()).add(d.kind).add(d.worker).add(d.severity);
+  }
+  for (const orch::MitigationRecord& m : r.mitigations) {
+    f.add(m.at.value()).add(m.action).add(m.detail);
+  }
+  return f.add(tel.journal.digest()).value();
+}
+
+/// The sentinel case through execute_job under the Sentinel policy.
 std::uint64_t sentinel_digest(const FaultCase& c) {
-  const auto& w = cd::workload_by_name(c.workload);
+  ct::Telemetry tel;
+  orch::JobSpec spec = fault_spec(c, orch::Sentinel{});
+  spec.training.telemetry = &tel;
+  return sentinel_fold(orch::execute_job(spec), tel);
+}
+
+/// The same case through the SloSentinel adapter, bench/e2e's path.
+std::uint64_t adapter_digest(const FaultCase& c) {
   ct::Telemetry tel;
   orch::SentinelOptions options;
   options.seed = 7;
   options.training.telemetry = &tel;
   const auto r = orch::SloSentinel(options).run(
-      w, pinned_plan(c.n_workers, c.n_ps, c.iterations), cf::FaultSchedule::parse(c.schedule),
-      {cu::Seconds{c.tg_seconds}, c.target_loss});
-  Fold f;
-  f.add(r.training).add(r.achieved_loss).add(r.replanned).add(r.added_ps).add(r.segments);
-  f.add(r.provisioning_seconds).add(r.actual_cost.value()).add(r.time_goal_met);
-  f.add(r.loss_goal_met);
-  for (const orch::DetectionEvent& d : r.detections) {
-    f.add(d.at_seconds).add(d.kind).add(d.worker).add(d.severity);
-  }
-  for (const orch::MitigationRecord& m : r.mitigations) {
-    f.add(m.at_seconds).add(m.action).add(m.detail);
-  }
-  return f.add(tel.journal.digest()).value();
+      cd::workload_by_name(c.workload), pinned_plan(c.n_workers, c.n_ps, c.iterations),
+      cf::FaultSchedule::parse(c.schedule), {cu::Seconds{c.tg_seconds}, c.target_loss});
+  return sentinel_fold(r, tel);
 }
 
 }  // namespace
@@ -371,16 +393,22 @@ TEST(Determinism, PinnedSubmitDigests) {
       {"cifar10", 120.0, 0.8, 0x6450dbd5a3b0df31ull},
       {"vgg19", 60.0, 0.8, 0x46219d6838e59981ull},
   };
-  orch::TrainingService service;
   for (const Case& c : cases) {
-    const auto r = service.submit(cd::workload_by_name(c.workload),
-                                  {cu::minutes(c.tg_minutes), c.target_loss});
-    ASSERT_TRUE(r.has_value()) << c.workload;
+    // Profile on m4.xlarge, Algorithm 1 over the provisionable catalog, then
+    // one fault-free repair-in-place run of the plan.
+    const auto& w = cd::workload_by_name(c.workload);
+    const core::Predictor predictor = core::Predictor::build(w, m4());
+    const core::Provisioner provisioner(predictor.model(), predictor.loss(),
+                                        cc::Catalog::aws().provisionable());
+    const core::ProvisionGoal goal{cu::minutes(c.tg_minutes), c.target_loss};
+    const core::ProvisionPlan plan = provisioner.plan(w.sync, goal);
+    ASSERT_TRUE(plan.feasible) << c.workload;
+    const orch::JobRun r = orch::execute_job({w, plan, goal});
     Fold f;
-    f.add(r->plan.n_workers).add(r->plan.n_ps).add(r->plan.type.name);
-    f.add(r->plan.total_iterations).add(r->provisioning_seconds).add(r->training);
-    f.add(r->achieved_loss).add(r->actual_cost.value()).add(r->time_goal_met);
-    f.add(r->loss_goal_met);
+    f.add(plan.n_workers).add(plan.n_ps).add(plan.type.name);
+    f.add(plan.total_iterations).add(r.provisioning.value()).add(r.training);
+    f.add(r.achieved_loss).add(r.actual_cost.value()).add(r.time_goal_met);
+    f.add(r.loss_goal_met);
     EXPECT_EQ(hex(f.value()), hex(c.digest)) << c.workload;
   }
 }
@@ -400,6 +428,8 @@ TEST(Determinism, PinnedSentinelDigests) {
                                     0x19baee1e2e3c715full, 0xa8c7703042e4ce09ull};
   for (std::size_t i = 0; i < std::size(kFaultCases); ++i) {
     EXPECT_EQ(hex(sentinel_digest(kFaultCases[i])), hex(expected[i])) << kFaultCases[i].schedule;
+    EXPECT_EQ(hex(adapter_digest(kFaultCases[i])), hex(expected[i]))
+        << "SloSentinel: " << kFaultCases[i].schedule;
   }
 }
 
@@ -420,11 +450,11 @@ TEST(Determinism, PinnedSpotRunDigests) {
     ct::Telemetry tel;
     const auto r = run_spot(market, spot_answer(market, c.durability, 2, 600, 1.1), &tel);
     Fold f;
-    f.add(r.report.training).add(r.report.provisioning_seconds).add(r.report.actual_cost.value());
-    f.add(r.report.time_goal_met).add(r.restore.value());
+    f.add(r.training).add(r.provisioning.value()).add(r.actual_cost.value());
+    f.add(r.time_goal_met).add(r.restore.value());
     const std::string label =
         std::string(core::to_string(c.durability)) + " @ seed " + std::to_string(c.market_seed);
-    EXPECT_GT(r.report.training.faults.crashes, 0) << label;
+    EXPECT_GT(r.training.faults.crashes, 0) << label;
     EXPECT_EQ(hex(f.add(tel.journal.digest()).value()), hex(c.digest)) << label;
   }
 }

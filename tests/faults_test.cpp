@@ -3,13 +3,14 @@
 // Covers the determinism contract (same seed -> bit-identical schedule and
 // training digest; zero-fault schedule -> bit-identical to the fault-free
 // run), crash/rollback/recovery semantics under the runtime invariant
-// checker, the fluid capacity hook, and the recovery controller's
-// repair-in-place and elastic re-planning policies.
+// checker, the fluid capacity hook, and the job executor's repair-in-place
+// and elastic re-planning policies.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cloud/instance.hpp"
 #include "core/predictor.hpp"
@@ -17,8 +18,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
-#include "orchestrator/recovery.hpp"
-#include "orchestrator/service.hpp"
+#include "orchestrator/executor.hpp"
 #include "closure_fluid.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
@@ -344,7 +344,10 @@ TEST(FluidCapacity, RejectsNonPositiveCapacityAndBadId) {
   EXPECT_THROW(fluid.set_resource_capacity(cpu + 17, 10.0), std::out_of_range);
 }
 
-// ------------------------------------------------------ recovery controller
+// ------------------------------------------------- repair-in-place / elastic
+//
+// The RecoveryController suite name predates the one job API: these run
+// orch::execute_job under the RepairInPlace and Elastic policies.
 
 namespace {
 
@@ -359,6 +362,13 @@ core::ProvisionPlan manual_plan(int n_workers, int n_ps, long iterations) {
   return plan;
 }
 
+/// A job on 4 workers + 1 PS of m4.xlarge under `schedule` and `policy`.
+orch::JobSpec fault_job(const char* workload, long iterations, const char* schedule,
+                        const core::ProvisionGoal& goal, orch::JobPolicy policy = {}) {
+  return {cd::workload_by_name(workload), manual_plan(4, 1, iterations), goal,
+          cf::FaultSchedule::parse(schedule), std::move(policy)};
+}
+
 }  // namespace
 
 TEST(RecoveryController, RepairInPlaceHealsACrash) {
@@ -366,15 +376,12 @@ TEST(RecoveryController, RepairInPlaceHealsACrash) {
   // Compute-bound ASP workload: losing a worker visibly slows training, and
   // the run is long enough that the realistic replacement pipeline (~70 s of
   // boot + install + kubeadm join) completes inside it.
-  const auto& w = cd::workload_by_name("resnet32");
-  const auto plan = manual_plan(4, 1, 150);
-  const auto schedule = cf::FaultSchedule::parse("crash:wk1@30");  // no recovery given
-  orch::RecoveryOptions options;
-  options.seed = 7;
-  options.measure_baseline = true;
-  const orch::RecoveryController controller(options);
-  const core::ProvisionGoal goal{cynthia::util::Seconds{7200.0}, 20.0};
-  const auto report = controller.run(w, plan, schedule, goal);
+  orch::JobSpec spec = fault_job("resnet32", 150, "crash:wk1@30",  // no recovery given
+                                 {cynthia::util::Seconds{7200.0}, 20.0});
+  spec.seed = 7;
+  const auto report = orch::execute_job(spec);
+  spec.faults = {};
+  const auto baseline = orch::execute_job(spec);
   ASSERT_EQ(report.replacement_provisioning.size(), 1u);
   EXPECT_GT(report.replacement_provisioning[0], 0.0);
   EXPECT_EQ(report.training.faults.crashes, 1);
@@ -383,20 +390,17 @@ TEST(RecoveryController, RepairInPlaceHealsACrash) {
       << "the controller must have provisioned a replacement";
   EXPECT_EQ(report.training.iterations, 150);
   EXPECT_TRUE(report.time_goal_met);
-  EXPECT_GT(report.extra_seconds, 0.0) << "a missing worker slows a compute-bound job";
-  EXPECT_GT(report.actual_cost.value(), report.baseline_cost.value())
+  EXPECT_GT(report.training.total_time, baseline.training.total_time)
+      << "a missing worker slows a compute-bound job";
+  EXPECT_GT(report.actual_cost.value(), baseline.actual_cost.value())
       << "the replacement node and the longer run cost extra dollars";
-  EXPECT_EQ(report.extra_seconds, report.training.total_time - report.baseline_seconds);
 }
 
 TEST(RecoveryController, DeterministicAcrossRepeats) {
-  const auto& w = cd::workload_by_name("mnist");
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("crash:ps0@3;slow:wk0@1x2+4");
-  const orch::RecoveryController controller{orch::RecoveryOptions{}};
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-  const auto a = controller.run(w, plan, schedule, goal);
-  const auto b = controller.run(w, plan, schedule, goal);
+  const orch::JobSpec spec = fault_job("mnist", 300, "crash:ps0@3;slow:wk0@1x2+4",
+                                       {cynthia::util::Seconds{3600.0}, 1.0});
+  const auto a = orch::execute_job(spec);
+  const auto b = orch::execute_job(spec);
   expect_identical(a.training, b.training);
   EXPECT_EQ(a.actual_cost.value(), b.actual_cost.value());
   EXPECT_EQ(a.replacement_provisioning, b.replacement_provisioning);
@@ -409,13 +413,10 @@ TEST(RecoveryController, ElasticReplansAfterPsCrash) {
   const auto predictor = core::Predictor::build(w, baseline);
   const core::Provisioner provisioner(predictor.model(), predictor.loss(),
                                       cc::Catalog::aws().provisionable());
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("crash:ps0@3");
-  orch::RecoveryOptions options;
-  options.elastic = true;
-  const orch::RecoveryController controller(options);
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-  const auto report = controller.run(w, plan, schedule, goal, &provisioner);
+  const auto report = orch::execute_job(
+      fault_job("mnist", 300, "crash:ps0@3", {cynthia::util::Seconds{3600.0}, 1.0},
+                orch::Elastic{}),
+      &provisioner);
   EXPECT_GT(report.resume_at, 3.0) << "resume follows detection + provisioning + restore";
   EXPECT_TRUE(report.replacement_plan.feasible);
   EXPECT_EQ(report.training.iterations, 300)
@@ -440,14 +441,11 @@ TEST(RecoveryController, ElasticFallsBackToRepairInPlaceWhenNoReplanFits) {
   const auto predictor = core::Predictor::build(w, m4());
   const core::Provisioner provisioner(predictor.model(), predictor.loss(),
                                       cc::Catalog::aws().provisionable());
-  const auto plan = manual_plan(4, 1, 300);
   ct::Telemetry tel;
-  orch::RecoveryOptions options;
-  options.elastic = true;
-  options.training.telemetry = &tel;
-  const core::ProvisionGoal goal{cynthia::util::Seconds{8.0}, 1.0};
-  const auto report = orch::RecoveryController(options).run(
-      w, plan, cf::FaultSchedule::parse("crash:ps0@3"), goal, &provisioner);
+  orch::JobSpec spec =
+      fault_job("mnist", 300, "crash:ps0@3", {cynthia::util::Seconds{8.0}, 1.0}, orch::Elastic{});
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec, &provisioner);
   EXPECT_FALSE(report.replanned);
   EXPECT_EQ(report.training.iterations, 300);
   EXPECT_EQ(report.training.faults.crashes, 1);
@@ -460,13 +458,9 @@ TEST(RecoveryController, ElasticFallsBackToRepairInPlaceWhenNoReplanFits) {
 }
 
 TEST(RecoveryController, ElasticWithoutProvisionerThrows) {
-  const auto& w = cd::workload_by_name("mnist");
-  const auto plan = manual_plan(4, 1, 100);
-  orch::RecoveryOptions options;
-  options.elastic = true;
-  const orch::RecoveryController controller(options);
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-  EXPECT_THROW(controller.run(w, plan, cf::FaultSchedule::parse("crash:wk0@1"), goal),
+  EXPECT_THROW(orch::execute_job(fault_job("mnist", 100, "crash:wk0@1",
+                                           {cynthia::util::Seconds{3600.0}, 1.0},
+                                           orch::Elastic{})),
                std::invalid_argument);
 }
 
@@ -489,34 +483,16 @@ TEST(Provisioner, ReplanFindsFeasiblePlanForRemainingBudget) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------------- service pipeline
-
-TEST(TrainingService, SubmitWithFaultsReportsRecovery) {
-  const auto& w = cd::workload_by_name("mnist");
-  orch::TrainingService service;
-  const core::ProvisionGoal goal{cynthia::util::minutes(30.0), 0.9};
-  const auto schedule = cf::FaultSchedule::parse("crash:wk0@2");
-  const auto report = service.submit_with_faults(w, goal, schedule);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->plan.feasible);
-  EXPECT_GT(report->actual_cost.value(), 0.0);
-  EXPECT_EQ(report->training.iterations, report->plan.total_iterations);
-}
-
 // ------------------------------------------------ journal cost attribution
 
 TEST(RecoveryController, JournalLedgerSumsToActualCostExactly) {
   // Repair-in-place path: the original meter settlement plus per-crash
   // replacement deltas must reproduce report.actual_cost bit-for-bit.
-  const auto& w = cd::workload_by_name("mnist");
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("crash:ps0@3;slow:wk0@1x2+4");
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-
   ct::Telemetry tel;
-  orch::RecoveryOptions options;
-  options.training.telemetry = &tel;
-  const auto report = orch::RecoveryController(options).run(w, plan, schedule, goal);
+  orch::JobSpec spec = fault_job("mnist", 300, "crash:ps0@3;slow:wk0@1x2+4",
+                                 {cynthia::util::Seconds{3600.0}, 1.0});
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec);
   EXPECT_GE(report.training.faults.crashes, 1);
 
   const auto ledger = ct::CostLedger::from(tel.journal);
@@ -528,9 +504,8 @@ TEST(RecoveryController, JournalLedgerSumsToActualCostExactly) {
       << "crash replacements must be attributed to the recover phase";
 
   // ... and the journal must not perturb the run it observes.
-  orch::RecoveryOptions off = options;
-  off.training.telemetry = nullptr;
-  const auto plain = orch::RecoveryController(off).run(w, plan, schedule, goal);
+  spec.training.telemetry = nullptr;
+  const auto plain = orch::execute_job(spec);
   expect_identical(report.training, plain.training);
   EXPECT_EQ(report.actual_cost.value(), plain.actual_cost.value());
 }
@@ -542,16 +517,11 @@ TEST(RecoveryController, ElasticJournalLedgerSumsToActualCostExactly) {
   const auto predictor = core::Predictor::build(w, m4());
   const core::Provisioner provisioner(predictor.model(), predictor.loss(),
                                       cc::Catalog::aws().provisionable());
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("crash:ps0@3");
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-
   ct::Telemetry tel;
-  orch::RecoveryOptions options;
-  options.elastic = true;
-  options.training.telemetry = &tel;
-  const auto report =
-      orch::RecoveryController(options).run(w, plan, schedule, goal, &provisioner);
+  orch::JobSpec spec = fault_job("mnist", 300, "crash:ps0@3",
+                                 {cynthia::util::Seconds{3600.0}, 1.0}, orch::Elastic{});
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec, &provisioner);
   EXPECT_GE(report.training.faults.crashes, 1);
 
   const auto ledger = ct::CostLedger::from(tel.journal);

@@ -10,7 +10,7 @@
 #include "core/provisioner.hpp"
 #include "ddnn/loss.hpp"
 #include "ddnn/trainer.hpp"
-#include "orchestrator/service.hpp"
+#include "orchestrator/executor.hpp"
 #include "profiler/profiler.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -117,16 +117,25 @@ TEST(Integration, CostSavingVersusOptimusOnTightLossGoal) {
 }
 
 TEST(Integration, ServiceReportsConsistentAccounting) {
-  cynthia::orch::TrainingService service;
+  // The prototype's pipeline: profile on m4.xlarge, Algorithm 1 over the
+  // provisionable catalog, then provision, train and bill the plan.
   const auto& w = cd::workload_by_name("cifar10");
-  const auto report = service.submit(w, {cu::minutes(150), 0.8});
-  ASSERT_TRUE(report.has_value());
+  const auto pred = co::Predictor::build(w, m4());
+  const co::Provisioner provisioner(pred.model(), pred.loss(),
+                                    cc::Catalog::aws().provisionable());
+  const co::ProvisionGoal goal{cu::minutes(150), 0.8};
+  const auto plan = provisioner.plan(w.sync, goal);
+  ASSERT_TRUE(plan.feasible);
+  const auto report = cynthia::orch::execute_job({w, plan, goal});
   // Achieved loss close to target (the budget is sized for it).
-  EXPECT_NEAR(report->achieved_loss, 0.8, 0.08);
+  EXPECT_NEAR(report.achieved_loss, 0.8, 0.08);
   // Training consumed exactly the planned budget.
-  EXPECT_EQ(report->training.iterations, report->plan.total_iterations);
-  // The report's wall time is what the trainer measured.
-  EXPECT_GT(report->training.total_time, 0.0);
+  EXPECT_EQ(report.training.iterations, plan.total_iterations);
+  // The report's wall time is what the trainer measured, and the bill covers
+  // provisioning and training.
+  EXPECT_GT(report.training.total_time, 0.0);
+  EXPECT_GT(report.provisioning.value(), 0.0);
+  EXPECT_GT(report.actual_cost.value(), plan.predicted_cost.value() * 0.5);
 }
 
 TEST(Integration, RepeatedRunsAreStableAcrossSeeds) {

@@ -16,8 +16,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
-#include "orchestrator/recovery.hpp"
-#include "orchestrator/sentinel.hpp"
+#include "orchestrator/executor.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -43,37 +42,32 @@ core::ProvisionPlan manual_plan(int n_workers, int n_ps, long iterations) {
   return plan;
 }
 
-/// Repair-in-place fault run with an optional journal-bearing telemetry.
-orch::FaultRunReport fault_run(ct::Telemetry* tel, bool elastic = false) {
+/// Repair-in-place (or elastic) fault run with an optional journal-bearing
+/// telemetry.
+orch::JobRun fault_run(ct::Telemetry* tel, bool elastic = false) {
   const auto& w = cd::workload_by_name("mnist");
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("crash:ps0@3;slow:wk0@1x2+4");
-  orch::RecoveryOptions options;
-  options.elastic = elastic;
-  options.training.telemetry = tel;
-  const orch::RecoveryController controller(options);
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
+  orch::JobSpec spec{w, manual_plan(4, 1, 300), {cynthia::util::Seconds{3600.0}, 1.0},
+                     cf::FaultSchedule::parse("crash:ps0@3;slow:wk0@1x2+4")};
+  spec.training.telemetry = tel;
   if (elastic) {
+    spec.policy = orch::Elastic{};
     const auto pred = core::Predictor::build(w, m4());
     const core::Provisioner provisioner(pred.model(), pred.loss(),
                                         cc::Catalog::aws().provisionable());
-    return controller.run(w, plan, schedule, goal, &provisioner);
+    return orch::execute_job(spec, &provisioner);
   }
-  return controller.run(w, plan, schedule, goal);
+  return orch::execute_job(spec);
 }
 
 /// Sentinel straggler run (auto policy) with an optional telemetry bundle.
-orch::SentinelReport sentinel_run(ct::Telemetry* tel) {
-  const auto& w = cd::workload_by_name("mnist");
-  const auto plan = manual_plan(4, 1, 400);
-  const auto schedule = cf::FaultSchedule::parse("slow:wk1@1x4");
-  orch::SentinelOptions so;
-  so.policy = orch::MitigationPolicy::kAuto;
-  so.seed = 7;
-  so.training.telemetry = tel;
-  const orch::SloSentinel sentinel(so);
-  const core::ProvisionGoal goal{cynthia::util::Seconds{3600.0}, 1.0};
-  return sentinel.run(w, plan, schedule, goal);
+orch::JobRun sentinel_run(ct::Telemetry* tel) {
+  orch::JobSpec spec{cd::workload_by_name("mnist"), manual_plan(4, 1, 400),
+                     {cynthia::util::Seconds{3600.0}, 1.0},
+                     cf::FaultSchedule::parse("slow:wk1@1x4"),
+                     orch::Sentinel{orch::MitigationPolicy::kAuto}};
+  spec.seed = 7;
+  spec.training.telemetry = tel;
+  return orch::execute_job(spec);
 }
 
 }  // namespace

@@ -1,28 +1,26 @@
 // Tests for the Kubernetes-like control plane: master/join handshake, node
-// lifecycle, pod scheduling, deployment + billing, and the end-to-end
-// training service.
+// lifecycle, pod scheduling, and deployment + billing.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <regex>
 #include <vector>
 
 #include "cloud/instance.hpp"
 #include "cloud/pricing.hpp"
+#include "core/predictor.hpp"
 #include "core/provisioner.hpp"
+#include "ddnn/workload.hpp"
 #include "orchestrator/cluster_manager.hpp"
+#include "orchestrator/executor.hpp"
 #include "orchestrator/master.hpp"
 #include "orchestrator/node.hpp"
 #include "orchestrator/scheduler.hpp"
-#include "orchestrator/service.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace orch = cynthia::orch;
 namespace cc = cynthia::cloud;
 namespace co = cynthia::core;
-namespace cd = cynthia::ddnn;
 namespace cu = cynthia::util;
 
 namespace {
@@ -212,32 +210,17 @@ TEST(ClusterManager, BillingCoversProvisioningWindow) {
   EXPECT_NEAR(billing.total(cu::Seconds{sim.now()}).value(), expect, expect * 0.01);
 }
 
-// ----------------------------------------------------------------- service
-
-TEST(TrainingService, EndToEndMeetsGoal) {
-  orch::TrainingService service;
-  const auto& w = cd::workload_by_name("cifar10");
-  co::ProvisionGoal goal{cu::minutes(120), 0.8};
-  const auto report = service.submit(w, goal);
-  ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->plan.feasible);
-  EXPECT_GT(report->profiling_seconds, 0.0);
-  EXPECT_GT(report->provisioning_seconds, 0.0);
-  EXPECT_LT(report->planning_seconds, 1.0) << "Alg. 1 must stay in the ms range (Sec. 5.3)";
-  EXPECT_TRUE(report->time_goal_met) << report->training.total_time;
-  EXPECT_TRUE(report->loss_goal_met) << report->achieved_loss;
-  EXPECT_GT(report->actual_cost.value(), 0.0);
-  // Billed cost must exceed the plan's pure-training estimate (provisioning
-  // overhead + whole instances) but stay in its ballpark.
-  EXPECT_GT(report->actual_cost.value(), report->plan.predicted_cost.value() * 0.5);
-  EXPECT_LT(report->actual_cost.value(), report->plan.predicted_cost.value() * 4.0);
-}
-
-TEST(TrainingService, InfeasibleGoalReturnsNullopt) {
-  orch::TrainingService service;
-  const auto& w = cd::workload_by_name("vgg19");
-  const auto report = service.submit(w, {cu::Seconds{20.0}, 0.8});
-  EXPECT_FALSE(report.has_value());
+TEST(Executor, InfeasibleGoalIsRejectedBeforeAnyDeploy) {
+  // No plan meets a 20 s goal for vgg19: Algorithm 1 says so, and the
+  // executor refuses to deploy an infeasible plan.
+  const auto& w = cynthia::ddnn::workload_by_name("vgg19");
+  const auto pred = co::Predictor::build(w, m4());
+  const co::Provisioner provisioner(pred.model(), pred.loss(),
+                                    cc::Catalog::aws().provisionable());
+  const co::ProvisionGoal goal{cu::Seconds{20.0}, 0.8};
+  const co::ProvisionPlan plan = provisioner.plan(w.sync, goal);
+  EXPECT_FALSE(plan.feasible);
+  EXPECT_THROW(orch::execute_job({w, plan, goal}), std::invalid_argument);
 }
 
 TEST(NodeStateNames, AllDistinct) {
@@ -285,70 +268,4 @@ TEST(ClusterManagerFaults, ZeroProbabilityNeverReplaces) {
   orch::ClusterManager mgr(sim, billing, 7);
   auto d = mgr.deploy(simple_plan(6, 2));
   EXPECT_EQ(d.replaced_nodes, 0);
-}
-
-TEST(JoinRetryPolicy, DefaultPolicyNeverDelaysAndNeverDrawsFromRng) {
-  orch::JoinRetryPolicy policy;  // base 0: the historical immediate retry
-  cu::Rng rng(42), untouched(42);
-  for (int round = 0; round < 6; ++round) {
-    EXPECT_EQ(policy.delay_seconds(round, rng), 0.0);
-  }
-  // A zero-delay policy must not perturb the shared random stream (deploy
-  // timelines are pinned by the determinism suite).
-  EXPECT_DOUBLE_EQ(rng.jitter(0.25), untouched.jitter(0.25));
-}
-
-TEST(JoinRetryPolicy, ScheduleGrowsExponentiallyAndCaps) {
-  orch::JoinRetryPolicy policy;
-  policy.base_seconds = 5.0;
-  policy.growth = 2.0;
-  policy.max_seconds = 30.0;
-  cu::Rng rng(1);
-  EXPECT_DOUBLE_EQ(policy.delay_seconds(0, rng), 5.0);
-  EXPECT_DOUBLE_EQ(policy.delay_seconds(1, rng), 10.0);
-  EXPECT_DOUBLE_EQ(policy.delay_seconds(2, rng), 20.0);
-  EXPECT_DOUBLE_EQ(policy.delay_seconds(3, rng), 30.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.delay_seconds(9, rng), 30.0);
-  EXPECT_THROW(policy.delay_seconds(-1, rng), std::invalid_argument);
-}
-
-TEST(JoinRetryPolicy, JitterIsSeededAndBounded) {
-  orch::JoinRetryPolicy policy;
-  policy.base_seconds = 10.0;
-  policy.jitter = 0.25;
-  cu::Rng a(7), b(7), c(8);
-  std::vector<double> from_a, from_b;
-  bool differs_across_seeds = false;
-  for (int round = 0; round < 4; ++round) {
-    from_a.push_back(policy.delay_seconds(round, a));
-    from_b.push_back(policy.delay_seconds(round, b));
-    const double other = policy.delay_seconds(round, c);
-    if (other != from_a.back()) differs_across_seeds = true;
-    const double nominal = std::min(10.0 * std::pow(2.0, round), policy.max_seconds);
-    EXPECT_GE(from_a.back(), nominal * 0.75);
-    EXPECT_LE(from_a.back(), nominal * 1.25);
-  }
-  EXPECT_EQ(from_a, from_b);  // same seed, same schedule
-  EXPECT_TRUE(differs_across_seeds);
-}
-
-TEST(JoinRetryPolicy, BackoffLengthensFlakyDeployments) {
-  orch::NodeTimings flaky;
-  flaky.join_failure_probability = 0.6;
-  cynthia::sim::Simulator sim;
-  cc::BillingMeter billing;
-  orch::ClusterManager immediate(sim, billing, 7, flaky);
-  auto d = immediate.deploy(simple_plan(4, 1));
-
-  cynthia::sim::Simulator sim2;
-  cc::BillingMeter billing2;
-  orch::ClusterManager patient(sim2, billing2, 7, flaky);
-  orch::JoinRetryPolicy policy;
-  policy.base_seconds = 20.0;
-  patient.set_join_retry(policy);
-  auto d2 = patient.deploy(simple_plan(4, 1));
-
-  // Same seed, same failures; the backoff only adds waiting time.
-  EXPECT_EQ(d2.replaced_nodes, d.replaced_nodes);
-  EXPECT_GT(d2.provisioning_seconds(), d.provisioning_seconds());
 }

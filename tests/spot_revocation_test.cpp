@@ -2,12 +2,13 @@
 //
 // Covers the interruption-model fitting and expected-run math in
 // core/revocation, the mixed-fleet planner (core::Provisioner::plan_spot),
-// the executed spot runs (orch::run_on_spot on the job executor: revocation
+// the executed spot runs (orch::execute_job's Spot policy: revocation
 // crashes, rollback, billing and ledger), and the bit-identical-at-fixed-seed
 // determinism contract that ties them together.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "cloud/instance.hpp"
 #include "cloud/spot.hpp"
@@ -257,25 +258,26 @@ core::SpotProvisionPlan spot_answer(const cc::SpotMarket& market,
 
 const core::ProvisionGoal kSpotGoal{util::hours(12.0), 1e9};
 
-orch::SentinelOptions spot_options(ct::Telemetry* tel = nullptr) {
-  orch::SentinelOptions o;
-  o.enabled = false;
-  o.seed = 7;
-  o.training.telemetry = tel;
-  return o;
+/// cifar10 on the answer's plan; `policy` defaults to running it durable.
+orch::JobSpec spot_job(const core::SpotProvisionPlan& answer, orch::JobPolicy policy = {}) {
+  orch::JobSpec spec{cd::workload_by_name("cifar10"), answer.plan, kSpotGoal, {},
+                     std::move(policy)};
+  spec.seed = 7;
+  return spec;
 }
 
 orch::JobRun run_spot(const cc::SpotMarket& market, const core::SpotProvisionPlan& answer,
                       ct::Telemetry* tel = nullptr) {
-  return orch::run_on_spot(market, cd::workload_by_name("cifar10"), answer, kSpotGoal,
-                           spot_options(tel));
+  orch::JobSpec spec = spot_job(answer, orch::Spot{market, answer});
+  spec.training.telemetry = tel;
+  return orch::execute_job(spec);
 }
 
 /// Revocations a run lived through: each one crashes every spot node.
 long revocations(const orch::JobRun& run, const core::SpotProvisionPlan& answer) {
   const bool all_spot = answer.durability == core::FleetDurability::kAllSpot;
   const int spot_nodes = answer.plan.n_workers + (all_spot ? answer.plan.n_ps : 0);
-  return run.report.training.faults.crashes / spot_nodes;
+  return run.training.faults.crashes / spot_nodes;
 }
 
 }  // namespace
@@ -284,14 +286,20 @@ TEST(SpotRunner, CompletesAndUndercutsOnDemand) {
   cc::SpotMarket market(cc::Catalog::aws(), 11);
   const auto answer = spot_answer(market, core::FleetDurability::kAllSpot, 1.8);
   const auto r = run_spot(market, answer);
-  EXPECT_EQ(r.report.training.iterations, kSpotIterations);
-  EXPECT_FALSE(r.report.training.stopped_early);
-  EXPECT_TRUE(r.report.time_goal_met);
-  EXPECT_GT(r.report.actual_cost.value(), 0.0);
-  const auto durable = orch::execute_job(cd::workload_by_name("cifar10"), answer.plan, {},
-                                         kSpotGoal, spot_options(), nullptr, false);
-  EXPECT_LT(r.report.actual_cost.value(), durable.report.actual_cost.value())
+  EXPECT_EQ(r.training.iterations, kSpotIterations);
+  EXPECT_FALSE(r.training.stopped_early);
+  EXPECT_TRUE(r.time_goal_met);
+  EXPECT_GT(r.actual_cost.value(), 0.0);
+  const auto durable = orch::execute_job(spot_job(answer));
+  EXPECT_LT(r.actual_cost.value(), durable.actual_cost.value())
       << "spot must undercut the durable run of the same plan";
+  // A durable answer has no spot tier: under the Spot policy it runs as
+  // repair-in-place.
+  auto durable_answer = answer;
+  durable_answer.durability = core::FleetDurability::kDurable;
+  const auto as_durable = orch::execute_job(spot_job(answer, orch::Spot{market, durable_answer}));
+  EXPECT_EQ(as_durable.training.total_time, durable.training.total_time);
+  EXPECT_EQ(as_durable.actual_cost.value(), durable.actual_cost.value());
 }
 
 TEST(SpotRunner, LowBidMeansMoreRevocationsAndWall) {
@@ -300,11 +308,11 @@ TEST(SpotRunner, LowBidMeansMoreRevocationsAndWall) {
   const auto generous = spot_answer(market, core::FleetDurability::kAllSpot, 2.6);
   const auto a = run_spot(market, tight);
   const auto b = run_spot(market, generous);
-  ASSERT_EQ(a.report.training.iterations, kSpotIterations);
-  ASSERT_EQ(b.report.training.iterations, kSpotIterations);
+  ASSERT_EQ(a.training.iterations, kSpotIterations);
+  ASSERT_EQ(b.training.iterations, kSpotIterations);
   EXPECT_GT(revocations(a, tight), 0);
   EXPECT_GE(revocations(a, tight), revocations(b, generous));
-  EXPECT_GE(a.report.training.total_time, b.report.training.total_time);
+  EXPECT_GE(a.training.total_time, b.training.total_time);
 }
 
 TEST(SpotRunner, RarerCheckpointsRollBackMore) {
@@ -313,27 +321,26 @@ TEST(SpotRunner, RarerCheckpointsRollBackMore) {
   const auto rare = spot_answer(market, core::FleetDurability::kAllSpot, 1.1, 3600.0);
   const auto f = run_spot(market, frequent);
   const auto r = run_spot(market, rare);
-  ASSERT_EQ(f.report.training.iterations, kSpotIterations);
-  ASSERT_EQ(r.report.training.iterations, kSpotIterations);
+  ASSERT_EQ(f.training.iterations, kSpotIterations);
+  ASSERT_EQ(r.training.iterations, kSpotIterations);
   ASSERT_GT(revocations(f, frequent), 0) << "the tight bid must be revoked";
-  EXPECT_GE(r.report.training.faults.lost_iterations, f.report.training.faults.lost_iterations);
-  EXPECT_GT(r.report.training.faults.lost_iterations, 0);
+  EXPECT_GE(r.training.faults.lost_iterations, f.training.faults.lost_iterations);
+  EXPECT_GT(r.training.faults.lost_iterations, 0);
 }
 
 TEST(MixedFleet, SurvivesRevocationsAndUndercutsOnDemand) {
   cc::SpotMarket market(cc::Catalog::aws(), 11);
   const auto answer = spot_answer(market, core::FleetDurability::kMixed, 1.1);
   const auto r = run_spot(market, answer);
-  ASSERT_EQ(r.report.training.iterations, kSpotIterations);
+  ASSERT_EQ(r.training.iterations, kSpotIterations);
   EXPECT_GT(revocations(r, answer), 0);
   // The on-demand PS tier keeps the parameters: workers rejoin live.
-  EXPECT_EQ(r.report.training.faults.lost_iterations, 0);
-  for (const cd::FaultEventOutcome& e : r.report.training.faults.events) {
+  EXPECT_EQ(r.training.faults.lost_iterations, 0);
+  for (const cd::FaultEventOutcome& e : r.training.faults.events) {
     EXPECT_FALSE(e.spec.on_ps) << "a mixed fleet's PS tier is never revoked";
   }
-  const auto durable = orch::execute_job(cd::workload_by_name("cifar10"), answer.plan, {},
-                                         kSpotGoal, spot_options(), nullptr, false);
-  EXPECT_LT(r.report.actual_cost.value(), durable.report.actual_cost.value());
+  const auto durable = orch::execute_job(spot_job(answer));
+  EXPECT_LT(r.actual_cost.value(), durable.actual_cost.value());
 }
 
 TEST(SpotRunner, FullHoldWindowIsBilled) {
@@ -346,24 +353,24 @@ TEST(SpotRunner, FullHoldWindowIsBilled) {
   // end of the job: all three dockers pay their slot share of the instance.
   const double bid = answer.bid.value();
   const double launch = market.held_windows("m4.xlarge", bid, 0.0, 86400.0).front().start;
-  const double end = launch + r.report.provisioning_seconds + r.report.training.total_time;
+  const double end = launch + r.provisioning.value() + r.training.total_time;
   double held = 0.0;
   double instance_dollars = 0.0;
   for (const cc::HeldWindow& w : market.held_windows("m4.xlarge", bid, launch, end)) {
     held += w.end - w.start;
     instance_dollars += market.cost("m4.xlarge", w.start, w.end).value();
   }
-  EXPECT_NEAR(r.report.actual_cost.value(), instance_dollars / m4().physical_cores * 3,
+  EXPECT_NEAR(r.actual_cost.value(), instance_dollars / m4().physical_cores * 3,
               1e-12);
   // Held time covers provisioning, training and, per revocation, the restart
   // delay and the restore read: nothing the tier holds rides free.
   double trainer_outage = 0.0;
-  for (const cd::FaultEventOutcome& e : r.report.training.faults.events) {
+  for (const cd::FaultEventOutcome& e : r.training.faults.events) {
     if (e.fired && e.spec.on_ps) trainer_outage += e.recovered_at - e.injected_at;
   }
   const double restart = core::kRestartDelay.value() + r.restore.value();
   EXPECT_NEAR(held,
-              r.report.provisioning_seconds + r.report.training.total_time - trainer_outage +
+              r.provisioning.value() + r.training.total_time - trainer_outage +
                   static_cast<double>(revoked) * restart,
               1e-6);
 }
@@ -374,8 +381,8 @@ TEST(SpotRestore, RevocationsChargeCheckpointReadTime) {
   cc::SpotMarket market(cc::Catalog::aws(), 11);
   const auto all_spot = run_spot(market, spot_answer(market, core::FleetDurability::kAllSpot, 1.1));
   const auto mixed = run_spot(market, spot_answer(market, core::FleetDurability::kMixed, 1.1));
-  const auto& a = all_spot.report.training.faults.events;
-  const auto& m = mixed.report.training.faults.events;
+  const auto& a = all_spot.training.faults.events;
+  const auto& m = mixed.training.faults.events;
   ASSERT_FALSE(m.empty());
   ASSERT_EQ(a.size(), m.size() / 2 * 3) << "same revocations, one more node each";
   for (std::size_t i = 0; i < m.size() / 2; ++i) {
@@ -393,8 +400,8 @@ TEST(MixedFleet, BitIdenticalAcrossRepeats) {
     const auto a = run_spot(market, answer, &tel_a);
     const auto b = run_spot(market, answer, &tel_b);
     EXPECT_EQ(tel_a.journal.digest(), tel_b.journal.digest()) << core::to_string(durability);
-    EXPECT_EQ(a.report.actual_cost.value(), b.report.actual_cost.value());
-    EXPECT_EQ(a.report.training.total_time, b.report.training.total_time);
+    EXPECT_EQ(a.actual_cost.value(), b.actual_cost.value());
+    EXPECT_EQ(a.training.total_time, b.training.total_time);
     EXPECT_GT(revocations(a, answer), 0);
   }
 }
@@ -407,37 +414,23 @@ TEST(SpotRunner, AccountingIsCoherent) {
     // One billing delta per tier, folding to the run's cost bit for bit.
     const ct::CostLedger ledger = ct::CostLedger::from(tel.journal);
     EXPECT_EQ(ledger.entries().size(), durability == core::FleetDurability::kMixed ? 2u : 1u);
-    EXPECT_EQ(ledger.total().value(), r.report.actual_cost.value())
+    EXPECT_EQ(ledger.total().value(), r.actual_cost.value())
         << core::to_string(durability);
   }
 }
 
 TEST(SpotRunner, InvalidArgumentsThrow) {
   cc::SpotMarket market(cc::Catalog::aws(), 11);
-  const auto& w = cd::workload_by_name("cifar10");
   const auto answer = spot_answer(market, core::FleetDurability::kAllSpot, 1.6);
-  const orch::SpotFleet fleet{market, answer};
   // Revocations are a spot run's only faults and recoveries.
-  EXPECT_THROW(orch::execute_job(w, answer.plan, cf::FaultSchedule::parse("crash:wk0@10"),
-                                 kSpotGoal, spot_options(), nullptr, false, &fleet),
-               std::invalid_argument);
-  orch::SentinelOptions sentinel = spot_options();
-  sentinel.enabled = true;
-  EXPECT_THROW(orch::run_on_spot(market, w, answer, kSpotGoal, sentinel), std::invalid_argument);
-  EXPECT_THROW(orch::execute_job(w, answer.plan, {}, kSpotGoal, spot_options(), nullptr, true,
-                                 &fleet),
-               std::invalid_argument);
+  orch::JobSpec faulted = spot_job(answer, orch::Spot{market, answer});
+  faulted.faults = cf::FaultSchedule::parse("crash:wk0@10");
+  EXPECT_THROW(orch::execute_job(faulted), std::invalid_argument);
   // The cadence divides by the predicted time per update.
   auto unpredicted = answer;
   unpredicted.plan.predicted_time = util::Seconds{0.0};
   EXPECT_THROW(run_spot(market, unpredicted), std::invalid_argument);
-  // A durable answer has no spot tier; a bid below the market never launches.
-  auto durable = answer;
-  durable.durability = core::FleetDurability::kDurable;
-  const orch::SpotFleet durable_fleet{market, durable};
-  EXPECT_THROW(orch::execute_job(w, durable.plan, {}, kSpotGoal, spot_options(), nullptr, false,
-                                 &durable_fleet),
-               std::invalid_argument);
+  // A bid below the market never launches.
   auto underbid = answer;
   underbid.bid = util::DollarsPerHour{1e-6};
   EXPECT_THROW(run_spot(market, underbid), std::invalid_argument);

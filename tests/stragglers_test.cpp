@@ -2,10 +2,11 @@
 // and no-oscillation guarantees, run under the full invariant checker
 // (`ctest -L stragglers`). The StragglerDetector is driven both with
 // synthetic probes (exact threshold semantics) and end-to-end through
-// SloSentinel::run on fault-injected training.
+// orch::execute_job's Sentinel policy on fault-injected training.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -15,6 +16,7 @@
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
 #include "faults/fault_spec.hpp"
+#include "orchestrator/executor.hpp"
 #include "orchestrator/sentinel.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
@@ -93,6 +95,14 @@ core::ProvisionPlan manual_plan(int n_workers, int n_ps, long iterations) {
   return plan;
 }
 
+/// A Sentinel-policy job; `mitigation` picks what the detector may do.
+orch::JobSpec sentinel_job(const std::string& workload, const core::ProvisionPlan& plan,
+                           cf::FaultSchedule schedule, const core::ProvisionGoal& goal,
+                           orch::MitigationPolicy mitigation = orch::MitigationPolicy::kAuto) {
+  return {cd::workload_by_name(workload), plan, goal, std::move(schedule),
+          orch::Sentinel{mitigation}};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- detector
@@ -105,7 +115,7 @@ TEST_F(StragglersTest, DetectorFlagsPersistentStragglerAfterHysteresis) {
   double t = 0.0;
   long iter = 0;
   // Warmup: a healthy, uniform cluster.
-  for (int k = 0; k < cfg.thresholds.warmup_probes + 1; ++k) {
+  for (int k = 0; k < orch::kWarmupProbes + 1; ++k) {
     auto a = det.observe(probe_at(t += 1.0, ++iter, {1.0, 1.0, 1.0, 1.0}));
     EXPECT_EQ(a.kind, cd::MonitorAction::Kind::kNone);
   }
@@ -121,8 +131,8 @@ TEST_F(StragglersTest, DetectorFlagsPersistentStragglerAfterHysteresis) {
   EXPECT_EQ(action.target, 2);
   EXPECT_DOUBLE_EQ(action.replacement_after_seconds, 30.0);
   // The EWMA baseline must cross the threshold AND hold it for
-  // hysteresis_probes probes; a single anomaly can never trigger.
-  EXPECT_GE(probes_until_action, cfg.thresholds.hysteresis_probes);
+  // kHysteresisProbes probes; a single anomaly can never trigger.
+  EXPECT_GE(probes_until_action, orch::kHysteresisProbes);
   ASSERT_EQ(detections.size(), 1u);
   EXPECT_EQ(detections[0].kind, "straggler");
   EXPECT_EQ(detections[0].worker, 2);
@@ -153,7 +163,7 @@ TEST_F(StragglersTest, DetectorDoesNotOscillate) {
   int actions = 0;
   double first_action_at = -1.0;
   // A persistent anomaly (the mitigation "didn't take"): the cooldown must
-  // space out repeat actions by at least cooldown_seconds.
+  // space out repeat actions by at least kCooldown.
   for (int k = 0; k < 200; ++k) {
     auto a = det.observe(probe_at(t += 1.0, ++iter, {1.0, 1.0, 2.0, 1.0}));
     if (a.kind != cd::MonitorAction::Kind::kNone) {
@@ -161,7 +171,7 @@ TEST_F(StragglersTest, DetectorDoesNotOscillate) {
       if (first_action_at < 0.0) {
         first_action_at = t;
       } else {
-        EXPECT_GE(t - first_action_at, cfg.thresholds.cooldown_seconds);
+        EXPECT_GE(t - first_action_at, orch::kCooldown.value());
         break;
       }
     }
@@ -220,17 +230,15 @@ TEST_F(StragglersTest, PolicyParsingRoundTrips) {
 // ---------------------------------------------------------------- end-to-end
 
 TEST_F(StragglersTest, SentinelReplacesSlowWorkerAndBeatsUnmitigatedRun) {
-  const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 400);
   const auto schedule =
       cf::FaultSchedule::parse("slow:wk1@200x4+100000");  // effectively permanent
   const core::ProvisionGoal goal{cu::Seconds{1e9}, 1e9};
 
-  orch::SentinelOptions on;
-  const orch::SentinelReport mitigated = orch::SloSentinel(on).run(w, plan, schedule, goal);
-  orch::SentinelOptions off = on;
-  off.enabled = false;
-  const orch::SentinelReport plain = orch::SloSentinel(off).run(w, plan, schedule, goal);
+  orch::JobSpec on = sentinel_job("cifar10", manual_plan(4, 1, 400), schedule, goal);
+  const orch::JobRun mitigated = orch::execute_job(on);
+  orch::JobSpec off = on;
+  off.policy = orch::RepairInPlace{};
+  const orch::JobRun plain = orch::execute_job(off);
 
   EXPECT_FALSE(mitigated.detections.empty());
   EXPECT_FALSE(mitigated.mitigations.empty());
@@ -244,57 +252,50 @@ TEST_F(StragglersTest, SentinelReplacesSlowWorkerAndBeatsUnmitigatedRun) {
 }
 
 TEST_F(StragglersTest, SentinelRunsAreDeterministic) {
-  const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 300);
-  const auto schedule = cf::FaultSchedule::parse("slow:wk2@150x3+100000");
-  const core::ProvisionGoal goal{cu::Seconds{1e9}, 1e9};
-  const orch::SentinelOptions options;
-  const auto a = orch::SloSentinel(options).run(w, plan, schedule, goal);
-  const auto b = orch::SloSentinel(options).run(w, plan, schedule, goal);
+  const orch::JobSpec spec =
+      sentinel_job("cifar10", manual_plan(4, 1, 300),
+                   cf::FaultSchedule::parse("slow:wk2@150x3+100000"), {cu::Seconds{1e9}, 1e9});
+  const auto a = orch::execute_job(spec);
+  const auto b = orch::execute_job(spec);
   EXPECT_EQ(a.training.total_time, b.training.total_time);
   EXPECT_EQ(a.training.final_loss, b.training.final_loss);
   EXPECT_EQ(a.actual_cost.value(), b.actual_cost.value());
   ASSERT_EQ(a.detections.size(), b.detections.size());
   for (std::size_t i = 0; i < a.detections.size(); ++i) {
-    EXPECT_EQ(a.detections[i].at_seconds, b.detections[i].at_seconds);
+    EXPECT_EQ(a.detections[i].at, b.detections[i].at);
     EXPECT_EQ(a.detections[i].kind, b.detections[i].kind);
     EXPECT_EQ(a.detections[i].worker, b.detections[i].worker);
   }
 }
 
 TEST_F(StragglersTest, SentinelHonorsMitigationBudget) {
-  const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 400);
-  // Every worker degrades permanently, one after another.
+  // Six of eight workers degrade permanently, one after another: more
+  // stragglers than the job's kMaxActions budget can replace.
   const auto schedule = cf::FaultSchedule::parse(
-      "slow:wk0@150x4+100000;slow:wk1@300x4+100000;slow:wk2@450x4+100000;"
-      "slow:wk3@600x4+100000");
-  const core::ProvisionGoal goal{cu::Seconds{1e9}, 1e9};
-  orch::SentinelOptions options;
-  options.max_actions = 2;
-  const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
-  EXPECT_LE(report.mitigations.size(), 2u);
-  EXPECT_EQ(report.training.iterations, 400);  // the budget still completes
+      "slow:wk0@100x4+100000;slow:wk1@200x4+100000;slow:wk2@300x4+100000;"
+      "slow:wk3@400x4+100000;slow:wk4@500x4+100000;slow:wk5@600x4+100000");
+  const auto report = orch::execute_job(
+      sentinel_job("cifar10", manual_plan(8, 1, 800), schedule, {cu::Seconds{1e9}, 1e9}));
+  EXPECT_GT(report.detections.size(), static_cast<std::size_t>(orch::kMaxActions));
+  EXPECT_EQ(report.mitigations.size(), static_cast<std::size_t>(orch::kMaxActions));
+  EXPECT_EQ(report.training.iterations, 800);  // the budget still completes
 }
 
 TEST_F(StragglersTest, SentinelSspPolicyDowngradesUnderForecastMiss) {
   // `cynthiactl simulate cifar10 --workers 4 --ps 1 --iterations 400
   // --faults <below> --mitigate=ssp --minutes 20`: one downgrade, no later cut.
-  const auto& w = cd::workload_by_name("cifar10");  // BSP
-  const auto plan = manual_plan(4, 1, 400);
-  // A uniform cluster-wide slowdown: no single straggler stands out, so the
-  // forecast detector is the one that must fire.
+  // A uniform cluster-wide slowdown on cifar10 (BSP): no single straggler
+  // stands out, so the forecast detector is the one that must fire.
   const auto schedule = cf::FaultSchedule::parse(
       "slow:wk0@100x2+100000;slow:wk1@100x2+100000;slow:wk2@100x2+100000;"
       "slow:wk3@100x2+100000");
   cynthia::telemetry::Telemetry tel;
-  orch::SentinelOptions options;
-  options.seed = 1;
-  options.policy = orch::MitigationPolicy::kSsp;
-  options.training.telemetry = &tel;
   // Tight but reachable: the fault-free run takes ~824 s.
-  const core::ProvisionGoal goal{cu::minutes(20.0), 0.0};
-  const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
+  orch::JobSpec spec = sentinel_job("cifar10", manual_plan(4, 1, 400), schedule,
+                                    {cu::minutes(20.0), 0.0}, orch::MitigationPolicy::kSsp);
+  spec.seed = 1;
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec);
 
   const cd::TrainResult& r = report.training;
   ASSERT_TRUE(r.monitor.downgraded);
@@ -329,16 +330,14 @@ TEST_F(StragglersTest, SspDowngradeKeepsAPendingReplacementExcluded) {
   // Determinism's sentinel fault case 4: wk1 is blacklisted at ~136 s with
   // its replacement due at ~207 s, and the forecast downgrades at ~188 s, so
   // the replacement's join dies with the cut.
-  const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 200);
-  const auto schedule =
-      cf::FaultSchedule::parse("slow:wk1@100x4+100000;blip:wk3@50x100+10;nic:ps0@60*0.25+300");
   cynthia::telemetry::Telemetry tel;
-  orch::SentinelOptions options;
-  options.seed = 7;
-  options.training.telemetry = &tel;
-  const auto report =
-      orch::SloSentinel(options).run(w, plan, schedule, {cu::Seconds{600.0}, 1e9});
+  orch::JobSpec spec = sentinel_job(
+      "cifar10", manual_plan(4, 1, 200),
+      cf::FaultSchedule::parse("slow:wk1@100x4+100000;blip:wk3@50x100+10;nic:ps0@60*0.25+300"),
+      {cu::Seconds{600.0}, 1e9});
+  spec.seed = 7;
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec);
 
   const cd::TrainResult& r = report.training;
   ASSERT_TRUE(r.monitor.downgraded);
@@ -367,20 +366,18 @@ TEST_F(StragglersTest, SspDowngradeKeepsAPendingReplacementExcluded) {
 
 TEST_F(StragglersTest, SentinelDisabledMatchesPlainTraining) {
   const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 200);
   const auto schedule = cf::FaultSchedule::parse("slow:wk1@100x2+100000");
-  const core::ProvisionGoal goal{cu::Seconds{1e9}, 1e9};
-  orch::SentinelOptions options;
-  options.enabled = false;
-  const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
+  const orch::JobSpec spec{w, manual_plan(4, 1, 200), {cu::Seconds{1e9}, 1e9}, schedule};
+  const auto report = orch::execute_job(spec);
 
-  // The disabled sentinel must run the training bit-identically to a direct
-  // run_training call with the same cluster, seed, and schedule (no crash
-  // events here, so no recovery enrichment perturbs the timeline).
+  // Without the sentinel (repair-in-place), the job must train
+  // bit-identically to a direct run_training call with the same cluster,
+  // seed, and schedule (no crash events here, so no recovery enrichment
+  // perturbs the timeline).
   const auto cluster = cd::ClusterSpec::homogeneous(m4(), 4, 1);
   cd::TrainOptions o;
   o.iterations = 200;
-  o.seed = options.seed;
+  o.seed = spec.seed;
   o.faults = &schedule;
   const auto direct = cd::run_training(cluster, w, o);
   EXPECT_EQ(report.training.total_time, direct.total_time);
@@ -395,15 +392,12 @@ TEST_F(StragglersTest, JournalLedgerSumsToSentinelCostExactly) {
   // A replaced straggler puts kMitigate settlements next to the original
   // meter settlement: the attribution ledger must still reproduce
   // report.actual_cost bit-for-bit (and the gauge mirrors it).
-  const auto& w = cd::workload_by_name("cifar10");
-  const auto plan = manual_plan(4, 1, 400);
-  const auto schedule = cf::FaultSchedule::parse("slow:wk1@200x4+100000");
-  const core::ProvisionGoal goal{cu::Seconds{1e9}, 1e9};
-
   cynthia::telemetry::Telemetry tel;
-  orch::SentinelOptions options;
-  options.training.telemetry = &tel;
-  const auto report = orch::SloSentinel(options).run(w, plan, schedule, goal);
+  orch::JobSpec spec =
+      sentinel_job("cifar10", manual_plan(4, 1, 400),
+                   cf::FaultSchedule::parse("slow:wk1@200x4+100000"), {cu::Seconds{1e9}, 1e9});
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec);
   ASSERT_FALSE(report.mitigations.empty());
 
   const auto ledger = cynthia::telemetry::CostLedger::from(tel.journal);
@@ -415,9 +409,8 @@ TEST_F(StragglersTest, JournalLedgerSumsToSentinelCostExactly) {
       << "the straggler replacement must be attributed to a sentinel action";
 
   // ... and carrying the journal must not perturb the run itself.
-  orch::SentinelOptions off = options;
-  off.training.telemetry = nullptr;
-  const auto plain = orch::SloSentinel(off).run(w, plan, schedule, goal);
+  spec.training.telemetry = nullptr;
+  const auto plain = orch::execute_job(spec);
   EXPECT_EQ(report.training.total_time, plain.training.total_time);
   EXPECT_EQ(report.training.final_loss, plain.training.final_loss);
   EXPECT_EQ(report.actual_cost.value(), plain.actual_cost.value());
@@ -435,11 +428,9 @@ TEST_F(StragglersTest, ForecastMissReplansThroughTheProvisioner) {
   const core::ProvisionGoal goal{cu::minutes(20.0), 0.0};
 
   cynthia::telemetry::Telemetry tel;
-  orch::SentinelOptions options;
-  options.policy = orch::MitigationPolicy::kReplan;
-  options.training.telemetry = &tel;
-  const auto report =
-      orch::SloSentinel(options).run(w, plan, cf::FaultSchedule{}, goal, &provisioner);
+  orch::JobSpec spec = sentinel_job("resnet32", plan, {}, goal, orch::MitigationPolicy::kReplan);
+  spec.training.telemetry = &tel;
+  const auto report = orch::execute_job(spec, &provisioner);
 
   ASSERT_TRUE(report.replanned);
   EXPECT_GT(report.replacement_plan.n_workers, plan.n_workers);
