@@ -553,6 +553,45 @@ TEST(Service, PinnedFleetDigests) {
   }
 }
 
+// The same 1k-job day on a mixed region: c3.xlarge and m4.xlarge capped at 32
+// dockers each beside an unbounded r3.xlarge. A capped search on an unbounded
+// type runs uncapped, a path the uniform `*=160` region never takes; every
+// type admits jobs, plain and churn.
+TEST(Service, PinnedMixedRegionFleetDigests) {
+  struct Case {
+    const char* name;
+    bool churn;
+    std::uint64_t digest;
+    long replans;
+    long attempts;
+    long revocations;
+    long ladder_searches;
+  };
+  const Case cases[] = {
+      {"plain", false, 0xd5d8515aa5b96d2bull, 571, 1000, 0, 1791},
+      {"churn", true, 0xcd042fcf0e480763ull, 1078, 1464, 464, 2980},
+  };
+  const auto requests =
+      cs::TrafficGenerator(cs::TrafficOptions::parse("jobs=1000,horizon=24h,seed=1")).generate();
+  const cr::Region region({{"c3.xlarge", 32}, {"m4.xlarge", 32},
+                           {"r3.xlarge", cr::Region::kUnbounded}});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    cs::ServeOptions opts;
+    opts.seed = 1;
+    if (c.churn) {
+      opts.mean_revocation_interval = cu::minutes(90.0);
+      opts.spot_fleets = true;
+    }
+    const auto result = cs::ProvisioningService(region, cc::Catalog::aws(), opts).run(requests);
+    EXPECT_EQ(result.digest, c.digest);
+    EXPECT_EQ(result.stats.replans, c.replans);
+    EXPECT_EQ(result.stats.attempts, c.attempts);
+    EXPECT_EQ(result.stats.revocations, c.revocations);
+    EXPECT_EQ(result.stats.ladder_searches, c.ladder_searches);
+  }
+}
+
 TEST(Service, RevocationsAreDeterministicAndRecovered) {
   const auto requests =
       cs::TrafficGenerator(cs::TrafficOptions::parse("jobs=120,horizon=2h,seed=21")).generate();
