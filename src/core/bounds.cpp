@@ -9,6 +9,23 @@
 
 namespace cynthia::core {
 
+namespace {
+
+/// Every budget-free term but the SSP factor, which needs the loss model.
+BoundTerms type_terms(const profiler::ProfileResult& profile, const cloud::InstanceType& type,
+                      double supply_headroom) {
+  BoundTerms t;
+  t.witer = profile.witer.value();
+  t.gparam = profile.gparam.value();
+  t.cwk = type.compute_gflops().value();
+  t.bps = supply_headroom * effective_ps_bandwidth(type).value();
+  t.r = max_provisioning_ratio(profile, type, supply_headroom);
+  t.balance_den = 2.0 * t.gparam * t.cwk;
+  return t;
+}
+
+}  // namespace
+
 double max_provisioning_ratio(const profiler::ProfileResult& profile,
                               const cloud::InstanceType& type, double supply_headroom) {
   const double cbase = profile.cbase.value();
@@ -27,9 +44,15 @@ double max_provisioning_ratio(const profiler::ProfileResult& profile,
   return std::min(cpu_term, bw_term);
 }
 
-int upper_bound_for_ps(const WorkerBounds& bounds, const profiler::ProfileResult& profile,
-                       const cloud::InstanceType& type, ddnn::SyncMode mode, int n_ps,
-                       double supply_headroom) {
+BoundTerms bound_terms(const profiler::ProfileResult& profile, const LossModel& loss,
+                       const cloud::InstanceType& type, double supply_headroom) {
+  BoundTerms t = type_terms(profile, type, supply_headroom);
+  t.ssp_phi = ddnn::staleness_factor(ddnn::SyncMode::SSP, loss.ssp_bound() + 1, loss.ssp_bound());
+  return t;
+}
+
+int row_upper_bound(const BoundTerms& terms, const WorkerBounds& bounds, ddnn::SyncMode mode,
+                    int n_ps) {
   if (n_ps <= 0) throw std::invalid_argument("upper_bound_for_ps: n_ps must be > 0");
   if (mode == ddnn::SyncMode::ASP) {
     // Eq. 23 with the larger PS count.
@@ -37,41 +60,32 @@ int upper_bound_for_ps(const WorkerBounds& bounds, const profiler::ProfileResult
                     static_cast<int>(std::ceil(bounds.r * static_cast<double>(n_ps))));
   }
   // Eq. 19.
-  const double witer = profile.witer.value();
-  const double gparam = profile.gparam.value();
-  const double cwk = type.compute_gflops().value();
-  const double bps = supply_headroom * effective_ps_bandwidth(type).value();
-  const double balance = std::sqrt(witer * n_ps * bps / (2.0 * gparam * cwk));
+  const double balance = std::sqrt(terms.witer * n_ps * terms.bps / terms.balance_den);
   const int upper =
       static_cast<int>(std::ceil(std::min(bounds.u * static_cast<double>(n_ps), balance)));
   return std::max(bounds.n_lower, upper);
 }
 
-WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossModel& loss,
-                            const cloud::InstanceType& type, ddnn::SyncMode mode,
-                            util::Seconds t_goal, double target_loss, double supply_headroom) {
+WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddnn::SyncMode mode,
+                             util::Seconds t_goal, double target_loss) {
   if (t_goal.value() <= 0.0) throw std::invalid_argument("compute_bounds: time goal must be > 0");
   if (target_loss <= loss.beta1()) {
     throw std::invalid_argument("compute_bounds: target loss below loss asymptote");
   }
 
   WorkerBounds b;
-  b.r = max_provisioning_ratio(profile, type, supply_headroom);
-
-  const double witer = profile.witer.value();
-  const double gparam = profile.gparam.value();
-  const double cwk = type.compute_gflops().value();
-  const double bps = supply_headroom * effective_ps_bandwidth(type).value();
+  b.r = terms.r;
   const double tg = t_goal.value();
 
   if (mode == ddnn::SyncMode::BSP) {
     // Eq. 15 then Eq. 16.
     const long s = loss.iterations_for(target_loss, /*n_workers=*/1);
     b.iterations = s;
-    b.n_lower = static_cast<int>(std::ceil(witer * static_cast<double>(s) / (tg * cwk)));
+    b.n_lower =
+        static_cast<int>(std::ceil(terms.witer * static_cast<double>(s) / (tg * terms.cwk)));
     b.n_lower = std::max(1, b.n_lower);
     // Eq. 17: the comm constraint tightens the worker:PS ratio.
-    b.u = std::min(b.r, tg * bps / (2.0 * static_cast<double>(s) * gparam));
+    b.u = std::min(b.r, tg * terms.bps / (2.0 * static_cast<double>(s) * terms.gparam));
     if (b.u <= 0.0) return b;  // cannot move the payload within the goal at all
     // Eq. 18: minimum PS count.
     b.n_ps = static_cast<int>(std::ceil(static_cast<double>(b.n_lower) / b.u));
@@ -83,11 +97,10 @@ WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossMo
     //   SSP (phi capped):      n >= ratio * phi
     // (the exact-inversion analogue of the paper's Eq. 21).
     b.u = b.r;
-    const double ratio = witer * loss.beta0() / (cwk * tg * (target_loss - loss.beta1()));
+    const double ratio =
+        terms.witer * loss.beta0() / (terms.cwk * tg * (target_loss - loss.beta1()));
     if (mode == ddnn::SyncMode::SSP) {
-      const double phi =
-          ddnn::staleness_factor(ddnn::SyncMode::SSP, loss.ssp_bound() + 1, loss.ssp_bound());
-      b.n_lower = static_cast<int>(std::ceil(ratio * phi));
+      b.n_lower = static_cast<int>(std::ceil(ratio * terms.ssp_phi));
     } else {
       b.n_lower = static_cast<int>(std::ceil(ratio * ratio));
     }
@@ -100,9 +113,22 @@ WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossMo
   }
 
   // Eqs. 19/23 at the minimum PS count.
-  b.n_upper = upper_bound_for_ps(b, profile, type, mode, b.n_ps, supply_headroom);
+  b.n_upper = row_upper_bound(terms, b, mode, b.n_ps);
   b.feasible = b.n_lower >= 1 && b.n_ps >= 1;
   return b;
+}
+
+WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossModel& loss,
+                            const cloud::InstanceType& type, ddnn::SyncMode mode,
+                            util::Seconds t_goal, double target_loss, double supply_headroom) {
+  return bounds_for_goal(bound_terms(profile, loss, type, supply_headroom), loss, mode, t_goal,
+                         target_loss);
+}
+
+int upper_bound_for_ps(const WorkerBounds& bounds, const profiler::ProfileResult& profile,
+                       const cloud::InstanceType& type, ddnn::SyncMode mode, int n_ps,
+                       double supply_headroom) {
+  return row_upper_bound(type_terms(profile, type, supply_headroom), bounds, mode, n_ps);
 }
 
 }  // namespace cynthia::core

@@ -87,6 +87,16 @@ struct RowBounds {
   }
 };
 
+/// plan()'s and window()'s goal validation.
+void check_goal(const ProvisionGoal& goal) {
+  if (!std::isfinite(goal.time_goal.value()) || goal.time_goal.value() <= 0.0) {
+    throw std::invalid_argument("Provisioner: time goal must be finite and > 0");
+  }
+  if (!std::isfinite(goal.target_loss)) {
+    throw std::invalid_argument("Provisioner: target loss must be finite");
+  }
+}
+
 /// Lower bound on a candidate's dollar cost given a lower bound on its
 /// total time — the same expression shape as plan_cost().
 double cost_lb(const cloud::InstanceType& type, int n, int n_ps, double total_time_lb) {
@@ -144,7 +154,40 @@ Provisioner::Provisioner(CynthiaModel model, LossModel loss,
                                     "' needs finite positive GFLOPS, bandwidth and price");
       }
     }
+    terms_.push_back(bound_terms(model_.profile(), loss_, t, model_.supply_headroom()));
   }
+}
+
+WorkerBounds Provisioner::bounds_for(std::size_t type_index, ddnn::SyncMode mode,
+                                     const ProvisionGoal& goal) const {
+  return bounds_for_goal(terms_[type_index], loss_, mode, goal.time_goal, goal.target_loss);
+}
+
+SearchWindow Provisioner::window_of(std::size_t type_index, const WorkerBounds& bounds,
+                                    ddnn::SyncMode mode, int max_workers_quota) const {
+  SearchWindow w;
+  if (!bounds.feasible || bounds.n_lower > max_workers_quota) return w;  // no rows
+  w.n_lower = bounds.n_lower;
+  w.n_ps = bounds.n_ps;
+  w.upper[0] = std::min(max_workers_quota, bounds.n_upper);  // Eqs. 19/23 at n_ps
+  for (int extra = 1; extra <= kMaxExtraPs; ++extra) {
+    w.upper[static_cast<std::size_t>(extra)] =
+        std::min(max_workers_quota,
+                 row_upper_bound(terms_[type_index], bounds, mode, bounds.n_ps + extra));
+  }
+  return w;
+}
+
+SearchWindow Provisioner::window(std::size_t type_index, ddnn::SyncMode mode,
+                                 const ProvisionGoal& goal,
+                                 const ProvisionOptions& options) const {
+  check_goal(goal);
+  if (type_index >= types_.size()) throw std::out_of_range("Provisioner::window: type index");
+  if (options.exhaustive) {
+    throw std::invalid_argument("Provisioner::window: the exhaustive grid has no window");
+  }
+  return window_of(type_index, bounds_for(type_index, mode, goal), mode,
+                   options.max_workers_quota);
 }
 
 IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
@@ -272,12 +315,7 @@ PlannerStats Provisioner::stats() const {
 ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                 const ProvisionOptions& options) const {
   owner_.check("Provisioner");
-  if (!std::isfinite(goal.time_goal.value()) || goal.time_goal.value() <= 0.0) {
-    throw std::invalid_argument("Provisioner: time goal must be finite and > 0");
-  }
-  if (!std::isfinite(goal.target_loss)) {
-    throw std::invalid_argument("Provisioner: target loss must be finite");
-  }
+  check_goal(goal);
   const PlannerTimer timer(metrics_ != nullptr);
 
   auto search_type = [&](std::size_t ti) -> TypeSearch {
@@ -328,23 +366,18 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
       return out;
     }
 
-    const WorkerBounds bounds =
-        compute_bounds(model_.profile(), loss_, type, mode, goal.time_goal, goal.target_loss,
-                       model_.supply_headroom());
-    if (!bounds.feasible) return out;
-    if (bounds.n_lower > options.max_workers_quota) return out;  // over account quota
+    const WorkerBounds bounds = bounds_for(ti, mode, goal);
+    const SearchWindow window = window_of(ti, bounds, mode, options.max_workers_quota);
+    if (window.empty()) return out;
     out.bounds = bounds;
     // Minimum PS count first (Theorem 4.1); escalate only if nothing in the
     // interval meets the goal.
     for (int extra = 0; extra <= kMaxExtraPs; ++extra) {
-      const int n_ps = bounds.n_ps + extra;
-      const int upper =
-          std::min(options.max_workers_quota,
-                   upper_bound_for_ps(bounds, model_.profile(), type, mode, n_ps,
-                                      model_.supply_headroom()));
+      const int n_ps = window.n_ps + extra;
+      const int upper = window.upper[static_cast<std::size_t>(extra)];
       const RowBounds row(model_, type, n_ps);
       bool any_feasible = false;
-      for (int n = bounds.n_lower; n <= upper; ++n) {
+      for (int n = window.n_lower; n <= upper; ++n) {
         // Footprint grows with n: the whole remaining row is over the cap.
         if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
         if (options.prune) {

@@ -16,6 +16,8 @@
 // in CYNTHIA_INVARIANTS builds, see util::OwnerThread).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -82,6 +84,20 @@ struct ProvisionPlan {
 /// the Eq. 19/23 upper bound each time). This is how the paper's prototype
 /// arrives at 2-PS plans for tight goals (Figs. 12-13).
 inline constexpr int kMaxExtraPs = 3;
+
+/// The rows Algorithm 1's bounded search scans on one instance type: row k
+/// has n_ps + k PS nodes and scans workers n_lower..upper[k] (Theorem 4.1
+/// after the worker quota). A candidate's predicted time does not depend on
+/// the time goal, so two goals with equal windows scan the same candidates
+/// in the same order and differ only in which of them meet the goal.
+struct SearchWindow {
+  int n_lower = 0;  ///< 0: no rows (infeasible bounds, or n_lower over the quota)
+  int n_ps = 0;
+  std::array<int, kMaxExtraPs + 1> upper{};
+
+  [[nodiscard]] bool empty() const { return n_lower == 0; }
+  friend bool operator==(const SearchWindow&, const SearchWindow&) = default;
+};
 
 /// The grid n in [1, kExhaustiveMaxWorkers] x n_ps in [1, kExhaustiveMaxPs]
 /// that the exhaustive ablation scans and replan() searches (the latter also
@@ -213,6 +229,14 @@ class Provisioner {
   [[nodiscard]] ProvisionPlan plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                    const ProvisionOptions& options = {}) const;
 
+  /// The rows plan() scans on the type at `type_index` (catalog order) for
+  /// this goal: a few divisions over terms computed once per type. Throws as
+  /// plan() does for a bad goal, std::out_of_range for a bad index and
+  /// std::invalid_argument for options.exhaustive (a fixed grid, no window).
+  [[nodiscard]] SearchWindow window(std::size_t type_index, ddnn::SyncMode mode,
+                                    const ProvisionGoal& goal,
+                                    const ProvisionOptions& options = {}) const;
+
   /// Revocation-aware Algorithm 1 (the durability dimension): enumerates
   /// the same bounded (type, n_wk, n_ps) grid, fits one interruption model
   /// per type at bid = mean spot price x bid_multiplier, then prices every
@@ -272,6 +296,7 @@ class Provisioner {
   CynthiaModel model_;
   LossModel loss_;
   std::vector<cloud::InstanceType> types_;
+  std::vector<BoundTerms> terms_;  ///< Theorem 4.1's budget-free half, per type
   mutable PredictionCache cache_;
   mutable std::vector<CandidateEvaluation> considered_;
   mutable std::uint64_t plans_ = 0;
@@ -280,6 +305,12 @@ class Provisioner {
   util::OwnerThread owner_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Journal* journal_ = nullptr;
+
+  /// Theorem 4.1 for the type at `type_index`, and the rows it leaves.
+  [[nodiscard]] WorkerBounds bounds_for(std::size_t type_index, ddnn::SyncMode mode,
+                                        const ProvisionGoal& goal) const;
+  [[nodiscard]] SearchWindow window_of(std::size_t type_index, const WorkerBounds& bounds,
+                                       ddnn::SyncMode mode, int max_workers_quota) const;
 
   /// Memoized predict_iteration over the homogeneous candidate shape.
   [[nodiscard]] IterationPrediction predict_cached(const cloud::InstanceType& type,

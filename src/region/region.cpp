@@ -1,5 +1,6 @@
 #include "region/region.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <sstream>
 #include <stdexcept>
@@ -28,15 +29,17 @@ std::vector<TypeCapacity> catalog_types(const cloud::Catalog& catalog, int docke
 }  // namespace
 
 Region::Region(std::vector<TypeCapacity> capacities) {
-  for (const auto& entry : capacities) {
+  for (auto& entry : capacities) {
     if (entry.docker_slots < 0 && entry.docker_slots != kUnbounded) {
       throw std::invalid_argument("Region: negative capacity for " + entry.type);
     }
-    if (slots_.count(entry.type) > 0) {
+    const auto at = std::lower_bound(slots_.begin(), slots_.end(), entry.type,
+                                     [](const Slot& s, const std::string& t) { return s.type < t; });
+    if (at != slots_.end() && at->type == entry.type) {
       throw std::invalid_argument("Region: duplicate type " + entry.type);
     }
-    slots_[entry.type] = Slot{entry.docker_slots, 0};
     if (entry.docker_slots != kUnbounded) capacity_total_ += entry.docker_slots;
+    slots_.insert(at, Slot{std::move(entry.type), entry.docker_slots, 0});
   }
 }
 
@@ -90,40 +93,72 @@ Region Region::parse(const std::string& spec, const cloud::Catalog& catalog) {
 }
 
 bool Region::is_unbounded() const {
-  for (const auto& [name, slot] : slots_) {
-    if (slot.capacity != kUnbounded) return false;
+  return std::all_of(slots_.begin(), slots_.end(),
+                     [](const Slot& s) { return s.capacity == kUnbounded; });
+}
+
+std::optional<std::size_t> Region::index_of(const std::string& type) const {
+  const auto at = std::lower_bound(slots_.begin(), slots_.end(), type,
+                                   [](const Slot& s, const std::string& t) { return s.type < t; });
+  if (at == slots_.end() || at->type != type) return std::nullopt;
+  return static_cast<std::size_t>(at - slots_.begin());
+}
+
+const Region::Slot& Region::slot(std::size_t index) const {
+  if (index >= slots_.size()) {
+    throw std::out_of_range("Region: type index " + std::to_string(index) + " out of range");
   }
-  return true;
+  return slots_[index];
 }
 
 bool Region::fits(const std::string& type, int docker_slots) const {
-  const auto it = slots_.find(type);
-  if (it == slots_.end()) return false;
-  if (it->second.capacity == kUnbounded) return true;
-  return it->second.reserved + docker_slots <= it->second.capacity;
+  const auto index = index_of(type);
+  return index.has_value() && fits(*index, docker_slots);
+}
+
+bool Region::fits(std::size_t index, int docker_slots) const {
+  const Slot& s = slot(index);
+  return s.capacity == kUnbounded || s.reserved + docker_slots <= s.capacity;
 }
 
 void Region::reserve(const std::string& type, int docker_slots, util::Seconds now) {
-  if (docker_slots < 0) throw std::logic_error("Region::reserve: negative count");
-  if (!fits(type, docker_slots)) {
+  const auto index = index_of(type);
+  if (!index.has_value()) {
     throw std::logic_error("Region::reserve: " + std::to_string(docker_slots) + "x " + type +
                            " does not fit (" + describe() + ")");
   }
+  reserve(*index, docker_slots, now);
+}
+
+void Region::reserve(std::size_t index, int docker_slots, util::Seconds now) {
+  if (docker_slots < 0) throw std::logic_error("Region::reserve: negative count");
+  if (!fits(index, docker_slots)) {
+    throw std::logic_error("Region::reserve: " + std::to_string(docker_slots) + "x " +
+                           slots_[index].type + " does not fit (" + describe() + ")");
+  }
   accrue(now);
-  slots_[type].reserved += docker_slots;
+  slots_[index].reserved += docker_slots;
   reserved_total_ += docker_slots;
   check_conservation();
 }
 
 void Region::release(const std::string& type, int docker_slots, util::Seconds now) {
-  if (docker_slots < 0) throw std::logic_error("Region::release: negative count");
-  const auto it = slots_.find(type);
-  if (it == slots_.end() || it->second.reserved < docker_slots) {
+  const auto index = index_of(type);
+  if (!index.has_value()) {
     throw std::logic_error("Region::release: over-release of " + std::to_string(docker_slots) +
                            "x " + type + " (" + describe() + ")");
   }
+  release(*index, docker_slots, now);
+}
+
+void Region::release(std::size_t index, int docker_slots, util::Seconds now) {
+  if (docker_slots < 0) throw std::logic_error("Region::release: negative count");
+  if (slot(index).reserved < docker_slots) {
+    throw std::logic_error("Region::release: over-release of " + std::to_string(docker_slots) +
+                           "x " + slots_[index].type + " (" + describe() + ")");
+  }
   accrue(now);
-  it->second.reserved -= docker_slots;
+  slots_[index].reserved -= docker_slots;
   reserved_total_ -= docker_slots;
   check_conservation();
 }
@@ -134,20 +169,27 @@ void Region::advance_to(util::Seconds now) {
 }
 
 int Region::capacity(const std::string& type) const {
-  const auto it = slots_.find(type);
-  return it == slots_.end() ? 0 : it->second.capacity;
+  const auto index = index_of(type);
+  return index.has_value() ? capacity(*index) : 0;
 }
+
+int Region::capacity(std::size_t index) const { return slot(index).capacity; }
 
 int Region::reserved(const std::string& type) const {
-  const auto it = slots_.find(type);
-  return it == slots_.end() ? 0 : it->second.reserved;
+  const auto index = index_of(type);
+  return index.has_value() ? reserved(*index) : 0;
 }
 
+int Region::reserved(std::size_t index) const { return slot(index).reserved; }
+
 int Region::available(const std::string& type) const {
-  const auto it = slots_.find(type);
-  if (it == slots_.end()) return 0;
-  if (it->second.capacity == kUnbounded) return kUnbounded;
-  return it->second.capacity - it->second.reserved;
+  const auto index = index_of(type);
+  return index.has_value() ? available(*index) : 0;
+}
+
+int Region::available(std::size_t index) const {
+  const Slot& s = slot(index);
+  return s.capacity == kUnbounded ? kUnbounded : s.capacity - s.reserved;
 }
 
 double Region::utilization(util::Seconds horizon) const {
@@ -157,10 +199,10 @@ double Region::utilization(util::Seconds horizon) const {
 
 std::string Region::describe() const {
   std::string out;
-  for (const auto& [name, slot] : slots_) {
+  for (const Slot& s : slots_) {
     if (!out.empty()) out += ", ";
-    out += name + " " + std::to_string(slot.reserved) + "/";
-    out += slot.capacity == kUnbounded ? "inf" : std::to_string(slot.capacity);
+    out += s.type + " " + std::to_string(s.reserved) + "/";
+    out += s.capacity == kUnbounded ? "inf" : std::to_string(s.capacity);
   }
   return out.empty() ? "(empty region)" : out;
 }
@@ -168,7 +210,7 @@ std::string Region::describe() const {
 std::vector<TypeCapacity> Region::capacities() const {
   std::vector<TypeCapacity> out;
   out.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) out.push_back({name, slot.capacity});
+  for (const Slot& s : slots_) out.push_back({s.type, s.capacity});
   return out;
 }
 
@@ -187,11 +229,11 @@ void Region::accrue(util::Seconds now) {
 void Region::check_conservation() const {
   if (!util::invariants_enabled()) return;
   int reserved_sum = 0;
-  for (const auto& [name, slot] : slots_) {
-    CYNTHIA_CHECK(slot.reserved >= 0, "negative reservation on ", name);
-    CYNTHIA_CHECK(slot.capacity == kUnbounded || slot.reserved <= slot.capacity,
-                  "over-subscribed ", name, ": ", slot.reserved, " > ", slot.capacity);
-    reserved_sum += slot.reserved;
+  for (const Slot& s : slots_) {
+    CYNTHIA_CHECK(s.reserved >= 0, "negative reservation on ", s.type);
+    CYNTHIA_CHECK(s.capacity == kUnbounded || s.reserved <= s.capacity, "over-subscribed ",
+                  s.type, ": ", s.reserved, " > ", s.capacity);
+    reserved_sum += s.reserved;
   }
   CYNTHIA_CHECK(reserved_sum == reserved_total_, "reservation conservation broken: ",
                 reserved_sum, " != ", reserved_total_);

@@ -14,7 +14,8 @@
 // (the ProvisioningService event loop, tests, benches) deterministically.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,10 @@ struct TypeCapacity {
   int docker_slots = 0;  ///< Region::kUnbounded = no limit for this type
 };
 
-/// A finite pool of docker slots per instance type.
+/// A finite pool of docker slots per instance type. Every type has an index,
+/// its position in capacities() (name order); the index calls are the
+/// accounting path, and each name call finds the index and delegates. An
+/// index past the last type throws std::out_of_range.
 class Region {
  public:
   /// Sentinel capacity: the type is not capacity-limited.
@@ -62,27 +66,37 @@ class Region {
   /// True when every known type is unbounded (the single-tenant cloud).
   [[nodiscard]] bool is_unbounded() const;
 
+  /// The index of `type` in capacities(); nullopt when it is not stocked.
+  [[nodiscard]] std::optional<std::size_t> index_of(const std::string& type) const;
+
   /// True when `docker_slots` more dockers of `type` fit right now. Unknown
   /// types never fit (the region does not stock them).
   [[nodiscard]] bool fits(const std::string& type, int docker_slots) const;
+  [[nodiscard]] bool fits(std::size_t index, int docker_slots) const;
 
   /// Takes `docker_slots` dockers of `type` at simulation time `now`.
   /// Throws std::logic_error when they do not fit — callers must check
   /// fits() first; admission control is the caller's job, not the pool's.
   void reserve(const std::string& type, int docker_slots, util::Seconds now);
+  void reserve(std::size_t index, int docker_slots, util::Seconds now);
 
   /// Returns dockers previously taken with reserve(). Throws
   /// std::logic_error on over-release (returning what was never taken).
   void release(const std::string& type, int docker_slots, util::Seconds now);
+  void release(std::size_t index, int docker_slots, util::Seconds now);
 
   /// Folds the busy-slot integral forward to `now` without changing any
   /// reservation (call at end of run so utilization covers the tail).
   void advance_to(util::Seconds now);
 
-  [[nodiscard]] int capacity(const std::string& type) const;  ///< kUnbounded when unlimited
+  /// kUnbounded when unlimited; 0 for a type the region does not stock.
+  [[nodiscard]] int capacity(const std::string& type) const;
+  [[nodiscard]] int capacity(std::size_t index) const;
   [[nodiscard]] int reserved(const std::string& type) const;
+  [[nodiscard]] int reserved(std::size_t index) const;
   /// Free slots of `type`; kUnbounded when the type is not limited.
   [[nodiscard]] int available(const std::string& type) const;
+  [[nodiscard]] int available(std::size_t index) const;
 
   /// Dockers currently reserved across all types.
   [[nodiscard]] int reserved_total() const { return reserved_total_; }
@@ -105,12 +119,13 @@ class Region {
 
  private:
   struct Slot {
+    std::string type;
     int capacity = 0;  ///< kUnbounded or >= 0
     int reserved = 0;
   };
 
-  // std::map: deterministic iteration for describe()/capacities().
-  std::map<std::string, Slot> slots_;
+  std::vector<Slot> slots_;  ///< name order: the index order
+  [[nodiscard]] const Slot& slot(std::size_t index) const;
   int reserved_total_ = 0;
   long capacity_total_ = 0;
   double busy_docker_seconds_ = 0.0;

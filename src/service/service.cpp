@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -40,9 +41,6 @@ constexpr int kBackfillWindow = 64;
 /// Cached admission plans for queued jobs are recomputed at most this often,
 /// bounding planner work to O(queue / interval) per release storm.
 constexpr util::Seconds kReplanInterval{300.0};
-/// A capped search on a type the region does not limit runs uncapped; the
-/// ladder memo records its failure as a failure at this cap.
-constexpr int kNoCap = std::numeric_limits<int>::max();
 
 /// splitmix64-style mix: every (job, attempt) draws from its own stream, so
 /// outcomes are independent of admission interleaving.
@@ -102,51 +100,52 @@ struct FleetEngine {
   region::Region region;  ///< working copy of the service's template
   std::vector<JobOutcome> outcomes;
 
-  /// What one fixed-budget rung of the admission ladder (rung 1: the
-  /// original Tg; rung 2: any-time) already knows about a queued job. The
-  /// inputs of its searches (budget, goal, `remaining`) do not change while
-  /// the job waits, so their answers are remembered rather than recomputed
-  /// on every capacity release; on_revoked resets the memo with `remaining`.
-  ///
-  /// Skipping is exact. The uncapped search gives the same plan for the same
-  /// inputs, so only its type and footprint are kept: the call is skipped
-  /// while that plan is infeasible or does not fit, and re-run when it fits.
-  /// A capped search sees its cap only as the row cut `n + n_ps >
-  /// max_total_dockers` (Provisioner::plan and replan). Rows, their order
-  /// and every other cut ignore the cap, and the cost cut fires only after a
-  /// feasible candidate. So at a fixed budget each row's scan at a smaller
-  /// cap is a prefix of its scan at a larger one, and "no plan at cap c"
-  /// implies "no plan at any cap <= c". Rung 0's budget shrinks with the
-  /// clock, and Algorithm 1 is not monotone in the budget (the Theorem 4.1
-  /// bounds move with Tg), so rung 0 keeps no memo.
-  struct RungMemo {
+  /// What one rung of the admission ladder knows about one stocked type while
+  /// a job waits: the type's uncapped answer at the rung's budget and the
+  /// largest cap at which its capped search found no plan. Rungs 1 (Tg) and
+  /// 2 (any-time) never change their budget. Rung 0's (the SLO time left)
+  /// only shrinks, and within one Theorem 4.1 search window (or replan's
+  /// fixed grid) a smaller budget only turns candidates infeasible, so a
+  /// fresh job's rung-0 entry keeps its window and is reset when the window
+  /// moves. rung() skips every search these facts answer; docs/SERVICE.md
+  /// ("Ladder memo") shows each skip is exact.
+  struct TypeMemo {
     static constexpr int kUnknown = -2;     ///< uncapped search not run yet
     static constexpr int kInfeasible = -1;  ///< uncapped search found no plan
-    int uncapped_type = kUnknown;           ///< else an index into stocked_types_
-    int uncapped_footprint = 0;
-    /// Per stocked type, the largest cap at which the capped search found no
-    /// plan (0: none yet; kNoCap: it failed uncapped). Empty until the rung
-    /// first reaches its capped searches.
-    std::vector<int> failed_cap;
+    int footprint = kUnknown;               ///< else the uncapped answer's dockers
+    int failed_cap = 0;                     ///< 0: no capped search failed yet
+    double cost = 0.0;                      ///< the uncapped answer's dollars
+    double predicted_time = 0.0;            ///< and seconds
+    core::SearchWindow window;              ///< rung 0 of a fresh job only
   };
+  /// One entry per stocked type; empty until the job first reaches the rung.
+  using RungMemo = std::vector<TypeMemo>;
 
   /// Queued-job planning cache: bounds planner work during release storms.
   struct QueueState {
+    /// Resolved once, at arrival.
+    ProvisioningService::WorkloadPlanners* planners = nullptr;
     /// The cached decision is positive: from arrival until the first ladder
-    /// run it is the arrival plan, which at_tg keeps as rung 1's uncapped
-    /// answer (a ladder run that finds a plan admits the job at once).
+    /// run it is the arrival plan, which is rung 1's uncapped answer (a
+    /// ladder run that finds a plan admits the job at once).
     bool has_plan = false;
     double planned_at = -std::numeric_limits<double>::infinity();
+    /// `releases` at the last ladder run: a negative decision expires with
+    /// the next capacity release.
+    std::uint64_t planned_release = 0;
     /// 0 = fresh job (iteration budget comes from the loss model); > 0 =
     /// iterations pinned by the last revocation checkpoint (replan path).
     long remaining = 0;
-    RungMemo at_tg;     ///< rung 1
-    RungMemo any_time;  ///< rung 2 (revoked jobs only)
+    /// Rung 0 (the SLO time left), 1 (Tg), 2 (any-time; revoked jobs only).
+    /// Dropped at admission: a revoked job re-enters the queue with new inputs.
+    std::array<RungMemo, 3> rungs;
   };
   std::vector<QueueState> qstate;
+  /// Capacity releases (completions and revocations) so far.
+  std::uint64_t releases = 0;
 
   struct RunningAttempt {
-    cloud::InstanceType type;
+    std::size_t type = 0;  ///< stocked index
     int n_workers = 0;
     int n_ps = 0;
     int dockers = 0;
@@ -161,6 +160,16 @@ struct FleetEngine {
 
   std::vector<std::size_t> queue_;  ///< outcome indices, admission order
 
+  /// A ladder rung's answer: the stocked type and the plan to admit.
+  struct Admission {
+    std::size_t type = 0;
+    core::ProvisionPlan plan;
+  };
+  /// One rung run's scratch, per stocked type: the plan its uncapped search
+  /// returned in this run, if it ran.
+  std::vector<core::ProvisionPlan> fresh_plans;
+  std::vector<char> fresh;
+
   util::Dollars fleet_cost{0.0};
   long total_attempts = 0;
   long total_replans = 0;
@@ -169,26 +178,35 @@ struct FleetEngine {
   long total_spot_attempts = 0;
 
   /// Mixed-fleet pricing (options.spot_fleets): one seeded market per run
-  /// plus lazily fitted per-type interruption models (core/revocation.hpp).
+  /// plus lazily fitted interruption models per stocked type
+  /// (core/revocation.hpp).
   std::optional<cloud::SpotMarket> spot_market;
-  std::map<std::string, core::InterruptionModel> spot_fits;
+  std::vector<std::optional<core::InterruptionModel>> spot_fits;
 
   FleetEngine(ProvisioningService& service, telemetry::Telemetry* telemetry)
-      : svc(service), tel(telemetry), region(service.region_) {
+      : svc(service),
+        tel(telemetry),
+        region(service.region_),
+        fresh_plans(service.stocked_types_.size()),
+        spot_fits(service.stocked_types_.size()) {
     if (svc.options_.spot_fleets) {
       spot_market.emplace(*svc.catalog_, svc.options_.seed);
     }
   }
 
-  [[nodiscard]] const core::InterruptionModel& spot_fit(const cloud::InstanceType& type) {
-    auto it = spot_fits.find(type.name);
-    if (it == spot_fits.end()) {
-      const util::DollarsPerHour bid{spot_market->mean_price(type.name) *
+  [[nodiscard]] const cloud::InstanceType& stocked(std::size_t type) const {
+    return svc.stocked_types_[type];
+  }
+  [[nodiscard]] std::size_t slot_of(std::size_t type) const { return svc.stocked_slots_[type]; }
+
+  [[nodiscard]] const core::InterruptionModel& spot_fit(std::size_t type) {
+    std::optional<core::InterruptionModel>& fit = spot_fits[type];
+    if (!fit.has_value()) {
+      const util::DollarsPerHour bid{spot_market->mean_price(stocked(type).name) *
                                      svc.options_.spot_bid_multiplier};
-      it = spot_fits.emplace(type.name, core::fit_interruption_model(*spot_market, type, bid))
-               .first;
+      fit = core::fit_interruption_model(*spot_market, stocked(type), bid);
     }
-    return it->second;
+    return *fit;
   }
 
   // -- queue order: priority desc, then arrival asc, then id asc ----------
@@ -207,55 +225,60 @@ struct FleetEngine {
     queue_.insert(pos, idx);
   }
 
-  // -- capacity helpers ----------------------------------------------------
+  // -- planning helpers ----------------------------------------------------
 
   [[nodiscard]] static int footprint(const core::ProvisionPlan& plan) {
     return plan.n_workers + plan.n_ps;
   }
 
-  [[nodiscard]] bool fits_now(const core::ProvisionPlan& plan) const {
-    return region.fits(plan.type.name, footprint(plan));
-  }
-
-  [[nodiscard]] bool fits_empty_region(const core::ProvisionPlan& plan) const {
-    const int cap = region.capacity(plan.type.name);
-    return cap == region::Region::kUnbounded || footprint(plan) <= cap;
-  }
-
-  /// Is the remembered uncapped answer worth a search now: not known yet,
-  /// or a plan whose footprint fits the free slots of its type?
-  [[nodiscard]] bool uncapped_may_fit(const RungMemo& memo) const {
-    if (memo.uncapped_type == RungMemo::kUnknown) return true;
-    if (memo.uncapped_type == RungMemo::kInfeasible) return false;
-    const auto type = static_cast<std::size_t>(memo.uncapped_type);
-    return region.fits(svc.stocked_types_[type].name, memo.uncapped_footprint);
-  }
-
-  void remember_uncapped(RungMemo& memo, const core::ProvisionPlan& plan) const {
+  static void remember(TypeMemo& memo, const core::ProvisionPlan& plan) {
     if (!plan.feasible) {
-      memo.uncapped_type = RungMemo::kInfeasible;
+      memo.footprint = TypeMemo::kInfeasible;
       return;
     }
-    const auto& types = svc.stocked_types_;
-    const auto it = std::find_if(types.begin(), types.end(), [&](const cloud::InstanceType& t) {
-      return t.name == plan.type.name;
-    });
-    CYNTHIA_CHECK(it != types.end(), "plan on an unstocked type: ", plan.type.name);
-    memo.uncapped_type = static_cast<int>(it - types.begin());
-    memo.uncapped_footprint = footprint(plan);
+    memo.footprint = footprint(plan);
+    memo.cost = plan.predicted_cost.value();
+    memo.predicted_time = plan.predicted_time.value();
+  }
+
+  /// The type of the cheapest remembered uncapped answer, the earliest type
+  /// winning ties (Provisioner::plan's reduction over types); nullopt when
+  /// no type has one.
+  [[nodiscard]] static std::optional<std::size_t> cheapest(const RungMemo& memo) {
+    std::optional<std::size_t> best;
+    for (std::size_t t = 0; t < memo.size(); ++t) {
+      if (memo[t].footprint < 0) continue;
+      if (!best.has_value() || memo[t].cost < memo[*best].cost) best = t;
+    }
+    return best;
+  }
+
+  /// One ladder search on one stocked type: `plan` for a fresh job, `replan`
+  /// of the pinned remainder for a revoked one.
+  core::ProvisionPlan search(const QueueState& st, const JobRequest& rq, std::size_t type,
+                             util::Seconds budget, const core::ProvisionOptions& opts) {
+    total_ladder_searches += 1;
+    const core::Provisioner& prov = st.planners->per_type[type];
+    const ddnn::SyncMode sync = st.planners->spec.sync;
+    if (st.remaining > 0) return prov.replan(sync, st.remaining, budget, opts);
+    return prov.plan(sync, {budget, rq.goal.target_loss}, opts);
   }
 
   /// Could any capacity-capped plan for this goal run on the *empty*
   /// region? Jobs failing this can never start and are rejected up front
-  /// instead of starving the queue head forever.
-  [[nodiscard]] bool feasible_on_empty_region(ProvisioningService::WorkloadPlanners& wp,
-                                              const core::ProvisionGoal& goal) {
-    for (const auto& type : svc.stocked_types_) {
-      const int cap = region.capacity(type.name);
-      if (cap == 0) continue;
+  /// instead of starving the queue head forever. Rung 1's memo answers the
+  /// question for most types; a capped search that fails at a type's full
+  /// capacity fails at every cap rung 1 can meet.
+  [[nodiscard]] bool feasible_on_empty_region(QueueState& st, const core::ProvisionGoal& goal) {
+    RungMemo& at_tg = st.rungs[1];
+    for (std::size_t t = 0; t < at_tg.size(); ++t) {
+      const int cap = region.capacity(slot_of(t));
+      if (cap == 0 || at_tg[t].footprint == TypeMemo::kInfeasible) continue;
+      if (cap == region::Region::kUnbounded || at_tg[t].footprint <= cap) return true;
       core::ProvisionOptions opts;
-      if (cap != region::Region::kUnbounded) opts.max_total_dockers = cap;
-      if (wp.per_type.at(type.name)->plan(wp.spec.sync, goal, opts).feasible) return true;
+      opts.max_total_dockers = cap;
+      if (st.planners->per_type[t].plan(st.planners->spec.sync, goal, opts).feasible) return true;
+      at_tg[t].failed_cap = cap;
     }
     return false;
   }
@@ -271,31 +294,37 @@ struct FleetEngine {
                              " tenant=" + rq.tenant + " lg=" + std::to_string(rq.goal.target_loss),
                          rq.goal.time_goal.value());
     }
-    ProvisioningService::WorkloadPlanners* wp = svc.planners_for(rq.workload);
-    if (wp == nullptr) {
+    QueueState& st = qstate[idx];
+    st.planners = svc.planners_for(rq.workload);
+    if (st.planners == nullptr) {
       reject(idx, JobState::kRejected, "unknown workload '" + rq.workload + "'");
       return;
     }
-    core::ProvisionPlan plan;
+    // The cost-optimal plan, one type at a time: it is rung 1's uncapped
+    // search for a fresh job, so it seeds that rung's memo.
+    RungMemo& at_tg = st.rungs[1];
+    at_tg.resize(st.planners->per_type.size());
     try {
-      plan = wp->all->plan(wp->spec.sync, rq.goal);
+      for (std::size_t t = 0; t < at_tg.size(); ++t) {
+        remember(at_tg[t], st.planners->per_type[t].plan(st.planners->spec.sync, rq.goal));
+      }
     } catch (const std::invalid_argument&) {
       reject(idx, JobState::kRejected, "invalid goal");
       return;
     }
-    if (!plan.feasible) {
+    const std::optional<std::size_t> type = cheapest(at_tg);
+    if (!type.has_value()) {
       reject(idx, JobState::kRejected, "no feasible plan for goal");
       return;
     }
-    if (!region.is_unbounded() && !fits_empty_region(plan) &&
-        !feasible_on_empty_region(*wp, rq.goal)) {
+    const int cap = region.capacity(slot_of(*type));
+    const bool fits_empty = cap == region::Region::kUnbounded || at_tg[*type].footprint <= cap;
+    if (!region.is_unbounded() && !fits_empty && !feasible_on_empty_region(st, rq.goal)) {
       reject(idx, JobState::kRejected, "exceeds region capacity");
       return;
     }
-    qstate[idx].has_plan = true;
-    qstate[idx].planned_at = sim.now();
-    // Rung 1's uncapped search for a fresh job is exactly this call.
-    remember_uncapped(qstate[idx].at_tg, plan);
+    st.has_plan = true;
+    st.planned_at = sim.now();
     enqueue(idx);
     if (rq.max_queue_wait.value() > 0.0) {
       sim.at(rq.arrival.value() + rq.max_queue_wait.value(), [this, idx] { on_timeout(idx); });
@@ -320,7 +349,7 @@ struct FleetEngine {
     const RunningAttempt ra = it->second;
     running.erase(it);
     const double now = sim.now();
-    region.release(ra.type.name, ra.dockers, util::Seconds{now});
+    region.release(slot_of(ra.type), ra.dockers, util::Seconds{now});
 
     JobOutcome& o = outcomes[idx];
     o.run_seconds += util::Seconds{ra.duration};
@@ -332,7 +361,7 @@ struct FleetEngine {
       tel->journal.event(now, telemetry::JournalKind::kJobCompleted, job_subject(o.request.id),
                          o.slo_met ? "slo-met" : "slo-missed", o.cost.value());
     }
-    clear_negative_caches();
+    releases += 1;
     scan();
   }
 
@@ -343,7 +372,7 @@ struct FleetEngine {
     running.erase(it);
     sim.cancel(ra.completion);
     const double now = sim.now();
-    region.release(ra.type.name, ra.dockers, util::Seconds{now});
+    region.release(slot_of(ra.type), ra.dockers, util::Seconds{now});
 
     JobOutcome& o = outcomes[idx];
     const double elapsed = now - ra.train_start;
@@ -360,39 +389,26 @@ struct FleetEngine {
     long done = static_cast<long>(frac * static_cast<double>(ra.attempt_total)) / ckpt * ckpt;
     done = std::min(done, ra.attempt_total - 1);
     done = std::max<long>(done, 0);
-    const long prior = qstate[idx].remaining > 0 ? qstate[idx].remaining : ra.attempt_total;
-    qstate[idx].remaining = std::max<long>(1, prior - done);
-    qstate[idx].has_plan = false;
-    qstate[idx].planned_at = -std::numeric_limits<double>::infinity();
-    qstate[idx].at_tg = {};
-    qstate[idx].any_time = {};
+    QueueState& st = qstate[idx];
+    const long prior = st.remaining > 0 ? st.remaining : ra.attempt_total;
+    st.remaining = std::max<long>(1, prior - done);
+    st.has_plan = false;
+    st.planned_at = -std::numeric_limits<double>::infinity();
 
     o.state = JobState::kQueued;
     if (tel != nullptr) {
       tel->journal.event(now, telemetry::JournalKind::kFaultInjected, job_subject(o.request.id),
                          std::string(ra.mixed ? "spot revocation (mixed fleet): " :
                                                 "spot revocation: ") +
-                             std::to_string(qstate[idx].remaining) + " iterations remain",
+                             std::to_string(st.remaining) + " iterations remain",
                          elapsed);
     }
     enqueue(idx);
-    clear_negative_caches();
+    releases += 1;
     scan();
   }
 
   // -- admission -----------------------------------------------------------
-
-  /// A capacity release genuinely changes what the ladder can find, so
-  /// negative planning caches (ladder found nothing) are dropped on every
-  /// release; positive caches stay until kReplanInterval expires (the job
-  /// keeps waiting for its planned type unless the wait grows stale).
-  void clear_negative_caches() {
-    for (const std::size_t idx : queue_) {
-      if (!qstate[idx].has_plan) {
-        qstate[idx].planned_at = -std::numeric_limits<double>::infinity();
-      }
-    }
-  }
 
   void scan() {
     int examined = 0;
@@ -408,92 +424,129 @@ struct FleetEngine {
     }
   }
 
+  /// A capacity release genuinely changes what the ladder can find, so a
+  /// negative decision (the ladder found nothing) holds until the next
+  /// release; a positive one holds until kReplanInterval expires (the job
+  /// keeps waiting for its planned type unless the wait grows stale).
   bool try_admit(std::size_t idx) {
     QueueState& st = qstate[idx];
     const double now = sim.now();
-    if (now - st.planned_at <= kReplanInterval.value()) {
-      // Cache window: reuse the last planning decision (or its negative).
-      if (!st.has_plan || !uncapped_may_fit(st.at_tg)) return false;
-      // It fits: plan again from the arrival inputs (same inputs, same plan).
+    if (now - st.planned_at <= kReplanInterval.value() &&
+        (st.has_plan || st.planned_release == releases)) {
+      if (!st.has_plan) return false;
+      const std::size_t type = *cheapest(st.rungs[1]);
+      if (!region.fits(slot_of(type), st.rungs[1][type].footprint)) return false;
+      // It fits: plan the arrival inputs again on its type (same inputs, same plan).
       const JobRequest& rq = outcomes[idx].request;
-      ProvisioningService::WorkloadPlanners* wp = svc.planners_for(rq.workload);
-      commit(idx, wp->all->plan(wp->spec.sync, rq.goal));
+      commit(idx, type, st.planners->per_type[type].plan(st.planners->spec.sync, rq.goal));
       return true;
     }
-    std::optional<core::ProvisionPlan> plan = admission_plan(idx);
+    std::optional<Admission> admission = admission_plan(idx);
     st.planned_at = now;
+    st.planned_release = releases;
     st.has_plan = false;
     total_replans += 1;
     outcomes[idx].replans += 1;
-    if (!plan.has_value()) return false;
-    commit(idx, *plan);
+    if (!admission.has_value()) return false;
+    commit(idx, admission->type, admission->plan);
     return true;
   }
 
-  /// Re-plans a queued job against what the region has free *now*: first
-  /// the unconstrained cost-optimal plan (if its footprint fits, it is
-  /// optimal among fitting plans too), then per-type capacity-capped
-  /// searches. Ladder: remaining SLO budget -> original Tg (best effort) ->
-  /// for revoked jobs only, any-time (sunk work is never abandoned).
-  std::optional<core::ProvisionPlan> admission_plan(std::size_t idx) {
-    JobOutcome& o = outcomes[idx];
-    const JobRequest& rq = o.request;
+  /// Re-plans a queued job against what the region has free *now*. Ladder:
+  /// remaining SLO budget -> original Tg (best effort) -> for revoked jobs
+  /// only, any-time (sunk work is never abandoned).
+  std::optional<Admission> admission_plan(std::size_t idx) {
+    const JobRequest& rq = outcomes[idx].request;
     QueueState& st = qstate[idx];
-    ProvisioningService::WorkloadPlanners* wp = svc.planners_for(rq.workload);
-    CYNTHIA_CHECK(wp != nullptr, "queued job lost its planners: ", rq.workload);
-    const double now = sim.now();
-
-    std::optional<core::ProvisionPlan> best;
-    auto consider = [&](const core::ProvisionPlan& p) {
-      if (!p.feasible || !fits_now(p)) return;
-      if (!best.has_value() || p.predicted_cost < best->predicted_cost ||
-          (p.predicted_cost == best->predicted_cost && p.type.name < best->type.name)) {
-        best = p;
-      }
-    };
-    auto search = [&](core::Provisioner& prov, util::Seconds budget,
-                      const core::ProvisionOptions& opts) {
-      total_ladder_searches += 1;
-      if (st.remaining > 0) return prov.replan(wp->spec.sync, st.remaining, budget, opts);
-      return prov.plan(wp->spec.sync, {budget, rq.goal.target_loss}, opts);
-    };
-    // `memo` is null on rung 0, which searches in full (see RungMemo).
-    auto ladder_step = [&](util::Seconds budget, RungMemo* memo) {
-      if (memo == nullptr || uncapped_may_fit(*memo)) {
-        const core::ProvisionPlan plan = search(*wp->all, budget, {});
-        if (memo != nullptr) remember_uncapped(*memo, plan);
-        consider(plan);
-        if (best.has_value()) return;  // unconstrained optimum fits: done
-      }
-      const auto& types = svc.stocked_types_;
-      if (memo != nullptr) memo->failed_cap.resize(types.size());  // 0: no failure yet
-      for (std::size_t t = 0; t < types.size(); ++t) {
-        const int avail = region.available(types[t].name);
-        if (avail == 0) continue;
-        const int cap = avail == region::Region::kUnbounded ? kNoCap : avail;
-        // Already failed at this cap or a larger one: fails here too.
-        if (memo != nullptr && cap <= memo->failed_cap[t]) continue;
-        core::ProvisionOptions opts;
-        if (cap != kNoCap) opts.max_total_dockers = cap;
-        const core::ProvisionPlan plan = search(*wp->per_type.at(types[t].name), budget, opts);
-        if (memo != nullptr && !plan.feasible) memo->failed_cap[t] = cap;
-        consider(plan);
-      }
-    };
-
-    const double budget_left = rq.goal.time_goal.value() - (now - rq.arrival.value());
-    if (budget_left > kBudgetEpsilon) ladder_step(util::Seconds{budget_left}, nullptr);
-    if (!best.has_value()) ladder_step(rq.goal.time_goal, &st.at_tg);
-    if (!best.has_value() && st.remaining > 0) ladder_step(kAnyTimeBudget, &st.any_time);
-    return best;
+    std::optional<Admission> admission;
+    const double budget_left = rq.goal.time_goal.value() - (sim.now() - rq.arrival.value());
+    if (budget_left > kBudgetEpsilon) {
+      admission = rung(st, rq, util::Seconds{budget_left}, st.rungs[0], /*shrinking=*/true);
+    }
+    if (!admission.has_value()) admission = rung(st, rq, rq.goal.time_goal, st.rungs[1], false);
+    if (!admission.has_value() && st.remaining > 0) {
+      admission = rung(st, rq, kAnyTimeBudget, st.rungs[2], false);
+    }
+    return admission;
   }
 
-  void commit(std::size_t idx, const core::ProvisionPlan& plan) {
+  /// One rung at `budget`: first the unconstrained cost-optimal plan (if its
+  /// footprint fits, it is optimal among fitting plans too), then per type
+  /// the cheapest plan within the type's free slots. `shrinking` marks rung
+  /// 0, whose budget only shrinks from one run to the next.
+  std::optional<Admission> rung(QueueState& st, const JobRequest& rq, util::Seconds budget,
+                                RungMemo& memo, bool shrinking) {
+    const std::size_t types = st.planners->per_type.size();
+    if (memo.empty()) memo.resize(types);
+    const bool windowed = shrinking && st.remaining == 0;
+    fresh.assign(types, 0);
+    for (std::size_t t = 0; t < types; ++t) {
+      TypeMemo& m = memo[t];
+      if (windowed) {
+        const core::SearchWindow window = st.planners->per_type[t].window(
+            0, st.planners->spec.sync, {budget, rq.goal.target_loss});
+        if (window != m.window) {  // what the memo knows holds within one window
+          m = TypeMemo{};
+          m.window = window;
+        }
+      }
+      const bool known = m.footprint != TypeMemo::kUnknown &&
+                         (!shrinking || m.footprint == TypeMemo::kInfeasible ||
+                          m.predicted_time <= budget.value());
+      if (known) continue;
+      fresh_plans[t] = search(st, rq, t, budget, {});
+      fresh[t] = 1;
+      remember(m, fresh_plans[t]);
+    }
+    // The admitted plan always comes from a search at this budget.
+    auto uncapped_plan = [&](std::size_t t) {
+      return fresh[t] != 0 ? std::move(fresh_plans[t]) : search(st, rq, t, budget, {});
+    };
+    if (const std::optional<std::size_t> t = cheapest(memo);
+        t.has_value() && region.fits(slot_of(*t), memo[*t].footprint)) {
+      return Admission{*t, uncapped_plan(*t)};
+    }
+
+    std::optional<std::size_t> best;
+    double best_cost = 0.0;
+    std::optional<core::ProvisionPlan> best_capped;  // when a capped search found the best
+    for (std::size_t t = 0; t < types; ++t) {
+      TypeMemo& m = memo[t];
+      if (m.footprint == TypeMemo::kInfeasible) continue;
+      const int avail = region.available(slot_of(t));
+      if (avail == 0) continue;
+      std::optional<core::ProvisionPlan> capped;
+      double cost = m.cost;
+      // Within the free slots (all of them, for a type the region does not
+      // limit) the capped search finds the uncapped answer itself.
+      if (avail != region::Region::kUnbounded && m.footprint > avail) {
+        if (avail <= m.failed_cap) continue;
+        core::ProvisionOptions opts;
+        opts.max_total_dockers = avail;
+        capped = search(st, rq, t, budget, opts);
+        if (!capped->feasible) {
+          m.failed_cap = avail;
+          continue;
+        }
+        cost = capped->predicted_cost.value();
+      }
+      // Strict `<`: the earliest type wins ties.
+      if (best.has_value() && !(cost < best_cost)) continue;
+      best = t;
+      best_cost = cost;
+      best_capped = std::move(capped);
+    }
+    if (!best.has_value()) return std::nullopt;
+    if (best_capped.has_value()) return Admission{*best, std::move(*best_capped)};
+    return Admission{*best, uncapped_plan(*best)};
+  }
+
+  void commit(std::size_t idx, std::size_t type, const core::ProvisionPlan& plan) {
     const double now = sim.now();
     JobOutcome& o = outcomes[idx];
     const JobRequest& rq = o.request;
     const int dockers = footprint(plan);
-    region.reserve(plan.type.name, dockers, util::Seconds{now});
+    region.reserve(slot_of(type), dockers, util::Seconds{now});
 
     o.plan = plan;
     o.state = JobState::kRunning;
@@ -503,10 +556,12 @@ struct FleetEngine {
     }
     o.attempts += 1;
     total_attempts += 1;
-    qstate[idx].has_plan = false;
+    QueueState& st = qstate[idx];
+    st.has_plan = false;
+    st.rungs = {};
 
     RunningAttempt ra;
-    ra.type = plan.type;
+    ra.type = type;
     ra.n_workers = plan.n_workers;
     ra.n_ps = plan.n_ps;
     ra.dockers = dockers;
@@ -514,7 +569,7 @@ struct FleetEngine {
     // Revoked jobs re-plan onto mixed fleets: the remainder (pinned by the
     // last revocation) runs its workers on spot while the PS tier stays
     // on-demand, keeping the parameters durable across further revocations.
-    ra.mixed = spot_market.has_value() && qstate[idx].remaining > 0;
+    ra.mixed = spot_market.has_value() && st.remaining > 0;
     if (ra.mixed) total_spot_attempts += 1;
     ra.prov = deploy_latency(plan, mix_seed(svc.options_.seed ^ kDeploySalt, rq.id, o.attempts));
     o.provisioning += util::Seconds{ra.prov};
@@ -573,9 +628,10 @@ struct FleetEngine {
   /// Eq. 8 for an attempt's duration; mixed attempts blend the worker tier
   /// down to the fitted spot rate (spot off reproduces plan_cost exactly).
   [[nodiscard]] util::Dollars attempt_cost(const RunningAttempt& ra, util::Seconds duration) {
-    if (!ra.mixed) return core::plan_cost(ra.type, ra.n_workers, ra.n_ps, duration);
+    const cloud::InstanceType& type = stocked(ra.type);
+    if (!ra.mixed) return core::plan_cost(type, ra.n_workers, ra.n_ps, duration);
     const double ratio = spot_fit(ra.type).held_price_ratio;
-    const util::DollarsPerHour rate{ra.type.docker_price().value() *
+    const util::DollarsPerHour rate{type.docker_price().value() *
                                     (ratio * ra.n_workers + ra.n_ps)};
     return rate * duration;
   }
@@ -594,8 +650,8 @@ struct FleetEngine {
     if (tel != nullptr) {
       const double now = sim.now();
       const std::string subject = job_subject(o.request.id);
-      const std::string detail =
-          ra.type.name + " x" + std::to_string(ra.dockers) + " attempt " + std::to_string(o.attempts);
+      const std::string detail = stocked(ra.type).name + " x" + std::to_string(ra.dockers) +
+                                 " attempt " + std::to_string(o.attempts);
       tel->journal.billing_delta(now, tel->journal.next_settlement(),
                                  telemetry::CostPhase::kProvision, cause, subject,
                                  charge_prov.value(), detail);
@@ -611,6 +667,7 @@ struct FleetEngine {
     o.completed_at = util::Seconds{now};
     o.queue_wait = util::Seconds{now - o.request.arrival.value()};
     o.reason = reason;
+    qstate[idx].rungs = {};
     if (tel != nullptr) {
       tel->journal.event(now, telemetry::JournalKind::kJobRejected, job_subject(o.request.id),
                          reason);
@@ -752,8 +809,12 @@ struct FleetEngine {
 ProvisioningService::ProvisioningService(region::Region region, const cloud::Catalog& catalog,
                                          ServeOptions options)
     : region_(std::move(region)), catalog_(&catalog), options_(std::move(options)) {
-  for (const region::TypeCapacity& cap : region_.capacities()) {
-    if (const auto type = catalog_->find(cap.type)) stocked_types_.push_back(*type);
+  const std::vector<region::TypeCapacity> capacities = region_.capacities();
+  for (std::size_t slot = 0; slot < capacities.size(); ++slot) {
+    if (const auto type = catalog_->find(capacities[slot].type)) {
+      stocked_types_.push_back(*type);
+      stocked_slots_.push_back(slot);
+    }
   }
 }
 
@@ -772,11 +833,10 @@ ProvisioningService::WorkloadPlanners* ProvisioningService::planners_for(
       core::Predictor::build(spec, catalog_->at(options_.baseline_type), options_.predictor);
   WorkloadPlanners planners;
   planners.spec = spec;
-  planners.all = std::make_unique<core::Provisioner>(predictor.model(), predictor.loss(),
-                                                     stocked_types_);
+  planners.per_type.reserve(stocked_types_.size());
   for (const cloud::InstanceType& type : stocked_types_) {
-    planners.per_type[type.name] = std::make_unique<core::Provisioner>(
-        predictor.model(), predictor.loss(), std::vector<cloud::InstanceType>{type});
+    planners.per_type.emplace_back(predictor.model(), predictor.loss(),
+                                   std::vector<cloud::InstanceType>{type});
   }
   const auto [inserted, ok] = planners_.emplace(workload, std::move(planners));
   CYNTHIA_CHECK(ok, "duplicate planner insertion for ", workload);

@@ -28,9 +28,9 @@
 // (see docs/SERVICE.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -131,14 +131,14 @@ class ProvisioningService {
  private:
   friend struct FleetEngine;
 
-  /// Per-workload planning state, cached across runs: one Predictor build,
-  /// one all-types Provisioner for the cost-optimal plan, and one
-  /// single-type Provisioner per stocked type for capacity-capped admission
-  /// planning (each keeps its own warm PredictionCache).
+  /// Per-workload planning state, cached across runs: one Predictor build
+  /// and one single-type Provisioner per stocked type, in stocked order
+  /// (each keeps its own warm PredictionCache). The cost-optimal plan over
+  /// every stocked type is the cheapest of their answers, the earliest type
+  /// winning ties: the reduction a Provisioner over all of them makes.
   struct WorkloadPlanners {
     ddnn::WorkloadSpec spec;
-    std::unique_ptr<core::Provisioner> all;
-    std::map<std::string, std::unique_ptr<core::Provisioner>> per_type;
+    std::vector<core::Provisioner> per_type;
   };
 
   WorkloadPlanners* planners_for(const std::string& workload);
@@ -147,6 +147,7 @@ class ProvisioningService {
   const cloud::Catalog* catalog_;
   ServeOptions options_;
   std::vector<cloud::InstanceType> stocked_types_;  ///< region types, name order
+  std::vector<std::size_t> stocked_slots_;          ///< region index of each stocked type
   std::map<std::string, WorkloadPlanners> planners_;
 };
 

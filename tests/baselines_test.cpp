@@ -147,8 +147,8 @@ TEST(Optimus, ExtrapolationDegradesUnderPsBottleneck) {
 
 TEST(Optimus, PredictInvalidInputsThrow) {
   const auto m = cb::OptimusModel::fit_online(cd::workload_by_name("cifar10"), m4());
-  EXPECT_THROW(m.predict_iteration(0, 1), std::invalid_argument);
-  EXPECT_THROW(m.predict_total(1, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)m.predict_iteration(0, 1), std::invalid_argument);
+  EXPECT_THROW((void)m.predict_total(1, 1, 0), std::invalid_argument);
 }
 
 // --------------------------------------------------- modified Optimus

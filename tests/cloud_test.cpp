@@ -28,7 +28,7 @@ TEST(Catalog, LookupReturnsCorrectEntry) {
 }
 
 TEST(Catalog, UnknownTypeThrows) {
-  EXPECT_THROW(cc::Catalog::aws().at("p3.16xlarge"), std::out_of_range);
+  EXPECT_THROW((void)cc::Catalog::aws().at("p3.16xlarge"), std::out_of_range);
   EXPECT_FALSE(cc::Catalog::aws().find("p3.16xlarge").has_value());
 }
 

@@ -93,10 +93,10 @@ TEST(LossModel, AspNeedsFewerPerWorkerIterationsWithMoreWorkers) {
 
 TEST(LossModel, InvalidTargetsThrow) {
   co::LossModel m(cd::SyncMode::BSP, 1000.0, 0.3);
-  EXPECT_THROW(m.iterations_for(0.3, 1), std::invalid_argument);
-  EXPECT_THROW(m.iterations_for(0.1, 1), std::invalid_argument);
-  EXPECT_THROW(m.loss_at(0.0, 1), std::invalid_argument);
-  EXPECT_THROW(m.iterations_for(0.8, 0), std::invalid_argument);
+  EXPECT_THROW((void)m.iterations_for(0.3, 1), std::invalid_argument);
+  EXPECT_THROW((void)m.iterations_for(0.1, 1), std::invalid_argument);
+  EXPECT_THROW((void)m.loss_at(0.0, 1), std::invalid_argument);
+  EXPECT_THROW((void)m.iterations_for(0.8, 0), std::invalid_argument);
   EXPECT_THROW(co::LossModel(cd::SyncMode::BSP, -1.0, 0.0), std::invalid_argument);
 }
 

@@ -44,9 +44,11 @@ TEST(PerfModel, RejectsBadInputs) {
   EXPECT_THROW(co::CynthiaModel(p, 0.0), std::invalid_argument);
   EXPECT_THROW(co::CynthiaModel(p, 1.5), std::invalid_argument);
   co::CynthiaModel m(p);
-  EXPECT_THROW(m.predict_total(cd::ClusterSpec::homogeneous(m4(), 1, 1), cd::SyncMode::BSP, 0),
+  EXPECT_THROW(
+      (void)m.predict_total(cd::ClusterSpec::homogeneous(m4(), 1, 1), cd::SyncMode::BSP, 0),
+      std::invalid_argument);
+  EXPECT_THROW((void)m.predict_iteration(cd::ClusterSpec{}, cd::SyncMode::BSP),
                std::invalid_argument);
-  EXPECT_THROW(m.predict_iteration(cd::ClusterSpec{}, cd::SyncMode::BSP), std::invalid_argument);
 }
 
 TEST(PerfModel, Eq4BspComputeSplitsBatch) {

@@ -23,13 +23,20 @@ namespace cu = cynthia::util;
 
 namespace {
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
+
+/// Predictor options whose loss history is `iterations` long.
+co::PredictorOptions history_of(long iterations) {
+  co::PredictorOptions options;
+  options.loss_history_iterations = iterations;
+  return options;
+}
 }  // namespace
 
 TEST(Integration, ProfileOncepredictEverywhere) {
   // One profile must support predictions across worker counts, PS counts,
   // heterogeneity and a different instance type, all within 15%.
   const auto& w = cd::workload_by_name("cifar10");
-  const auto pred = co::Predictor::build(w, m4(), {.loss_history_iterations = 1000});
+  const auto pred = co::Predictor::build(w, m4(), history_of(1000));
   struct Case {
     cd::ClusterSpec cluster;
     const char* label;
@@ -82,7 +89,7 @@ TEST(Integration, PlannedIterationBudgetReachesTargetLoss) {
   // Loss-model round trip: fit from a prior run, invert for a target,
   // train the planned budget, verify the achieved loss.
   const auto& w = cd::workload_by_name("resnet32");
-  const auto pred = co::Predictor::build(w, m4(), {.loss_history_iterations = 600});
+  const auto pred = co::Predictor::build(w, m4(), history_of(600));
   const int n = 6;
   const long per_worker = pred.loss().iterations_for(0.9, n);
   cd::TrainOptions o;
@@ -96,7 +103,7 @@ TEST(Integration, CostSavingVersusOptimusOnTightLossGoal) {
   // Fig. 12(b): at 60 min / loss 0.7, Cynthia's plan must be no more
   // expensive than modified Optimus' when both are executed on the testbed.
   const auto& w = cd::workload_by_name("cifar10");
-  const auto pred = co::Predictor::build(w, m4(), {.loss_history_iterations = 2000});
+  const auto pred = co::Predictor::build(w, m4(), history_of(2000));
   co::Provisioner cynthia(pred.model(), pred.loss(), {m4()});
   auto optimus = cb::OptimusProvisioner::build_online(w, pred.loss(), {m4()});
   const co::ProvisionGoal goal{cu::minutes(60), 0.7};
@@ -142,7 +149,8 @@ TEST(Integration, RepeatedRunsAreStableAcrossSeeds) {
   // The paper repeats each experiment 3x and reports small error bars;
   // our jittered simulator must behave the same way.
   const auto& w = cd::workload_by_name("cifar10");
-  const auto rep = cd::run_repeated(cd::ClusterSpec::homogeneous(m4(), 8, 1), w,
-                                    {.iterations = 200}, 3);
+  cd::TrainOptions training;
+  training.iterations = 200;
+  const auto rep = cd::run_repeated(cd::ClusterSpec::homogeneous(m4(), 8, 1), w, training, 3);
   EXPECT_LT(rep.stddev_time / rep.mean_time, 0.05);
 }

@@ -37,7 +37,9 @@ namespace {
 
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
 
-co::Provisioner make_provisioner(const char* name, cd::SyncMode mode) {
+co::Provisioner make_provisioner(const char* name, cd::SyncMode mode,
+                                 std::vector<cc::InstanceType> types =
+                                     cc::Catalog::aws().provisionable()) {
   static std::map<std::string, cp::ProfileResult> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
@@ -46,8 +48,7 @@ co::Provisioner make_provisioner(const char* name, cd::SyncMode mode) {
   const auto& w = cd::workload_by_name(name);
   const auto& coef = w.loss_for(mode);
   co::LossModel loss(mode, coef.beta0, coef.beta1);
-  return co::Provisioner(co::CynthiaModel(it->second), std::move(loss),
-                         cc::Catalog::aws().provisionable());
+  return co::Provisioner(co::CynthiaModel(it->second), std::move(loss), std::move(types));
 }
 
 struct Case {
@@ -110,7 +111,9 @@ void expect_same_prediction(const co::IterationPrediction& a, const co::Iteratio
   EXPECT_EQ(a.bw_bottleneck, b.bw_bottleneck);
 }
 
-void expect_same_plan(const co::ProvisionPlan& a, const co::ProvisionPlan& b) {
+/// The chosen candidate, bit for bit; not the bounds, which belong to the
+/// goal the plan was searched at.
+void expect_same_answer(const co::ProvisionPlan& a, const co::ProvisionPlan& b) {
   ASSERT_EQ(a.feasible, b.feasible);
   if (!a.feasible) return;
   EXPECT_EQ(a.type.name, b.type.name);
@@ -122,10 +125,24 @@ void expect_same_plan(const co::ProvisionPlan& a, const co::ProvisionPlan& b) {
   EXPECT_EQ(a.predicted_time.value(), b.predicted_time.value());
   EXPECT_EQ(a.predicted_cost.value(), b.predicted_cost.value());
   expect_same_prediction(a.diagnostics, b.diagnostics);
+}
+
+void expect_same_plan(const co::ProvisionPlan& a, const co::ProvisionPlan& b) {
+  expect_same_answer(a, b);
+  if (!a.feasible || !b.feasible) return;
   EXPECT_EQ(a.bounds.feasible, b.bounds.feasible);
   EXPECT_EQ(a.bounds.n_lower, b.bounds.n_lower);
   EXPECT_EQ(a.bounds.n_upper, b.bounds.n_upper);
   EXPECT_EQ(a.bounds.n_ps, b.bounds.n_ps);
+}
+
+/// expect_same_plan, and every field of the bounds.
+void expect_identical_plan(const co::ProvisionPlan& a, const co::ProvisionPlan& b) {
+  expect_same_plan(a, b);
+  if (!a.feasible || !b.feasible) return;
+  EXPECT_EQ(a.bounds.r, b.bounds.r);
+  EXPECT_EQ(a.bounds.u, b.bounds.u);
+  EXPECT_EQ(a.bounds.iterations, b.bounds.iterations);
 }
 
 }  // namespace
@@ -225,6 +242,61 @@ TEST(PlannerEquiv, CacheServesRepeatCallsWithoutRecomputing) {
   EXPECT_EQ(warm.cache_misses, cold.cache_misses) << "warm call must not recompute";
   EXPECT_GT(warm.cache_hits, cold.cache_hits);
   EXPECT_EQ(warm.plans, cold.plans + 1);
+}
+
+// The fleet service plans with one single-type Provisioner per stocked type
+// and takes the cheapest answer, the earliest type winning ties. That is the
+// all-types Provisioner's answer: each type's scan is independent of the
+// others, and search_catalog reduces with a strict `<`.
+TEST(PlannerEquiv, CheapestPerTypeAnswerIsTheCatalogAnswer) {
+  const std::vector<cc::InstanceType> types =
+      cc::Catalog::aws().provisionable_with_accelerators();
+  long feasible = 0;
+  long infeasible = 0;
+  long later_type_won = 0;  // the reduction picked a type other than the first
+  auto check = [&](const co::ProvisionPlan& all, const std::vector<co::ProvisionPlan>& each) {
+    std::size_t best = each.size();
+    for (std::size_t t = 0; t < each.size(); ++t) {
+      if (!each[t].feasible) continue;
+      if (best == each.size() || each[t].predicted_cost < each[best].predicted_cost) best = t;
+    }
+    if (best == each.size()) {
+      EXPECT_FALSE(all.feasible);
+      ++infeasible;
+      return;
+    }
+    expect_identical_plan(all, each[best]);
+    ++feasible;
+    later_type_won += best > 0 ? 1 : 0;
+  };
+  for (const Case& c : paper_cases()) {
+    SCOPED_TRACE(std::string(c.workload) + " mode " + std::to_string(int(c.mode)));
+    const auto all = make_provisioner(c.workload, c.mode, types);
+    std::vector<co::Provisioner> per_type;
+    for (const cc::InstanceType& type : types) {
+      per_type.push_back(make_provisioner(c.workload, c.mode, {type}));
+    }
+    // The paper goal, and one a tenth as long that some types cannot meet.
+    for (const double scale : {1.0, 0.1}) {
+      const co::ProvisionGoal goal{c.goal.time_goal * scale, c.goal.target_loss};
+      std::vector<co::ProvisionPlan> each;
+      for (const co::Provisioner& prov : per_type) each.push_back(prov.plan(c.mode, goal));
+      check(all.plan(c.mode, goal), each);
+    }
+    for (const ReplanInput& in : degradation_matrix()) {
+      for (const double scale : {1.0, 0.05}) {
+        const cu::Seconds budget = kReplanBudget * scale;
+        std::vector<co::ProvisionPlan> each;
+        for (const co::Provisioner& prov : per_type) {
+          each.push_back(prov.replan(c.mode, in.remaining, budget, {}, in.degradation));
+        }
+        check(all.replan(c.mode, in.remaining, budget, {}, in.degradation), each);
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_GT(later_type_won, 0);
 }
 
 // ----------------------------------------------------- pinned plan digests
@@ -350,14 +422,14 @@ TEST(PlannerEquiv, PinnedPlanDigests) {
 
 // ------------------------------------------ feasibility monotonicity
 //
-// The fleet service's admission ladder (src/service/service.cpp, RungMemo)
-// remembers, per queued job and fixed-budget rung, the largest cap at which
-// a single-type capped search found no plan, and skips that type while the
-// region has no more free slots than that. These sample the property that
-// makes the skip exact, on the planners the service builds (Predictor::build
-// on m4.xlarge, one single-type Provisioner per type), over the four fleet
-// workloads in their own sync mode and in SSP, and pin why rung 0 keeps no
-// memo.
+// The fleet service's admission ladder (src/service/service.cpp, TypeMemo)
+// remembers, per queued job, rung and stocked type, the type's uncapped
+// answer and the largest cap at which its capped search found no plan, and
+// skips every search whose answer that fixes. These sample the properties
+// that make the skips exact, on the planners the service builds
+// (Predictor::build on m4.xlarge, one single-type Provisioner per type), over
+// the four fleet workloads in their own sync mode and in SSP, and pin why
+// rung 0's memo is keyed by the search window.
 
 namespace {
 
@@ -498,11 +570,125 @@ TEST(PlannerMonotone, ReplanFeasibilityIsMonotoneInTheBudget) {
   EXPECT_GT(flips, 0);
 }
 
+// Within one Theorem 4.1 window a smaller budget scans the same candidates in
+// the same order and only turns some of them infeasible. So for B1 < B0 with
+// equal windows, a capped failure at (B0, c0) is a failure at (B1, c1 <= c0),
+// and an answer at B0 that meets B1 is the answer at B1. Rung 0 of the
+// admission ladder, whose budget shrinks with the clock, keys its memo on
+// this.
+TEST(PlannerMonotone, EqualWindowsKeepFailuresAndAnswers) {
+  cu::Rng rng(0x5eed0030);
+  long equal_windows = 0;
+  long moved_windows = 0;
+  long failures_kept = 0;  // a capped failure at B0 checked at B1
+  long answers_kept = 0;   // B0's answer met B1 and was B1's answer
+  long answers_lost = 0;   // B0's answer missed B1 (the memo searches again)
+  long nothing_kept = 0;   // no plan at B0, checked at B1
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws; ++draw) {
+        const double l_g = fp.loss_floor + log_uniform(rng, 0.005, 0.5);
+        const double b0 = log_uniform(rng, 30.0, 8.0 * 3600.0);
+        const int c0 = static_cast<int>(rng.uniform_int(1, 32));
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " l_g " + std::to_string(l_g) +
+                     " B0 " + std::to_string(b0) + " c0 " + std::to_string(c0));
+        const auto at = [&](double budget, int cap) {
+          return prov.plan(fp.mode, {cu::Seconds{budget}, l_g}, capped(cap));
+        };
+        const co::SearchWindow w0 = prov.window(0, fp.mode, {cu::Seconds{b0}, l_g});
+        const co::ProvisionPlan answer = at(b0, 0);
+        const bool capped_failed = !at(b0, c0).feasible;
+        double b1 = b0;
+        for (int step = 0; step < 4; ++step) {
+          // Smaller and smaller budgets, most of them within B0's window.
+          b1 *= 1.0 - log_uniform(rng, 1e-4, 0.2);
+          if (prov.window(0, fp.mode, {cu::Seconds{b1}, l_g}) != w0) {
+            ++moved_windows;
+            continue;
+          }
+          ++equal_windows;
+          if (capped_failed) {
+            const int c1 = static_cast<int>(rng.uniform_int(1, c0));
+            EXPECT_FALSE(at(b1, c1).feasible) << "cap " << c1 << " at B1 " << b1;
+            ++failures_kept;
+          }
+          const co::ProvisionPlan now = at(b1, 0);
+          if (!answer.feasible) {
+            EXPECT_FALSE(now.feasible) << "B1 " << b1;
+            ++nothing_kept;
+          } else if (answer.predicted_time.value() <= b1) {
+            expect_same_answer(now, answer);
+            ++answers_kept;
+          } else {
+            ++answers_lost;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(equal_windows, 0);
+  EXPECT_GT(moved_windows, 0);
+  EXPECT_GT(failures_kept, 0);
+  EXPECT_GT(answers_kept, 0);
+  EXPECT_GT(answers_lost, 0);
+  EXPECT_GT(nothing_kept, 0);
+}
+
+// At one budget a capped row is a prefix of the uncapped row, so the uncapped
+// answer settles every capped search at or above its footprint (the same
+// plan, bit for bit), and an uncapped search that finds nothing means that no
+// capped one does. The admission ladder skips those capped searches.
+TEST(PlannerMonotone, UncappedAnswerSettlesEveryCapAtOrAboveItsFootprint) {
+  cu::Rng rng(0x5eed0031);
+  long plan_settled = 0;
+  long plan_empty = 0;
+  long replan_settled = 0;
+  long replan_empty = 0;
+  const auto settle = [](const co::ProvisionPlan& uncapped, const co::ProvisionPlan& at_cap,
+                         int cap, long& settled, long& empty) {
+    if (!uncapped.feasible) {
+      EXPECT_FALSE(at_cap.feasible) << "cap " << cap;
+      ++empty;
+    } else if (uncapped.n_workers + uncapped.n_ps <= cap) {
+      expect_identical_plan(at_cap, uncapped);
+      ++settled;
+    }
+  };
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws; ++draw) {
+        const co::ProvisionGoal goal{cu::Seconds{log_uniform(rng, 30.0, 8.0 * 3600.0)},
+                                    fp.loss_floor + log_uniform(rng, 0.005, 0.5)};
+        const long remaining = static_cast<long>(log_uniform(rng, 1.0, 20000.0));
+        const cu::Seconds budget{log_uniform(rng, 10.0, 2.0e5)};
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " Tg " +
+                     std::to_string(goal.time_goal.value()) + " l_g " +
+                     std::to_string(goal.target_loss) + " remaining " +
+                     std::to_string(remaining) + " budget " + std::to_string(budget.value()));
+        const co::ProvisionPlan plan = prov.plan(fp.mode, goal);
+        const co::ProvisionPlan replan = prov.replan(fp.mode, remaining, budget);
+        for (int i = 0; i < 4; ++i) {
+          const int cap = static_cast<int>(rng.uniform_int(1, 128));
+          settle(plan, prov.plan(fp.mode, goal, capped(cap)), cap, plan_settled, plan_empty);
+          settle(replan, prov.replan(fp.mode, remaining, budget, capped(cap)), cap,
+                 replan_settled, replan_empty);
+        }
+      }
+    }
+  }
+  EXPECT_GT(plan_settled, 0);
+  EXPECT_GT(plan_empty, 0);
+  EXPECT_GT(replan_settled, 0);
+  EXPECT_GT(replan_empty, 0);
+}
+
 // Algorithm 1's bounded search is not monotone in the budget: compute_bounds
 // moves n_lower, n_ps and each row's upper bound with Tg, so a larger Tg can
-// lose every candidate a smaller one found. This is why the admission ladder
-// keeps no memo for rung 0, whose budget (the SLO time left) shrinks with the
-// clock: a failure there says nothing about the next, smaller budget.
+// lose every candidate a smaller one found. A failure or an answer therefore
+// carries over to a smaller budget only within one search window, which is
+// how rung 0 of the admission ladder keys its memo; these windows differ.
 TEST(PlannerMonotone, PlanIsNotMonotoneInTheBudget) {
   const co::Predictor predictor = fleet_predictor("vgg19", cd::SyncMode::ASP);
   const co::Provisioner prov(predictor.model(), predictor.loss(),
@@ -519,4 +705,8 @@ TEST(PlannerMonotone, PlanIsNotMonotoneInTheBudget) {
   ASSERT_TRUE(loose.feasible);
   EXPECT_EQ(loose.n_workers, 50);
   EXPECT_EQ(loose.n_ps, 59);
+  const auto window_at = [&](double tg) {
+    return prov.window(0, cd::SyncMode::ASP, {cu::Seconds{tg}, 0.172});
+  };
+  EXPECT_NE(window_at(233.5), window_at(233.0));
 }

@@ -183,7 +183,7 @@ TEST(EventQueue, PendingStaysExactOverASeededScript) {
 TEST(EventQueue, EmptyPopThrows) {
   cs::EventQueue q;
   EXPECT_THROW(q.pop(), std::logic_error);
-  EXPECT_THROW(q.next_time(), std::logic_error);
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
 
 // ------------------------------------------------------------- simulator

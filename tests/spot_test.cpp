@@ -69,7 +69,7 @@ TEST(SpotMarket, CostIntegratesPrice) {
   avg /= 12.0;
   EXPECT_NEAR(c, avg, 1e-9);
   EXPECT_DOUBLE_EQ(market.cost("m4.xlarge", 500.0, 500.0).value(), 0.0);
-  EXPECT_THROW(market.cost("m4.xlarge", 100.0, 50.0), std::invalid_argument);
+  EXPECT_THROW((void)market.cost("m4.xlarge", 100.0, 50.0), std::invalid_argument);
 }
 
 TEST(SpotMarket, RevocationAndAvailabilityAreConsistent) {

@@ -114,7 +114,9 @@ TEST(WorkloadFromNetwork, DerivedWorkloadTrainsEndToEnd) {
   EXPECT_LT(gpu.total_time, cpu.total_time);
 
   // And the whole predictor pipeline works on it.
-  const auto pred = cynthia::core::Predictor::build(w, m4(), {.loss_history_iterations = 400});
+  cynthia::core::PredictorOptions options;
+  options.loss_history_iterations = 400;
+  const auto pred = cynthia::core::Predictor::build(w, m4(), options);
   const double predicted =
       pred.model().predict_total(cd::ClusterSpec::homogeneous(m4(), 4, 1), w.sync, 50).value();
   EXPECT_NEAR(predicted, cpu.total_time, cpu.total_time * 0.15);
@@ -125,9 +127,9 @@ TEST(WorkloadFromNetwork, LstmIsPsHeavy) {
   // derived workload should saturate the PS quickly — the class of model
   // where Cynthia's bottleneck awareness matters most.
   const auto w = cd::workload_from_network(cm::build_lstm_medium(), {.batch_size = 64});
-  const auto r2 = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 2, 1), w,
-                                   {.iterations = 100});
-  const auto r8 = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 8, 1), w,
-                                   {.iterations = 100});
+  cd::TrainOptions training;
+  training.iterations = 100;
+  const auto r2 = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 2, 1), w, training);
+  const auto r8 = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 8, 1), w, training);
   EXPECT_LT(r8.avg_worker_cpu_util, r2.avg_worker_cpu_util);
 }

@@ -457,8 +457,7 @@ struct Parser {
 
   /// Parses the declaration whose type has already been read. Returns the
   /// resume index, or `b` unchanged if nothing recognizable follows.
-  std::size_t parse_after_type(const TypeName& ty, std::size_t b, std::size_t limit,
-                               StructDecl* ctx) {
+  std::size_t parse_after_type(const TypeName& ty, std::size_t b, StructDecl* ctx) {
     std::size_t j = ty.end;
     // Constructor definitions: the qualified chain ends Foo::Foo, or in-class
     // the "type" IS the struct name and "(" follows directly.
@@ -697,7 +696,7 @@ struct Parser {
           i = j;
           continue;
         }
-        const std::size_t resume = parse_after_type(ty, i, e, ctx);
+        const std::size_t resume = parse_after_type(ty, i, ctx);
         if (resume != i) {
           i = resume;
           continue;
