@@ -1,7 +1,8 @@
 // Figure 8: cross-instance-type prediction. Cynthia profiles VGG-19 once on
 // an m4.xlarge baseline and predicts the training time on r3.xlarge
-// clusters of 7/9/12 workers using only the CPU-capability table and the
-// r3 NIC spec — no re-profiling. Paper: 4.0-5.2% error.
+// clusters of 7/9/12 workers using only the catalog's r3 entry (its per-core
+// GFLOPS, the paper's CPU-capability table [3], and its NIC share) — no
+// re-profiling. Paper: 4.0-5.2% error.
 #include <cstdio>
 #include <iostream>
 

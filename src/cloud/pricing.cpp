@@ -7,20 +7,6 @@
 
 namespace cynthia::cloud {
 
-util::Dollars docker_cost(const InstanceType& type, int count, util::Seconds duration) {
-  if (count < 0 || duration.value() < 0.0) {
-    throw std::invalid_argument("docker_cost: negative count or duration");
-  }
-  return (type.docker_price() * static_cast<double>(count)) * duration;
-}
-
-util::Dollars instance_cost(const InstanceType& type, int count, util::Seconds duration) {
-  if (count < 0 || duration.value() < 0.0) {
-    throw std::invalid_argument("instance_cost: negative count or duration");
-  }
-  return (type.price * static_cast<double>(count)) * duration;
-}
-
 std::size_t BillingMeter::start(std::string instance_id, const InstanceType& type,
                                 util::Seconds now) {
   for (const auto& r : records_) {
@@ -41,12 +27,6 @@ void BillingMeter::stop(const std::string& instance_id, util::Seconds now) {
     }
   }
   throw std::out_of_range("BillingMeter: no running instance '" + instance_id + "'");
-}
-
-void BillingMeter::stop_all(util::Seconds now) {
-  for (auto& r : records_) {
-    if (r.running()) r.stop_time = std::max(now, r.start_time);
-  }
 }
 
 util::Dollars BillingMeter::charge(const BillingRecord& r, util::Seconds until) {

@@ -1,9 +1,9 @@
 // Cost accounting for provisioned instances.
 //
-// The paper's Figs. 11-13 compare the dollar cost of provisioning plans;
-// this module provides the pricing arithmetic (Eq. 8's p_wk/p_ps terms) and
-// a BillingMeter that accrues cost per instance with EC2-style per-second
-// billing and a 60-second minimum charge.
+// The paper's Figs. 11-13 compare the dollar cost of provisioning plans
+// (Eq. 8 is core::plan_cost). This module bills what actually ran: a
+// BillingMeter accrues cost per instance with EC2-style per-second billing
+// and a 60-second minimum charge.
 #pragma once
 
 #include <string>
@@ -14,13 +14,6 @@
 #include "util/units.hpp"
 
 namespace cynthia::cloud {
-
-/// Cost of running `count` dockers of `type` for `duration`
-/// (Eq. 8 uses per-node prices; a docker is one instance slot).
-util::Dollars docker_cost(const InstanceType& type, int count, util::Seconds duration);
-
-/// Cost of `count` whole instances of `type` for `duration`.
-util::Dollars instance_cost(const InstanceType& type, int count, util::Seconds duration);
 
 /// One open or closed billing record. Times are simulation-clock instants.
 struct BillingRecord {
@@ -44,9 +37,6 @@ class BillingMeter {
 
   /// Stops the given instance; throws if unknown or already stopped.
   void stop(const std::string& instance_id, util::Seconds now);
-
-  /// Stops every running instance at `now`.
-  void stop_all(util::Seconds now);
 
   /// Total accrued cost, valuing still-running instances as-if stopped `now`.
   [[nodiscard]] util::Dollars total(util::Seconds now) const;

@@ -9,23 +9,6 @@
 
 namespace cynthia::core {
 
-namespace {
-
-/// Every budget-free term but the SSP factor, which needs the loss model.
-BoundTerms type_terms(const profiler::ProfileResult& profile, const cloud::InstanceType& type,
-                      double supply_headroom) {
-  BoundTerms t;
-  t.witer = profile.witer.value();
-  t.gparam = profile.gparam.value();
-  t.cwk = type.compute_gflops().value();
-  t.bps = supply_headroom * effective_ps_bandwidth(type).value();
-  t.r = max_provisioning_ratio(profile, type, supply_headroom);
-  t.balance_den = 2.0 * t.gparam * t.cwk;
-  return t;
-}
-
-}  // namespace
-
 double max_provisioning_ratio(const profiler::ProfileResult& profile,
                               const cloud::InstanceType& type, double supply_headroom) {
   const double cbase = profile.cbase.value();
@@ -46,14 +29,20 @@ double max_provisioning_ratio(const profiler::ProfileResult& profile,
 
 BoundTerms bound_terms(const profiler::ProfileResult& profile, const LossModel& loss,
                        const cloud::InstanceType& type, double supply_headroom) {
-  BoundTerms t = type_terms(profile, type, supply_headroom);
+  BoundTerms t;
+  t.witer = profile.witer.value();
+  t.gparam = profile.gparam.value();
+  t.cwk = type.compute_gflops().value();
+  t.bps = supply_headroom * effective_ps_bandwidth(type).value();
+  t.r = max_provisioning_ratio(profile, type, supply_headroom);
+  t.balance_den = 2.0 * t.gparam * t.cwk;
   t.ssp_phi = ddnn::staleness_factor(ddnn::SyncMode::SSP, loss.ssp_bound() + 1, loss.ssp_bound());
   return t;
 }
 
 int row_upper_bound(const BoundTerms& terms, const WorkerBounds& bounds, ddnn::SyncMode mode,
                     int n_ps) {
-  if (n_ps <= 0) throw std::invalid_argument("upper_bound_for_ps: n_ps must be > 0");
+  if (n_ps <= 0) throw std::invalid_argument("row_upper_bound: n_ps must be > 0");
   if (mode == ddnn::SyncMode::ASP) {
     // Eq. 23 with the larger PS count.
     return std::max(bounds.n_lower,
@@ -116,19 +105,6 @@ WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddn
   b.n_upper = row_upper_bound(terms, b, mode, b.n_ps);
   b.feasible = b.n_lower >= 1 && b.n_ps >= 1;
   return b;
-}
-
-WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossModel& loss,
-                            const cloud::InstanceType& type, ddnn::SyncMode mode,
-                            util::Seconds t_goal, double target_loss, double supply_headroom) {
-  return bounds_for_goal(bound_terms(profile, loss, type, supply_headroom), loss, mode, t_goal,
-                         target_loss);
-}
-
-int upper_bound_for_ps(const WorkerBounds& bounds, const profiler::ProfileResult& profile,
-                       const cloud::InstanceType& type, ddnn::SyncMode mode, int n_ps,
-                       double supply_headroom) {
-  return row_upper_bound(type_terms(profile, type, supply_headroom), bounds, mode, n_ps);
 }
 
 }  // namespace cynthia::core

@@ -12,8 +12,8 @@
 // on neither the time goal nor the loss target (Eq. 12's r, the per-docker
 // compute and PS bandwidth, Eq. 19's balance denominator, the SSP staleness
 // factor), so a planner computes it once per instance type; the budget-
-// dependent remainder is a few divisions on top. compute_bounds and
-// upper_bound_for_ps compose the two halves.
+// dependent remainder (bounds_for_goal, row_upper_bound) is a few divisions
+// on top.
 #pragma once
 
 #include "cloud/instance.hpp"
@@ -59,20 +59,6 @@ WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddn
 /// Eq. 19/23 worker upper bound for `n_ps` PS nodes (n_ps > 0).
 int row_upper_bound(const BoundTerms& terms, const WorkerBounds& bounds, ddnn::SyncMode mode,
                     int n_ps);
-
-/// Computes Theorem 4.1 for a homogeneous cluster of instance type `type`,
-/// a time goal `t_goal` and loss target `target_loss`.
-WorkerBounds compute_bounds(const profiler::ProfileResult& profile, const LossModel& loss,
-                            const cloud::InstanceType& type, ddnn::SyncMode mode,
-                            util::Seconds t_goal, double target_loss,
-                            double supply_headroom = 0.85);
-
-/// Eq. 19/23 worker upper bound re-evaluated for a larger PS count than the
-/// theorem's minimum (Algorithm 1 escalates n_ps when no candidate inside
-/// the minimum-PS interval meets the goal).
-int upper_bound_for_ps(const WorkerBounds& bounds, const profiler::ProfileResult& profile,
-                       const cloud::InstanceType& type, ddnn::SyncMode mode, int n_ps,
-                       double supply_headroom = 0.85);
 
 /// Eq. 12 in isolation (also used by tests and the ablation bench).
 double max_provisioning_ratio(const profiler::ProfileResult& profile,

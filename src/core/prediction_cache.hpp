@@ -64,8 +64,8 @@ class PredictionCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
-  /// The flat table covers every shape within the default quotas
-  /// (max_workers_quota 64, n_ps + kMaxExtraPs well under 8); the map holds
+  /// The flat table covers every shape within the quotas (kMaxWorkersQuota
+  /// 64, n_ps + kMaxExtraPs well under 8); the map holds
   /// larger shapes. replan's 768-point grid scan is lookup-bound and lives
   /// or dies on the flat table.
   static constexpr std::size_t kFlatWorkers = 128, kFlatPs = 8, kModes = 3;

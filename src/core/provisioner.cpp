@@ -164,15 +164,15 @@ WorkerBounds Provisioner::bounds_for(std::size_t type_index, ddnn::SyncMode mode
 }
 
 SearchWindow Provisioner::window_of(std::size_t type_index, const WorkerBounds& bounds,
-                                    ddnn::SyncMode mode, int max_workers_quota) const {
+                                    ddnn::SyncMode mode) const {
   SearchWindow w;
-  if (!bounds.feasible || bounds.n_lower > max_workers_quota) return w;  // no rows
+  if (!bounds.feasible || bounds.n_lower > kMaxWorkersQuota) return w;  // no rows
   w.n_lower = bounds.n_lower;
   w.n_ps = bounds.n_ps;
-  w.upper[0] = std::min(max_workers_quota, bounds.n_upper);  // Eqs. 19/23 at n_ps
+  w.upper[0] = std::min(kMaxWorkersQuota, bounds.n_upper);  // Eqs. 19/23 at n_ps
   for (int extra = 1; extra <= kMaxExtraPs; ++extra) {
     w.upper[static_cast<std::size_t>(extra)] =
-        std::min(max_workers_quota,
+        std::min(kMaxWorkersQuota,
                  row_upper_bound(terms_[type_index], bounds, mode, bounds.n_ps + extra));
   }
   return w;
@@ -186,8 +186,7 @@ SearchWindow Provisioner::window(std::size_t type_index, ddnn::SyncMode mode,
   if (options.exhaustive) {
     throw std::invalid_argument("Provisioner::window: the exhaustive grid has no window");
   }
-  return window_of(type_index, bounds_for(type_index, mode, goal), mode,
-                   options.max_workers_quota);
+  return window_of(type_index, bounds_for(type_index, mode, goal), mode);
 }
 
 IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
@@ -204,11 +203,10 @@ IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
   });
 }
 
-std::optional<CandidateEvaluation> Provisioner::evaluate(const cloud::InstanceType& type,
-                                                         std::size_t type_index, int n_wk,
-                                                         int n_ps, ddnn::SyncMode mode,
-                                                         const ProvisionGoal& goal,
-                                                         bool use_cache) const {
+CandidateEvaluation Provisioner::evaluate(const cloud::InstanceType& type,
+                                          std::size_t type_index, int n_wk, int n_ps,
+                                          ddnn::SyncMode mode, const ProvisionGoal& goal,
+                                          bool use_cache) const {
   CandidateEvaluation c;
   c.type = type.name;
   c.n_workers = n_wk;
@@ -278,30 +276,6 @@ void Provisioner::record_latency(util::Seconds planner_seconds) const {
   metrics_->gauge(telemetry::metric::kPlannerCacheHitRate).set(s.cache_hit_rate());
 }
 
-void Provisioner::record_journal(const ProvisionPlan& plan, const char* call) const {
-  if (journal_ == nullptr) return;
-  if (plan.feasible) {
-    telemetry::JournalRecord r;
-    r.t = 0.0;
-    r.kind = telemetry::JournalKind::kPlanChosen;
-    r.subject = plan.describe();
-    r.detail = call;
-    r.value = plan.predicted_cost.value();
-    r.predicted = plan.predicted_time.value();
-    r.actual = plan.t_iter;
-    r.iterations = plan.total_iterations;
-    journal_->record(std::move(r));
-  } else {
-    journal_->event(0.0, telemetry::JournalKind::kPlanChosen, "infeasible", call);
-  }
-  const PlannerStats s = stats();
-  journal_->event(0.0, telemetry::JournalKind::kPlanSummary, "planner",
-                  std::string(call) + ": evaluated=" + std::to_string(s.candidates_evaluated) +
-                      " pruned=" + std::to_string(s.candidates_pruned) +
-                      " cache_hits=" + std::to_string(s.cache_hits),
-                  static_cast<double>(s.candidates_evaluated));
-}
-
 PlannerStats Provisioner::stats() const {
   PlannerStats s;
   s.plans = plans_;
@@ -322,14 +296,13 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     const cloud::InstanceType& type = types_[ti];
     TypeSearch out;
     auto consider = [&](int n_wk, int n_ps) -> bool {
-      auto cand = evaluate(type, ti, n_wk, n_ps, mode, goal, options.use_cache);
+      CandidateEvaluation cand = evaluate(type, ti, n_wk, n_ps, mode, goal, options.use_cache);
       ++out.evaluated;
-      if (!cand) return false;
-      if (options.keep_trace) out.trace.push_back(*cand);
-      if (!cand->feasible) return false;
-      if (!out.has_best || cand->cost < out.best.cost) {
+      if (options.keep_trace) out.trace.push_back(cand);
+      if (!cand.feasible) return false;
+      if (!out.has_best || cand.cost < out.best.cost) {
         out.has_best = true;
-        out.best = *cand;
+        out.best = std::move(cand);
       }
       return true;
     };
@@ -367,7 +340,7 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     }
 
     const WorkerBounds bounds = bounds_for(ti, mode, goal);
-    const SearchWindow window = window_of(ti, bounds, mode, options.max_workers_quota);
+    const SearchWindow window = window_of(ti, bounds, mode);
     if (window.empty()) return out;
     out.bounds = bounds;
     // Minimum PS count first (Theorem 4.1); escalate only if nothing in the
@@ -419,7 +392,6 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
                                 : best.iterations * static_cast<long>(best.n_workers);
   }
   record_latency(util::Seconds{timer.seconds()});
-  record_journal(best, "plan");
   return best;
 }
 
@@ -454,7 +426,7 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
   }
   const PlannerTimer timer(metrics_ != nullptr);
 
-  const int max_workers = std::min(options.max_workers_quota, kExhaustiveMaxWorkers);
+  const int max_workers = std::min(kMaxWorkersQuota, kExhaustiveMaxWorkers);
   const double budget = remaining_time.value();
   const double derate = degradation.capability_derate;
 
@@ -539,7 +511,6 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
   ProvisionPlan best = search_catalog(search_type);
   if (best.feasible) best.total_iterations = remaining_iterations;
   record_latency(util::Seconds{timer.seconds()});
-  record_journal(best, "replan");
   return best;
 }
 

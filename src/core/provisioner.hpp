@@ -19,7 +19,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "util/units.hpp"
 
 namespace cynthia::telemetry {
-class Journal;
 class MetricsRegistry;
 }  // namespace cynthia::telemetry
 
@@ -105,6 +103,11 @@ struct SearchWindow {
 inline constexpr int kExhaustiveMaxWorkers = 32;
 inline constexpr int kExhaustiveMaxPs = 4;
 
+/// Account-level instance quota: plans needing more workers than this are
+/// rejected (EC2 accounts cannot launch unbounded fleets). Applies to the
+/// bounded search; the exhaustive grid has its own explicit limits.
+inline constexpr int kMaxWorkersQuota = 64;
+
 struct ProvisionOptions {
   /// Algorithm 1's pseudocode semantics (line 11): stop at the first
   /// feasible worker count per (type, n_ps). The smallest feasible cluster
@@ -122,11 +125,6 @@ struct ProvisionOptions {
   /// With `prune` enabled, provably skipped grid points are absent from the
   /// trace; the chosen plan is unaffected.
   bool keep_trace = false;
-
-  /// Account-level instance quota: plans needing more workers than this are
-  /// rejected (EC2 accounts cannot launch unbounded fleets). Applies to the
-  /// bounded search; the exhaustive grid has its own explicit limits.
-  int max_workers_quota = 64;
 
   /// Finite-region admission (src/service): skip candidates whose total
   /// docker footprint (n_workers + n_ps) exceeds this cap; <= 0 = no cap.
@@ -283,13 +281,6 @@ class Provisioner {
   /// names). Not owned; nullptr detaches.
   void set_metrics(telemetry::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Attaches a run journal: every subsequent plan/replan appends a
-  /// kPlanChosen record (the winning plan, or "infeasible") plus a
-  /// kPlanSummary record with the cumulative evaluated/pruned/cache
-  /// counters. Planner records carry t=0 — planning overhead is host-clock
-  /// time, never simulated time.
-  void set_journal(telemetry::Journal* journal) { journal_ = journal; }
-
  private:
   struct TypeSearch;  // per-type search result (provisioner.cpp)
 
@@ -304,25 +295,23 @@ class Provisioner {
   mutable std::uint64_t pruned_ = 0;
   util::OwnerThread owner_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Journal* journal_ = nullptr;
 
   /// Theorem 4.1 for the type at `type_index`, and the rows it leaves.
   [[nodiscard]] WorkerBounds bounds_for(std::size_t type_index, ddnn::SyncMode mode,
                                         const ProvisionGoal& goal) const;
   [[nodiscard]] SearchWindow window_of(std::size_t type_index, const WorkerBounds& bounds,
-                                       ddnn::SyncMode mode, int max_workers_quota) const;
+                                       ddnn::SyncMode mode) const;
 
   /// Memoized predict_iteration over the homogeneous candidate shape.
   [[nodiscard]] IterationPrediction predict_cached(const cloud::InstanceType& type,
                                                    std::size_t type_index, int n_wk, int n_ps,
                                                    ddnn::SyncMode mode, bool use_cache) const;
 
-  /// Evaluates one homogeneous candidate; returns nullopt if invalid.
-  [[nodiscard]] std::optional<CandidateEvaluation> evaluate(const cloud::InstanceType& type,
-                                                            std::size_t type_index, int n_wk,
-                                                            int n_ps, ddnn::SyncMode mode,
-                                                            const ProvisionGoal& goal,
-                                                            bool use_cache) const;
+  /// Evaluates one homogeneous candidate against the goal.
+  [[nodiscard]] CandidateEvaluation evaluate(const cloud::InstanceType& type,
+                                             std::size_t type_index, int n_wk, int n_ps,
+                                             ddnn::SyncMode mode, const ProvisionGoal& goal,
+                                             bool use_cache) const;
 
   /// Runs `search_type` for each instance type in catalog order, publishes
   /// the trace and counters, and returns the cheapest local best (strict
@@ -331,7 +320,6 @@ class Provisioner {
   template <class SearchFn>
   ProvisionPlan search_catalog(SearchFn&& search_type) const;
   void record_latency(util::Seconds planner_seconds) const;
-  void record_journal(const ProvisionPlan& plan, const char* call) const;
 };
 
 /// Eq. 8: dollar cost of running the homogeneous plan for `duration`.

@@ -12,23 +12,10 @@ util::GFlopsRate ClusterSpec::min_worker_cpu() const {
   return it->cpu;
 }
 
-util::MBps ClusterSpec::total_ps_nic() const {
-  util::MBps total{};
-  for (const auto& p : ps) total += p.nic;
-  return total;
-}
-
 util::GFlopsRate ClusterSpec::total_ps_cpu() const {
   util::GFlopsRate total{};
   for (const auto& p : ps) total += p.cpu;
   return total;
-}
-
-bool ClusterSpec::homogeneous_workers() const {
-  if (workers.empty()) return true;
-  return std::all_of(workers.begin(), workers.end(), [&](const DockerSpec& d) {
-    return d.instance_type == workers.front().instance_type;
-  });
 }
 
 ClusterSpec ClusterSpec::homogeneous(const cloud::InstanceType& type, int n_workers, int n_ps) {

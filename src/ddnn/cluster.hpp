@@ -31,11 +31,8 @@ struct ClusterSpec {
 
   /// Slowest worker capability (drives BSP per Eq. 4).
   [[nodiscard]] util::GFlopsRate min_worker_cpu() const;
-  /// Aggregate PS NIC bandwidth (Eq. 5's sum of b_ps).
-  [[nodiscard]] util::MBps total_ps_nic() const;
   /// Aggregate PS CPU supply (c_supply in Sec. 3).
   [[nodiscard]] util::GFlopsRate total_ps_cpu() const;
-  [[nodiscard]] bool homogeneous_workers() const;
 
   /// n workers + n_ps PS nodes, all of one type.
   static ClusterSpec homogeneous(const cloud::InstanceType& type, int n_workers, int n_ps = 1);

@@ -197,7 +197,7 @@ class Session {
     return workload_.witer.value() * rng_.jitter(opts_.compute_jitter);
   }
   [[nodiscard]] double push_volume_per_ps() const {
-    return workload_.gparam.value() * opts_.wire_overhead / cluster_.n_ps();
+    return workload_.gparam.value() * kWireOverhead / cluster_.n_ps();
   }
   [[nodiscard]] double apply_volume_per_ps() const {
     return workload_.ps_update_gflops.value() / cluster_.n_ps();
@@ -1420,23 +1420,6 @@ TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workloa
   }
   AspSession session(cluster, workload, options);
   return session.run();
-}
-
-RepeatedResult run_repeated(const ClusterSpec& cluster, const WorkloadSpec& workload,
-                            TrainOptions options, int repetitions) {
-  if (repetitions <= 0) throw std::invalid_argument("run_repeated: repetitions must be > 0");
-  RepeatedResult out;
-  util::RunningStats stats;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    TrainOptions o = options;
-    o.seed = options.seed + static_cast<std::uint64_t>(rep) * 0x9e3779b9ULL;
-    TrainResult r = run_training(cluster, workload, o);
-    stats.add(r.total_time);
-    if (rep == 0) out.representative = std::move(r);
-  }
-  out.mean_time = stats.mean();
-  out.stddev_time = stats.stddev();
-  return out;
 }
 
 }  // namespace cynthia::ddnn

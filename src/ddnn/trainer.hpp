@@ -36,12 +36,12 @@ struct Telemetry;
 
 namespace cynthia::ddnn {
 
+/// Bytes on the wire per parameter byte (gRPC/TCP framing overhead).
+inline constexpr double kWireOverhead = 1.25;
+
 struct TrainOptions {
   long iterations = 0;  ///< 0 = use the workload's Table 1 default
   std::uint64_t seed = 1;
-
-  /// Bytes on the wire per parameter byte (gRPC/TCP framing overhead).
-  double wire_overhead = 1.25;
 
   /// Relative jitter applied to each compute task (run-to-run variance).
   double compute_jitter = 0.02;
@@ -189,15 +189,5 @@ struct TrainResult {
 /// 65,536 PS nodes and 256 pipeline blocks (std::invalid_argument beyond).
 TrainResult run_training(const ClusterSpec& cluster, const WorkloadSpec& workload,
                          const TrainOptions& options = {});
-
-/// Mean +/- stdev of total time across `repetitions` seeds (the paper
-/// repeats every experiment three times).
-struct RepeatedResult {
-  TrainResult representative;  ///< run with the first seed
-  double mean_time = 0.0;
-  double stddev_time = 0.0;
-};
-RepeatedResult run_repeated(const ClusterSpec& cluster, const WorkloadSpec& workload,
-                            TrainOptions options = {}, int repetitions = 3);
 
 }  // namespace cynthia::ddnn

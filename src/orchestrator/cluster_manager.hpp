@@ -18,6 +18,7 @@
 #include "orchestrator/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace cynthia::telemetry {
 struct Telemetry;
@@ -92,5 +93,11 @@ class ClusterManager {
   void advance(NodeId id, NodeState next);
   [[nodiscard]] ddnn::ClusterSpec build_spec(const core::ProvisionPlan& plan) const;
 };
+
+/// Provisioning time of `plan` on a throwaway control plane: one deploy()
+/// on a fresh clock and billing meter with a ClusterManager seeded with
+/// `seed`, then teardown. Deterministic in (plan, seed); throws as deploy()
+/// does.
+[[nodiscard]] util::Seconds measure_deploy(const core::ProvisionPlan& plan, std::uint64_t seed);
 
 }  // namespace cynthia::orch

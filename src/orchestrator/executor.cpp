@@ -57,16 +57,10 @@ std::uint64_t replacement_seed(std::uint64_t seed, std::size_t index) {
 /// dedicated control-plane clock (join failures are repaired by deploy()'s
 /// replacement loop, exactly as at initial provisioning time).
 double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed) {
-  sim::Simulator sim;
-  cloud::BillingMeter billing;
-  ClusterManager manager(sim, billing, seed);
   core::ProvisionPlan one = plan;
   one.n_workers = 1;
   one.n_ps = 0;
-  Deployment replacement = manager.deploy(one);
-  const double seconds = replacement.provisioning_seconds();
-  manager.teardown(replacement);
-  return seconds;
+  return measure_deploy(one, seed).value();
 }
 
 /// Result of re-timing a fault schedule across a segment cut (see
@@ -577,14 +571,9 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
       if (next.feasible) {
         run.replanned = true;
         run.replacement_plan = next;
-        sim::Simulator control_plane2;
-        cloud::BillingMeter billing2;
-        ClusterManager manager2(control_plane2, billing2,
-                                replacement_seed(spec.seed, 300 + seg_i));
-        Deployment deployment2 = manager2.deploy(next);
-        const double provision2 = deployment2.provisioning_seconds();
-        cluster = deployment2.spec;
-        manager2.teardown(deployment2);
+        const double provision2 =
+            measure_deploy(next, replacement_seed(spec.seed, 300 + seg_i)).value();
+        cluster = ddnn::ClusterSpec::homogeneous(next.type, next.n_workers, next.n_ps);
         next_gap = kDetectionSeconds.value() + provision2 + restore_seconds;
         // Billing switches clusters: the original is released once the
         // master commits to the replan; the new one runs to the end.

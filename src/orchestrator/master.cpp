@@ -16,10 +16,10 @@ std::string Master::random_hex(int chars) {
   return out;
 }
 
-JoinCredentials Master::issue_credentials(double now, double ttl_seconds) {
+JoinCredentials Master::issue_credentials(double now) {
   creds_.token = random_hex(6) + "." + random_hex(16);
   creds_.discovery_hash = "sha256:" + random_hex(64);
-  creds_.expires_at = now + ttl_seconds;
+  creds_.expires_at = now + kJoinTokenTtl.value();
   issued_ = true;
   return creds_;
 }

@@ -15,8 +15,6 @@ ProfileResult profile_workload(const ddnn::WorkloadSpec& workload,
   ddnn::TrainOptions train;
   train.iterations = options.iterations;
   train.seed = options.seed;
-  train.wire_overhead = options.wire_overhead;
-  train.comm_pipeline_blocks = options.comm_pipeline_blocks;
   const ddnn::TrainResult run = ddnn::run_training(cluster, workload, train);
 
   ProfileResult out;

@@ -37,9 +37,6 @@ struct ProfileResult {
 struct ProfileOptions {
   int iterations = 30;
   std::uint64_t seed = 7;
-  /// Forwarded to the training simulator.
-  double wire_overhead = 1.25;
-  int comm_pipeline_blocks = 8;
 };
 
 /// Profiles `workload` on a 1 PS + 1 worker cluster of `baseline` dockers.

@@ -606,14 +606,8 @@ struct FleetEngine {
   /// plus join-failure repair, isolated from the fleet clock.
   [[nodiscard]] static double deploy_latency(const core::ProvisionPlan& plan,
                                              std::uint64_t seed) {
-    sim::Simulator sub;
-    cloud::BillingMeter meter;
-    orch::ClusterManager manager(sub, meter, seed);
     try {
-      orch::Deployment deployment = manager.deploy(plan);
-      const double latency = deployment.provisioning_seconds();
-      manager.teardown(deployment);
-      return latency;
+      return orch::measure_deploy(plan, seed).value();
     } catch (const std::exception&) {
       return kDeployFailureLatency.value();
     }

@@ -34,7 +34,6 @@ class Simulator {
   std::size_t run_until(double until, std::size_t max_events = kDefaultMaxEvents);
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.pending(); }
 
   /// Total events fired over the simulator's lifetime (telemetry).
   [[nodiscard]] std::size_t events_fired() const { return events_fired_; }

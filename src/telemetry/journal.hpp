@@ -32,8 +32,8 @@ namespace cynthia::telemetry {
 /// Record type. The enumerator order is part of the stable schema (the
 /// digest folds the numeric value); append new kinds at the end.
 enum class JournalKind {
-  kPlanChosen,     ///< Algorithm 1 picked a plan (subject: plan description)
-  kPlanSummary,    ///< planner search summary (candidates evaluated/pruned)
+  kPlanChosen,     ///< no writer; kept so later kinds keep their values
+  kPlanSummary,    ///< no writer; kept so later kinds keep their values
   kNodeLifecycle,  ///< node state transition / provisioning milestone
   kFaultInjected,  ///< trainer injected a fault (subject: fault spec)
   kFaultRecovered, ///< trainer recovered from a fault
@@ -76,7 +76,7 @@ struct JournalRecord {
   std::string subject;  ///< node id, worker, plan, fault spec, goal name
   std::string detail;   ///< free-form deterministic annotation
   double value = 0.0;   ///< kind-specific scalar (dollars, seconds, severity)
-  long iterations = 0;  ///< kSegment / kPlanChosen iteration counts
+  long iterations = 0;  ///< kSegment iteration counts
   double predicted = 0.0;  ///< kSegment t_iter / kVerdict goal value
   double actual = 0.0;     ///< measured counterpart of `predicted`
   int settlement = -1;     ///< kBillingDelta: fold group id; -1 otherwise

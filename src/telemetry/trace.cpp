@@ -6,8 +6,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
-
 namespace cynthia::telemetry {
 
 namespace {
@@ -142,18 +140,6 @@ void Tracer::write_chrome_json_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("Tracer: cannot open " + path);
   write_chrome_json(out);
-}
-
-void Tracer::write_csv(std::ostream& os) const {
-  os << "kind,track,category,name,start_s,duration_s\n";
-  for (const auto& e : events_) {
-    char start[40], dur[40];
-    std::snprintf(start, sizeof start, "%.9f", e.start);
-    std::snprintf(dur, sizeof dur, "%.9f", e.duration);
-    os << (e.kind == TraceEvent::Kind::Span ? "span" : "instant") << ','
-       << util::CsvWriter::escape(tracks_[e.track]) << ',' << util::CsvWriter::escape(e.category)
-       << ',' << util::CsvWriter::escape(e.name) << ',' << start << ',' << dur << '\n';
-  }
 }
 
 }  // namespace cynthia::telemetry

@@ -3,8 +3,7 @@
 // Records what each simulated actor (worker docker, PS docker, node,
 // orchestrator) was doing and when, in *simulation* seconds, and exports
 // the Chrome trace_event JSON format — drop the file into chrome://tracing
-// or https://ui.perfetto.dev to scrub through a training run — plus the
-// repo's CSV table format for scripted analysis.
+// or https://ui.perfetto.dev to scrub through a training run.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +67,6 @@ class Tracer {
   /// timestamps in microseconds as the format requires.
   void write_chrome_json(std::ostream& os) const;
   void write_chrome_json_file(const std::string& path) const;
-
-  /// CSV export: kind,track,category,name,start_s,duration_s.
-  void write_csv(std::ostream& os) const;
 
   /// Runaway-instrumentation guard: further events are counted, not stored.
   static constexpr std::size_t kMaxEvents = 4'000'000;

@@ -86,86 +86,4 @@ std::vector<double> nnls(const Matrix& x, std::span<const double> y, int max_ite
   return beta;
 }
 
-std::vector<double> polyfit(std::span<const double> t, std::span<const double> y, int degree) {
-  if (t.size() != y.size()) throw std::invalid_argument("polyfit: size mismatch");
-  if (degree < 0) throw std::invalid_argument("polyfit: negative degree");
-  const auto k = static_cast<std::size_t>(degree) + 1;
-  Matrix x(t.size(), k);
-  for (std::size_t r = 0; r < t.size(); ++r) {
-    double p = 1.0;
-    for (std::size_t c = 0; c < k; ++c) {
-      x(r, c) = p;
-      p *= t[r];
-    }
-  }
-  return least_squares(x, y);
-}
-
-double polyval(std::span<const double> coeffs, double t) {
-  double acc = 0.0;
-  for (std::size_t i = coeffs.size(); i-- > 0;) acc = acc * t + coeffs[i];
-  return acc;
-}
-
-GaussNewtonResult gauss_newton(
-    const std::function<double(std::span<const double>, double)>& f, std::span<const double> x,
-    std::span<const double> y, std::vector<double> initial, int max_iters, double tol) {
-  if (x.size() != y.size()) throw std::invalid_argument("gauss_newton: size mismatch");
-  const std::size_t k = initial.size();
-  const std::size_t n = x.size();
-  GaussNewtonResult result;
-  result.params = std::move(initial);
-
-  auto rss = [&](std::span<const double> p) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double r = y[i] - f(p, x[i]);
-      total += r * r;
-    }
-    return total;
-  };
-
-  double prev = rss(result.params);
-  for (int it = 0; it < max_iters; ++it) {
-    result.iterations = it + 1;
-    Matrix jac(n, k);
-    std::vector<double> residual(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      residual[i] = y[i] - f(result.params, x[i]);
-      for (std::size_t j = 0; j < k; ++j) {
-        const double h = std::max(1e-7, std::abs(result.params[j]) * 1e-7);
-        auto bumped = result.params;
-        bumped[j] += h;
-        jac(i, j) = (f(bumped, x[i]) - f(result.params, x[i])) / h;
-      }
-    }
-    std::vector<double> step;
-    try {
-      step = least_squares(jac, residual, 1e-9);
-    } catch (const std::exception&) {
-      break;  // Jacobian degenerate; report best-so-far.
-    }
-    // Damped update: halve until the step improves the objective.
-    double scale = 1.0;
-    std::vector<double> candidate(k);
-    double cand_rss = prev;
-    for (int halvings = 0; halvings < 20; ++halvings) {
-      for (std::size_t j = 0; j < k; ++j) candidate[j] = result.params[j] + scale * step[j];
-      cand_rss = rss(candidate);
-      if (cand_rss < prev) break;
-      scale *= 0.5;
-    }
-    if (cand_rss >= prev) break;
-    result.params = candidate;
-    if (prev - cand_rss < tol * (1.0 + prev)) {
-      result.converged = true;
-      prev = cand_rss;
-      break;
-    }
-    prev = cand_rss;
-  }
-  result.final_rss = prev;
-  return result;
-}
-
 }  // namespace cynthia::util

@@ -4,11 +4,9 @@
 // x = 1/s or sqrt(n)/s) and the Optimus baseline speed model are linear in
 // their coefficients, so ordinary least squares over a small design matrix
 // covers everything the paper fits. A non-negative variant (projected
-// coordinate descent) reproduces Optimus' NNLS fitting, and a tiny
-// Gauss-Newton driver supports nonlinear sweeps in tests.
+// coordinate descent) reproduces Optimus' NNLS fitting.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -45,27 +43,5 @@ std::vector<double> least_squares(const Matrix& x, std::span<const double> y,
 /// baseline fits its speed-curve coefficients under a >= 0 constraint.
 std::vector<double> nnls(const Matrix& x, std::span<const double> y, int max_iters = 2000,
                          double tol = 1e-12);
-
-/// Fits y ~ c0 + c1 t + ... + c_deg t^deg, returning deg+1 coefficients
-/// (the paper fits the loss curve with polynomial regression [24]).
-std::vector<double> polyfit(std::span<const double> t, std::span<const double> y, int degree);
-
-/// Evaluates a polyfit coefficient vector at t.
-double polyval(std::span<const double> coeffs, double t);
-
-/// Result of a Gauss-Newton run.
-struct GaussNewtonResult {
-  std::vector<double> params;
-  double final_rss = 0.0;
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Minimizes sum_i (y_i - f(params, x_i))^2 with numeric Jacobians.
-/// `f` maps (params, x) -> prediction.
-GaussNewtonResult gauss_newton(
-    const std::function<double(std::span<const double>, double)>& f, std::span<const double> x,
-    std::span<const double> y, std::vector<double> initial, int max_iters = 100,
-    double tol = 1e-10);
 
 }  // namespace cynthia::util

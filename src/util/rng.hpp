@@ -1,7 +1,7 @@
 // Deterministic random number generation.
 //
 // Every stochastic element of the simulator (loss noise, timing jitter,
-// netperf measurement noise) draws from an explicitly-seeded Rng so that
+// node lifecycle draws) draws from an explicitly-seeded Rng so that
 // experiments and tests are reproducible run-to-run.
 //
 // The engine is MT19937-64, bit for bit: for every seed, every raw draw

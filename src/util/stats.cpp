@@ -21,24 +21,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void RunningStats::reset() { *this = RunningStats{}; }
 
 double RunningStats::variance() const {
@@ -53,25 +35,6 @@ double mean(std::span<const double> xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
 }
 
-double stddev(std::span<const double> xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
-
-double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 double mape_percent(std::span<const double> observed, std::span<const double> predicted) {
   if (observed.size() != predicted.size()) {
     throw std::invalid_argument("mape_percent: size mismatch");
@@ -84,23 +47,6 @@ double mape_percent(std::span<const double> observed, std::span<const double> pr
     ++counted;
   }
   return counted ? total / static_cast<double>(counted) * 100.0 : 0.0;
-}
-
-double r_squared(std::span<const double> observed, std::span<const double> predicted) {
-  if (observed.size() != predicted.size()) {
-    throw std::invalid_argument("r_squared: size mismatch");
-  }
-  if (observed.empty()) return 0.0;
-  const double obs_mean = mean(observed);
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    ss_res += (observed[i] - predicted[i]) * (observed[i] - predicted[i]);
-    ss_tot += (observed[i] - obs_mean) * (observed[i] - obs_mean);
-  }
-  // cynthia-lint: allow(FLT-001) — degenerate-variance case is an exact identity
-  if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
-  return 1.0 - ss_res / ss_tot;
 }
 
 double relative_error_percent(double observed_value, double predicted_value) {

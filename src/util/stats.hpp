@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace cynthia::util {
 
@@ -13,7 +12,6 @@ namespace cynthia::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
   void reset();
 
   [[nodiscard]] std::size_t count() const { return n_; }
@@ -35,18 +33,10 @@ class RunningStats {
 };
 
 double mean(std::span<const double> xs);
-double stddev(std::span<const double> xs);
-double median(std::span<const double> xs);
-
-/// Linear-interpolated percentile, p in [0, 100].
-double percentile(std::span<const double> xs, double p);
 
 /// Mean absolute percentage error of predictions vs observations, in percent.
 /// Observation entries equal to zero are skipped.
 double mape_percent(std::span<const double> observed, std::span<const double> predicted);
-
-/// Coefficient of determination (R^2) of predictions vs observations.
-double r_squared(std::span<const double> observed, std::span<const double> predicted);
 
 /// Relative error |pred - obs| / obs in percent for a single pair.
 double relative_error_percent(double observed_value, double predicted_value);

@@ -65,7 +65,8 @@ TEST(Bounds, BspLowerBoundMatchesEq16) {
   const auto& prof = profile_of("cifar10");
   const auto loss = loss_of("cifar10");
   const auto tg = cu::minutes(90);
-  const auto b = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, tg, 0.8);
+  const auto b =
+      co::bounds_for_goal(co::bound_terms(prof, loss, m4()), loss, cd::SyncMode::BSP, tg, 0.8);
   const long s = loss.iterations_for(0.8, 1);
   const int expect = static_cast<int>(
       std::ceil(prof.witer.value() * s / (tg.value() * m4().core_gflops.value())));
@@ -77,8 +78,9 @@ TEST(Bounds, BspLowerBoundMatchesEq16) {
 TEST(Bounds, IntervalIsOrderedAndPsPositive) {
   for (const char* name : {"mnist", "cifar10", "resnet32", "vgg19"}) {
     const auto& w = cd::workload_by_name(name);
-    const auto b = co::compute_bounds(profile_of(name), loss_of(name), m4(), w.sync,
-                                      cu::minutes(60), w.loss().beta1 + 0.5);
+    const auto loss = loss_of(name);
+    const auto b = co::bounds_for_goal(co::bound_terms(profile_of(name), loss, m4()), loss,
+                                       w.sync, cu::minutes(60), w.loss().beta1 + 0.5);
     EXPECT_GE(b.n_upper, b.n_lower) << name;
     EXPECT_GE(b.n_lower, 1) << name;
     EXPECT_GE(b.n_ps, 1) << name;
@@ -89,16 +91,18 @@ TEST(Bounds, IntervalIsOrderedAndPsPositive) {
 TEST(Bounds, TighterGoalRaisesLowerBound) {
   const auto& prof = profile_of("cifar10");
   const auto loss = loss_of("cifar10");
-  const auto loose = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(180), 0.8);
-  const auto tight = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(60), 0.8);
+  const auto terms = co::bound_terms(prof, loss, m4());
+  const auto loose = co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(180), 0.8);
+  const auto tight = co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(60), 0.8);
   EXPECT_GT(tight.n_lower, loose.n_lower);
 }
 
 TEST(Bounds, LowerLossTargetNeedsMoreWorkers) {
   const auto& prof = profile_of("cifar10");
   const auto loss = loss_of("cifar10");
-  const auto easy = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(60), 0.8);
-  const auto hard = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(60), 0.6);
+  const auto terms = co::bound_terms(prof, loss, m4());
+  const auto easy = co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(60), 0.8);
+  const auto hard = co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(60), 0.6);
   EXPECT_GT(hard.n_lower, easy.n_lower);
   // Harder targets also demand more PS (Fig. 12's 2-PS cell).
   EXPECT_GE(hard.n_ps, easy.n_ps);
@@ -109,32 +113,32 @@ TEST(Bounds, AspLowerBoundQuadraticInGoalInverse) {
   // multiplies the bound by ~16.
   const auto& prof = profile_of("vgg19");
   const auto loss = loss_of("vgg19");
-  const auto at60 = co::compute_bounds(prof, loss, m4(), cd::SyncMode::ASP, cu::minutes(60), 0.8);
-  const auto at15 = co::compute_bounds(prof, loss, m4(), cd::SyncMode::ASP, cu::minutes(15), 0.8);
+  const auto terms = co::bound_terms(prof, loss, m4());
+  const auto at60 = co::bounds_for_goal(terms, loss, cd::SyncMode::ASP, cu::minutes(60), 0.8);
+  const auto at15 = co::bounds_for_goal(terms, loss, cd::SyncMode::ASP, cu::minutes(15), 0.8);
   EXPECT_GE(at15.n_lower, 12 * at60.n_lower / 1);  // ~16x with ceiling slack
 }
 
 TEST(Bounds, UpperForPsGrowsWithPsCount) {
   const auto& prof = profile_of("cifar10");
   const auto loss = loss_of("cifar10");
-  const auto b = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(60), 0.7);
-  const int u1 = co::upper_bound_for_ps(b, prof, m4(), cd::SyncMode::BSP, b.n_ps);
-  const int u2 = co::upper_bound_for_ps(b, prof, m4(), cd::SyncMode::BSP, b.n_ps + 1);
+  const auto terms = co::bound_terms(prof, loss, m4());
+  const auto b = co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(60), 0.7);
+  const int u1 = co::row_upper_bound(terms, b, cd::SyncMode::BSP, b.n_ps);
+  const int u2 = co::row_upper_bound(terms, b, cd::SyncMode::BSP, b.n_ps + 1);
   EXPECT_EQ(u1, b.n_upper);
   EXPECT_GT(u2, u1);
-  EXPECT_THROW(co::upper_bound_for_ps(b, prof, m4(), cd::SyncMode::BSP, 0),
-               std::invalid_argument);
+  EXPECT_THROW(co::row_upper_bound(terms, b, cd::SyncMode::BSP, 0), std::invalid_argument);
 }
 
 TEST(Bounds, InvalidGoalsThrow) {
   const auto& prof = profile_of("cifar10");
   const auto loss = loss_of("cifar10");
-  EXPECT_THROW(
-      co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::Seconds{0.0}, 0.8),
-      std::invalid_argument);
-  EXPECT_THROW(
-      co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, cu::minutes(60), 0.1),
-      std::invalid_argument);
+  const auto terms = co::bound_terms(prof, loss, m4());
+  EXPECT_THROW(co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::Seconds{0.0}, 0.8),
+               std::invalid_argument);
+  EXPECT_THROW(co::bounds_for_goal(terms, loss, cd::SyncMode::BSP, cu::minutes(60), 0.1),
+               std::invalid_argument);
 }
 
 // The theorem's purpose: the interval must bracket the worker count whose
@@ -147,7 +151,8 @@ TEST(Bounds, IntervalBracketsSimulatedOptimum) {
   const auto tg = cu::minutes(90);
   const double lg = 0.8;
   const long s = loss.iterations_for(lg, 1);
-  const auto b = co::compute_bounds(prof, loss, m4(), cd::SyncMode::BSP, tg, lg);
+  const auto b =
+      co::bounds_for_goal(co::bound_terms(prof, loss, m4()), loss, cd::SyncMode::BSP, tg, lg);
 
   // Brute force: smallest n that meets the goal in the simulator (scaled
   // iteration count to keep the test fast; time scales linearly).

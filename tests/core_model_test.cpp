@@ -189,8 +189,8 @@ INSTANTIATE_TEST_SUITE_P(
         AccuracyCase{"cifar10", 9, 2, false, 300, 0.10}));
 
 TEST(Predictor, CrossInstancePredictionFig8) {
-  // Profile on m4.xlarge, predict r3.xlarge — the whole point of using the
-  // capability table instead of per-type profiling.
+  // Profile on m4.xlarge, predict r3.xlarge — the whole point of reading the
+  // catalog's capability values instead of profiling every type.
   const auto& w = cd::workload_by_name("vgg19");
   co::CynthiaModel model(profile_of("vgg19"));
   for (int n : {7, 9, 12}) {

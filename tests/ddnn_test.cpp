@@ -183,9 +183,7 @@ TEST(Cluster, HomogeneousBuilds) {
   auto c = cd::ClusterSpec::homogeneous(m4(), 5, 2);
   EXPECT_EQ(c.n_workers(), 5);
   EXPECT_EQ(c.n_ps(), 2);
-  EXPECT_TRUE(c.homogeneous_workers());
   EXPECT_DOUBLE_EQ(c.min_worker_cpu().value(), m4().core_gflops.value());
-  EXPECT_DOUBLE_EQ(c.total_ps_nic().value(), 2 * m4().nic_mbps.value());
   EXPECT_DOUBLE_EQ(c.total_ps_cpu().value(), 2 * m4().core_gflops.value());
 }
 
@@ -198,7 +196,6 @@ TEST(Cluster, StragglerSplitMatchesPaper) {
   }
   EXPECT_EQ(slow, 4);
   EXPECT_EQ(c.n_workers(), 9);
-  EXPECT_FALSE(c.homogeneous_workers());
   EXPECT_DOUBLE_EQ(c.min_worker_cpu().value(), m1().core_gflops.value());
   // PS stays on the fast type.
   EXPECT_EQ(c.ps.front().instance_type, "m4.xlarge");
@@ -447,19 +444,6 @@ TEST(Trainer, PipelineBlocksAblation) {
   const auto piped = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 4, 1), w, fast);
   const auto unpiped = cd::run_training(cd::ClusterSpec::homogeneous(m4(), 4, 1), w, slow);
   EXPECT_GT(unpiped.total_time, piped.total_time * 1.2);
-}
-
-TEST(Trainer, RepeatedRunsReportSpread) {
-  const auto& w = cd::workload_by_name("cifar10");
-  auto c = cd::ClusterSpec::homogeneous(m4(), 3, 1);
-  cd::TrainOptions o;
-  o.iterations = 40;
-  const auto rep = cd::run_repeated(c, w, o, 3);
-  EXPECT_GT(rep.mean_time, 0.0);
-  EXPECT_GE(rep.stddev_time, 0.0);
-  EXPECT_LT(rep.stddev_time, rep.mean_time * 0.1);
-  EXPECT_EQ(rep.representative.iterations, 40);
-  EXPECT_THROW(cd::run_repeated(c, w, o, 0), std::invalid_argument);
 }
 
 class TrainerWorkerSweep : public ::testing::TestWithParam<int> {};

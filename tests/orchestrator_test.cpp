@@ -78,9 +78,10 @@ TEST(Master, RejectsWrongToken) {
 
 TEST(Master, RejectsExpiredToken) {
   orch::Master m(7);
-  const auto creds = m.issue_credentials(0.0, /*ttl=*/100.0);
-  EXPECT_FALSE(m.join(1, creds, 101.0));
-  EXPECT_TRUE(m.join(1, creds, 99.0));
+  const auto creds = m.issue_credentials(0.0);
+  const double ttl = orch::Master::kJoinTokenTtl.value();
+  EXPECT_FALSE(m.join(1, creds, ttl + 1.0));
+  EXPECT_TRUE(m.join(1, creds, ttl - 1.0));
 }
 
 TEST(Master, RejectsDuplicateJoinAndJoinBeforeIssue) {

@@ -684,7 +684,7 @@ TEST(PlannerMonotone, UncappedAnswerSettlesEveryCapAtOrAboveItsFootprint) {
   EXPECT_GT(replan_empty, 0);
 }
 
-// Algorithm 1's bounded search is not monotone in the budget: compute_bounds
+// Algorithm 1's bounded search is not monotone in the budget: bounds_for_goal
 // moves n_lower, n_ps and each row's upper bound with Tg, so a larger Tg can
 // lose every candidate a smaller one found. A failure or an answer therefore
 // carries over to a smaller budget only within one search window, which is

@@ -29,12 +29,11 @@ TEST(Profiler, RecoversWiterFromComputePhase) {
 
 TEST(Profiler, GparamIncludesWireOverhead) {
   const auto& w = cd::workload_by_name("cifar10");
-  cp::ProfileOptions o;
-  const auto p = cp::profile_workload(w, m4(), o);
+  const auto p = cp::profile_workload(w, m4());
   // Measured payload = parameters x wire framing factor: the measured value
   // is what actually crosses the PS NIC, keeping predictions consistent.
-  EXPECT_NEAR(p.gparam.value(), w.gparam.value() * o.wire_overhead,
-              w.gparam.value() * o.wire_overhead * 0.05);
+  EXPECT_NEAR(p.gparam.value(), w.gparam.value() * cd::kWireOverhead,
+              w.gparam.value() * cd::kWireOverhead * 0.05);
 }
 
 TEST(Profiler, ProfilingTimesMatchPaperSection53) {

@@ -54,8 +54,8 @@ TEST_P(TrainerConservation, PsIngressVolumeMatchesPayloadAccounting) {
   // Every iteration pushes one wire-framed gradient payload per
   // participating worker under BSP, and exactly one under ASP.
   const double per_iter =
-      w.sync == cd::SyncMode::BSP ? w.gparam.value() * o.wire_overhead * n
-                                  : w.gparam.value() * o.wire_overhead;
+      w.sync == cd::SyncMode::BSP ? w.gparam.value() * cd::kWireOverhead * n
+                                  : w.gparam.value() * cd::kWireOverhead;
   const double expected = per_iter * static_cast<double>(o.iterations);
   const double served = r.ps_ingress_avg_mbps * r.total_time;
   EXPECT_NEAR(served, expected, expected * 0.01)
@@ -78,7 +78,7 @@ TEST_P(TrainerConservation, TimeBoundsAreRespected) {
           : o.iterations * w.witer.value() / (n * m4().core_gflops.value());
   EXPECT_GE(r.total_time, comp_floor * 0.999) << name;
   // Communication floor: the PS NICs must carry the full payload.
-  const double ingress_total = w.gparam.value() * o.wire_overhead * o.iterations *
+  const double ingress_total = w.gparam.value() * cd::kWireOverhead * o.iterations *
                                (w.sync == cd::SyncMode::BSP ? n : 1);
   const double comm_floor = ingress_total / (ps * m4().nic_mbps.value());
   EXPECT_GE(r.total_time, comm_floor * 0.999) << name;

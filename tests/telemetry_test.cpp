@@ -323,18 +323,6 @@ TEST(Tracer, ChromeJsonRoundTripsThroughAParser) {
   EXPECT_NE(json.find("push \\\"quoted\\\"\\n"), std::string::npos);
 }
 
-TEST(Tracer, CsvExportListsEveryEvent) {
-  ct::Tracer tr;
-  tr.span("a", "s", "c", 0.0, 1.0);
-  tr.instant("a", "i", "c", 2.0);
-  std::ostringstream os;
-  tr.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("kind,track,category,name,start_s,duration_s\n"), std::string::npos);
-  EXPECT_NE(csv.find("span,a,c,s,0.000000000,1.000000000"), std::string::npos);
-  EXPECT_NE(csv.find("instant,a,c,i,2.000000000,0.000000000"), std::string::npos);
-}
-
 // ------------------------------------------------- trainer instrumentation
 
 /// Heterogeneous 2-worker BSP run: wk0 is the fast (m4) worker, wk1 the

@@ -3,11 +3,10 @@
 // concurrent planning means one of each per thread. Every thread builds its
 // own Predictor (so the profiler and loss sampling run on every thread too),
 // Provisioner and Telemetry and runs the same plan/replan sequence with
-// metrics and a journal attached; each must reproduce the outcome the main
-// thread got, profile included, exactly. Built and run under ThreadSanitizer
-// in CI (see .github/workflows/ci.yml), which also shows that separate
-// instances share no hidden mutable state: catalog, zoo, profiler, loss
-// sampling or logging.
+// metrics attached; each must reproduce the outcome the main thread got,
+// profile included, exactly. Built and run under ThreadSanitizer in CI (see
+// .github/workflows/ci.yml), which also shows that separate instances share
+// no hidden mutable state: catalog, zoo, profiler or loss sampling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -55,7 +54,6 @@ struct Outcome {
   std::vector<std::size_t> trace_sizes;
   std::vector<std::uint64_t> stats;
   std::vector<double> planner_metrics;
-  std::uint64_t journal_digest = 0;
   bool operator==(const Outcome&) const = default;
 };
 
@@ -72,7 +70,6 @@ Outcome run_sequence() {
   co::Provisioner prov(predictor.model(), predictor.loss(), cc::Catalog::aws().provisionable());
   ct::Telemetry tel;
   prov.set_metrics(&tel.metrics);
-  prov.set_journal(&tel.journal);
   co::ProvisionOptions traced;
   traced.keep_trace = true;
 
@@ -102,7 +99,6 @@ Outcome run_sequence() {
   out.planner_metrics.push_back(m.counter_value(ct::metric::kPlannerPlans, -1.0));
   const ct::Histogram* latency = m.find_histogram(ct::metric::kPlannerPlanSeconds);
   out.planner_metrics.push_back(latency ? static_cast<double>(latency->count()) : -1.0);
-  out.journal_digest = tel.journal.digest();
   return out;
 }
 

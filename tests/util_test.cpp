@@ -15,7 +15,6 @@
 
 #include "util/csv.hpp"
 #include "util/least_squares.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -247,33 +246,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesCombined) {
-  cu::RunningStats a, b, all;
-  for (int i = 0; i < 10; ++i) {
-    a.add(i);
-    all.add(i);
-  }
-  for (int i = 10; i < 25; ++i) {
-    b.add(i * 1.5);
-    all.add(i * 1.5);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Stats, PercentileInterpolates) {
-  std::vector<double> xs{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(cu::percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(cu::percentile(xs, 100), 5.0);
-  EXPECT_DOUBLE_EQ(cu::percentile(xs, 50), 3.0);
-  EXPECT_DOUBLE_EQ(cu::percentile(xs, 25), 2.0);
-  EXPECT_DOUBLE_EQ(cu::median(xs), 3.0);
-}
-
 TEST(Stats, MapeSkipsZeroObservations) {
   std::vector<double> obs{100, 0, 200};
   std::vector<double> pred{110, 50, 180};
@@ -284,13 +256,6 @@ TEST(Stats, MapeSkipsZeroObservations) {
 TEST(Stats, MapeSizeMismatchThrows) {
   std::vector<double> a{1.0}, b{1.0, 2.0};
   EXPECT_THROW(cu::mape_percent(a, b), std::invalid_argument);
-}
-
-TEST(Stats, RSquaredPerfectAndPoor) {
-  std::vector<double> obs{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(cu::r_squared(obs, obs), 1.0);
-  std::vector<double> flat{2.5, 2.5, 2.5, 2.5};
-  EXPECT_NEAR(cu::r_squared(obs, flat), 0.0, 1e-12);
 }
 
 TEST(Stats, RelativeError) {
@@ -361,32 +326,6 @@ TEST(Nnls, MatchesOlsWhenPositive) {
   auto beta = cu::nnls(x, y);
   EXPECT_NEAR(beta[0], 0.5, 1e-5);
   EXPECT_NEAR(beta[1], 1.5, 1e-5);
-}
-
-TEST(Polyfit, QuadraticExact) {
-  std::vector<double> t{0, 1, 2, 3, 4};
-  std::vector<double> y;
-  for (double v : t) y.push_back(1.0 - 2.0 * v + 0.5 * v * v);
-  auto c = cu::polyfit(t, y, 2);
-  ASSERT_EQ(c.size(), 3u);
-  EXPECT_NEAR(c[0], 1.0, 1e-8);
-  EXPECT_NEAR(c[1], -2.0, 1e-8);
-  EXPECT_NEAR(c[2], 0.5, 1e-8);
-  EXPECT_NEAR(cu::polyval(c, 10.0), 1.0 - 20.0 + 50.0, 1e-6);
-}
-
-TEST(GaussNewton, FitsExponentialDecay) {
-  // y = a * exp(-b x), a=4, b=0.5.
-  auto f = [](std::span<const double> p, double x) { return p[0] * std::exp(-p[1] * x); };
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 20; ++i) {
-    xs.push_back(i * 0.3);
-    ys.push_back(4.0 * std::exp(-0.5 * i * 0.3));
-  }
-  auto r = cu::gauss_newton(f, xs, ys, {1.0, 1.0});
-  EXPECT_NEAR(r.params[0], 4.0, 1e-4);
-  EXPECT_NEAR(r.params[1], 0.5, 1e-4);
-  EXPECT_LT(r.final_rss, 1e-8);
 }
 
 // ---------------------------------------------------------------- table
@@ -503,42 +442,4 @@ TEST(RateTrace, VolumeConservedAcrossBucketBoundaries) {
   for (const auto& b : t.buckets()) bucket_volume += b.value * b.width;
   EXPECT_NEAR(bucket_volume, expected, 1e-6);
   EXPECT_NEAR(t.total_volume(), expected, 1e-6);
-}
-
-// ---------------------------------------------------------------- log
-
-TEST(Log, LevelThresholdRespected) {
-  const auto prev = cu::log_level();
-  cu::set_log_level(cu::LogLevel::Error);
-  EXPECT_EQ(cu::log_level(), cu::LogLevel::Error);
-  // No crash on suppressed and emitted paths.
-  cu::log_message(cu::LogLevel::Debug, "test", "suppressed");
-  cu::log_message(cu::LogLevel::Error, "test", "emitted");
-  cu::Logger logger("test");
-  logger.debug() << "suppressed " << 42;
-  cu::set_log_level(prev);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Debug), "DEBUG");
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Warn), "WARN");
-  EXPECT_EQ(cu::to_string(cu::LogLevel::Off), "OFF");
-}
-
-TEST(Log, ParseLevelAcceptsAnyCaseAndAliases) {
-  EXPECT_EQ(cu::parse_log_level("debug"), cu::LogLevel::Debug);
-  EXPECT_EQ(cu::parse_log_level("INFO"), cu::LogLevel::Info);
-  EXPECT_EQ(cu::parse_log_level("Warning"), cu::LogLevel::Warn);
-  EXPECT_EQ(cu::parse_log_level("error"), cu::LogLevel::Error);
-  EXPECT_EQ(cu::parse_log_level("none"), cu::LogLevel::Off);
-  EXPECT_EQ(cu::parse_log_level("verbose"), std::nullopt);
-  EXPECT_EQ(cu::parse_log_level(""), std::nullopt);
-}
-
-TEST(Log, TimestampToggle) {
-  const bool prev = cu::log_timestamps();
-  cu::set_log_timestamps(true);
-  EXPECT_TRUE(cu::log_timestamps());
-  cu::log_message(cu::LogLevel::Error, "test", "timestamped line, no crash");
-  cu::set_log_timestamps(prev);
 }
