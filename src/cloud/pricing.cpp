@@ -18,15 +18,13 @@ std::size_t BillingMeter::start(std::string instance_id, const InstanceType& typ
   return records_.size() - 1;
 }
 
-void BillingMeter::stop(const std::string& instance_id, util::Seconds now) {
-  for (auto& r : records_) {
-    if (r.running() && r.instance_id == instance_id) {
-      if (now < r.start_time) throw std::invalid_argument("BillingMeter: stop before start");
-      r.stop_time = now;
-      return;
-    }
+void BillingMeter::stop(std::size_t record, util::Seconds now) {
+  if (record >= records_.size() || !records_[record].running()) {
+    throw std::out_of_range("BillingMeter: no running record " + std::to_string(record));
   }
-  throw std::out_of_range("BillingMeter: no running instance '" + instance_id + "'");
+  BillingRecord& r = records_[record];
+  if (now < r.start_time) throw std::invalid_argument("BillingMeter: stop before start");
+  r.stop_time = now;
 }
 
 util::Dollars BillingMeter::charge(const BillingRecord& r, util::Seconds until) {
@@ -48,11 +46,6 @@ util::Dollars BillingMeter::total(util::Seconds now) const {
     last_total_value_ = sum.value();
   }
   return sum;
-}
-
-std::size_t BillingMeter::running_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(), [](const auto& r) { return r.running(); }));
 }
 
 void journal_meter_settlement(telemetry::Journal& journal, const BillingMeter& meter,

@@ -35,14 +35,21 @@ class BillingMeter {
   /// Registers a launch at `now`; returns the billing record index.
   std::size_t start(std::string instance_id, const InstanceType& type, util::Seconds now);
 
-  /// Stops the given instance; throws if unknown or already stopped.
-  void stop(const std::string& instance_id, util::Seconds now);
+  /// Stops the instance of billing record `record` (start()'s return
+  /// value); throws if the record is unknown or already stopped.
+  void stop(std::size_t record, util::Seconds now);
+
+  /// Drops every record and restarts the monotonicity check below.
+  void clear() {
+    records_.clear();
+    last_total_time_ = util::Seconds{};
+    last_total_value_ = 0.0;
+  }
 
   /// Total accrued cost, valuing still-running instances as-if stopped `now`.
   [[nodiscard]] util::Dollars total(util::Seconds now) const;
 
   [[nodiscard]] const std::vector<BillingRecord>& records() const { return records_; }
-  [[nodiscard]] std::size_t running_count() const;
 
   /// The charge total(until) accrues for one record — public so the journal
   /// settlement below can mirror total()'s per-record fold exactly.

@@ -9,6 +9,19 @@
 
 namespace cynthia::core {
 
+namespace {
+
+/// ceil(x) as an int, saturating at INT_MAX: a tiny budget asks for more
+/// nodes than an int holds, which must read as "too many" (converting the
+/// out-of-range double is undefined; x86 yields INT_MIN).
+int ceil_int(double x) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const double c = std::ceil(x);
+  return c < static_cast<double>(kMax) ? static_cast<int>(c) : kMax;
+}
+
+}  // namespace
+
 double max_provisioning_ratio(const profiler::ProfileResult& profile,
                               const cloud::InstanceType& type, double supply_headroom) {
   const double cbase = profile.cbase.value();
@@ -45,21 +58,19 @@ int row_upper_bound(const BoundTerms& terms, const WorkerBounds& bounds, ddnn::S
   if (n_ps <= 0) throw std::invalid_argument("row_upper_bound: n_ps must be > 0");
   if (mode == ddnn::SyncMode::ASP) {
     // Eq. 23 with the larger PS count.
-    return std::max(bounds.n_lower,
-                    static_cast<int>(std::ceil(bounds.r * static_cast<double>(n_ps))));
+    return std::max(bounds.n_lower, ceil_int(bounds.r * static_cast<double>(n_ps)));
   }
   // Eq. 19.
   const double balance = std::sqrt(terms.witer * n_ps * terms.bps / terms.balance_den);
-  const int upper =
-      static_cast<int>(std::ceil(std::min(bounds.u * static_cast<double>(n_ps), balance)));
+  const int upper = ceil_int(std::min(bounds.u * static_cast<double>(n_ps), balance));
   return std::max(bounds.n_lower, upper);
 }
 
 WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddnn::SyncMode mode,
                              util::Seconds t_goal, double target_loss) {
-  if (t_goal.value() <= 0.0) throw std::invalid_argument("compute_bounds: time goal must be > 0");
+  if (t_goal.value() <= 0.0) throw std::invalid_argument("bounds_for_goal: time goal must be > 0");
   if (target_loss <= loss.beta1()) {
-    throw std::invalid_argument("compute_bounds: target loss below loss asymptote");
+    throw std::invalid_argument("bounds_for_goal: target loss below loss asymptote");
   }
 
   WorkerBounds b;
@@ -70,14 +81,13 @@ WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddn
     // Eq. 15 then Eq. 16.
     const long s = loss.iterations_for(target_loss, /*n_workers=*/1);
     b.iterations = s;
-    b.n_lower =
-        static_cast<int>(std::ceil(terms.witer * static_cast<double>(s) / (tg * terms.cwk)));
+    b.n_lower = ceil_int(terms.witer * static_cast<double>(s) / (tg * terms.cwk));
     b.n_lower = std::max(1, b.n_lower);
     // Eq. 17: the comm constraint tightens the worker:PS ratio.
     b.u = std::min(b.r, tg * terms.bps / (2.0 * static_cast<double>(s) * terms.gparam));
     if (b.u <= 0.0) return b;  // cannot move the payload within the goal at all
     // Eq. 18: minimum PS count.
-    b.n_ps = static_cast<int>(std::ceil(static_cast<double>(b.n_lower) / b.u));
+    b.n_ps = ceil_int(static_cast<double>(b.n_lower) / b.u);
     b.n_ps = std::max(1, b.n_ps);
   } else {
     // ASP/SSP. Lower bound from the per-worker compute constraint
@@ -89,14 +99,14 @@ WorkerBounds bounds_for_goal(const BoundTerms& terms, const LossModel& loss, ddn
     const double ratio =
         terms.witer * loss.beta0() / (terms.cwk * tg * (target_loss - loss.beta1()));
     if (mode == ddnn::SyncMode::SSP) {
-      b.n_lower = static_cast<int>(std::ceil(ratio * terms.ssp_phi));
+      b.n_lower = ceil_int(ratio * terms.ssp_phi);
     } else {
-      b.n_lower = static_cast<int>(std::ceil(ratio * ratio));
+      b.n_lower = ceil_int(ratio * ratio);
     }
     b.n_lower = std::max(1, b.n_lower);
     if (b.r <= 0.0) return b;
     // Eq. 22.
-    b.n_ps = static_cast<int>(std::ceil(static_cast<double>(b.n_lower) / b.r));
+    b.n_ps = ceil_int(static_cast<double>(b.n_lower) / b.r);
     b.n_ps = std::max(1, b.n_ps);
     b.iterations = loss.iterations_for(target_loss, b.n_lower);
   }

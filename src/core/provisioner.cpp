@@ -186,7 +186,41 @@ SearchWindow Provisioner::window(std::size_t type_index, ddnn::SyncMode mode,
   if (options.exhaustive) {
     throw std::invalid_argument("Provisioner::window: the exhaustive grid has no window");
   }
-  return window_of(type_index, bounds_for(type_index, mode, goal), mode);
+  const WorkerBounds bounds = bounds_for(type_index, mode, goal);
+  SearchWindow w = window_of(type_index, bounds, mode);
+  // The floor: the smallest goal that keeps every ceiling fixing the window
+  // (bounds_for_goal's terms inverted), nudged up past rounding and kept only
+  // if the window there is this one. Each window term is weakly monotone in
+  // the goal, so equal windows at both ends hold at every goal between, and
+  // no rows stays no rows at every smaller goal (n_lower only grows, u falls).
+  if (w.empty()) {
+    w.floor = util::Seconds{0.0};
+    return w;
+  }
+  const BoundTerms& t = terms_[type_index];
+  const double lower = w.n_lower;
+  double candidate = 0.0;
+  if (mode == ddnn::SyncMode::BSP) {
+    // n_lower holds while witer s / (Tg cwk) <= n_lower (Eq. 16); n_ps and
+    // each row above n_lower hold while u = Tg bps / (2 s gparam) (Eq. 17)
+    // stays above min_u (Eqs. 18-19).
+    const double s = static_cast<double>(bounds.iterations);
+    double min_u = lower / w.n_ps;
+    for (int k = 0; k <= kMaxExtraPs; ++k) {
+      const int upper = w.upper[static_cast<std::size_t>(k)];
+      if (upper > w.n_lower) min_u = std::max(min_u, (upper - 1.0) / (w.n_ps + k));
+    }
+    candidate = std::max(t.witer * s / (lower * t.cwk), min_u * 2.0 * s * t.gparam / t.bps);
+  } else {  // n_lower (ratio^2 for ASP, ratio phi for SSP) fixes the rest
+    const double scale = t.witer * loss_.beta0() / (t.cwk * (goal.target_loss - loss_.beta1()));
+    candidate = mode == ddnn::SyncMode::SSP ? scale * t.ssp_phi / lower : scale / std::sqrt(lower);
+  }
+  const util::Seconds floor{candidate * (1.0 + 1e-9)};
+  const bool holds = floor.value() > 0.0 && floor < goal.time_goal &&
+                     window_of(type_index, bounds_for(type_index, mode, {floor, goal.target_loss}),
+                               mode) == w;
+  w.floor = holds ? floor : goal.time_goal;
+  return w;
 }
 
 IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,

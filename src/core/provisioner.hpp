@@ -19,6 +19,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,9 +93,14 @@ struct SearchWindow {
   int n_lower = 0;  ///< 0: no rows (infeasible bounds, or n_lower over the quota)
   int n_ps = 0;
   std::array<int, kMaxExtraPs + 1> upper{};
+  /// Provisioner::window: every time goal from this one up to the goal asked
+  /// has this window (verified, docs/SERVICE.md). Not part of ==.
+  util::Seconds floor{std::numeric_limits<double>::infinity()};
 
   [[nodiscard]] bool empty() const { return n_lower == 0; }
-  friend bool operator==(const SearchWindow&, const SearchWindow&) = default;
+  friend bool operator==(const SearchWindow& a, const SearchWindow& b) {
+    return a.n_lower == b.n_lower && a.n_ps == b.n_ps && a.upper == b.upper;
+  }
 };
 
 /// The grid n in [1, kExhaustiveMaxWorkers] x n_ps in [1, kExhaustiveMaxPs]
@@ -228,9 +234,11 @@ class Provisioner {
                                    const ProvisionOptions& options = {}) const;
 
   /// The rows plan() scans on the type at `type_index` (catalog order) for
-  /// this goal: a few divisions over terms computed once per type. Throws as
-  /// plan() does for a bad goal, std::out_of_range for a bad index and
-  /// std::invalid_argument for options.exhaustive (a fixed grid, no window).
+  /// this goal: a few divisions over terms computed once per type, plus the
+  /// window's floor (Theorem 4.1's ceilings inverted, then checked by
+  /// computing the window there). Throws as plan() does for a bad goal,
+  /// std::out_of_range for a bad index and std::invalid_argument for
+  /// options.exhaustive (a fixed grid, no window).
   [[nodiscard]] SearchWindow window(std::size_t type_index, ddnn::SyncMode mode,
                                     const ProvisionGoal& goal,
                                     const ProvisionOptions& options = {}) const;

@@ -77,27 +77,46 @@ class ClusterManager {
   void set_telemetry(telemetry::Telemetry* telemetry) { tel_ = telemetry; }
 
  private:
+  friend class DeployMeter;
+
   sim::Simulator* sim_;
   cloud::BillingMeter* billing_;
   util::Rng rng_;
   NodeTimings timings_;
   Master master_;
-  std::vector<Node> nodes_;
+  std::vector<Node> nodes_;  ///< node `id` at index id - 1
   NodeId next_id_ = 1;
-  JoinCredentials creds_;
-  bool creds_issued_ = false;
   telemetry::Telemetry* tel_ = nullptr;
 
+  /// Forgets every node and member and reseeds the lifecycle stream. The
+  /// master keeps its credentials: a new manager's issues the same ones
+  /// when it launches at t = 0.
+  void reset(std::uint64_t seed);
   Node& node_mut(NodeId id);
   void record_state_span(const Node& node) const;
   void advance(NodeId id, NodeState next);
   [[nodiscard]] ddnn::ClusterSpec build_spec(const core::ProvisionPlan& plan) const;
 };
 
-/// Provisioning time of `plan` on a throwaway control plane: one deploy()
-/// on a fresh clock and billing meter with a ClusterManager seeded with
-/// `seed`, then teardown. Deterministic in (plan, seed); throws as deploy()
-/// does.
-[[nodiscard]] util::Seconds measure_deploy(const core::ProvisionPlan& plan, std::uint64_t seed);
+/// Provisioning time of a plan on a throwaway control plane that is reused:
+/// each measure() restarts one clock at 0, clears one billing meter and
+/// resets one ClusterManager, so it returns what deploy() on a new
+/// simulator, meter and manager returns, bit for bit, without building them.
+class DeployMeter {
+ public:
+  DeployMeter() : manager_(sim_, billing_) {}
+  DeployMeter(const DeployMeter&) = delete;  // the manager points at sim_ and billing_
+  DeployMeter& operator=(const DeployMeter&) = delete;
+
+  /// One deploy() of `plan` by a manager seeded with `seed`, then teardown.
+  /// Deterministic in (plan, seed); throws as deploy() does, and a walk that
+  /// threw leaves the meter usable.
+  [[nodiscard]] util::Seconds measure(const core::ProvisionPlan& plan, std::uint64_t seed);
+
+ private:
+  sim::Simulator sim_;
+  cloud::BillingMeter billing_;
+  ClusterManager manager_;
+};
 
 }  // namespace cynthia::orch

@@ -56,11 +56,12 @@ std::uint64_t replacement_seed(std::uint64_t seed, std::size_t index) {
 /// the launch -> boot -> install -> kubeadm-join lifecycle to Ready, on a
 /// dedicated control-plane clock (join failures are repaired by deploy()'s
 /// replacement loop, exactly as at initial provisioning time).
-double measure_replacement(const core::ProvisionPlan& plan, std::uint64_t seed) {
+double measure_replacement(DeployMeter& deploys, const core::ProvisionPlan& plan,
+                           std::uint64_t seed) {
   core::ProvisionPlan one = plan;
   one.n_workers = 1;
   one.n_ps = 0;
-  return measure_deploy(one, seed).value();
+  return deploys.measure(one, seed).value();
 }
 
 /// Result of re-timing a fault schedule across a segment cut (see
@@ -353,11 +354,12 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
   // checkpoint restore, and the trainer rides through the outage.
   faults::FaultSchedule enriched;
   double first_crash_at = -1.0;
+  DeployMeter deploys;  // every replacement and re-plan deploy walk of this job
   for (faults::FaultSpec event : schedule.events()) {
     if (event.kind == faults::FaultKind::kCrash) {
       if (first_crash_at < 0.0) first_crash_at = event.time_seconds;
       const double provision = measure_replacement(
-          plan, replacement_seed(spec.seed, run.replacement_provisioning.size()));
+          deploys, plan, replacement_seed(spec.seed, run.replacement_provisioning.size()));
       run.replacement_provisioning.push_back(provision);
       event.recovery_seconds = kDetectionSeconds.value() + provision + restore_seconds;
     }
@@ -411,7 +413,8 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
   const double replace_delay =
       sentinel != nullptr
           ? kDetectionSeconds.value() +
-                measure_replacement(plan, replacement_seed(spec.seed, 97)) + restore_seconds
+                measure_replacement(deploys, plan, replacement_seed(spec.seed, 97)) +
+                restore_seconds
           : -1.0;
 
   const long total_iterations = plan.total_iterations;
@@ -535,7 +538,7 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
       // Add one PS shard of the same type; resharding re-reads the
       // parameter payload onto the new shard before training resumes.
       const double provision = measure_replacement(
-          current_plan, replacement_seed(spec.seed, 200 + seg_i));
+          deploys, current_plan, replacement_seed(spec.seed, 200 + seg_i));
       next_gap = kDetectionSeconds.value() + provision + restore_seconds;
       current_plan.n_ps += 1;
       cluster = ddnn::ClusterSpec::homogeneous(current_plan.type, current_plan.n_workers,
@@ -572,7 +575,7 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
         run.replanned = true;
         run.replacement_plan = next;
         const double provision2 =
-            measure_deploy(next, replacement_seed(spec.seed, 300 + seg_i)).value();
+            deploys.measure(next, replacement_seed(spec.seed, 300 + seg_i)).value();
         cluster = ddnn::ClusterSpec::homogeneous(next.type, next.n_workers, next.n_ps);
         next_gap = kDetectionSeconds.value() + provision2 + restore_seconds;
         // Billing switches clusters: the original is released once the

@@ -16,7 +16,7 @@ std::string Master::random_hex(int chars) {
   return out;
 }
 
-JoinCredentials Master::issue_credentials(double now) {
+const JoinCredentials& Master::issue_credentials(double now) {
   creds_.token = random_hex(6) + "." + random_hex(16);
   creds_.discovery_hash = "sha256:" + random_hex(64);
   creds_.expires_at = now + kJoinTokenTtl.value();
@@ -30,7 +30,9 @@ bool Master::join(NodeId node, const JoinCredentials& presented, double now) {
   if (presented.token != creds_.token || presented.discovery_hash != creds_.discovery_hash) {
     return false;
   }
-  return members_.insert(node).second;
+  if (is_member(node)) return false;
+  members_.push_back(node);
+  return true;
 }
 
 }  // namespace cynthia::orch

@@ -59,6 +59,7 @@ struct Node {
   double state_since = 0.0;  ///< when the current state was entered (telemetry)
   int docker_slots = 0;  ///< one docker per physical core (paper's pinning)
   int used_slots = 0;
+  std::size_t billing_record = 0;  ///< the instance's cloud::BillingMeter record
 
   [[nodiscard]] bool ready() const { return state == NodeState::Ready; }
   [[nodiscard]] int free_slots() const { return docker_slots - used_slots; }

@@ -107,8 +107,9 @@ struct FleetEngine {
   /// only shrinks, and within one Theorem 4.1 search window (or replan's
   /// fixed grid) a smaller budget only turns candidates infeasible, so a
   /// fresh job's rung-0 entry keeps its window and is reset when the window
-  /// moves. rung() skips every search these facts answer; docs/SERVICE.md
-  /// ("Ladder memo") shows each skip is exact.
+  /// moves; the window is computed again only below its floor. rung() skips
+  /// every search these facts answer; docs/SERVICE.md ("Ladder memo") shows
+  /// each skip is exact, and CYNTHIA_INVARIANTS builds check each one.
   struct TypeMemo {
     static constexpr int kUnknown = -2;     ///< uncapped search not run yet
     static constexpr int kInfeasible = -1;  ///< uncapped search found no plan
@@ -116,7 +117,7 @@ struct FleetEngine {
     int failed_cap = 0;                     ///< 0: no capped search failed yet
     double cost = 0.0;                      ///< the uncapped answer's dollars
     double predicted_time = 0.0;            ///< and seconds
-    core::SearchWindow window;              ///< rung 0 of a fresh job only
+    core::SearchWindow window;              ///< rung 0 of a fresh job only, with its floor
   };
   /// One entry per stocked type; empty until the job first reaches the rung.
   using RungMemo = std::vector<TypeMemo>;
@@ -169,6 +170,9 @@ struct FleetEngine {
   /// returned in this run, if it ran.
   std::vector<core::ProvisionPlan> fresh_plans;
   std::vector<char> fresh;
+
+  /// The control plane every attempt's deploy walk runs on, reset per walk.
+  orch::DeployMeter deploys;
 
   util::Dollars fleet_cost{0.0};
   long total_attempts = 0;
@@ -258,10 +262,38 @@ struct FleetEngine {
   core::ProvisionPlan search(const QueueState& st, const JobRequest& rq, std::size_t type,
                              util::Seconds budget, const core::ProvisionOptions& opts) {
     total_ladder_searches += 1;
+    return plan_on(st, rq, type, budget, opts);
+  }
+  /// The planner call behind search(), uncounted.
+  [[nodiscard]] static core::ProvisionPlan plan_on(const QueueState& st, const JobRequest& rq,
+                                                   std::size_t type, util::Seconds budget,
+                                                   const core::ProvisionOptions& opts) {
     const core::Provisioner& prov = st.planners->per_type[type];
     const ddnn::SyncMode sync = st.planners->spec.sync;
     if (st.remaining > 0) return prov.replan(sync, st.remaining, budget, opts);
     return prov.plan(sync, {budget, rq.goal.target_loss}, opts);
+  }
+
+  /// CYNTHIA_INVARIANTS: runs a search that a memo rule skipped, on the
+  /// planner itself (so ladder_searches does not move), and checks the
+  /// skip's claim. Capped at `cap` (0: uncapped), the search finds no plan
+  /// when the memo's uncapped answer is infeasible or over the cap, and
+  /// that answer, bit for bit, otherwise.
+  static void audit_skip(const QueueState& st, const JobRequest& rq, std::size_t type,
+                         util::Seconds budget, const TypeMemo& m, int cap) {
+    core::ProvisionOptions opts;
+    opts.max_total_dockers = cap;
+    const core::ProvisionPlan plan = plan_on(st, rq, type, budget, opts);
+    if (m.footprint == TypeMemo::kInfeasible || (cap > 0 && m.footprint > cap)) {
+      CYNTHIA_CHECK(!plan.feasible, "job ", rq.id, " type ", type, ": the search skipped at ",
+                    budget.value(), " s, cap ", cap, ", finds a plan");
+      return;
+    }
+    CYNTHIA_CHECK(plan.feasible && footprint(plan) == m.footprint &&
+                      plan.predicted_cost.value() == m.cost &&
+                      plan.predicted_time.value() == m.predicted_time,
+                  "job ", rq.id, " type ", type, ": the search skipped at ", budget.value(),
+                  " s, cap ", cap, ", finds another plan than the memo's");
   }
 
   /// Could any capacity-capped plan for this goal run on the *empty*
@@ -479,21 +511,27 @@ struct FleetEngine {
     const std::size_t types = st.planners->per_type.size();
     if (memo.empty()) memo.resize(types);
     const bool windowed = shrinking && st.remaining == 0;
+    const bool audit = util::invariants_enabled();
     fresh.assign(types, 0);
     for (std::size_t t = 0; t < types; ++t) {
       TypeMemo& m = memo[t];
-      if (windowed) {
+      // At or above its floor the window is the memo's (the budget only
+      // shrinks); below it, compute it again.
+      if (windowed && (budget < m.window.floor || audit)) {
         const core::SearchWindow window = st.planners->per_type[t].window(
             0, st.planners->spec.sync, {budget, rq.goal.target_loss});
-        if (window != m.window) {  // what the memo knows holds within one window
-          m = TypeMemo{};
-          m.window = window;
-        }
+        CYNTHIA_CHECK(budget < m.window.floor || window == m.window, "job ", rq.id, " type ", t,
+                      ": the window moved above its floor at ", budget.value(), " s");
+        if (window != m.window) m = TypeMemo{};  // what the memo knows holds within one window
+        if (budget < m.window.floor) m.window = window;
       }
       const bool known = m.footprint != TypeMemo::kUnknown &&
                          (!shrinking || m.footprint == TypeMemo::kInfeasible ||
                           m.predicted_time <= budget.value());
-      if (known) continue;
+      if (known) {
+        if (audit) audit_skip(st, rq, t, budget, m, 0);
+        continue;
+      }
       fresh_plans[t] = search(st, rq, t, budget, {});
       fresh[t] = 1;
       remember(m, fresh_plans[t]);
@@ -512,14 +550,19 @@ struct FleetEngine {
     std::optional<core::ProvisionPlan> best_capped;  // when a capped search found the best
     for (std::size_t t = 0; t < types; ++t) {
       TypeMemo& m = memo[t];
-      if (m.footprint == TypeMemo::kInfeasible) continue;
       const int avail = region.available(slot_of(t));
       if (avail == 0) continue;
+      const bool capped_type = avail != region::Region::kUnbounded;
+      // Each skip below answers the capped search at `avail` from the memo.
+      if (audit && capped_type && (m.footprint <= avail || avail <= m.failed_cap)) {
+        audit_skip(st, rq, t, budget, m, avail);
+      }
+      if (m.footprint == TypeMemo::kInfeasible) continue;
       std::optional<core::ProvisionPlan> capped;
       double cost = m.cost;
       // Within the free slots (all of them, for a type the region does not
       // limit) the capped search finds the uncapped answer itself.
-      if (avail != region::Region::kUnbounded && m.footprint > avail) {
+      if (capped_type && m.footprint > avail) {
         if (avail <= m.failed_cap) continue;
         core::ProvisionOptions opts;
         opts.max_total_dockers = avail;
@@ -604,10 +647,9 @@ struct FleetEngine {
   /// Provisioning latency from a real ClusterManager deployment on a
   /// throwaway sub-simulation: boot/install/join walks with seeded jitter
   /// plus join-failure repair, isolated from the fleet clock.
-  [[nodiscard]] static double deploy_latency(const core::ProvisionPlan& plan,
-                                             std::uint64_t seed) {
+  [[nodiscard]] double deploy_latency(const core::ProvisionPlan& plan, std::uint64_t seed) {
     try {
-      return orch::measure_deploy(plan, seed).value();
+      return deploys.measure(plan, seed).value();
     } catch (const std::exception&) {
       return kDeployFailureLatency.value();
     }

@@ -48,6 +48,14 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+void EventQueue::clear() {
+  for (; !heap_.empty(); heap_.pop()) {
+    if (is_pending(heap_.top().id)) retire(heap_.top().id);
+  }
+  last_pop_time_ = -std::numeric_limits<double>::infinity();
+  last_pop_seq_ = 0;
+}
+
 void EventQueue::drop_cancelled() {
   while (!heap_.empty() && !is_pending(heap_.top().id)) heap_.pop();
 }

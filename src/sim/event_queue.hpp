@@ -31,6 +31,10 @@ class EventQueue {
   /// Cancels a pending event; returns false if already fired/cancelled.
   bool cancel(EventId id);
 
+  /// Drops every event, retiring the pending ids, and restarts the pop-order
+  /// check: the queue behaves as new but keeps its storage.
+  void clear();
+
   [[nodiscard]] bool empty() const { return pending_ == 0; }
   [[nodiscard]] std::size_t pending() const { return pending_; }
   [[nodiscard]] bool is_pending(EventId id) const;

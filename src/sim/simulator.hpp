@@ -23,6 +23,13 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Restarts the clock at 0 on an empty queue (EventQueue::clear), so one
+  /// simulator can run many independent walks without reallocating.
+  void restart() {
+    queue_.clear();
+    now_ = 0.0;
+  }
+
   /// Fires the next event; returns false when the queue is drained.
   bool step();
 

@@ -3,7 +3,8 @@
 // training iteration allocates nothing, so a run makes as many heap
 // allocations at 2N iterations as at N. That holds with a straggler monitor
 // probing every barrier too; a traced run may add only the trace's own
-// amortised storage growth.
+// amortised storage growth. A warm deploy meter's walk allocates only what
+// the walk builds, the same on every walk.
 //
 // This binary replaces the global operator new and delete with counting
 // versions, which is why it is its own executable: the counter affects no
@@ -18,9 +19,12 @@
 #include <vector>
 
 #include "cloud/instance.hpp"
+#include "cloud/pricing.hpp"
+#include "core/provisioner.hpp"
 #include "ddnn/cluster.hpp"
 #include "ddnn/trainer.hpp"
 #include "ddnn/workload.hpp"
+#include "orchestrator/cluster_manager.hpp"
 #include "orchestrator/sentinel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
@@ -211,4 +215,30 @@ TEST_F(AllocationGate, TracedBspIterationsAllocateOnlyTraceStorage) {
   EXPECT_GE(at_2n, at_n);
   EXPECT_LE(at_2n, at_n + 1) << "traced cifar10 BSP 8x2: " << at_n
                              << " allocations at 400 iterations, " << at_2n << " at 800";
+}
+
+TEST_F(AllocationGate, WarmDeployMeterWalksAllocateTheSame) {
+  // One plan of 5 workers and 2 PS on m4.xlarge: 4 nodes a walk. A warm
+  // meter reuses its clock, event queue, bill and manager, so its 2nd and
+  // 1,000th walks allocate the same blocks, fewer than a new control plane's.
+  cynthia::core::ProvisionPlan plan;
+  plan.feasible = true;
+  plan.type = cynthia::cloud::Catalog::aws().at("m4.xlarge");
+  plan.n_workers = 5;
+  plan.n_ps = 2;
+  cynthia::orch::DeployMeter meter;
+  (void)meter.measure(plan, 1);
+  const auto second = allocations_during([&] { (void)meter.measure(plan, 2); });
+  for (std::uint64_t seed = 3; seed < 1000; ++seed) (void)meter.measure(plan, seed);
+  const auto thousandth = allocations_during([&] { (void)meter.measure(plan, 1000); });
+  const auto fresh = allocations_during([&] {
+    cs::Simulator sim;
+    cynthia::cloud::BillingMeter billing;
+    cynthia::orch::ClusterManager manager(sim, billing, 1001);
+    cynthia::orch::Deployment deployment = manager.deploy(plan);
+    manager.teardown(deployment);
+  });
+  EXPECT_EQ(thousandth, second) << second << " allocations on the 2nd walk, " << thousandth
+                                << " on the 1,000th";
+  EXPECT_LT(second, fresh) << "a new control plane's walk: " << fresh;
 }

@@ -65,41 +65,56 @@ TEST(Catalog, AllEntriesPhysicallySane) {
 TEST(Billing, AccruesPerSecond) {
   const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
   cc::BillingMeter meter;
-  meter.start("i-1", m4, cu::Seconds{0.0});
-  meter.stop("i-1", cu::hours(1));
+  const std::size_t record = meter.start("i-1", m4, cu::Seconds{0.0});
+  meter.stop(record, cu::hours(1));
   EXPECT_NEAR(meter.total(cu::hours(1)).value(), 0.20, 1e-9);
 }
 
 TEST(Billing, MinimumChargeApplies) {
   const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
   cc::BillingMeter meter;
-  meter.start("i-1", m4, cu::Seconds{0.0});
-  meter.stop("i-1", cu::Seconds{5.0});  // only 5 s, billed as 60 s
+  const std::size_t record = meter.start("i-1", m4, cu::Seconds{0.0});
+  meter.stop(record, cu::Seconds{5.0});  // only 5 s, billed as 60 s
   EXPECT_NEAR(meter.total(cu::Seconds{10.0}).value(), 0.20 * 60.0 / 3600.0, 1e-9);
 }
 
 TEST(Billing, RunningInstancesValuedAtNow) {
   const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
   cc::BillingMeter meter;
-  meter.start("i-1", m4, cu::Seconds{100.0});
-  EXPECT_EQ(meter.running_count(), 1u);
+  const std::size_t record = meter.start("i-1", m4, cu::Seconds{100.0});
+  ASSERT_EQ(meter.records().size(), 1u);
+  EXPECT_TRUE(meter.records()[record].running());
   EXPECT_NEAR(meter.total(cu::Seconds{100.0 + 7200.0}).value(), 0.40, 1e-9);
 }
 
 TEST(Billing, StopAllAndErrors) {
   const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
   cc::BillingMeter meter;
-  meter.start("a", m4, cu::Seconds{0.0});
+  const std::size_t record = meter.start("a", m4, cu::Seconds{0.0});
   EXPECT_THROW(meter.start("a", m4, cu::Seconds{1.0}), std::invalid_argument);  // duplicate
-  EXPECT_THROW(meter.stop("zzz", cu::Seconds{1.0}), std::out_of_range);
+  EXPECT_THROW(meter.stop(record + 1, cu::Seconds{1.0}), std::out_of_range);    // unknown
+  meter.stop(record, cu::Seconds{1.0});
+  EXPECT_THROW(meter.stop(record, cu::Seconds{2.0}), std::out_of_range);  // already stopped
 }
 
 TEST(Billing, RestartAfterStopAllowed) {
   const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
   cc::BillingMeter meter;
-  meter.start("i-1", m4, cu::Seconds{0.0});
-  meter.stop("i-1", cu::hours(1));
-  EXPECT_NO_THROW(meter.start("i-1", m4, cu::hours(2)));
-  meter.stop("i-1", cu::hours(3));
+  meter.stop(meter.start("i-1", m4, cu::Seconds{0.0}), cu::hours(1));
+  std::size_t again = 0;
+  EXPECT_NO_THROW(again = meter.start("i-1", m4, cu::hours(2)));
+  EXPECT_EQ(again, 1u);
+  meter.stop(again, cu::hours(3));
   EXPECT_NEAR(meter.total(cu::hours(3)).value(), 0.40, 1e-9);
+}
+
+TEST(Billing, ClearStartsOver) {
+  const auto& m4 = cc::Catalog::aws().at("m4.xlarge");
+  cc::BillingMeter meter;
+  meter.start("i-1", m4, cu::Seconds{0.0});
+  EXPECT_NEAR(meter.total(cu::hours(2)).value(), 0.40, 1e-9);
+  meter.clear();
+  EXPECT_TRUE(meter.records().empty());
+  EXPECT_EQ(meter.start("i-1", m4, cu::Seconds{0.0}), 0u);
+  EXPECT_NEAR(meter.total(cu::hours(1)).value(), 0.20, 1e-9);
 }

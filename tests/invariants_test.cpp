@@ -226,6 +226,18 @@ TEST(Invariants, BillingMeterMonotonicityHolds) {
   }
 }
 
+// A cleared meter starts a new bill: a smaller total at a later clock is not
+// a regression of the bill before the clear.
+TEST(Invariants, ClearedBillingMeterRestartsItsMonotonicityCheck) {
+  ScopedInvariants on(true);
+  cc::BillingMeter meter;
+  meter.start("i-0", m4(), cu::Seconds{0.0});
+  const double before = meter.total(cu::hours(2)).value();
+  meter.clear();
+  meter.stop(meter.start("i-0", m4(), cu::Seconds{0.0}), cu::Seconds{60.0});
+  EXPECT_LT(meter.total(cu::hours(3)).value(), before);
+}
+
 // ----------------------------------- checks must not perturb the results
 
 TEST(Invariants, BspResultsBitIdenticalWithChecksOnAndOff) {
@@ -280,4 +292,23 @@ TEST(Invariants, EventQueuePopOrderChecksPassOnHealthyUse) {
   q.schedule(0.5, [&] { order.push_back(2); });
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+// clear() retires every pending id and restarts the pop-order check, so a
+// cleared queue (a restarted Simulator) may fire earlier times again.
+TEST(Invariants, ClearedEventQueueRestartsItsPopOrderCheck) {
+  ScopedInvariants on(true);
+  cs::Simulator sim;
+  sim.after(5.0, [] {});
+  sim.run();
+  const cs::EventId pending = sim.after(1.0, [] {});
+  sim.restart();
+  EXPECT_EQ(sim.now(), 0.0);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_FALSE(sim.cancel(pending));
+  bool fired = false;
+  sim.after(1.0, [&] { fired = true; });
+  EXPECT_NO_THROW(sim.run());
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), 1.0);
 }

@@ -2,6 +2,7 @@
 // lifecycle, pod scheduling, and deployment + billing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <regex>
 #include <vector>
 
@@ -25,6 +26,12 @@ namespace cu = cynthia::util;
 
 namespace {
 const cc::InstanceType& m4() { return cc::Catalog::aws().at("m4.xlarge"); }
+
+std::size_t running_records(const cc::BillingMeter& billing) {
+  const auto& records = billing.records();
+  return static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(), [](const auto& r) { return r.running(); }));
+}
 
 co::ProvisionPlan simple_plan(int workers, int ps) {
   co::ProvisionPlan p;
@@ -164,7 +171,7 @@ TEST(ClusterManager, NodesWalkLifecycleToReady) {
     EXPECT_GT(n.ready_at, n.requested_at);
     EXPECT_TRUE(mgr.master().is_member(id));
   }
-  EXPECT_EQ(billing.running_count(), 3u);
+  EXPECT_EQ(running_records(billing), 3u);
 }
 
 TEST(ClusterManager, DeploySchedulesAllPodsAndBuildsSpec) {
@@ -182,7 +189,7 @@ TEST(ClusterManager, DeploySchedulesAllPodsAndBuildsSpec) {
   // Provisioning takes boot+install+join ~ tens of seconds, not hours.
   EXPECT_LT(d.provisioning_seconds(), 300.0);
   mgr.teardown(d);
-  EXPECT_EQ(billing.running_count(), 0u);
+  EXPECT_EQ(running_records(billing), 0u);
   EXPECT_FALSE(d.active);
   // Idempotent teardown.
   EXPECT_NO_THROW(mgr.teardown(d));
@@ -224,6 +231,34 @@ TEST(Executor, InfeasibleGoalIsRejectedBeforeAnyDeploy) {
   EXPECT_THROW(orch::execute_job({w, plan, goal}), std::invalid_argument);
 }
 
+// A reused meter restarts its clock, clears its bill and resets its manager
+// per walk, so it returns what a new control plane returns, bit for bit. That
+// holds after a walk that threw too: before its first node launched (an
+// infeasible plan), or with every node Ready and billed (no docker slots).
+TEST(DeployMeter, ReusedMeterMatchesAFreshControlPlane) {
+  const auto fresh = [](const co::ProvisionPlan& plan, std::uint64_t seed) {
+    cynthia::sim::Simulator sim;
+    cc::BillingMeter billing;
+    orch::ClusterManager manager(sim, billing, seed);
+    return manager.deploy(plan).provisioning_seconds();
+  };
+  co::ProvisionPlan infeasible;
+  co::ProvisionPlan slotless = simple_plan(2, 1);
+  slotless.type.physical_cores = 0;
+  orch::DeployMeter meter;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    if (seed % 10 == 3) {
+      EXPECT_THROW((void)meter.measure(infeasible, seed), std::invalid_argument);
+    }
+    if (seed % 10 == 7) {
+      EXPECT_THROW((void)meter.measure(slotless, seed), std::runtime_error);
+    }
+    const co::ProvisionPlan plan =
+        simple_plan(1 + static_cast<int>(seed % 9), static_cast<int>(seed % 4));
+    EXPECT_EQ(meter.measure(plan, seed).value(), fresh(plan, seed)) << "seed " << seed;
+  }
+}
+
 TEST(NodeStateNames, AllDistinct) {
   EXPECT_EQ(orch::to_string(orch::NodeState::Booting), "Booting");
   EXPECT_EQ(orch::to_string(orch::NodeState::Ready), "Ready");
@@ -245,7 +280,7 @@ TEST(ClusterManagerFaults, ReplacesFailedJoins) {
   for (const auto& p : d.pods) EXPECT_TRUE(p.bound());
   // Replaced (terminated) instances must have stopped billing; only the
   // live ones keep running.
-  EXPECT_EQ(billing.running_count(), d.nodes.size());
+  EXPECT_EQ(running_records(billing), d.nodes.size());
   // Replacement cycles lengthen provisioning.
   cynthia::sim::Simulator sim2;
   cc::BillingMeter billing2;

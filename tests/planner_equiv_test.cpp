@@ -710,3 +710,78 @@ TEST(PlannerMonotone, PlanIsNotMonotoneInTheBudget) {
   };
   EXPECT_NE(window_at(233.5), window_at(233.0));
 }
+
+// Theorem 4.1's ceilings saturate at INT_MAX: a budget too small for any
+// worker count asks for more workers than an int holds, and its window is
+// empty. So a window that is empty at one budget is empty at every smaller
+// one. (Converting such a ceiling to int unsaturated is undefined; on x86 it
+// read as INT_MIN and then one worker, which gave resnet32 a (1, 1, 64)
+// window at 1 s where larger budgets had none.)
+TEST(PlannerMonotone, EmptyWindowStaysEmptyAtSmallerBudgets) {
+  cu::Rng rng(0x5eed0032);
+  long emptied = 0;  // draws whose window went empty along their budgets
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws / 4; ++draw) {
+        const double l_g = fp.loss_floor + log_uniform(rng, 0.005, 0.5);
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " l_g " + std::to_string(l_g));
+        const std::vector<double> budgets = sample_budgets(rng, 12, 1e-6, 8.0 * 3600.0);
+        bool empty = false;
+        for (auto b = budgets.rbegin(); b != budgets.rend(); ++b) {
+          const bool now_empty = prov.window(0, fp.mode, {cu::Seconds{*b}, l_g}).empty();
+          EXPECT_FALSE(empty && !now_empty) << "rows at " << *b << " s below an empty window";
+          emptied += !empty && now_empty ? 1 : 0;
+          empty = empty || now_empty;
+        }
+      }
+    }
+  }
+  EXPECT_GT(emptied, 0);
+}
+
+// Provisioner::window's floor: every budget from the floor up to the one
+// asked has the same window, so rung 0 of the admission ladder, whose budget
+// only shrinks, computes the window again only below the floor. An empty
+// window's floor is 0. The floor is tight: just under it the window moves.
+TEST(PlannerMonotone, WindowHoldsDownToItsFloor) {
+  cu::Rng rng(0x5eed0033);
+  long below = 0;   // non-empty windows whose floor lies under their budget
+  long at_budget = 0;  // ... whose floor is the budget itself
+  long moved = 0;   // windows that differ 1e-6 under their floor
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws / 2; ++draw) {
+        const double l_g = fp.loss_floor + log_uniform(rng, 0.005, 0.5);
+        const double b0 = log_uniform(rng, 1e-3, 8.0 * 3600.0);
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " l_g " + std::to_string(l_g) +
+                     " B0 " + std::to_string(b0));
+        const auto window_at = [&](double budget) {
+          return prov.window(0, fp.mode, {cu::Seconds{budget}, l_g});
+        };
+        const co::SearchWindow w = window_at(b0);
+        const double floor = w.floor.value();
+        if (w.empty()) {
+          EXPECT_EQ(floor, 0.0);
+          continue;
+        }
+        ASSERT_LE(floor, b0);
+        if (floor == b0) {
+          ++at_budget;
+          continue;
+        }
+        ++below;
+        EXPECT_TRUE(window_at(floor) == w) << "at the floor " << floor;
+        for (int i = 0; i < 4; ++i) {
+          const double b = floor + (b0 - floor) * rng.uniform(0.0, 1.0);
+          EXPECT_TRUE(window_at(b) == w) << "at " << b << " above the floor " << floor;
+        }
+        moved += window_at(floor * (1.0 - 1e-6)) != w ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(below, 0);
+  EXPECT_EQ(at_budget, 0);
+  EXPECT_EQ(moved, below);
+}

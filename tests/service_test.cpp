@@ -13,11 +13,13 @@
 #include "cloud/instance.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/workload.hpp"
+#include "orchestrator/cluster_manager.hpp"
 #include "profiler/profiler.hpp"
 #include "region/region.hpp"
 #include "service/job.hpp"
 #include "service/service.hpp"
 #include "service/traffic.hpp"
+#include "sim/simulator.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -28,6 +30,7 @@ namespace co = cynthia::core;
 namespace cd = cynthia::ddnn;
 namespace cp = cynthia::profiler;
 namespace cr = cynthia::region;
+namespace orch = cynthia::orch;
 namespace cs = cynthia::service;
 namespace ct = cynthia::telemetry;
 namespace cu = cynthia::util;
@@ -616,6 +619,39 @@ TEST(Service, PinnedMixedRegionFleetDigests) {
     EXPECT_EQ(result.stats.revocations, c.revocations);
     EXPECT_EQ(result.stats.ladder_searches, c.ladder_searches);
   }
+}
+
+// The fleet measures every attempt's provisioning on one reused
+// orch::DeployMeter. For every plan the pinned 1k-job day admits, plain and
+// churn, a reused meter returns what a new control plane returns, bit for bit.
+TEST(DeployMeter, ReusedMeterMatchesAFreshControlPlaneOnThePinnedDay) {
+  const auto requests =
+      cs::TrafficGenerator(cs::TrafficOptions::parse("jobs=1000,horizon=24h,seed=1")).generate();
+  orch::DeployMeter meter;
+  long walks = 0;
+  for (const bool churn : {false, true}) {
+    SCOPED_TRACE(churn ? "churn" : "plain");
+    cs::ServeOptions opts;
+    opts.seed = 1;
+    if (churn) {
+      opts.mean_revocation_interval = cu::minutes(90.0);
+      opts.spot_fleets = true;
+    }
+    const auto result =
+        cs::ProvisioningService(cr::Region::parse("*=160"), cc::Catalog::aws(), opts).run(requests);
+    for (const cs::JobOutcome& o : result.outcomes) {
+      if (o.attempts == 0) continue;
+      const std::uint64_t seed = 0x5eedull * static_cast<std::uint64_t>(o.request.id + 1) +
+                                 static_cast<std::uint64_t>(o.attempts);
+      cynthia::sim::Simulator sim;
+      cc::BillingMeter billing;
+      orch::ClusterManager manager(sim, billing, seed);
+      const double fresh = manager.deploy(o.plan).provisioning_seconds();
+      EXPECT_EQ(meter.measure(o.plan, seed).value(), fresh) << "job " << o.request.id;
+      ++walks;
+    }
+  }
+  EXPECT_GT(walks, 1000);
 }
 
 TEST(Service, RevocationsAreDeterministicAndRecovered) {
