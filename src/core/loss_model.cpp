@@ -1,8 +1,8 @@
 #include "core/loss_model.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "ddnn/loss.hpp"
 #include "util/least_squares.hpp"
 
 namespace cynthia::core {
@@ -57,19 +57,14 @@ long LossModel::iterations_for(double target_loss, int n_workers) const {
   }
   if (mode_ == ddnn::SyncMode::BSP) {
     // Eq. 15: s = ceil(beta0 / (l_g - beta1)).
-    return static_cast<long>(std::ceil(beta0_ / (target_loss - beta1_) - 1e-9));
+    return ddnn::whole_steps(beta0_ / (target_loss - beta1_));
   }
   // ASP/SSP: exact inversion of l = beta0 * phi(n) / s_total + beta1 with
   // the total split evenly across workers (see header for the Eq. 20 note).
   // phi is the staleness factor (sqrt(n) for ASP).
   const double phi = ddnn::staleness_factor(mode_, n_workers, ssp_bound_);
-  return static_cast<long>(
-      std::ceil(beta0_ * phi / ((target_loss - beta1_) * static_cast<double>(n_workers)) - 1e-9));
-}
-
-long LossModel::total_iterations_for(double target_loss, int n_workers) const {
-  if (mode_ == ddnn::SyncMode::BSP) return iterations_for(target_loss, n_workers);
-  return iterations_for(target_loss, n_workers) * static_cast<long>(n_workers);
+  return ddnn::whole_steps(beta0_ * phi /
+                           ((target_loss - beta1_) * static_cast<double>(n_workers)));
 }
 
 }  // namespace cynthia::core

@@ -50,11 +50,9 @@ class LossModel {
   /// this returns the *per-worker* iteration count; the paper's printed
   /// Eq. 20 under-provisions by construction (it divides by l_g instead of
   /// l_g - beta1 and so misses the target by ~beta1), so we invert the
-  /// model exactly, matching the BSP treatment.
+  /// model exactly, matching the BSP treatment. Clamped to [1, LONG_MAX]
+  /// (ddnn::whole_steps).
   [[nodiscard]] long iterations_for(double target_loss, int n_workers) const;
-
-  /// Total iterations across the cluster to reach `target_loss`.
-  [[nodiscard]] long total_iterations_for(double target_loss, int n_workers) const;
 
  private:
   ddnn::SyncMode mode_;

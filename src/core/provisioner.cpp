@@ -179,13 +179,9 @@ SearchWindow Provisioner::window_of(std::size_t type_index, const WorkerBounds& 
 }
 
 SearchWindow Provisioner::window(std::size_t type_index, ddnn::SyncMode mode,
-                                 const ProvisionGoal& goal,
-                                 const ProvisionOptions& options) const {
+                                 const ProvisionGoal& goal) const {
   check_goal(goal);
   if (type_index >= types_.size()) throw std::out_of_range("Provisioner::window: type index");
-  if (options.exhaustive) {
-    throw std::invalid_argument("Provisioner::window: the exhaustive grid has no window");
-  }
   const WorkerBounds bounds = bounds_for(type_index, mode, goal);
   SearchWindow w = window_of(type_index, bounds, mode);
   // The floor: the smallest goal that keeps every ceiling fixing the window
@@ -237,23 +233,70 @@ IterationPrediction Provisioner::predict_cached(const cloud::InstanceType& type,
   });
 }
 
-CandidateEvaluation Provisioner::evaluate(const cloud::InstanceType& type,
-                                          std::size_t type_index, int n_wk, int n_ps,
-                                          ddnn::SyncMode mode, const ProvisionGoal& goal,
-                                          bool use_cache) const {
-  CandidateEvaluation c;
-  c.type = type.name;
-  c.n_workers = n_wk;
-  c.n_ps = n_ps;
-  // BSP: the budget is global; ASP: per-worker (Constraint 9 applies to the
-  // per-iteration time times the iterations the critical path executes).
-  c.iterations = loss_.iterations_for(goal.target_loss, n_wk);
-  c.prediction = predict_cached(type, type_index, n_wk, n_ps, mode, use_cache);
-  c.t_iter = c.prediction.t_iter.value();
-  c.total_time = (c.prediction.t_iter * static_cast<double>(c.iterations)).value();
-  c.cost = plan_cost(type, n_wk, n_ps, util::Seconds{c.total_time}).value();
-  c.feasible = c.total_time <= goal.time_goal.value();
-  return c;
+template <class IterationsAt>
+bool Provisioner::scan_row(std::size_t type_index, ddnn::SyncMode mode, int n_ps, int n_from,
+                           int n_to, const IterationsAt& iterations_at, double derate,
+                           double budget, const ProvisionOptions& options, bool first_feasible,
+                           TypeSearch& out) const {
+  const cloud::InstanceType& type = types_[type_index];
+  const RowBounds row(model_, type, n_ps);
+  bool any_feasible = false;
+  for (int n = n_from; n <= n_to; ++n) {
+    // Footprint grows with n: the whole remaining row is over the cap.
+    if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
+    // BSP: the budget is global; ASP/SSP: per worker (Constraint 9 applies to
+    // the per-iteration time times the iterations the critical path executes).
+    const long iterations = iterations_at(n);
+    const double di = static_cast<double>(iterations);
+    if (options.prune) {
+      // The evaluation's own operation order, (t / derate) * iterations, so
+      // each bound stays <= the total time it bounds.
+      const double total_lb = (row.t_iter_lb(mode, n) / derate) * di;
+      // From here to n_to the row bound never falls and cost_lb rises: BSP's
+      // exact t_comm grows with n at a fixed iteration count, and an ASP/SSP
+      // tail at one iteration per worker has a flat t_iter_lb.
+      const bool monotone_tail =
+          mode == ddnn::SyncMode::BSP || (iterations == 1 && iterations_at(n_to) == 1);
+      if (monotone_tail) {
+        const double row_lb =
+            mode == ddnn::SyncMode::BSP ? (row.t_comm(mode, n) / derate) * di : total_lb;
+        // The cost break needs a local best, a feasible candidate; on the
+        // window's rows it comes from this row (a feasible row ends the PS
+        // escalation), so the break cannot change that decision.
+        if (row_lb > budget ||
+            (out.has_best && cost_lb(type, n, n_ps, row_lb) >= out.best.cost)) {
+          out.pruned += static_cast<std::uint64_t>(n_to - n + 1);
+          break;
+        }
+      }
+      if (total_lb > budget) {
+        ++out.pruned;  // provably infeasible; skip this n only
+        continue;
+      }
+    }
+    IterationPrediction p = predict_cached(type, type_index, n, n_ps, mode, options.use_cache);
+    ++out.evaluated;
+    p.t_iter /= derate;
+    const double total_time = (p.t_iter * di).value();
+    const double cost = plan_cost(type, n, n_ps, util::Seconds{total_time}).value();
+    const bool feasible = total_time <= budget;
+    const bool better = feasible && (!out.has_best || cost < out.best.cost);
+    if (options.keep_trace || better) {
+      CandidateEvaluation c{.type = type.name, .n_workers = n, .n_ps = n_ps,
+                            .iterations = iterations, .t_iter = p.t_iter.value(),
+                            .total_time = total_time, .cost = cost, .feasible = feasible,
+                            .prediction = p};
+      if (options.keep_trace) out.trace.push_back(c);
+      if (better) {
+        out.has_best = true;
+        out.best = std::move(c);
+      }
+    }
+    if (!feasible) continue;
+    any_feasible = true;
+    if (first_feasible) break;  // Alg. 1 line 11
+  }
+  return any_feasible;
 }
 
 template <class SearchFn>
@@ -326,53 +369,17 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
   check_goal(goal);
   const PlannerTimer timer(metrics_ != nullptr);
 
+  const double budget = goal.time_goal.value();
+  const auto iterations_at = [&](int n) { return loss_.iterations_for(goal.target_loss, n); };
   auto search_type = [&](std::size_t ti) -> TypeSearch {
-    const cloud::InstanceType& type = types_[ti];
     TypeSearch out;
-    auto consider = [&](int n_wk, int n_ps) -> bool {
-      CandidateEvaluation cand = evaluate(type, ti, n_wk, n_ps, mode, goal, options.use_cache);
-      ++out.evaluated;
-      if (options.keep_trace) out.trace.push_back(cand);
-      if (!cand.feasible) return false;
-      if (!out.has_best || cand.cost < out.best.cost) {
-        out.has_best = true;
-        out.best = std::move(cand);
-      }
-      return true;
-    };
-
     if (options.exhaustive) {
       for (int n_ps = 1; n_ps <= kExhaustiveMaxPs; ++n_ps) {
-        const RowBounds row(model_, type, n_ps);
-        for (int n = 1; n <= kExhaustiveMaxWorkers; ++n) {
-          if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
-          if (options.prune) {
-            const long iters = loss_.iterations_for(goal.target_loss, n);
-            const double di = static_cast<double>(iters);
-            if (mode == ddnn::SyncMode::BSP) {
-              // BSP iteration budgets are n-independent, so both bounds
-              // grow monotonically in n: break the row, not just skip.
-              if (row.t_comm(mode, n) * di > goal.time_goal.value()) {
-                out.pruned += static_cast<std::uint64_t>(kExhaustiveMaxWorkers - n + 1);
-                break;
-              }
-              if (out.has_best &&
-                  cost_lb(type, n, n_ps, row.t_comm(mode, n) * di) >= out.best.cost) {
-                out.pruned += static_cast<std::uint64_t>(kExhaustiveMaxWorkers - n + 1);
-                break;
-              }
-            }
-            if (row.t_iter_lb(mode, n) * di > goal.time_goal.value()) {
-              ++out.pruned;  // provably infeasible; skip this n only
-              continue;
-            }
-          }
-          consider(n, n_ps);
-        }
+        scan_row(ti, mode, n_ps, 1, kExhaustiveMaxWorkers, iterations_at, 1.0, budget, options,
+                 false, out);
       }
       return out;
     }
-
     const WorkerBounds bounds = bounds_for(ti, mode, goal);
     const SearchWindow window = window_of(ti, bounds, mode);
     if (window.empty()) return out;
@@ -380,40 +387,11 @@ ProvisionPlan Provisioner::plan(ddnn::SyncMode mode, const ProvisionGoal& goal,
     // Minimum PS count first (Theorem 4.1); escalate only if nothing in the
     // interval meets the goal.
     for (int extra = 0; extra <= kMaxExtraPs; ++extra) {
-      const int n_ps = window.n_ps + extra;
-      const int upper = window.upper[static_cast<std::size_t>(extra)];
-      const RowBounds row(model_, type, n_ps);
-      bool any_feasible = false;
-      for (int n = window.n_lower; n <= upper; ++n) {
-        // Footprint grows with n: the whole remaining row is over the cap.
-        if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
-        if (options.prune) {
-          const long iters = loss_.iterations_for(goal.target_loss, n);
-          const double di = static_cast<double>(iters);
-          if (mode == ddnn::SyncMode::BSP) {
-            if (row.t_comm(mode, n) * di > goal.time_goal.value()) {
-              out.pruned += static_cast<std::uint64_t>(upper - n + 1);
-              break;  // communication already blows the budget for all larger n
-            }
-            // A local best implies this row already produced a feasible
-            // candidate, so breaking cannot change the PS-escalation
-            // decision — only skip provably-not-cheaper grid points.
-            if (out.has_best &&
-                cost_lb(type, n, n_ps, row.t_comm(mode, n) * di) >= out.best.cost) {
-              out.pruned += static_cast<std::uint64_t>(upper - n + 1);
-              break;
-            }
-          }
-          if (row.t_iter_lb(mode, n) * di > goal.time_goal.value()) {
-            ++out.pruned;
-            continue;
-          }
-        }
-        const bool feasible = consider(n, n_ps);
-        any_feasible = any_feasible || feasible;
-        if (feasible && options.first_feasible_only) break;  // Alg. 1 line 11
+      if (scan_row(ti, mode, window.n_ps + extra, window.n_lower,
+                   window.upper[static_cast<std::size_t>(extra)], iterations_at, 1.0, budget,
+                   options, options.first_feasible_only, out)) {
+        break;
       }
-      if (any_feasible) break;  // keep the minimum feasible PS count
     }
     return out;
   };
@@ -460,84 +438,17 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
   }
   const PlannerTimer timer(metrics_ != nullptr);
 
-  const int max_workers = std::min(kMaxWorkersQuota, kExhaustiveMaxWorkers);
   const double budget = remaining_time.value();
-  const double derate = degradation.capability_derate;
-
+  // BSP budgets are global; ASP/SSP execute remaining/n per worker.
+  const auto iterations_at = [&](int n) {
+    return mode == ddnn::SyncMode::BSP ? remaining_iterations
+                                       : (remaining_iterations + n - 1) / static_cast<long>(n);
+  };
   auto search_type = [&](std::size_t ti) -> TypeSearch {
-    const cloud::InstanceType& type = types_[ti];
     TypeSearch out;
     for (int n_ps = 1; n_ps <= kExhaustiveMaxPs; ++n_ps) {
-      const RowBounds row(model_, type, n_ps);
-      for (int n = 1; n <= max_workers; ++n) {
-        // Footprint grows with n: the whole remaining row is over the cap.
-        if (options.max_total_dockers > 0 && n + n_ps > options.max_total_dockers) break;
-        // BSP budgets are global; ASP/SSP execute remaining/n per worker.
-        const long per_worker =
-            mode == ddnn::SyncMode::BSP
-                ? remaining_iterations
-                : (remaining_iterations + n - 1) / static_cast<long>(n);
-        if (options.prune) {
-          const double dper = static_cast<double>(per_worker);
-          // Same derate division / per-worker multiplication order as the
-          // real evaluation below, so lb <= actual total_time numerically.
-          const double total_lb = (row.t_iter_lb(mode, n) / derate) * dper;
-          if (mode == ddnn::SyncMode::BSP) {
-            const double comm_total_lb = (row.t_comm(mode, n) / derate) * dper;
-            if (comm_total_lb > budget) {
-              out.pruned += static_cast<std::uint64_t>(max_workers - n + 1);
-              break;  // t_comm grows with n; every larger n is infeasible too
-            }
-            if (out.has_best && cost_lb(type, n, n_ps, comm_total_lb) >= out.best.cost) {
-              out.pruned += static_cast<std::uint64_t>(max_workers - n + 1);
-              break;  // cost lower bound grows with n past the best
-            }
-          } else if (per_worker == 1) {
-            // Tail of the ASP/SSP grid: per-worker work has bottomed out at
-            // one iteration, so both bounds are monotone in n from here.
-            if (total_lb > budget ||
-                (out.has_best && cost_lb(type, n, n_ps, total_lb) >= out.best.cost)) {
-              out.pruned += static_cast<std::uint64_t>(max_workers - n + 1);
-              break;
-            }
-          }
-          if (total_lb > budget) {
-            ++out.pruned;  // provably infeasible at this n
-            continue;
-          }
-        }
-        IterationPrediction p = predict_cached(type, ti, n, n_ps, mode, options.use_cache);
-        ++out.evaluated;
-        p.t_iter /= derate;
-        const double total_time = (p.t_iter * static_cast<double>(per_worker)).value();
-        const double cost = plan_cost(type, n, n_ps, util::Seconds{total_time}).value();
-        const bool feasible = total_time <= budget;
-        if (options.keep_trace) {
-          CandidateEvaluation trace_entry;
-          trace_entry.type = type.name;
-          trace_entry.n_workers = n;
-          trace_entry.n_ps = n_ps;
-          trace_entry.iterations = per_worker;
-          trace_entry.t_iter = p.t_iter.value();
-          trace_entry.total_time = total_time;
-          trace_entry.cost = cost;
-          trace_entry.feasible = feasible;
-          trace_entry.prediction = p;
-          out.trace.push_back(std::move(trace_entry));
-        }
-        if (!feasible) continue;
-        if (out.has_best && cost >= out.best.cost) continue;
-        out.has_best = true;
-        out.best.type = type.name;
-        out.best.n_workers = n;
-        out.best.n_ps = n_ps;
-        out.best.iterations = per_worker;
-        out.best.t_iter = p.t_iter.value();
-        out.best.total_time = total_time;
-        out.best.cost = cost;
-        out.best.feasible = true;
-        out.best.prediction = p;
-      }
+      scan_row(ti, mode, n_ps, 1, kExhaustiveMaxWorkers, iterations_at,
+               degradation.capability_derate, budget, options, false, out);
     }
     return out;
   };

@@ -104,15 +104,15 @@ struct SearchWindow {
 };
 
 /// The grid n in [1, kExhaustiveMaxWorkers] x n_ps in [1, kExhaustiveMaxPs]
-/// that the exhaustive ablation scans and replan() searches (the latter also
-/// capped by the worker quota).
+/// that the exhaustive ablation scans and replan() searches.
 inline constexpr int kExhaustiveMaxWorkers = 32;
 inline constexpr int kExhaustiveMaxPs = 4;
 
 /// Account-level instance quota: plans needing more workers than this are
 /// rejected (EC2 accounts cannot launch unbounded fleets). Applies to the
-/// bounded search; the exhaustive grid has its own explicit limits.
+/// bounded search; the exhaustive grid lies inside it.
 inline constexpr int kMaxWorkersQuota = 64;
+static_assert(kExhaustiveMaxWorkers <= kMaxWorkersQuota);
 
 struct ProvisionOptions {
   /// Algorithm 1's pseudocode semantics (line 11): stop at the first
@@ -236,12 +236,10 @@ class Provisioner {
   /// The rows plan() scans on the type at `type_index` (catalog order) for
   /// this goal: a few divisions over terms computed once per type, plus the
   /// window's floor (Theorem 4.1's ceilings inverted, then checked by
-  /// computing the window there). Throws as plan() does for a bad goal,
-  /// std::out_of_range for a bad index and std::invalid_argument for
-  /// options.exhaustive (a fixed grid, no window).
+  /// computing the window there). Throws as plan() does for a bad goal and
+  /// std::out_of_range for a bad index.
   [[nodiscard]] SearchWindow window(std::size_t type_index, ddnn::SyncMode mode,
-                                    const ProvisionGoal& goal,
-                                    const ProvisionOptions& options = {}) const;
+                                    const ProvisionGoal& goal) const;
 
   /// Revocation-aware Algorithm 1 (the durability dimension): enumerates
   /// the same bounded (type, n_wk, n_ps) grid, fits one interruption model
@@ -262,7 +260,7 @@ class Provisioner {
   /// finishes `remaining_iterations` global updates within `remaining_time`.
   /// Theorem 4.1's worker bounds assume the iteration count comes from the
   /// loss model; here it is pinned by the checkpoint instead, so the search
-  /// scans the quota-limited grid (pruned by the same bound structure) and
+  /// scans the exhaustive grid (pruned by the same bound structure) and
   /// keeps the cheapest feasible candidate (possibly a different n_wk/n_ps
   /// than the original plan). `degradation` biases the prediction by the
   /// measured slowdown and holds back a slack margin, so the new plan
@@ -315,11 +313,16 @@ class Provisioner {
                                                    std::size_t type_index, int n_wk, int n_ps,
                                                    ddnn::SyncMode mode, bool use_cache) const;
 
-  /// Evaluates one homogeneous candidate against the goal.
-  [[nodiscard]] CandidateEvaluation evaluate(const cloud::InstanceType& type,
-                                             std::size_t type_index, int n_wk, int n_ps,
-                                             ddnn::SyncMode mode, const ProvisionGoal& goal,
-                                             bool use_cache) const;
+  /// Algorithm 1's scan of one row: workers n_from..n_to with n_ps PS nodes
+  /// on the type at `type_index`, each candidate running iterations_at(n)
+  /// iterations at its predicted t_iter / derate against `budget` seconds,
+  /// pruned as docs/PERF.md argues. Folds the row into `out` (trace, local
+  /// best, counters); with `first_feasible` it stops at the row's first
+  /// feasible candidate (line 11). Returns whether the row had one.
+  template <class IterationsAt>
+  bool scan_row(std::size_t type_index, ddnn::SyncMode mode, int n_ps, int n_from, int n_to,
+                const IterationsAt& iterations_at, double derate, double budget,
+                const ProvisionOptions& options, bool first_feasible, TypeSearch& out) const;
 
   /// Runs `search_type` for each instance type in catalog order, publishes
   /// the trace and counters, and returns the cheapest local best (strict

@@ -1,8 +1,9 @@
 #include "ddnn/loss.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "util/saturating.hpp"
 
 namespace cynthia::ddnn {
 
@@ -13,13 +14,17 @@ double loss_model(const LossCoefficients& c, SyncMode mode, double steps, int n_
   return c.beta0 * staleness / steps + c.beta1;
 }
 
+long whole_steps(double steps) {
+  return std::max(1L, util::saturating_ceil<long>(steps - 1e-9));
+}
+
 long iterations_to_reach(const LossCoefficients& c, SyncMode mode, double target_loss, int n_workers,
                          int ssp_bound) {
   if (target_loss <= c.beta1) {
     throw std::invalid_argument("iterations_to_reach: target loss below asymptote beta1");
   }
   const double staleness = staleness_factor(mode, n_workers, ssp_bound);
-  return static_cast<long>(std::ceil(c.beta0 * staleness / (target_loss - c.beta1) - 1e-9));
+  return whole_steps(c.beta0 * staleness / (target_loss - c.beta1));
 }
 
 LossProcess::LossProcess(const WorkloadSpec& workload, int n_workers, std::uint64_t seed)

@@ -28,6 +28,13 @@ namespace cynthia::ddnn {
 double loss_model(const LossCoefficients& c, SyncMode mode, double steps, int n_workers,
                   int ssp_bound = 3);
 
+/// The whole iteration count for a loss goal whose exact inversion of Eq. 1
+/// is `steps`: ceil(steps), less a 1e-9 allowance for rounding in the
+/// inversion, clamped to [1, LONG_MAX]. Any finite goal takes at least one
+/// step, and a goal a hair above the asymptote saturates instead of
+/// overflowing.
+long whole_steps(double steps);
+
 /// Minimum iterations to reach `target_loss` (inverts Eq. 1 exactly);
 /// throws std::invalid_argument if the target is unreachable (<= beta1).
 long iterations_to_reach(const LossCoefficients& c, SyncMode mode, double target_loss,

@@ -4,13 +4,11 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 
 #include "ddnn/loss.hpp"
 #include "ddnn/monitor.hpp"
-#include "faults/injector.hpp"
 #include "sim/fluid.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -131,7 +129,6 @@ class Session {
   std::vector<char> worker_alive_, ps_alive_;
   std::vector<std::uint32_t> worker_epoch_;
   std::vector<std::vector<sim::JobId>> worker_jobs_;  ///< cancellable in-flight jobs
-  std::unique_ptr<faults::FaultInjector> injector_;
   bool finalized_ = false;
   bool stopped_early_ = false;
   bool ps_outage_ = false;        ///< some PS shard is down; training suspended
@@ -554,16 +551,23 @@ void Session::finalize(double end_time) {
 void Session::arm_faults() {
   if (opts_.faults == nullptr || opts_.faults->empty()) return;
   opts_.faults->validate(cluster_.n_workers(), cluster_.n_ps());
-  result_.faults.events.reserve(opts_.faults->size());
-  for (const auto& spec : opts_.faults->events()) {
+  // Every event is scheduled now, so injection cost does not grow with the
+  // run and (time, schedule index) alone fixes the event order: each fault
+  // applies at its time (a past time fires now) and, when it heals, recovers
+  // recovery_seconds later. Events firing after the run are ignored.
+  const std::vector<faults::FaultSpec>& events = opts_.faults->events();
+  result_.faults.events.reserve(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const faults::FaultSpec& spec = events[i];
     FaultEventOutcome outcome;
     outcome.spec = spec;
     result_.faults.events.push_back(std::move(outcome));
+    const double at = std::max(sim_.now(), spec.time_seconds);
+    sim_.at(at, [this, spec, i] { apply_fault(spec, i); });
+    if (spec.recovery_seconds >= 0.0) {
+      sim_.at(at + spec.recovery_seconds, [this, spec, i] { recover_fault(spec, i); });
+    }
   }
-  faults::FaultInjector::Hooks hooks;
-  hooks.apply = [this](const faults::FaultSpec& f, std::size_t i) { apply_fault(f, i); };
-  hooks.recover = [this](const faults::FaultSpec& f, std::size_t i) { recover_fault(f, i); };
-  injector_ = std::make_unique<faults::FaultInjector>(sim_, *opts_.faults, std::move(hooks));
 }
 
 double Session::node_base_cpu(const faults::FaultSpec& fault) const {

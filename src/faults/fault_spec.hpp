@@ -9,9 +9,8 @@
 // the determinism tests compare.
 //
 // The model layer is deliberately passive: it knows nothing about the fluid
-// simulator or the trainer. FaultInjector (injector.hpp) turns a schedule
-// into simulator events, and ddnn::Trainer owns the semantics of surviving
-// them.
+// simulator or the trainer. ddnn::Trainer turns a schedule into simulator
+// events and owns the semantics of surviving them.
 #pragma once
 
 #include <cstdint>

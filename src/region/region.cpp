@@ -97,13 +97,6 @@ bool Region::is_unbounded() const {
                      [](const Slot& s) { return s.capacity == kUnbounded; });
 }
 
-std::optional<std::size_t> Region::index_of(const std::string& type) const {
-  const auto at = std::lower_bound(slots_.begin(), slots_.end(), type,
-                                   [](const Slot& s, const std::string& t) { return s.type < t; });
-  if (at == slots_.end() || at->type != type) return std::nullopt;
-  return static_cast<std::size_t>(at - slots_.begin());
-}
-
 const Region::Slot& Region::slot(std::size_t index) const {
   if (index >= slots_.size()) {
     throw std::out_of_range("Region: type index " + std::to_string(index) + " out of range");
@@ -111,23 +104,9 @@ const Region::Slot& Region::slot(std::size_t index) const {
   return slots_[index];
 }
 
-bool Region::fits(const std::string& type, int docker_slots) const {
-  const auto index = index_of(type);
-  return index.has_value() && fits(*index, docker_slots);
-}
-
 bool Region::fits(std::size_t index, int docker_slots) const {
   const Slot& s = slot(index);
   return s.capacity == kUnbounded || s.reserved + docker_slots <= s.capacity;
-}
-
-void Region::reserve(const std::string& type, int docker_slots, util::Seconds now) {
-  const auto index = index_of(type);
-  if (!index.has_value()) {
-    throw std::logic_error("Region::reserve: " + std::to_string(docker_slots) + "x " + type +
-                           " does not fit (" + describe() + ")");
-  }
-  reserve(*index, docker_slots, now);
 }
 
 void Region::reserve(std::size_t index, int docker_slots, util::Seconds now) {
@@ -140,15 +119,6 @@ void Region::reserve(std::size_t index, int docker_slots, util::Seconds now) {
   slots_[index].reserved += docker_slots;
   reserved_total_ += docker_slots;
   check_conservation();
-}
-
-void Region::release(const std::string& type, int docker_slots, util::Seconds now) {
-  const auto index = index_of(type);
-  if (!index.has_value()) {
-    throw std::logic_error("Region::release: over-release of " + std::to_string(docker_slots) +
-                           "x " + type + " (" + describe() + ")");
-  }
-  release(*index, docker_slots, now);
 }
 
 void Region::release(std::size_t index, int docker_slots, util::Seconds now) {
@@ -168,24 +138,9 @@ void Region::advance_to(util::Seconds now) {
   check_conservation();
 }
 
-int Region::capacity(const std::string& type) const {
-  const auto index = index_of(type);
-  return index.has_value() ? capacity(*index) : 0;
-}
-
 int Region::capacity(std::size_t index) const { return slot(index).capacity; }
 
-int Region::reserved(const std::string& type) const {
-  const auto index = index_of(type);
-  return index.has_value() ? reserved(*index) : 0;
-}
-
 int Region::reserved(std::size_t index) const { return slot(index).reserved; }
-
-int Region::available(const std::string& type) const {
-  const auto index = index_of(type);
-  return index.has_value() ? available(*index) : 0;
-}
 
 int Region::available(std::size_t index) const {
   const Slot& s = slot(index);

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,8 @@ struct TypeCapacity {
 };
 
 /// A finite pool of docker slots per instance type. Every type has an index,
-/// its position in capacities() (name order); the index calls are the
-/// accounting path, and each name call finds the index and delegates. An
-/// index past the last type throws std::out_of_range.
+/// its position in capacities() (name order), and the accounting calls take
+/// it; an index past the last type throws std::out_of_range.
 class Region {
  public:
   /// Sentinel capacity: the type is not capacity-limited.
@@ -42,9 +40,8 @@ class Region {
 
   Region() = default;
 
-  /// Capacity for exactly the listed types; jobs on unlisted types are
-  /// rejected by fits(). Throws std::invalid_argument on duplicates or
-  /// negative capacities (other than kUnbounded).
+  /// Capacity for exactly the listed types. Throws std::invalid_argument on
+  /// duplicates or negative capacities (other than kUnbounded).
   explicit Region(std::vector<TypeCapacity> capacities);
 
   /// Every provisionable + accelerated type of `catalog`, unbounded — the
@@ -66,36 +63,27 @@ class Region {
   /// True when every known type is unbounded (the single-tenant cloud).
   [[nodiscard]] bool is_unbounded() const;
 
-  /// The index of `type` in capacities(); nullopt when it is not stocked.
-  [[nodiscard]] std::optional<std::size_t> index_of(const std::string& type) const;
-
-  /// True when `docker_slots` more dockers of `type` fit right now. Unknown
-  /// types never fit (the region does not stock them).
-  [[nodiscard]] bool fits(const std::string& type, int docker_slots) const;
+  /// True when `docker_slots` more dockers of the type at `index` fit now.
   [[nodiscard]] bool fits(std::size_t index, int docker_slots) const;
 
-  /// Takes `docker_slots` dockers of `type` at simulation time `now`.
-  /// Throws std::logic_error when they do not fit — callers must check
-  /// fits() first; admission control is the caller's job, not the pool's.
-  void reserve(const std::string& type, int docker_slots, util::Seconds now);
+  /// Takes `docker_slots` dockers of the type at `index` at simulation time
+  /// `now`. Throws std::logic_error when they do not fit — callers must
+  /// check fits() first; admission control is the caller's job, not the
+  /// pool's.
   void reserve(std::size_t index, int docker_slots, util::Seconds now);
 
   /// Returns dockers previously taken with reserve(). Throws
   /// std::logic_error on over-release (returning what was never taken).
-  void release(const std::string& type, int docker_slots, util::Seconds now);
   void release(std::size_t index, int docker_slots, util::Seconds now);
 
   /// Folds the busy-slot integral forward to `now` without changing any
   /// reservation (call at end of run so utilization covers the tail).
   void advance_to(util::Seconds now);
 
-  /// kUnbounded when unlimited; 0 for a type the region does not stock.
-  [[nodiscard]] int capacity(const std::string& type) const;
+  /// kUnbounded when unlimited.
   [[nodiscard]] int capacity(std::size_t index) const;
-  [[nodiscard]] int reserved(const std::string& type) const;
   [[nodiscard]] int reserved(std::size_t index) const;
-  /// Free slots of `type`; kUnbounded when the type is not limited.
-  [[nodiscard]] int available(const std::string& type) const;
+  /// Free slots; kUnbounded when the type is not limited.
   [[nodiscard]] int available(std::size_t index) const;
 
   /// Dockers currently reserved across all types.

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "cloud/instance.hpp"
 #include "core/loss_model.hpp"
+#include "ddnn/loss.hpp"
 #include "ddnn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +67,6 @@ TEST(LossModel, Eq15BspIterations) {
   // s = ceil(beta0 / (l - beta1)).
   EXPECT_EQ(m.iterations_for(0.8, 1), static_cast<long>(std::ceil(2500.0 / 0.55)));
   EXPECT_EQ(m.iterations_for(0.8, 16), m.iterations_for(0.8, 1)) << "BSP independent of n";
-  EXPECT_EQ(m.total_iterations_for(0.8, 16), m.iterations_for(0.8, 1));
 }
 
 TEST(LossModel, AspInversionActuallyReachesTarget) {
@@ -74,8 +75,7 @@ TEST(LossModel, AspInversionActuallyReachesTarget) {
   co::LossModel m(cd::SyncMode::ASP, 210.0, 0.10);
   for (int n : {1, 4, 9, 16}) {
     const long per_worker = m.iterations_for(0.8, n);
-    const long total = m.total_iterations_for(0.8, n);
-    EXPECT_EQ(total, per_worker * n);
+    const long total = per_worker * n;
     EXPECT_LE(m.loss_at(static_cast<double>(total), n), 0.8 + 1e-9) << n;
     // And it is tight: one fewer per-worker iteration would miss.
     if (per_worker > 1) {
@@ -88,7 +88,26 @@ TEST(LossModel, AspNeedsFewerPerWorkerIterationsWithMoreWorkers) {
   co::LossModel m(cd::SyncMode::ASP, 210.0, 0.10);
   EXPECT_GT(m.iterations_for(0.8, 2), m.iterations_for(0.8, 8));
   // But more total work due to staleness.
-  EXPECT_LT(m.total_iterations_for(0.8, 2), m.total_iterations_for(0.8, 8));
+  EXPECT_LT(m.iterations_for(0.8, 2) * 2, m.iterations_for(0.8, 8) * 8);
+}
+
+// A goal a hair above the asymptote needs more steps than a long holds and
+// saturates; a goal the first step already meets still takes that step. Both
+// the fitted model and the ground-truth process clamp to [1, LONG_MAX].
+TEST(LossModel, StepCountsClampToOneAndLongMax) {
+  constexpr long kMax = std::numeric_limits<long>::max();
+  const cd::LossCoefficients c{1.0, 0.0};
+  for (const cd::SyncMode mode : {cd::SyncMode::BSP, cd::SyncMode::ASP, cd::SyncMode::SSP}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const co::LossModel m(mode, 1.0, 0.0);
+    EXPECT_EQ(m.iterations_for(1e-300, 4), kMax);
+    EXPECT_EQ(m.iterations_for(1e20, 4), 1);
+    EXPECT_EQ(m.iterations_for(1e20, 1), 1);
+    EXPECT_EQ(cd::iterations_to_reach(c, mode, 1e-300, 4), kMax);
+    EXPECT_EQ(cd::iterations_to_reach(c, mode, 1e20, 4), 1);
+  }
+  EXPECT_EQ(cd::whole_steps(std::nan("")), kMax);
+  EXPECT_EQ(cd::whole_steps(-5.0), 1);
 }
 
 TEST(LossModel, InvalidTargetsThrow) {

@@ -8,6 +8,7 @@
 
 #include "cloud/instance.hpp"
 #include "cloud/spot.hpp"
+#include "core/predictor.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/trainer.hpp"
 #include "profiler/profiler.hpp"
@@ -166,6 +167,25 @@ TEST(Provisioner, PrefersCheaperTypeWhenBothFeasible) {
   const auto plan = prov.plan(cd::SyncMode::BSP, {cu::minutes(120), 0.8});
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.type.name, "m4.xlarge");
+}
+
+// mnist's fitted loss asymptote lies a hair below this goal, so reaching it
+// takes more iterations than a long holds. The count saturates: the bounded
+// window is empty and every exhaustive candidate misses the hour. (An
+// unclamped count wrapped to LONG_MIN and the exhaustive grid returned a plan
+// of -9.2e18 iterations costing $-2.2e15.)
+TEST(Provisioner, GoalAtTheAsymptoteIsInfeasible) {
+  const auto& w = cd::workload_by_name("mnist");
+  const co::Predictor pred = co::Predictor::build(w, m4());
+  const co::Provisioner prov(pred.model(), pred.loss(), cc::Catalog::aws().provisionable());
+  const co::ProvisionGoal goal{cu::minutes(60), 0.05038256766028726};
+  EXPECT_EQ(pred.loss().iterations_for(goal.target_loss, 1), std::numeric_limits<long>::max());
+  EXPECT_FALSE(prov.plan(w.sync, goal).feasible);
+  co::ProvisionOptions exhaustive;
+  exhaustive.exhaustive = true;
+  EXPECT_FALSE(prov.plan(w.sync, goal, exhaustive).feasible);
+  exhaustive.prune = false;
+  EXPECT_FALSE(prov.plan(w.sync, goal, exhaustive).feasible);
 }
 
 TEST(Provisioner, InvalidArgumentsThrow) {

@@ -785,3 +785,50 @@ TEST(PlannerMonotone, WindowHoldsDownToItsFloor) {
   EXPECT_EQ(at_budget, 0);
   EXPECT_EQ(moved, below);
 }
+
+// Algorithm 1's bounded plan lies inside its Theorem 4.1 window: its PS count
+// is one of the window's rows, its worker count lies in that row's interval,
+// and its footprint fits the cap when one is set. An empty window plans
+// nothing.
+TEST(PlannerMonotone, BoundedPlanLiesInsideItsWindow) {
+  cu::Rng rng(0x5eed0034);
+  long on_row_zero = 0;   // feasible plans at the window's minimum PS count
+  long escalated = 0;     // ... on a row with extra PS nodes
+  long capped_plans = 0;  // ... under a cap
+  long empty_windows = 0;
+  for (const FleetPlanner& fp : fleet_planners()) {
+    for (std::size_t t = 0; t < fp.per_type.size(); ++t) {
+      const co::Provisioner& prov = fp.per_type[t];
+      for (int draw = 0; draw < kDraws; ++draw) {
+        const co::ProvisionGoal goal{cu::Seconds{log_uniform(rng, 30.0, 8.0 * 3600.0)},
+                                    fp.loss_floor + log_uniform(rng, 0.005, 0.5)};
+        const int cap = rng.chance(0.5) ? 0 : static_cast<int>(rng.uniform_int(1, 128));
+        SCOPED_TRACE(fp.label + " type " + std::to_string(t) + " Tg " +
+                     std::to_string(goal.time_goal.value()) + " l_g " +
+                     std::to_string(goal.target_loss) + " cap " + std::to_string(cap));
+        const co::SearchWindow w = prov.window(0, fp.mode, goal);
+        const co::ProvisionPlan plan = prov.plan(fp.mode, goal, capped(cap));
+        if (w.empty()) {
+          EXPECT_FALSE(plan.feasible);
+          ++empty_windows;
+          continue;
+        }
+        if (!plan.feasible) continue;
+        ASSERT_GE(plan.n_ps, w.n_ps);
+        ASSERT_LE(plan.n_ps, w.n_ps + co::kMaxExtraPs);
+        const int row = plan.n_ps - w.n_ps;
+        EXPECT_GE(plan.n_workers, w.n_lower);
+        EXPECT_LE(plan.n_workers, w.upper[static_cast<std::size_t>(row)]);
+        if (cap > 0) {
+          EXPECT_LE(plan.n_workers + plan.n_ps, cap);
+          ++capped_plans;
+        }
+        ++(row == 0 ? on_row_zero : escalated);
+      }
+    }
+  }
+  EXPECT_GT(on_row_zero, 0);
+  EXPECT_GT(escalated, 0);
+  EXPECT_GT(capped_plans, 0);
+  EXPECT_GT(empty_windows, 0);
+}

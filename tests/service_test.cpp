@@ -98,51 +98,69 @@ cs::JobRequest mnist_request(long id, cs::Priority priority, double arrival,
 // Region: finite per-type capacity accounting.
 // ---------------------------------------------------------------------------
 
-TEST(Region, ReserveReleaseAccounting) {
-  cr::Region region({{"m4.xlarge", 8}, {"c3.xlarge", 4}});
-  EXPECT_FALSE(region.is_unbounded());
-  EXPECT_EQ(region.capacity("m4.xlarge"), 8);
-  EXPECT_EQ(region.available("m4.xlarge"), 8);
-  EXPECT_EQ(region.capacity_total(), 12);
+namespace {
 
-  EXPECT_TRUE(region.fits("m4.xlarge", 8));
-  EXPECT_FALSE(region.fits("m4.xlarge", 9));
-  EXPECT_FALSE(region.fits("g2.2xlarge", 1));  // unstocked type never fits
-
-  region.reserve("m4.xlarge", 5, cu::Seconds{0.0});
-  EXPECT_EQ(region.reserved("m4.xlarge"), 5);
-  EXPECT_EQ(region.available("m4.xlarge"), 3);
-  EXPECT_EQ(region.reserved_total(), 5);
-
-  region.release("m4.xlarge", 5, cu::Seconds{10.0});
-  EXPECT_EQ(region.reserved_total(), 0);
-  EXPECT_EQ(region.available("m4.xlarge"), 8);
+/// The index of `type` in region.capacities(): the index the accounting
+/// calls take.
+std::size_t slot_of(const cr::Region& region, const std::string& type) {
+  const std::vector<cr::TypeCapacity> caps = region.capacities();
+  const auto at = std::find_if(caps.begin(), caps.end(),
+                               [&](const cr::TypeCapacity& c) { return c.type == type; });
+  if (at == caps.end()) throw std::out_of_range("test region does not stock " + type);
+  return static_cast<std::size_t>(at - caps.begin());
 }
 
-// A type's index is its position in capacities() (name order), and the name
-// calls account through it.
-TEST(Region, IndexCallsAreTheNameCalls) {
+}  // namespace
+
+TEST(Region, ReserveReleaseAccounting) {
+  cr::Region region({{"m4.xlarge", 8}, {"c3.xlarge", 4}});
+  const std::size_t m4x = slot_of(region, "m4.xlarge");
+  EXPECT_FALSE(region.is_unbounded());
+  EXPECT_EQ(region.capacity(m4x), 8);
+  EXPECT_EQ(region.available(m4x), 8);
+  EXPECT_EQ(region.capacity_total(), 12);
+
+  EXPECT_TRUE(region.fits(m4x, 8));
+  EXPECT_FALSE(region.fits(m4x, 9));
+
+  region.reserve(m4x, 5, cu::Seconds{0.0});
+  EXPECT_EQ(region.reserved(m4x), 5);
+  EXPECT_EQ(region.available(m4x), 3);
+  EXPECT_EQ(region.reserved_total(), 5);
+
+  region.release(m4x, 5, cu::Seconds{10.0});
+  EXPECT_EQ(region.reserved_total(), 0);
+  EXPECT_EQ(region.available(m4x), 8);
+}
+
+// A type's index is its position in capacities() (name order); each
+// accounting call touches that type alone, and an index past the last type
+// throws.
+TEST(Region, IndexIsThePositionInCapacities) {
   cr::Region region({{"m4.xlarge", 8}, {"c3.xlarge", cr::Region::kUnbounded}, {"r3.xlarge", 2}});
   const std::vector<cr::TypeCapacity> caps = region.capacities();
   ASSERT_EQ(caps.size(), 3u);
+  EXPECT_EQ(caps[0].type, "c3.xlarge");
+  EXPECT_EQ(caps[1].type, "m4.xlarge");
+  EXPECT_EQ(caps[2].type, "r3.xlarge");
   for (std::size_t i = 0; i < caps.size(); ++i) {
-    ASSERT_EQ(region.index_of(caps[i].type), i);
     EXPECT_EQ(region.capacity(i), caps[i].docker_slots);
   }
-  EXPECT_EQ(caps[0].type, "c3.xlarge");
-  EXPECT_FALSE(region.index_of("g2.2xlarge").has_value());
 
-  const std::size_t m4_index = *region.index_of("m4.xlarge");
-  region.reserve(m4_index, 5, cu::Seconds{0.0});
-  EXPECT_EQ(region.reserved("m4.xlarge"), 5);
-  EXPECT_EQ(region.available(m4_index), 3);
-  EXPECT_TRUE(region.fits(m4_index, 3));
-  EXPECT_FALSE(region.fits("m4.xlarge", 4));
-  region.release("m4.xlarge", 5, cu::Seconds{1.0});
-  EXPECT_EQ(region.reserved(m4_index), 0);
-  EXPECT_EQ(region.available(std::size_t{0}), cr::Region::kUnbounded);
-  EXPECT_THROW((void)region.fits(std::size_t{3}, 1), std::out_of_range);
-  EXPECT_THROW(region.reserve(std::size_t{3}, 1, cu::Seconds{1.0}), std::out_of_range);
+  region.reserve(1, 5, cu::Seconds{0.0});
+  EXPECT_EQ(region.reserved(1), 5);
+  EXPECT_EQ(region.available(1), 3);
+  EXPECT_TRUE(region.fits(1, 3));
+  EXPECT_FALSE(region.fits(1, 4));
+  EXPECT_EQ(region.reserved(0), 0);
+  EXPECT_EQ(region.available(2), 2);
+  region.release(1, 5, cu::Seconds{1.0});
+  EXPECT_EQ(region.reserved(1), 0);
+  EXPECT_EQ(region.available(0), cr::Region::kUnbounded);
+  EXPECT_THROW((void)region.fits(3, 1), std::out_of_range);
+  EXPECT_THROW((void)region.capacity(3), std::out_of_range);
+  EXPECT_THROW(region.reserve(3, 1, cu::Seconds{1.0}), std::out_of_range);
+  EXPECT_THROW(region.release(3, 0, cu::Seconds{1.0}), std::out_of_range);
 }
 
 TEST(Region, ConstructorRejectsBadCapacities) {
@@ -152,23 +170,22 @@ TEST(Region, ConstructorRejectsBadCapacities) {
 
 TEST(Region, OverCommitAndOverReleaseThrow) {
   cr::Region region({{"m4.xlarge", 4}});
-  EXPECT_THROW(region.reserve("m4.xlarge", 5, cu::Seconds{0.0}), std::logic_error);
-  region.reserve("m4.xlarge", 4, cu::Seconds{0.0});
-  EXPECT_THROW(region.release("m4.xlarge", 5, cu::Seconds{1.0}), std::logic_error);
-  EXPECT_THROW(region.release("c3.xlarge", 1, cu::Seconds{1.0}), std::logic_error);
+  EXPECT_THROW(region.reserve(0, 5, cu::Seconds{0.0}), std::logic_error);
+  region.reserve(0, 4, cu::Seconds{0.0});
+  EXPECT_THROW(region.release(0, 5, cu::Seconds{1.0}), std::logic_error);
 }
 
 TEST(Region, BackwardsClockTripsInvariantCheck) {
   ScopedInvariants on(true);
   cr::Region region({{"m4.xlarge", 4}});
-  region.reserve("m4.xlarge", 2, cu::Seconds{10.0});
-  EXPECT_THROW(region.release("m4.xlarge", 2, cu::Seconds{5.0}), cu::CheckFailure);
+  region.reserve(0, 2, cu::Seconds{10.0});
+  EXPECT_THROW(region.release(0, 2, cu::Seconds{5.0}), cu::CheckFailure);
 }
 
 TEST(Region, UtilizationIsAnExactIntegral) {
   cr::Region region({{"m4.xlarge", 4}});
-  region.reserve("m4.xlarge", 2, cu::Seconds{0.0});
-  region.release("m4.xlarge", 2, cu::Seconds{50.0});
+  region.reserve(0, 2, cu::Seconds{0.0});
+  region.release(0, 2, cu::Seconds{50.0});
   region.advance_to(cu::Seconds{100.0});
   EXPECT_DOUBLE_EQ(region.busy_docker_seconds(), 100.0);  // 2 dockers x 50 s
   EXPECT_DOUBLE_EQ(region.utilization(cu::Seconds{100.0}), 0.25);
@@ -177,16 +194,17 @@ TEST(Region, UtilizationIsAnExactIntegral) {
 TEST(Region, UnboundedFactoryFitsEverything) {
   const cr::Region region = cr::Region::unbounded();
   EXPECT_TRUE(region.is_unbounded());
-  EXPECT_TRUE(region.fits("m4.xlarge", 1 << 20));
-  EXPECT_EQ(region.available("m4.xlarge"), cr::Region::kUnbounded);
+  const std::size_t m4x = slot_of(region, "m4.xlarge");
+  EXPECT_TRUE(region.fits(m4x, 1 << 20));
+  EXPECT_EQ(region.available(m4x), cr::Region::kUnbounded);
   EXPECT_EQ(region.capacity_total(), 0);  // no finite capacity
   EXPECT_DOUBLE_EQ(region.utilization(cu::Seconds{100.0}), 0.0);
 }
 
 TEST(Region, ParseGrammar) {
   const cr::Region two = cr::Region::parse("m4.xlarge=256,c3.xlarge=128");
-  EXPECT_EQ(two.capacity("m4.xlarge"), 256);
-  EXPECT_EQ(two.capacity("c3.xlarge"), 128);
+  EXPECT_EQ(two.capacity(slot_of(two, "m4.xlarge")), 256);
+  EXPECT_EQ(two.capacity(slot_of(two, "c3.xlarge")), 128);
   EXPECT_EQ(two.capacities().size(), 2u);
 
   const cr::Region star = cr::Region::parse("*=512");
@@ -218,7 +236,7 @@ TEST(Region, ParseRejectsHexCount) {
 TEST(Region, ParseRejectsOutOfRangeCount) {
   EXPECT_THROW(cr::Region::parse("*=99999999999"), std::invalid_argument);
   EXPECT_THROW(cr::Region::parse("m4.xlarge=-4"), std::invalid_argument);
-  EXPECT_EQ(cr::Region::parse("m4.xlarge=0").capacity("m4.xlarge"), 0);
+  EXPECT_EQ(cr::Region::parse("m4.xlarge=0").capacity(0), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -158,12 +158,12 @@ TEST(SspModel, PredictionTracksSimulatedTime) {
 TEST(SspModel, LossModelRoundTrip) {
   co::LossModel m(cd::SyncMode::SSP, 900.0, 0.25, /*ssp_bound=*/3);
   for (int n : {2, 6, 12}) {
-    const long total = m.total_iterations_for(0.9, n);
+    const long total = m.iterations_for(0.9, n) * n;
     EXPECT_LE(m.loss_at(static_cast<double>(total), n), 0.9 + 1e-9);
   }
   // SSP needs fewer iterations than ASP for the same target (less staleness).
   co::LossModel asp(cd::SyncMode::ASP, 900.0, 0.25);
-  EXPECT_LT(m.total_iterations_for(0.9, 12), asp.total_iterations_for(0.9, 12));
+  EXPECT_LT(m.iterations_for(0.9, 12) * 12, asp.iterations_for(0.9, 12) * 12);
 }
 
 TEST(SspProvisioner, ProducesGoalMeetingPlan) {

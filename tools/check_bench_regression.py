@@ -3,6 +3,7 @@
 
 Usage:
     tools/check_bench_regression.py CURRENT.json BASELINE.json [--factor 2.0]
+        [--exact NAME ...]
 
 Compares every latency series' p50 in CURRENT against the same series in
 BASELINE and fails (exit 1) if any regressed by more than --factor. Series
@@ -10,6 +11,8 @@ present only in one file are reported but not fatal: new benches should not
 need a baseline update to land, and retired ones should not break CI for
 unrelated changes. Speedup-style scalars (anything named *_speedup*) are
 checked the other way around: they must not fall below baseline / factor.
+Each --exact NAME names a deterministic scalar (a count) that must be present
+in both files and equal in both.
 
 CI runs this in the bench-smoke job against bench/baselines/ (docs/PERF.md).
 Refresh a baseline by copying the repo-root BENCH_*.json over it in the same
@@ -40,6 +43,13 @@ def main() -> int:
         type=float,
         default=2.0,
         help="max tolerated p50 regression ratio (default: 2.0)",
+    )
+    parser.add_argument(
+        "--exact",
+        action="append",
+        default=[],
+        metavar="NAME",
+        help="scalar that must be present in both files and equal (repeatable)",
     )
     args = parser.parse_args()
 
@@ -83,6 +93,17 @@ def main() -> int:
             f"{base_value:.2f}x (floor {floor:.2f}x)"
         )
         if cur_value < floor:
+            failures.append(name)
+
+    for name in args.exact:
+        if name not in base_scalars or name not in cur_scalars:
+            print(f"  MISSING  {name}: exact scalar absent from current or baseline")
+            failures.append(name)
+            continue
+        cur_value, base_value = cur_scalars[name], base_scalars[name]
+        status = "ok" if cur_value == base_value else "CHANGED"
+        print(f"{status:>9}  {name}: {cur_value} vs baseline {base_value} (exact)")
+        if cur_value != base_value:
             failures.append(name)
 
     if failures:
