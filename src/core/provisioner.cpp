@@ -279,7 +279,12 @@ bool Provisioner::scan_row(std::size_t type_index, ddnn::SyncMode mode, int n_ps
     p.t_iter /= derate;
     const double total_time = (p.t_iter * di).value();
     const double cost = plan_cost(type, n, n_ps, util::Seconds{total_time}).value();
-    const bool feasible = total_time <= budget;
+    // A saturated step count is no count, and an ASP/SSP total (iterations
+    // per worker times n) must fit a long: neither candidate can be planned.
+    const bool countable =
+        iterations < std::numeric_limits<long>::max() &&
+        (mode == ddnn::SyncMode::BSP || iterations <= std::numeric_limits<long>::max() / n);
+    const bool feasible = countable && total_time <= budget;
     const bool better = feasible && (!out.has_best || cost < out.best.cost);
     if (options.keep_trace || better) {
       CandidateEvaluation c{.type = type.name, .n_workers = n, .n_ps = n_ps,
@@ -442,7 +447,7 @@ ProvisionPlan Provisioner::replan(ddnn::SyncMode mode, long remaining_iterations
   // BSP budgets are global; ASP/SSP execute remaining/n per worker.
   const auto iterations_at = [&](int n) {
     return mode == ddnn::SyncMode::BSP ? remaining_iterations
-                                       : (remaining_iterations + n - 1) / static_cast<long>(n);
+                                       : remaining_iterations / n + (remaining_iterations % n != 0);
   };
   auto search_type = [&](std::size_t ti) -> TypeSearch {
     TypeSearch out;

@@ -140,7 +140,15 @@ struct FleetEngine {
     /// Rung 0 (the SLO time left), 1 (Tg), 2 (any-time; revoked jobs only).
     /// Dropped at admission: a revoked job re-enters the queue with new inputs.
     std::array<RungMemo, 3> rungs;
+    /// The standing negative decision, read off `rungs` after a ladder run
+    /// that admitted nothing (empty: none): per stocked type, the fewest free
+    /// slots at which a rung that ran could answer differently (kNever: no
+    /// count), and the rung-0 budget below which rung 0 would compute a
+    /// window or search again. Dropped with `rungs`.
+    std::vector<int> wake_slots;
+    double wake_budget = 0.0;
   };
+  static constexpr int kNever = std::numeric_limits<int>::max();
   std::vector<QueueState> qstate;
   /// Capacity releases (completions and revocations) so far.
   std::uint64_t releases = 0;
@@ -459,9 +467,12 @@ struct FleetEngine {
   /// A capacity release genuinely changes what the ladder can find, so a
   /// negative decision (the ladder found nothing) holds until the next
   /// release; a positive one holds until kReplanInterval expires (the job
-  /// keeps waiting for its planned type unless the wait grows stale).
+  /// keeps waiting for its planned type unless the wait grows stale). An
+  /// expired negative decision is re-made without the ladder while its wake
+  /// condition stands (checks on: the ladder runs and confirms it).
   bool try_admit(std::size_t idx) {
     QueueState& st = qstate[idx];
+    const JobRequest& rq = outcomes[idx].request;
     const double now = sim.now();
     if (now - st.planned_at <= kReplanInterval.value() &&
         (st.has_plan || st.planned_release == releases)) {
@@ -469,29 +480,74 @@ struct FleetEngine {
       const std::size_t type = *cheapest(st.rungs[1]);
       if (!region.fits(slot_of(type), st.rungs[1][type].footprint)) return false;
       // It fits: plan the arrival inputs again on its type (same inputs, same plan).
-      const JobRequest& rq = outcomes[idx].request;
       commit(idx, type, st.planners->per_type[type].plan(st.planners->spec.sync, rq.goal));
       return true;
     }
-    std::optional<Admission> admission = admission_plan(idx);
+    const double budget = rq.goal.time_goal.value() - (now - rq.arrival.value());
+    const bool standing = stands(st, budget);
+    std::optional<Admission> admission;
+    if (!standing || util::invariants_enabled()) {
+      const long searches = total_ladder_searches;
+      admission = admission_plan(idx, budget);
+      CYNTHIA_CHECK(!standing || (!admission.has_value() && total_ladder_searches == searches),
+                    "job ", rq.id, ": the standing decision at ", budget, " s searched or admitted");
+    }
     st.planned_at = now;
     st.planned_release = releases;
     st.has_plan = false;
     total_replans += 1;
     outcomes[idx].replans += 1;
-    if (!admission.has_value()) return false;
+    if (!admission.has_value()) {
+      if (!standing) record_wake(st, budget);
+      return false;
+    }
     commit(idx, admission->type, admission->plan);
     return true;
   }
 
+  /// Does the last ladder run's negative answer stand? Every rung that ran
+  /// answers the same, searching nothing, while each type's free slots stay
+  /// under its wake level (a capped search skips at or under a failed cap,
+  /// and a larger count could fit or search) and rung 0 either does not run
+  /// or keeps its windows and answers (budget at or above the wake budget).
+  [[nodiscard]] bool stands(const QueueState& st, double budget) const {
+    if (st.wake_slots.empty()) return false;
+    if (budget > kBudgetEpsilon && budget < st.wake_budget) return false;
+    for (std::size_t t = 0; t < st.wake_slots.size(); ++t) {
+      if (st.wake_slots[t] != kNever && region.available(slot_of(t)) >= st.wake_slots[t]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Reads the wake condition off the memo of a ladder run at rung-0 budget
+  /// `budget` that admitted nothing. Such a run left every type that any rung
+  /// found feasible capped, over its free slots and at or under its failed cap.
+  void record_wake(QueueState& st, double budget) {
+    const bool rung0 = budget > kBudgetEpsilon;
+    st.wake_slots.assign(st.planners->per_type.size(), kNever);
+    st.wake_budget = -std::numeric_limits<double>::infinity();
+    for (std::size_t r = rung0 ? 0 : 1; r <= (st.remaining > 0 ? 2u : 1u); ++r) {
+      for (std::size_t t = 0; t < st.wake_slots.size(); ++t) {
+        const TypeMemo& m = st.rungs[r][t];
+        if (r == 0 && st.remaining == 0) {
+          st.wake_budget = std::max(st.wake_budget, m.window.floor.value());
+        }
+        if (m.footprint == TypeMemo::kInfeasible) continue;
+        st.wake_slots[t] = std::min(st.wake_slots[t], m.failed_cap + 1);
+        if (r == 0) st.wake_budget = std::max(st.wake_budget, m.predicted_time);
+      }
+    }
+  }
+
   /// Re-plans a queued job against what the region has free *now*. Ladder:
-  /// remaining SLO budget -> original Tg (best effort) -> for revoked jobs
-  /// only, any-time (sunk work is never abandoned).
-  std::optional<Admission> admission_plan(std::size_t idx) {
+  /// remaining SLO budget (`budget_left`) -> original Tg (best effort) -> for
+  /// revoked jobs only, any-time (sunk work is never abandoned).
+  std::optional<Admission> admission_plan(std::size_t idx, double budget_left) {
     const JobRequest& rq = outcomes[idx].request;
     QueueState& st = qstate[idx];
     std::optional<Admission> admission;
-    const double budget_left = rq.goal.time_goal.value() - (sim.now() - rq.arrival.value());
     if (budget_left > kBudgetEpsilon) {
       admission = rung(st, rq, util::Seconds{budget_left}, st.rungs[0], /*shrinking=*/true);
     }
@@ -602,6 +658,7 @@ struct FleetEngine {
     QueueState& st = qstate[idx];
     st.has_plan = false;
     st.rungs = {};
+    st.wake_slots = {};
 
     RunningAttempt ra;
     ra.type = type;
@@ -704,6 +761,7 @@ struct FleetEngine {
     o.queue_wait = util::Seconds{now - o.request.arrival.value()};
     o.reason = reason;
     qstate[idx].rungs = {};
+    qstate[idx].wake_slots = {};
     if (tel != nullptr) {
       tel->journal.event(now, telemetry::JournalKind::kJobRejected, job_subject(o.request.id),
                          reason);

@@ -81,7 +81,9 @@ struct FleetStats {
   long timed_out = 0;  ///< patience exceeded while queued
   long starved = 0;    ///< still queued when the fleet drained
   long attempts = 0;   ///< capacity grants across all jobs
-  long replans = 0;    ///< Algorithm 1 re-runs beyond each job's first plan
+  /// Admission decisions re-made after each job's arrival plan: one per
+  /// ladder run, and one per standing negative decision answered without it.
+  long replans = 0;
   /// Provisioner searches the admission ladder ran for those re-plans; not
   /// the arrival plan (nor its re-run when a job is admitted on it) or the
   /// empty-region check. Not part of the digest.

@@ -188,6 +188,54 @@ TEST(Provisioner, GoalAtTheAsymptoteIsInfeasible) {
   EXPECT_FALSE(prov.plan(w.sync, goal, exhaustive).feasible);
 }
 
+// An ASP step count per worker can fit a long while the run's total (count
+// times n) does not, and a saturated count is no count at all. Neither
+// candidate can be planned, however large the budget: before, the CLI planned
+// 9223372036854775807 iterations for a 1e19-minute mnist goal, and an ASP
+// total past LONG_MAX overflowed.
+TEST(Provisioner, UncountableCandidatesAreInfeasible) {
+  constexpr long kMax = std::numeric_limits<long>::max();
+  const co::Predictor pred = co::Predictor::build(cd::workload_by_name("resnet32"), m4());
+  // beta1 = 0 keeps l_g exact: one worker needs 0.9 LONG_MAX steps, and
+  // n >= 2 need ~0.64 LONG_MAX / sqrt(n / 2) each, over LONG_MAX in total.
+  const co::LossModel loss(cd::SyncMode::ASP, 1.0, 0.0);
+  const double l_g = 1.0 / (0.9 * static_cast<double>(kMax));
+  ASSERT_LT(loss.iterations_for(l_g, 1), kMax);
+  ASSERT_GT(loss.iterations_for(l_g, 2), kMax / 2);
+  const co::Provisioner prov(pred.model(), loss, {m4()});
+  const co::ProvisionGoal goal{cu::Seconds{1e30}, l_g};
+
+  co::ProvisionOptions exhaustive;
+  exhaustive.exhaustive = true;
+  exhaustive.keep_trace = true;
+  const co::ProvisionPlan plan = prov.plan(cd::SyncMode::ASP, goal, exhaustive);
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_EQ(plan.n_workers, 1);
+  EXPECT_EQ(plan.total_iterations, plan.iterations);
+  for (const co::CandidateEvaluation& c : prov.considered()) {
+    EXPECT_EQ(c.feasible, c.n_workers == 1) << c.n_workers << "+" << c.n_ps;
+  }
+  const co::ProvisionPlan bounded = prov.plan(cd::SyncMode::ASP, goal);
+  if (bounded.feasible) {
+    EXPECT_LE(bounded.iterations, kMax / bounded.n_workers);
+  }
+
+  // replan's per-worker ceiling of LONG_MAX - 1 steps: (r + n - 1) / n
+  // overflowed at n = 3. Every plan's total is the remainder itself.
+  const co::ProvisionPlan replanned = prov.replan(cd::SyncMode::ASP, kMax - 1, goal.time_goal);
+  ASSERT_TRUE(replanned.feasible);
+  EXPECT_EQ(replanned.total_iterations, kMax - 1);
+  ASSERT_LE(replanned.iterations, kMax / replanned.n_workers);
+  EXPECT_GE(replanned.iterations * replanned.n_workers, kMax - 1);
+
+  // mnist (BSP) at a budget its saturated count would meet.
+  const auto& mnist = cd::workload_by_name("mnist");
+  const co::Predictor mnist_pred = co::Predictor::build(mnist, m4());
+  const co::Provisioner mnist_prov(mnist_pred.model(), mnist_pred.loss(),
+                                   cc::Catalog::aws().provisionable());
+  EXPECT_FALSE(mnist_prov.plan(mnist.sync, {cu::minutes(1e19), 0.05038256766028726}).feasible);
+}
+
 TEST(Provisioner, InvalidArgumentsThrow) {
   auto prov = make_provisioner("cifar10");
   EXPECT_THROW(prov.plan(cd::SyncMode::BSP, {cu::Seconds{0.0}, 0.8}), std::invalid_argument);

@@ -639,6 +639,107 @@ TEST(Service, PinnedMixedRegionFleetDigests) {
   }
 }
 
+namespace {
+
+cs::JobRequest vgg19_request(long id, double time_goal, double arrival) {
+  cs::JobRequest rq;
+  rq.id = id;
+  rq.tenant = "t" + std::to_string(id);
+  rq.workload = "vgg19";
+  rq.goal = {cu::Seconds{time_goal}, 0.172};
+  rq.arrival = cu::Seconds{arrival};
+  return rq;
+}
+
+/// A day whose queued job crosses a Theorem 4.1 window while it waits, on a
+/// region of 112 p3.2xlarge dockers. vgg19 (ASP) at l_g 0.172 plans 50+59 at
+/// 234.0 s, nothing at 233.5 s and 50+60 at 233.0 s there
+/// (PlannerMonotone.PlanIsNotMonotoneInTheBudget). Jobs 0 and 1 (Tg 250 s)
+/// take 96 dockers each, one after the other. Job 2 (Tg 540 s) arrives behind
+/// them and needs 24 dockers at its Tg, so it waits. The mnist job 3 (13
+/// dockers) completes when job 2 has 233.5 s left: rung 0 finds nothing and
+/// 16 free dockers fit no plan. Job 1 completes at 233.0 s left, in the next
+/// window: rung 0 searches again and admits job 2 with 50+60. A memo that
+/// carried the 233.5 s answer across the window change would skip that
+/// search and admit 11+13 on rung 1 instead.
+std::vector<cs::JobRequest> window_crossing_day() {
+  return {vgg19_request(0, 250.0, 0.0), vgg19_request(1, 250.0, 10.0),
+          vgg19_request(2, 540.0, 332.77), mnist_request(3, cs::Priority::kStandard, 565.45)};
+}
+
+cr::Region window_crossing_region() { return cr::Region({{"p3.2xlarge", 112}}); }
+
+}  // namespace
+
+TEST(Service, PinnedWindowCrossingDay) {
+  cs::ServeOptions opts;
+  opts.seed = 1;
+  const auto result = cs::ProvisioningService(window_crossing_region(), cc::Catalog::aws(), opts)
+                          .run(window_crossing_day());
+  const cs::JobOutcome& crossing = result.outcomes[2];
+  ASSERT_EQ(crossing.state, cs::JobState::kCompleted);
+  EXPECT_EQ(crossing.plan.n_workers, 50);
+  EXPECT_EQ(crossing.plan.n_ps, 60);
+  EXPECT_EQ(crossing.replans, 2);  // at 233.5 s left, then at 233.0 s
+  const double left_at_admission =
+      crossing.request.goal.time_goal.value() - crossing.queue_wait.value();
+  EXPECT_GT(left_at_admission, 231.4);  // the 50+60 plan's predicted time
+  EXPECT_LT(left_at_admission, 233.4);  // under the 233.5 s window's floor
+  // Job 3's release ran the ladder where rung 0 has no plan (233.4 to 233.58 s).
+  const double left_at_release = crossing.request.goal.time_goal.value() -
+                                 (result.outcomes[3].completed_at.value() -
+                                  crossing.request.arrival.value());
+  EXPECT_GT(left_at_release, 233.42);
+  EXPECT_LT(left_at_release, 233.58);
+  EXPECT_EQ(result.digest, 0x2ec827dde6e71382ull);
+  EXPECT_EQ(result.stats.replans, 3);
+  EXPECT_EQ(result.stats.ladder_searches, 4);
+}
+
+// Every pinned day again with invariant checks forced on. rung() then audits
+// every memo skip, and try_admit runs the ladder under every standing
+// decision and checks that it searches nothing and admits nothing. Neither
+// may move a digest or a count.
+TEST(Service, CheckedPinnedDaysMatchUncheckedRuns) {
+  const auto thousand =
+      cs::TrafficGenerator(cs::TrafficOptions::parse("jobs=1000,horizon=24h,seed=1")).generate();
+  const cr::Region mixed({{"c3.xlarge", 32}, {"m4.xlarge", 32},
+                          {"r3.xlarge", cr::Region::kUnbounded}});
+  struct Day {
+    const char* name;
+    cr::Region region;
+    const std::vector<cs::JobRequest>* requests;
+    bool churn;
+  };
+  const std::vector<cs::JobRequest> crossing = window_crossing_day();
+  const Day days[] = {
+      {"plain", cr::Region::parse("*=160"), &thousand, false},
+      {"churn", cr::Region::parse("*=160"), &thousand, true},
+      {"mixed plain", mixed, &thousand, false},
+      {"mixed churn", mixed, &thousand, true},
+      {"window crossing", window_crossing_region(), &crossing, false},
+  };
+  for (const Day& d : days) {
+    SCOPED_TRACE(d.name);
+    cs::ServeOptions opts;
+    opts.seed = 1;
+    if (d.churn) {
+      opts.mean_revocation_interval = cu::minutes(90.0);
+      opts.spot_fleets = true;
+    }
+    const auto run = [&](bool checks) {
+      ScopedInvariants scope(checks);
+      return cs::ProvisioningService(d.region, cc::Catalog::aws(), opts).run(*d.requests);
+    };
+    const cs::FleetResult unchecked = run(false);
+    const cs::FleetResult checked = run(true);
+    EXPECT_EQ(checked.digest, unchecked.digest);
+    EXPECT_EQ(checked.stats.replans, unchecked.stats.replans);
+    EXPECT_EQ(checked.stats.ladder_searches, unchecked.stats.ladder_searches);
+    EXPECT_EQ(checked.stats.attempts, unchecked.stats.attempts);
+  }
+}
+
 // The fleet measures every attempt's provisioning on one reused
 // orch::DeployMeter. For every plan the pinned 1k-job day admits, plain and
 // churn, a reused meter returns what a new control plane returns, bit for bit.
