@@ -385,7 +385,7 @@ double provision_for_telemetry(telemetry::Telemetry& tel, cloud::BillingMeter& b
     // so the provision span is recorded here instead of by deploy().
     const auto& slow = cloud::Catalog::aws().at("m1.xlarge");
     const int n_slow = n_workers / 2;
-    const int n_fast = n_workers - n_slow + n_ps;  // PS pods live on the fast type
+    const int n_fast = n_workers - n_slow + n_ps;  // PS dockers live on the fast type
     const int fast_instances = (n_fast + type.physical_cores - 1) / type.physical_cores;
     const int slow_instances =
         n_slow > 0 ? (n_slow + slow.physical_cores - 1) / slow.physical_cores : 0;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ddnn/workload.hpp"
+#include "util/units.hpp"
 
 namespace cynthia::ddnn {
 
@@ -37,7 +38,7 @@ struct HealthProbe {
   std::vector<double> worker_busy_seconds;
 
   /// Seconds since the previous probe (the attribution window).
-  double window_seconds = 0.0;
+  util::Seconds window_seconds{0.0};
   /// Largest fraction of the window any PS ingress NIC / PS CPU spent as
   /// the binding max-min constraint (FluidSystem saturated-time integrals).
   double ps_nic_saturated_fraction = 0.0;
@@ -59,7 +60,7 @@ struct MonitorAction {
   /// kExcludeWorker: seconds until a replacement node joins at full
   /// capability (detection + provisioning + restore, measured by the
   /// caller). < 0: blacklist permanently, no replacement.
-  double replacement_after_seconds = -1.0;
+  util::Seconds replacement_after_seconds{-1.0};
 
   /// kDowngradeSsp: staleness bound the SSP continuation runs under.
   int staleness_bound = 3;

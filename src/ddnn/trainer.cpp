@@ -729,11 +729,11 @@ void Session::make_probe() {
   probe.iteration = closed_updates_;
   probe.total_iterations = total_iterations_;
   probe.mode = workload_.sync;
-  probe.window_seconds = probe.now - last_probe_time_;
+  probe.window_seconds = util::Seconds{probe.now - last_probe_time_};
   probe.worker_busy_seconds.assign(cluster_.n_workers(), -1.0);
   probe.ps_nic_saturated_fraction = 0.0;
   probe.ps_cpu_saturated_fraction = 0.0;
-  const double window = probe.window_seconds;
+  const double window = probe.window_seconds.value();
   for (int k = 0; k < cluster_.n_ps(); ++k) {
     // Saturated-time reads are non-mutating (the open segment is accounted
     // without a settle), so probing never perturbs the fluid timeline.
@@ -799,9 +799,9 @@ void Session::exclude_worker(const MonitorAction& action) {
     tel_->tracer.instant("sentinel", "exclude:wk" + std::to_string(w), "sentinel", sim_.now());
     tel_->metrics.counter(metric::kSentinelExclusions).inc();
   }
-  if (action.replacement_after_seconds >= 0.0) {
-    record.replaced_at = sim_.now() + action.replacement_after_seconds;
-    sim_.after(action.replacement_after_seconds, [this, w] {
+  if (action.replacement_after_seconds.value() >= 0.0) {
+    record.replaced_at = sim_.now() + action.replacement_after_seconds.value();
+    sim_.after(action.replacement_after_seconds.value(), [this, w] {
       if (finalized_ || worker_alive_[w]) return;
       worker_alive_[w] = 1;
       restore_worker_capacity(w);  // the replacement joins at full capability

@@ -9,10 +9,26 @@
 #include <tuple>
 
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace cynthia::faults {
 
 namespace {
+
+// What a generated fault draws, per class (FaultSchedule::generate).
+/// Probability a generated fault lands on a PS instead of a worker.
+constexpr double kPsFraction = 0.2;
+/// Replacement provisioning + restore time assumed for generated crashes.
+constexpr util::Seconds kCrashRecovery{120.0};
+/// Range of a generated slowdown's CPU divisor.
+constexpr double kSlowdownFactorMin = 1.5;
+constexpr double kSlowdownFactorMax = 4.0;
+/// Range of a generated NIC degradation's remaining fraction of line rate.
+constexpr double kDegradedFractionMin = 0.1;
+constexpr double kDegradedFractionMax = 0.5;
+/// Range of a generated blip's outage.
+constexpr util::Seconds kBlipRecoveryMin{5.0};
+constexpr util::Seconds kBlipRecoveryMax{30.0};
 
 // Fixed-precision number formatting so to_string() (and therefore digest())
 // is canonical: no locale dependence, no trailing-zero drift.
@@ -229,7 +245,7 @@ FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_se
     }
   };
   auto pick_target = [&](FaultSpec& spec) {
-    spec.on_ps = rng.chance(rates.ps_fraction);
+    spec.on_ps = rng.chance(kPsFraction);
     spec.target =
         static_cast<int>(rng.uniform_int(0, (spec.on_ps ? n_ps : n_workers) - 1));
   };
@@ -238,14 +254,14 @@ FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_se
     FaultSpec spec;
     spec.kind = FaultKind::kCrash;
     pick_target(spec);
-    spec.recovery_seconds = rates.crash_recovery_seconds;
+    spec.recovery_seconds = kCrashRecovery.value();
     return spec;
   });
   arrivals(rates.slowdown_per_hour, [&] {
     FaultSpec spec;
     spec.kind = FaultKind::kSlowdown;
     pick_target(spec);
-    spec.slowdown_factor = rng.uniform(rates.slowdown_factor_min, rates.slowdown_factor_max);
+    spec.slowdown_factor = rng.uniform(kSlowdownFactorMin, kSlowdownFactorMax);
     spec.recovery_seconds = rates.degradation_recovery_seconds;
     return spec;
   });
@@ -253,8 +269,7 @@ FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_se
     FaultSpec spec;
     spec.kind = FaultKind::kNicDegradation;
     pick_target(spec);
-    spec.degraded_fraction =
-        rng.uniform(rates.degraded_fraction_min, rates.degraded_fraction_max);
+    spec.degraded_fraction = rng.uniform(kDegradedFractionMin, kDegradedFractionMax);
     spec.recovery_seconds = rates.degradation_recovery_seconds;
     return spec;
   });
@@ -263,8 +278,7 @@ FaultSchedule FaultSchedule::generate(const FaultRates& rates, double horizon_se
     spec.kind = FaultKind::kTransientBlip;
     pick_target(spec);
     spec.slowdown_factor = 1e6;
-    spec.recovery_seconds =
-        rng.uniform(rates.blip_recovery_seconds_min, rates.blip_recovery_seconds_max);
+    spec.recovery_seconds = rng.uniform(kBlipRecoveryMin.value(), kBlipRecoveryMax.value());
     return spec;
   });
 

@@ -50,24 +50,16 @@ struct FaultSpec {
 };
 
 /// Per-class Poisson rates (cluster-wide, events per hour) for generated
-/// schedules, plus the parameter distributions each class draws from.
+/// schedules. The parameter ranges each class draws from are fixed
+/// (fault_spec.cpp, docs/FAULTS.md); only the degradations' healing time is
+/// set here.
 struct FaultRates {
   double crash_per_hour = 0.0;
   double slowdown_per_hour = 0.0;
   double nic_per_hour = 0.0;
   double blip_per_hour = 0.0;
-  /// Probability a generated fault lands on a PS instead of a worker.
-  double ps_fraction = 0.2;
-  /// Replacement provisioning + restore time assumed for generated crashes.
-  double crash_recovery_seconds = 120.0;
-  double slowdown_factor_min = 1.5;
-  double slowdown_factor_max = 4.0;
   /// Generated slowdowns / NIC degradations heal after this long; < 0 = permanent.
   double degradation_recovery_seconds = 300.0;
-  double degraded_fraction_min = 0.1;
-  double degraded_fraction_max = 0.5;
-  double blip_recovery_seconds_min = 5.0;
-  double blip_recovery_seconds_max = 30.0;
 };
 
 /// Ordered fault timeline (sorted by time, stable tie-break on kind/target).

@@ -10,6 +10,11 @@ namespace cynthia::orch {
 
 namespace {
 std::string node_track(NodeId id) { return "i-" + std::to_string(id); }
+
+/// One transition's latency: its mean times a uniform jitter factor.
+double sample_latency(util::Seconds mean, util::Rng& rng) {
+  return (mean * rng.jitter(kLatencyJitter)).value();
+}
 }  // namespace
 
 /// Emits the span for the state the node is currently leaving, plus the
@@ -24,14 +29,16 @@ void ClusterManager::record_state_span(const Node& node) const {
 }
 
 ClusterManager::ClusterManager(sim::Simulator& sim, cloud::BillingMeter& billing,
-                               std::uint64_t seed, NodeTimings timings)
-    : sim_(&sim), billing_(&billing), rng_(seed), timings_(timings) {}
+                               std::uint64_t seed, double join_failure_probability)
+    : sim_(&sim),
+      billing_(&billing),
+      rng_(seed),
+      join_failure_probability_(join_failure_probability) {}
 
 void ClusterManager::reset(std::uint64_t seed) {
   rng_.seed(seed);
   nodes_.clear();
   next_id_ = 1;
-  master_.clear_members();
 }
 
 const Node& ClusterManager::node(NodeId id) const {
@@ -43,7 +50,6 @@ Node& ClusterManager::node_mut(NodeId id) { return const_cast<Node&>(node(id)); 
 
 std::vector<NodeId> ClusterManager::launch(const cloud::InstanceType& type, int count) {
   if (count <= 0) throw std::invalid_argument("ClusterManager::launch: count must be > 0");
-  if (!master_.issued()) master_.issue_credentials(sim_->now());
   std::vector<NodeId> ids;
   ids.reserve(count);
   for (int i = 0; i < count; ++i) {
@@ -53,7 +59,6 @@ std::vector<NodeId> ClusterManager::launch(const cloud::InstanceType& type, int 
     n.type = type;
     n.requested_at = sim_->now();
     n.state_since = sim_->now();
-    n.docker_slots = type.physical_cores;
     n.billing_record = billing_->start(node_track(id), type, util::Seconds{sim_->now()});
     ids.push_back(id);
     advance(id, NodeState::Booting);
@@ -68,25 +73,19 @@ void ClusterManager::advance(NodeId id, NodeState next) {
   n.state_since = sim_->now();
   switch (next) {
     case NodeState::Booting:
-      sim_->after(timings_.sample_boot(rng_), [this, id] { advance(id, NodeState::Installing); });
+      sim_->after(sample_latency(kBootMean, rng_),
+                  [this, id] { advance(id, NodeState::Installing); });
       break;
     case NodeState::Installing:
-      sim_->after(timings_.sample_install(rng_),
+      sim_->after(sample_latency(kInstallMean, rng_),
                   [this, id] { advance(id, NodeState::Joining); });
       break;
     case NodeState::Joining:
-      sim_->after(timings_.sample_join(rng_), [this, id] {
-        // kubeadm join with the credentials generated by the master. A
-        // fraction of joins fail transiently (injected fault); a failed
-        // node presents garbage credentials and lands in Failed.
+      sim_->after(sample_latency(kJoinMean, rng_), [this, id] {
+        // kubeadm join. A fraction of joins fail transiently (an injected
+        // fault); a failed node lands in Failed for deploy() to replace.
         Node& node = node_mut(id);
-        const bool sabotage = rng_.chance(timings_.join_failure_probability);
-        JoinCredentials corrupt;  // copied from the master's only when sabotaged
-        if (sabotage) {
-          corrupt = master_.credentials();
-          corrupt.token = "corrupt.token";
-        }
-        if (master_.join(id, sabotage ? corrupt : master_.credentials(), sim_->now())) {
+        if (!rng_.chance(join_failure_probability_)) {
           node.ready_at = sim_->now();
           advance(id, NodeState::Ready);
         } else {
@@ -135,11 +134,14 @@ ddnn::ClusterSpec ClusterManager::build_spec(const core::ProvisionPlan& plan) co
 
 Deployment ClusterManager::deploy(const core::ProvisionPlan& plan) {
   if (!plan.feasible) throw std::invalid_argument("ClusterManager::deploy: infeasible plan");
+  const int per_instance = plan.type.physical_cores;
+  if (per_instance < 1) {
+    throw std::invalid_argument("ClusterManager::deploy: " + plan.type.name + " has no cores");
+  }
   Deployment d;
   d.requested_at = sim_->now();
 
   const int dockers = plan.n_workers + plan.n_ps;
-  const int per_instance = std::max(1, plan.type.physical_cores);
   const int instances = (dockers + per_instance - 1) / per_instance;
   d.nodes = launch(plan.type, instances);
   // Walk everything to Ready, replacing nodes whose join failed.
@@ -163,18 +165,6 @@ Deployment ClusterManager::deploy(const core::ProvisionPlan& plan) {
       d.nodes.push_back(replacement.front());
       ++d.replaced_nodes;
     }
-  }
-
-  std::uint64_t pod_id = 1;
-  d.pods.reserve(dockers);
-  for (int k = 0; k < plan.n_ps; ++k) {
-    d.pods.push_back({pod_id++, PodRole::ParameterServer, 0});
-  }
-  for (int j = 0; j < plan.n_workers; ++j) {
-    d.pods.push_back({pod_id++, PodRole::Worker, 0});
-  }
-  if (!Scheduler::bind(d.pods, nodes_)) {
-    throw std::runtime_error("ClusterManager::deploy: insufficient docker slots");
   }
 
   d.spec = build_spec(plan);
@@ -210,7 +200,6 @@ void ClusterManager::teardown(Deployment& deployment) {
     if (tel_) record_state_span(n);  // typically the node's "Ready" span
     n.state = NodeState::Terminated;
     n.state_since = sim_->now();
-    master_.remove(id);
     billing_->stop(n.billing_record, util::Seconds{sim_->now()});
   }
   deployment.active = false;

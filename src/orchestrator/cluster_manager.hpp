@@ -1,21 +1,18 @@
 // Cluster manager: turns a ProvisionPlan into a ready, billed cluster.
 //
-// Drives the AWS-CLI-style instance launch, the node lifecycle state
-// machine, the kubeadm join handshake and pod scheduling on one simulation
-// clock, and accounts every instance-second against a BillingMeter — the
-// resource-provisioner half of the paper's prototype.
+// Drives the AWS-CLI-style instance launch and the node lifecycle state
+// machine up to the kubeadm join on one simulation clock, and accounts every
+// instance-second against a BillingMeter — the resource-provisioner half of
+// the paper's prototype.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "cloud/instance.hpp"
 #include "cloud/pricing.hpp"
 #include "core/provisioner.hpp"
 #include "ddnn/cluster.hpp"
-#include "orchestrator/master.hpp"
 #include "orchestrator/node.hpp"
-#include "orchestrator/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -26,13 +23,12 @@ struct Telemetry;
 
 namespace cynthia::orch {
 
-/// A provisioned, scheduled training cluster.
+/// A provisioned training cluster.
 struct Deployment {
   std::vector<NodeId> nodes;
-  std::vector<Pod> pods;
   ddnn::ClusterSpec spec;       ///< what ddnn::run_training consumes
   double requested_at = 0.0;
-  double ready_at = 0.0;        ///< all nodes joined, pods bound
+  double ready_at = 0.0;        ///< every node joined
   bool active = false;
   int replaced_nodes = 0;       ///< join failures repaired during deploy
 
@@ -41,18 +37,21 @@ struct Deployment {
 
 class ClusterManager {
  public:
+  /// `join_failure_probability` is the chance that a node's kubeadm join
+  /// fails (an injected fault: stale token cache, API-server trouble).
   ClusterManager(sim::Simulator& sim, cloud::BillingMeter& billing, std::uint64_t seed = 99,
-                 NodeTimings timings = {});
+                 double join_failure_probability = 0.0);
 
   /// Join-failure repair budget for deploy(): total node replacements
   /// tolerated before the deployment is abandoned.
   static constexpr int kMaxNodeReplacements = 8;
 
-  /// Launches enough instances of plan.type for all dockers, walks every
-  /// node to Ready (advancing the simulation clock), replaces nodes whose
-  /// join fails (up to kMaxNodeReplacements), binds the PS/worker pods and
-  /// returns the deployment. Throws if the plan is infeasible or the
-  /// replacement budget is exhausted.
+  /// Launches enough instances of plan.type for all dockers (one docker per
+  /// physical core), walks every node to Ready (advancing the simulation
+  /// clock), replaces nodes whose join fails (up to kMaxNodeReplacements) and
+  /// returns the deployment. Throws std::invalid_argument before anything
+  /// launches if the plan is infeasible or its type has no cores, and
+  /// std::runtime_error if the replacement budget is exhausted.
   Deployment deploy(const core::ProvisionPlan& plan);
 
   /// Launches `count` instances of `type`; nodes progress asynchronously.
@@ -65,10 +64,7 @@ class ClusterManager {
   /// Terminates the deployment's instances and stops their billing.
   void teardown(Deployment& deployment);
 
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] Master& master() { return master_; }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
 
   /// Attaches a per-run telemetry sink (not owned; nullptr detaches). Node
   /// lifecycle states become spans on track "i-<id>", join failures instant
@@ -82,15 +78,12 @@ class ClusterManager {
   sim::Simulator* sim_;
   cloud::BillingMeter* billing_;
   util::Rng rng_;
-  NodeTimings timings_;
-  Master master_;
+  double join_failure_probability_;
   std::vector<Node> nodes_;  ///< node `id` at index id - 1
   NodeId next_id_ = 1;
   telemetry::Telemetry* tel_ = nullptr;
 
-  /// Forgets every node and member and reseeds the lifecycle stream. The
-  /// master keeps its credentials: a new manager's issues the same ones
-  /// when it launches at t = 0.
+  /// Forgets every node and reseeds the lifecycle stream.
   void reset(std::uint64_t seed);
   Node& node_mut(NodeId id);
   void record_state_span(const Node& node) const;

@@ -471,11 +471,11 @@ JobRun execute_job(const JobSpec& spec, const core::Provisioner* provisioner) {
   for (int seg_i = 0; seg_i < max_segments; ++seg_i) {
     StragglerDetector::Config dcfg;
     dcfg.policy = sentinel != nullptr ? sentinel->mitigation : MitigationPolicy::kNone;
-    dcfg.time_goal_seconds = forecast_enabled ? goal.time_goal.value() : 0.0;
-    dcfg.elapsed_offset_seconds = elapsed;
+    dcfg.time_goal_seconds = forecast_enabled ? goal.time_goal : util::Seconds{0.0};
+    dcfg.elapsed_offset_seconds = util::Seconds{elapsed};
     dcfg.iteration_offset = done;
     dcfg.total_iterations = total_iterations;
-    dcfg.replacement_after_seconds = replace_delay;
+    dcfg.replacement_after_seconds = util::Seconds{replace_delay};
     dcfg.allow_ssp_downgrade = ssp_downgrade_allowed;
     dcfg.actions_remaining = actions_remaining;
     dcfg.allow_stop = seg_i + 1 < max_segments;

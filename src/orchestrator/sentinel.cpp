@@ -100,12 +100,12 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   // --- Tg forecast: measured rate projected over the remaining budget ---
   bool forecast_miss = false;
   double overrun = 0.0;
-  if (cfg_.time_goal_seconds > 0.0 && iter_ewma_ > 0.0) {
+  if (cfg_.time_goal_seconds.value() > 0.0 && iter_ewma_ > 0.0) {
     const long remaining =
         cfg_.total_iterations - (cfg_.iteration_offset + probe.iteration);
-    const double projected = cfg_.elapsed_offset_seconds + probe.now +
+    const double projected = cfg_.elapsed_offset_seconds.value() + probe.now +
                              iter_ewma_ * static_cast<double>(std::max<long>(0, remaining));
-    const double budget = cfg_.time_goal_seconds * (1.0 - kForecastMargin);
+    const double budget = cfg_.time_goal_seconds.value() * (1.0 - kForecastMargin);
     overrun = projected / std::max(1e-12, budget);
     forecast_miss = projected > budget;
   }
@@ -119,7 +119,7 @@ ddnn::MonitorAction StragglerDetector::observe(const ddnn::HealthProbe& probe) {
   // explains a uniformly slow cluster; the forecast is the catch-all.
   const int h = kHysteresisProbes;
   DetectionEvent event;
-  event.at = util::Seconds{cfg_.elapsed_offset_seconds + probe.now};
+  event.at = util::Seconds{cfg_.elapsed_offset_seconds.value() + probe.now};
   if (straggler_streak_ >= h) {
     event.kind = "straggler";
     event.worker = straggler_worker_;

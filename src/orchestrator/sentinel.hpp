@@ -80,15 +80,15 @@ class StragglerDetector : public ddnn::TrainingMonitor {
   struct Config {
     MitigationPolicy policy = MitigationPolicy::kAuto;
     /// Tg on the job clock; 0 disables the forecast detector.
-    double time_goal_seconds = 0.0;
+    util::Seconds time_goal_seconds{0.0};
     /// Job-clock seconds and globally closed iterations before this segment.
-    double elapsed_offset_seconds = 0.0;
+    util::Seconds elapsed_offset_seconds{0.0};
     long iteration_offset = 0;
     /// The whole job's iteration budget (not the segment's).
     long total_iterations = 0;
     /// Measured blacklist-to-replacement-join delay for kExcludeWorker;
     /// < 0 blacklists permanently.
-    double replacement_after_seconds = -1.0;
+    util::Seconds replacement_after_seconds{-1.0};
     /// False when the loss goal cannot absorb the SSP staleness penalty
     /// (the loss model scales the whole curve by sqrt(1 + bound), so a
     /// downgrade that saves Tg can still forfeit l_g). The executor computes

@@ -25,9 +25,9 @@ constexpr std::uint64_t kDeploySalt = 0x8f1bbcdcbfa53e0bull;
 /// goal is already blown: wide enough that any plan is feasible.
 constexpr util::Seconds kAnyTimeBudget{1.0e9};
 constexpr double kBudgetEpsilon = 1e-9;
-/// Deterministic stand-in when a sub-simulated deployment exhausts its
-/// join-repair budget (rare); admission proceeds with a painful latency
-/// instead of unwinding.
+/// Deterministic stand-in when a sub-simulated deployment throws. The fleet's
+/// meter injects no join failures, so only a plan the manager rejects reaches
+/// it; admission proceeds with a painful latency instead of unwinding.
 constexpr util::Seconds kDeployFailureLatency{300.0};
 /// Relative stddev of actual vs predicted run time (bounded normal, clamped
 /// to +-3 sigma).
@@ -702,8 +702,8 @@ struct FleetEngine {
   }
 
   /// Provisioning latency from a real ClusterManager deployment on a
-  /// throwaway sub-simulation: boot/install/join walks with seeded jitter
-  /// plus join-failure repair, isolated from the fleet clock.
+  /// throwaway sub-simulation: boot/install/join walks with seeded jitter,
+  /// isolated from the fleet clock.
   [[nodiscard]] double deploy_latency(const core::ProvisionPlan& plan, std::uint64_t seed) {
     try {
       return deploys.measure(plan, seed).value();

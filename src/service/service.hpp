@@ -14,10 +14,10 @@
 // completion, revocation and patience-timeout events on a single clock.
 // Provisioning latency per admission is produced by a real
 // orch::ClusterManager deployment on a per-attempt sub-simulation (boot/
-// install/join walks with seeded jitter and join-failure repair); training
-// itself is executed analytically — the plan's predicted time under a
-// seeded bounded-normal runtime-noise factor — so 10k-job traces finish in
-// seconds while per-job dollars stay Eq. 8-exact (core::plan_cost).
+// install/join walks with seeded jitter); training itself is executed
+// analytically — the plan's predicted time under a seeded bounded-normal
+// runtime-noise factor — so 10k-job traces finish in seconds while per-job
+// dollars stay Eq. 8-exact (core::plan_cost).
 //
 // Determinism: every random draw comes from a per-(job, attempt) Rng seeded
 // by hash-mixing (options.seed, job id, attempt), never from a shared

@@ -482,7 +482,7 @@ class ScriptedMonitor : public cd::TrainingMonitor {
     if (probes_ == 10) {
       action.kind = cd::MonitorAction::Kind::kExcludeWorker;
       action.target = static_cast<int>(probe.worker_busy_seconds.size()) - 1;
-      action.replacement_after_seconds = 5.0;
+      action.replacement_after_seconds = cu::Seconds{5.0};
       action.reason = "scripted-exclude";
     } else if (probes_ == 30 && probe.mode == cd::SyncMode::BSP) {
       action.kind = cd::MonitorAction::Kind::kDowngradeSsp;

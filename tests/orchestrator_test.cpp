@@ -1,9 +1,10 @@
-// Tests for the Kubernetes-like control plane: master/join handshake, node
-// lifecycle, pod scheduling, and deployment + billing.
+// Tests for the Kubernetes-like control plane: node lifecycle, join-failure
+// repair, and deployment + billing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <regex>
+#include <bit>
+#include <cstdio>
 #include <vector>
 
 #include "cloud/instance.hpp"
@@ -13,10 +14,9 @@
 #include "ddnn/workload.hpp"
 #include "orchestrator/cluster_manager.hpp"
 #include "orchestrator/executor.hpp"
-#include "orchestrator/master.hpp"
 #include "orchestrator/node.hpp"
-#include "orchestrator/scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/units.hpp"
 
 namespace orch = cynthia::orch;
@@ -45,117 +45,6 @@ co::ProvisionPlan simple_plan(int workers, int ps) {
 }
 }  // namespace
 
-// ------------------------------------------------------------------ master
-
-TEST(Master, IssueAndJoin) {
-  orch::Master m(7);
-  const auto creds = m.issue_credentials(0.0);
-  EXPECT_FALSE(creds.token.empty());
-  EXPECT_EQ(creds.discovery_hash.rfind("sha256:", 0), 0u);
-  EXPECT_TRUE(m.join(1, creds, 10.0));
-  EXPECT_TRUE(m.is_member(1));
-  EXPECT_EQ(m.member_count(), 1u);
-}
-
-TEST(Master, CredentialsHaveKubeadmShape) {
-  const std::regex token("[0-9a-f]{6}\\.[0-9a-f]{16}");
-  const std::regex hash("sha256:[0-9a-f]{64}");
-  orch::Master a(42), b(42), c(43);
-  const auto creds = a.issue_credentials(0.0);
-  EXPECT_TRUE(std::regex_match(creds.token, token)) << creds.token;
-  EXPECT_TRUE(std::regex_match(creds.discovery_hash, hash)) << creds.discovery_hash;
-  const auto same = b.issue_credentials(0.0);
-  EXPECT_EQ(same.token, creds.token);
-  EXPECT_EQ(same.discovery_hash, creds.discovery_hash);
-  const auto other = c.issue_credentials(0.0);
-  EXPECT_NE(other.token, creds.token);
-  EXPECT_NE(other.discovery_hash, creds.discovery_hash);
-}
-
-TEST(Master, RejectsWrongToken) {
-  orch::Master m(7);
-  auto creds = m.issue_credentials(0.0);
-  auto forged = creds;
-  forged.token = "deadbe.ef0000000000000000";
-  EXPECT_FALSE(m.join(1, forged, 1.0));
-  auto bad_hash = creds;
-  bad_hash.discovery_hash = "sha256:0";
-  EXPECT_FALSE(m.join(1, bad_hash, 1.0));
-}
-
-TEST(Master, RejectsExpiredToken) {
-  orch::Master m(7);
-  const auto creds = m.issue_credentials(0.0);
-  const double ttl = orch::Master::kJoinTokenTtl.value();
-  EXPECT_FALSE(m.join(1, creds, ttl + 1.0));
-  EXPECT_TRUE(m.join(1, creds, ttl - 1.0));
-}
-
-TEST(Master, RejectsDuplicateJoinAndJoinBeforeIssue) {
-  orch::Master fresh(7);
-  orch::JoinCredentials none;
-  EXPECT_FALSE(fresh.join(1, none, 0.0));
-  orch::Master m(7);
-  const auto creds = m.issue_credentials(0.0);
-  EXPECT_TRUE(m.join(1, creds, 1.0));
-  EXPECT_FALSE(m.join(1, creds, 2.0));
-  m.remove(1);
-  EXPECT_TRUE(m.join(1, creds, 3.0));
-}
-
-// --------------------------------------------------------------- scheduler
-
-TEST(Scheduler, BindsWhenCapacitySuffices) {
-  std::vector<orch::Node> nodes(2);
-  for (int i = 0; i < 2; ++i) {
-    nodes[i].id = i + 1;
-    nodes[i].state = orch::NodeState::Ready;
-    nodes[i].docker_slots = 2;
-  }
-  std::vector<orch::Pod> pods{{1, orch::PodRole::ParameterServer, 0},
-                              {2, orch::PodRole::Worker, 0},
-                              {3, orch::PodRole::Worker, 0}};
-  ASSERT_TRUE(orch::Scheduler::bind(pods, nodes));
-  for (const auto& p : pods) EXPECT_TRUE(p.bound());
-  EXPECT_EQ(orch::Scheduler::free_capacity(nodes), 1);
-}
-
-TEST(Scheduler, RefusesWhenOverCapacityWithoutPartialBind) {
-  std::vector<orch::Node> nodes(1);
-  nodes[0].id = 1;
-  nodes[0].state = orch::NodeState::Ready;
-  nodes[0].docker_slots = 2;
-  std::vector<orch::Pod> pods{{1, orch::PodRole::Worker, 0},
-                              {2, orch::PodRole::Worker, 0},
-                              {3, orch::PodRole::Worker, 0}};
-  EXPECT_FALSE(orch::Scheduler::bind(pods, nodes));
-  for (const auto& p : pods) EXPECT_FALSE(p.bound());
-  EXPECT_EQ(nodes[0].used_slots, 0);
-}
-
-TEST(Scheduler, SpreadsPsAcrossNodes) {
-  std::vector<orch::Node> nodes(2);
-  for (int i = 0; i < 2; ++i) {
-    nodes[i].id = i + 1;
-    nodes[i].state = orch::NodeState::Ready;
-    nodes[i].docker_slots = 2;
-  }
-  std::vector<orch::Pod> pods{{1, orch::PodRole::ParameterServer, 0},
-                              {2, orch::PodRole::ParameterServer, 0}};
-  ASSERT_TRUE(orch::Scheduler::bind(pods, nodes));
-  EXPECT_NE(pods[0].node, pods[1].node);
-}
-
-TEST(Scheduler, IgnoresNotReadyNodes) {
-  std::vector<orch::Node> nodes(1);
-  nodes[0].id = 1;
-  nodes[0].state = orch::NodeState::Booting;
-  nodes[0].docker_slots = 4;
-  std::vector<orch::Pod> pods{{1, orch::PodRole::Worker, 0}};
-  EXPECT_FALSE(orch::Scheduler::bind(pods, nodes));
-  EXPECT_EQ(orch::Scheduler::free_capacity(nodes), 0);
-}
-
 // ---------------------------------------------------------- cluster manager
 
 TEST(ClusterManager, NodesWalkLifecycleToReady) {
@@ -169,18 +58,16 @@ TEST(ClusterManager, NodesWalkLifecycleToReady) {
     const auto& n = mgr.node(id);
     EXPECT_EQ(n.state, orch::NodeState::Ready);
     EXPECT_GT(n.ready_at, n.requested_at);
-    EXPECT_TRUE(mgr.master().is_member(id));
   }
   EXPECT_EQ(running_records(billing), 3u);
 }
 
-TEST(ClusterManager, DeploySchedulesAllPodsAndBuildsSpec) {
+TEST(ClusterManager, DeployLaunchesNodesForAllDockersAndBuildsSpec) {
   cynthia::sim::Simulator sim;
   cc::BillingMeter billing;
   orch::ClusterManager mgr(sim, billing, 5);
   auto d = mgr.deploy(simple_plan(5, 2));
-  EXPECT_EQ(d.pods.size(), 7u);
-  for (const auto& p : d.pods) EXPECT_TRUE(p.bound());
+  for (auto id : d.nodes) EXPECT_EQ(mgr.node(id).state, orch::NodeState::Ready);
   EXPECT_EQ(d.spec.n_workers(), 5);
   EXPECT_EQ(d.spec.n_ps(), 2);
   // 7 dockers at 2 per m4.xlarge -> 4 instances.
@@ -203,6 +90,12 @@ TEST(ClusterManager, DeployInfeasiblePlanThrows) {
   bad.feasible = false;
   EXPECT_THROW(mgr.deploy(bad), std::invalid_argument);
   EXPECT_THROW(mgr.launch(m4(), 0), std::invalid_argument);
+  // A type with no cores holds no docker: rejected before anything launches.
+  co::ProvisionPlan coreless = simple_plan(2, 1);
+  coreless.type.physical_cores = 0;
+  EXPECT_THROW(mgr.deploy(coreless), std::invalid_argument);
+  EXPECT_TRUE(billing.records().empty());
+  EXPECT_EQ(sim.now(), 0.0);
 }
 
 TEST(ClusterManager, BillingCoversProvisioningWindow) {
@@ -233,8 +126,8 @@ TEST(Executor, InfeasibleGoalIsRejectedBeforeAnyDeploy) {
 
 // A reused meter restarts its clock, clears its bill and resets its manager
 // per walk, so it returns what a new control plane returns, bit for bit. That
-// holds after a walk that threw too: before its first node launched (an
-// infeasible plan), or with every node Ready and billed (no docker slots).
+// holds after a walk that threw too: an infeasible plan, or a type with no
+// cores, is rejected before its first node launches.
 TEST(DeployMeter, ReusedMeterMatchesAFreshControlPlane) {
   const auto fresh = [](const co::ProvisionPlan& plan, std::uint64_t seed) {
     cynthia::sim::Simulator sim;
@@ -243,15 +136,15 @@ TEST(DeployMeter, ReusedMeterMatchesAFreshControlPlane) {
     return manager.deploy(plan).provisioning_seconds();
   };
   co::ProvisionPlan infeasible;
-  co::ProvisionPlan slotless = simple_plan(2, 1);
-  slotless.type.physical_cores = 0;
+  co::ProvisionPlan coreless = simple_plan(2, 1);
+  coreless.type.physical_cores = 0;
   orch::DeployMeter meter;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     if (seed % 10 == 3) {
       EXPECT_THROW((void)meter.measure(infeasible, seed), std::invalid_argument);
     }
     if (seed % 10 == 7) {
-      EXPECT_THROW((void)meter.measure(slotless, seed), std::runtime_error);
+      EXPECT_THROW((void)meter.measure(coreless, seed), std::invalid_argument);
     }
     const co::ProvisionPlan plan =
         simple_plan(1 + static_cast<int>(seed % 9), static_cast<int>(seed % 4));
@@ -263,8 +156,6 @@ TEST(NodeStateNames, AllDistinct) {
   EXPECT_EQ(orch::to_string(orch::NodeState::Booting), "Booting");
   EXPECT_EQ(orch::to_string(orch::NodeState::Ready), "Ready");
   EXPECT_EQ(orch::to_string(orch::NodeState::Failed), "Failed");
-  EXPECT_EQ(orch::to_string(orch::PodRole::ParameterServer), "ps");
-  EXPECT_EQ(orch::to_string(orch::PodRole::Worker), "worker");
 }
 
 // ------------------------------------------------------ failure injection
@@ -272,12 +163,10 @@ TEST(NodeStateNames, AllDistinct) {
 TEST(ClusterManagerFaults, ReplacesFailedJoins) {
   cynthia::sim::Simulator sim;
   cc::BillingMeter billing;
-  orch::NodeTimings flaky;
-  flaky.join_failure_probability = 0.6;
-  orch::ClusterManager mgr(sim, billing, 7, flaky);
+  orch::ClusterManager mgr(sim, billing, 7, /*join_failure_probability=*/0.6);
   auto d = mgr.deploy(simple_plan(4, 1));
   EXPECT_GT(d.replaced_nodes, 0) << "with 60% join failures, replacements are expected";
-  for (const auto& p : d.pods) EXPECT_TRUE(p.bound());
+  for (auto id : d.nodes) EXPECT_EQ(mgr.node(id).state, orch::NodeState::Ready);
   // Replaced (terminated) instances must have stopped billing; only the
   // live ones keep running.
   EXPECT_EQ(running_records(billing), d.nodes.size());
@@ -292,9 +181,7 @@ TEST(ClusterManagerFaults, ReplacesFailedJoins) {
 TEST(ClusterManagerFaults, GivesUpAfterReplacementBudget) {
   cynthia::sim::Simulator sim;
   cc::BillingMeter billing;
-  orch::NodeTimings hopeless;
-  hopeless.join_failure_probability = 1.0;
-  orch::ClusterManager mgr(sim, billing, 7, hopeless);
+  orch::ClusterManager mgr(sim, billing, 7, /*join_failure_probability=*/1.0);
   EXPECT_THROW(mgr.deploy(simple_plan(4, 1)), std::runtime_error);
 }
 
@@ -304,4 +191,60 @@ TEST(ClusterManagerFaults, ZeroProbabilityNeverReplaces) {
   orch::ClusterManager mgr(sim, billing, 7);
   auto d = mgr.deploy(simple_plan(6, 2));
   EXPECT_EQ(d.replaced_nodes, 0);
+}
+
+// Every other pin deploys with a join-failure probability of 0; this one pins
+// the failed-join branch. Each walk runs on a new traced control plane: plans of
+// 1-9 workers and 1-3 PS on two types, seeds 1-200, three probabilities. Its
+// provisioning seconds (or the time it gave up), replacements, whether it
+// threw, the bill 100 s later and the journal digest fold into one value.
+TEST(ClusterManagerFaults, PinnedJoinFailureWalks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  long walks = 0, thrown = 0, replaced = 0;
+  for (const char* type : {"m4.xlarge", "c3.xlarge"}) {
+    for (int seed = 1; seed <= 200; ++seed) {
+      co::ProvisionPlan plan = simple_plan(1 + seed % 9, 1 + (seed / 9) % 3);
+      plan.type = cc::Catalog::aws().at(type);
+      for (const double p : {0.3, 0.6, 1.0}) {
+        cynthia::sim::Simulator sim;
+        cc::BillingMeter billing;
+        orch::ClusterManager mgr(sim, billing, static_cast<std::uint64_t>(seed), p);
+        cynthia::telemetry::Telemetry tel;
+        mgr.set_telemetry(&tel);
+        bool threw = false;
+        double provisioning = 0.0;
+        int replaced_nodes = 0;
+        try {
+          const orch::Deployment d = mgr.deploy(plan);
+          provisioning = d.provisioning_seconds();
+          replaced_nodes = d.replaced_nodes;
+        } catch (const std::runtime_error&) {
+          threw = true;
+          provisioning = sim.now();
+        }
+        sim.run_until(sim.now() + 100.0);
+        mix(std::bit_cast<std::uint64_t>(provisioning));
+        mix(static_cast<std::uint64_t>(replaced_nodes));
+        mix(threw ? 1u : 0u);
+        mix(std::bit_cast<std::uint64_t>(billing.total(cu::Seconds{sim.now()}).value()));
+        mix(tel.journal.digest());
+        ++walks;
+        thrown += threw ? 1 : 0;
+        replaced += replaced_nodes;
+      }
+    }
+  }
+  EXPECT_EQ(walks, 1200);
+  EXPECT_GT(thrown, 400) << "every walk at probability 1 gives up";
+  EXPECT_LT(thrown, walks);
+  EXPECT_GT(replaced, 0);
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, 0xc0a54680fcb5b0d1ull) << "join-failure walk digest " << hex;
 }

@@ -49,7 +49,7 @@ cd::HealthProbe probe_at(double now, long iteration, std::vector<double> busy,
   p.total_iterations = 10000;
   p.mode = cd::SyncMode::BSP;
   p.worker_busy_seconds = std::move(busy);
-  p.window_seconds = 1.0;
+  p.window_seconds = cu::Seconds{1.0};
   p.ps_nic_saturated_fraction = ps_sat;
   return p;
 }
@@ -57,7 +57,7 @@ cd::HealthProbe probe_at(double now, long iteration, std::vector<double> busy,
 orch::StragglerDetector::Config detector_config() {
   orch::StragglerDetector::Config cfg;
   cfg.total_iterations = 10000;
-  cfg.replacement_after_seconds = 30.0;
+  cfg.replacement_after_seconds = cu::Seconds{30.0};
   return cfg;
 }
 
@@ -129,7 +129,7 @@ TEST_F(StragglersTest, DetectorFlagsPersistentStragglerAfterHysteresis) {
   }
   ASSERT_EQ(action.kind, cd::MonitorAction::Kind::kExcludeWorker);
   EXPECT_EQ(action.target, 2);
-  EXPECT_DOUBLE_EQ(action.replacement_after_seconds, 30.0);
+  EXPECT_DOUBLE_EQ(action.replacement_after_seconds.value(), 30.0);
   // The EWMA baseline must cross the threshold AND hold it for
   // kHysteresisProbes probes; a single anomaly can never trigger.
   EXPECT_GE(probes_until_action, orch::kHysteresisProbes);
@@ -195,7 +195,7 @@ TEST_F(StragglersTest, DetectorRoutesPsSaturationToAddPs) {
 
 TEST_F(StragglersTest, DetectorForecastDowngradesBspToSsp) {
   auto cfg = detector_config();
-  cfg.time_goal_seconds = 100.0;  // 10000 iterations at 1 s/iter cannot fit
+  cfg.time_goal_seconds = cu::Seconds{100.0};  // 10000 iterations at 1 s/iter cannot fit
   orch::StragglerDetector det(cfg);
   double t = 0.0;
   cd::MonitorAction action;

@@ -450,9 +450,8 @@ TEST(OrchestratorTelemetry, DeployEmitsLifecycleAndProvisionSpans) {
 TEST(OrchestratorTelemetry, JoinFailuresCountRetries) {
   cynthia::sim::Simulator sim;
   cynthia::cloud::BillingMeter billing;
-  cynthia::orch::NodeTimings timings;
-  timings.join_failure_probability = 1.0;  // every join fails
-  cynthia::orch::ClusterManager manager(sim, billing, /*seed=*/7, timings);
+  cynthia::orch::ClusterManager manager(sim, billing, /*seed=*/7,
+                                        /*join_failure_probability=*/1.0);  // every join fails
   ct::Telemetry tel;
   manager.set_telemetry(&tel);
   manager.launch(Catalog::aws().at("m4.xlarge"), 1);
